@@ -1,11 +1,12 @@
 """Non-symmetric stretch distance, displacement minimization, classification.
 
 The distance between two marked metric graphs is the log of the maximal
-stretch over candidate loops (closed loops crossing each edge at most twice)
-of a difference-of-markings map; this max equals the optimal Lipschitz
-constant, so no geometric optimal map is ever built.  Displacement of an
-automorphism is minimized over a metric simplex with a floor by bisecting on
-the stretch bound, with a linear feasibility test per step.
+stretch over the Francaviglia–Martino candidate loops (embedded circles,
+figure-eights and barbells) of a difference-of-markings map; this max equals
+the optimal Lipschitz constant, so no geometric optimal map is ever built.
+Displacement of an automorphism is minimized over a metric simplex with a
+floor by bisecting on the stretch bound, with a linear feasibility test per
+step.
 """
 
 from __future__ import annotations
@@ -153,37 +154,16 @@ def _counts(edge_ids: Tuple[int, ...], word: Sequence[int]) -> Tuple[int, ...]:
     return tuple(tally[e] for e in edge_ids)
 
 
-def _splits_into_reduced_loops(g: Graph, word: Tuple[int, ...]) -> bool:
-    """Whether some rotation splits at its base vertex into two closed pieces
-    that are both cyclically reduced.  Such a loop never carries the maximal
-    stretch: crossing counts add over the pieces while reduced image counts
-    only drop, so the ratio is a mediant of the pieces' ratios."""
-    n = len(word)
-    for i in range(n):
-        w = word[i:] + word[:i]
-        base = g.init(w[0])
-        at = base
-        for j in range(1, n):
-            at = g.term(w[j - 1])
-            if at != base:
-                continue
-            u, v = w[:j], w[j:]
-            if u[0] != -u[-1] and v[0] != -v[-1]:
-                return True
-    return False
-
-
 def _constraint_rows(
     g: Graph, edge_image: Mapping[int, EdgePath]
 ) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """Deduplicated (image-count, count) rows over indecomposable candidates."""
+    """Deduplicated (image-count, count) rows over all candidate loops; their
+    maximal ratio is the stretch of the map at every metric."""
     ids = g.edge_ids
     images = {e: edge_image[e].edges for e in ids}
     rows = []
     seen = set()
     for w in _candidate_words(g):
-        if _splits_into_reduced_loops(g, w):
-            continue
         img: List[int] = []
         for d in w:
             img.extend(images[d] if d > 0 else [-t for t in reversed(images[-d])])

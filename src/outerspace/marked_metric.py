@@ -14,7 +14,7 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from . import words
 from .graph_core import (
@@ -418,7 +418,10 @@ def path_length(x: OuterSpacePoint, p: EdgePath):
 
 
 class CandidateLoop:
-    """Cyclically reduced loop crossing each unoriented edge at most twice."""
+    """A Francaviglia–Martino candidate: an immersed loop that runs once
+    around an embedded circle, once around each lobe of an embedded
+    figure-eight, or once around each circle of an embedded barbell and
+    twice along its bar."""
 
     __slots__ = ("loop", "counts")
 
@@ -439,31 +442,89 @@ class CandidateLoop:
         return f"CandidateLoop({self.loop.edges})"
 
 
+def _circles(g: Graph) -> List[Tuple[Tuple[int, ...], FrozenSet[int]]]:
+    """Embedded circles as (direction word, vertex set), each found once.
+
+    A circle is walked from its smallest edge, forward, through larger edges
+    only and without repeating a vertex, so it has exactly one such walk.
+    """
+    out = []
+    for start in g.edge_ids:
+        base = g.init(start)
+        path = [start]
+        seen = {base}
+
+        def step(v: int) -> None:
+            if v == base:
+                out.append((tuple(path), frozenset(seen)))
+                return
+            seen.add(v)
+            for d in g.directions_at(v):
+                w = g.term(d)
+                if abs(d) > start and (w == base or w not in seen):
+                    path.append(d)
+                    step(w)
+                    path.pop()
+            seen.discard(v)
+
+        step(g.term(start))
+    return out
+
+
+def _rotate_to(g: Graph, circle: Tuple[int, ...], v: int) -> Tuple[int, ...]:
+    """The circle word rotated to start (and end) at its vertex v."""
+    i = next(i for i, d in enumerate(circle) if g.init(d) == v)
+    return circle[i:] + circle[:i]
+
+
+def _arcs(g: Graph, start: FrozenSet[int], end: FrozenSet[int]) -> List[Tuple[int, ...]]:
+    """Embedded arcs from `start` to `end` whose interior avoids both sets."""
+    out: List[Tuple[int, ...]] = []
+    path: List[int] = []
+    seen = set()
+
+    def step(v: int) -> None:
+        for d in g.directions_at(v):
+            w = g.term(d)
+            if w in end:
+                out.append(tuple(path) + (d,))
+            elif w not in start and w not in seen:
+                seen.add(w)
+                path.append(d)
+                step(w)
+                path.pop()
+                seen.discard(w)
+
+    for u in sorted(start):
+        step(u)
+    return out
+
+
 @lru_cache(maxsize=None)
 def _candidate_words(g: Graph) -> Tuple[Tuple[int, ...], ...]:
-    """All cyclically reduced closed walks with per-edge budget 2, canonical,
-    deduplicated up to rotation and inversion, in deterministic order."""
-    found = set()
-    ids = g.edge_ids
-    for start in ids:
-        allowed = {e for e in ids if e >= start}
-        counts = {e: 0 for e in ids}
-        base = g.init(start)
-        path: list = []
-
-        def step(d: int) -> None:
-            counts[abs(d)] += 1
-            path.append(d)
-            v = g.term(d)
-            if v == base and d != -path[0]:
-                found.add(canonical_loop(tuple(path)))
-            for nd in g.directions_at(v):
-                if abs(nd) in allowed and nd != -d and counts[abs(nd)] < 2:
-                    step(nd)
-            counts[abs(d)] -= 1
-            path.pop()
-
-        step(start)
+    """The Francaviglia–Martino candidate loops of g: embedded circles,
+    figure-eights (two circles meeting in one vertex) and barbells (two
+    disjoint circles joined by an embedded arc), each figure-eight and
+    barbell in both relative orientations of its circles.  Words are
+    canonical up to rotation and inversion, sorted by length then by
+    direction_key."""
+    circles = _circles(g)
+    found = {canonical_loop(c) for c, _ in circles}
+    for i, (c1, v1) in enumerate(circles):
+        for c2, v2 in circles[i + 1 :]:
+            shared = v1 & v2
+            if len(shared) == 1:
+                (v,) = shared
+                head, tail = _rotate_to(g, c1, v), _rotate_to(g, c2, v)
+                found.add(canonical_loop(head + tail))
+                found.add(canonical_loop(head + words.invert_word(tail)))
+            elif not shared:
+                for arc in _arcs(g, v1, v2):
+                    head = _rotate_to(g, c1, g.init(arc[0]))
+                    tail = _rotate_to(g, c2, g.term(arc[-1]))
+                    back = words.invert_word(arc)
+                    found.add(canonical_loop(head + arc + tail + back))
+                    found.add(canonical_loop(head + arc + words.invert_word(tail) + back))
     return tuple(
         sorted(found, key=lambda w: (len(w), tuple(direction_key(d) for d in w)))
     )

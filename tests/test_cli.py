@@ -127,7 +127,7 @@ class TestDistanceCommand:
         assert back["sigma"] == "3/2"
         assert back["log_sigma"] == pytest.approx(math.log(1.5), abs=1e-11)
         assert back["witness"] == [2]
-        assert len(fwd["table"]) == 17
+        assert len(fwd["table"]) == 4
 
     def test_identical_points(self, capsys, quarter_point):
         code, report = run_json(
@@ -215,7 +215,7 @@ class TestCandidatesCommand:
     def test_rose_candidates(self, capsys, quarter_point):
         code, report = run_json(capsys, "candidates", "--point", quarter_point)
         assert code == EXIT_OK
-        assert report["count"] == 17
+        assert report["count"] == 4
         assert report["candidates"][0] == {"loop": [1], "length": "1/4"}
         assert all("/" in str(c["length"]) or str(c["length"]).isdigit()
                    for c in report["candidates"])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from outerspace.graph_core import EdgePath, Graph
+from outerspace.graph_core import EdgePath
 from outerspace.graph_map import GraphMap, self_map_from_automorphism
 from outerspace.lipschitz_metric import (
     Elliptic,
@@ -19,7 +19,6 @@ from outerspace.lipschitz_metric import (
     ParabolicSuspect,
     StretchIntegrityError,
     _constraint_rows,
-    _splits_into_reduced_loops,
     classify,
     displacement,
     distance,
@@ -36,6 +35,7 @@ from outerspace.marked_metric import (
     random_unit_metric,
     rose_point,
 )
+from outerspace.train_track_algo import TrainTrackCertificate, find_train_track
 
 GOLDEN_SQ = (3 + math.sqrt(5)) / 2
 
@@ -43,6 +43,11 @@ EXPANDING = Automorphism.from_text("a -> ab; b -> bab")
 PERMUTED = Automorphism.from_text("a -> B; b -> C; c -> A")
 REDUCIBLE = Automorphism.from_text("a -> a; b -> ab")
 RANK4_REDUCIBLE = Automorphism.from_text("a -> ab; b -> bab; c -> cad; d -> dcad")
+# A rose train track whose edge images are not cyclically reduced, so the
+# image of the figure-eight ac is longer than those of the petals a and c
+# together, and ac alone carries the stretch at some metrics.
+UNREDUCED_IMAGES = Automorphism.from_text("a->aCA; b->bccaCAcA; c->bcc")
+UNREDUCED_IMAGES_LAM = 3.91223
 
 
 def rose_self_map(phi: Automorphism) -> GraphMap:
@@ -167,22 +172,19 @@ class TestDisplacement:
 
 
 class TestConstraintRows:
-    def test_rose_rows_are_petals(self):
+    def test_rose_rows_are_fm_candidate_rows(self):
+        # Candidates a, b, ab, aB; a -> ab and b -> bab send aB to B.
         m2 = rose_self_map(EXPANDING)
-        assert len(_constraint_rows(m2.domain.graph, m2.edge_image)) == 2
+        assert _constraint_rows(m2.domain.graph, m2.edge_image) == [
+            ((1, 1), (1, 0)),
+            ((1, 2), (0, 1)),
+            ((2, 3), (1, 1)),
+            ((0, 1), (1, 1)),
+        ]
         m4 = rose_self_map(RANK4_REDUCIBLE)
-        assert len(_constraint_rows(m4.domain.graph, m4.edge_image)) == 4
-
-    def test_split_detection_on_rose(self):
-        g = rose_point(2).graph
-        assert _splits_into_reduced_loops(g, (1, 2))
-        assert _splits_into_reduced_loops(g, (1, -2))
-        assert not _splits_into_reduced_loops(g, (1,))
-        assert not _splits_into_reduced_loops(g, (2,))
-
-    def test_barbell_loop_is_kept(self):
-        g = Graph(vertices=(1, 2), endpoints={1: (1, 1), 2: (2, 2), 3: (1, 2)})
-        assert not _splits_into_reduced_loops(g, (1, 3, 2, -3))
+        rows = _constraint_rows(m4.domain.graph, m4.edge_image)
+        assert len(set(rows)) == len(rows) == 12
+        assert all(sum(count) <= 2 for _, count in rows)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -256,6 +258,27 @@ class TestMinDisplacement:
             with pytest.raises(ValueError):
                 min_displacement_on_simplex(m.domain.graph, m.edge_image, bad)
 
+    def test_minimum_not_below_growth_rate_of_unreduced_images(self):
+        cert = find_train_track(UNREDUCED_IMAGES)
+        assert isinstance(cert, TrainTrackCertificate)
+        assert cert.lam == pytest.approx(UNREDUCED_IMAGES_LAM, abs=1e-5)
+        m = cert.graph_map
+        rep = min_displacement_on_simplex(m.domain.graph, m.edge_image, 1e-6)
+        assert rep.lam >= cert.lam * (1 - 1e-9)
+
+    def test_train_track_minimum_not_below_growth_rate(self):
+        rng = random.Random(7)
+        checked = 0
+        for _ in range(40):
+            cert = find_train_track(random_automorphism(3, 12, rng))
+            if not isinstance(cert, TrainTrackCertificate):
+                continue
+            m = cert.graph_map
+            rep = min_displacement_on_simplex(m.domain.graph, m.edge_image, 1e-6)
+            assert rep.lam >= cert.lam * (1 - 1e-9)
+            checked += 1
+        assert checked >= 20
+
     def test_repeat_runs_agree(self):
         m = rose_self_map(RANK4_REDUCIBLE)
         first = min_displacement_on_simplex(m.domain.graph, m.edge_image, 1e-4)
@@ -277,6 +300,12 @@ class TestClassify:
         assert abs(result.lam - GOLDEN_SQ) <= 1e-6
         assert result.simplex.boundary_flag is False
         assert abs(result.certificate.lam - GOLDEN_SQ) <= 1e-9
+
+    def test_unreduced_images_train_track_is_hyperbolic(self):
+        result = classify(UNREDUCED_IMAGES)
+        assert isinstance(result, Hyperbolic)
+        assert result.lam == pytest.approx(UNREDUCED_IMAGES_LAM, abs=1e-5)
+        assert result.simplex.lam >= result.lam * (1 - 1e-9)
 
     def test_polynomially_growing_input(self):
         result = classify(REDUCIBLE)

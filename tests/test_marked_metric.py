@@ -17,6 +17,7 @@ from outerspace.marked_metric import (
     OuterSpacePoint,
     UnsupportedOperationError,
     act,
+    _candidate_words,
     candidates,
     chain_bound,
     epsilon_core,
@@ -30,6 +31,8 @@ from outerspace.marked_metric import (
     unsubdivide,
 )
 from outerspace.words import NotBasisError
+
+from helpers import connected_core_graphs
 
 GOLDEN_PLUS = (3 + math.sqrt(5)) / 2
 FIG2_SHORT = (3 - math.sqrt(5)) / 2  # length of the short petal at the stretch-minimal metric
@@ -240,6 +243,57 @@ def brute_force_loops(g, max_len):
     return out
 
 
+def fm_shaped(g, w):
+    """Whether the closed walk w runs once around an embedded circle, once
+    around each lobe of a figure-eight, or once around each circle of a
+    barbell and twice along its bar, judged from its edge counts alone."""
+    counts = {}
+    for d in w:
+        counts[abs(d)] = counts.get(abs(d), 0) + 1
+    if max(counts.values()) > 2:
+        return False
+    once = [e for e, k in counts.items() if k == 1]
+    twice = [e for e, k in counts.items() if k == 2]
+    valence = {}
+    for e in once:
+        for v in g.endpoints(e):
+            valence[v] = valence.get(v, 0) + 1
+    lobes = _components(g, once)
+    if not twice:
+        high = sorted(k for k in valence.values() if k != 2)
+        return len(lobes) == 1 and high in ([], [4])
+    if set(valence.values()) != {2} or len(lobes) != 2:
+        return False
+    bar_valence = {}
+    for e in twice:
+        u, v = g.endpoints(e)
+        if u == v:
+            return False
+        for x in (u, v):
+            bar_valence[x] = bar_valence.get(x, 0) + 1
+    ends = [v for v, k in bar_valence.items() if k == 1]
+    is_path = len(_components(g, twice)) == 1 and len(twice) == len(bar_valence) - 1
+    if not is_path or len(ends) != 2:
+        return False
+    # The bar meets the circles exactly at its two ends, one end on each.
+    if sorted(v for v in bar_valence if v in valence) != sorted(ends):
+        return False
+    return all(len(lobe & set(ends)) == 1 for lobe in lobes)
+
+
+def _components(g, edge_ids):
+    """Vertex sets of the connected components of the given edges."""
+    parts = []
+    for e in edge_ids:
+        ends = set(g.endpoints(e))
+        touching = [p for p in parts if p & ends]
+        for p in touching:
+            parts.remove(p)
+            ends |= p
+        parts.append(ends)
+    return parts
+
+
 class TestCandidates:
     def test_rose2_contains_basic_loops(self):
         got = {c.loop.edges for c in candidates(rose_point(2))}
@@ -258,11 +312,31 @@ class TestCandidates:
     @pytest.mark.parametrize("make", [lambda: rose_point(2), theta_point, barbell_point])
     def test_matches_walk_enumeration_oracle(self, make):
         x = make()
-        budget = {
+        shapes = {
             w for w in brute_force_loops(x.graph, 2 * x.graph.num_edges)
-            if all(sum(1 for d in w if abs(d) == e) <= 2 for e in x.graph.edge_ids)
+            if fm_shaped(x.graph, w)
         }
-        assert {c.loop.edges for c in candidates(x)} == budget
+        assert {c.loop.edges for c in candidates(x)} == shapes
+
+    def test_matches_walk_enumeration_oracle_on_small_cores(self):
+        for g in connected_core_graphs(3):
+            shapes = {w for w in brute_force_loops(g, 2 * g.num_edges) if fm_shaped(g, w)}
+            assert set(_candidate_words(g)) == shapes
+
+    @pytest.mark.parametrize("rank", [2, 3, 4, 5, 6])
+    def test_rose_has_rank_squared_candidates(self, rank):
+        # rank petals plus both orientations of each pair of petals
+        assert len(_candidate_words(rose_point(rank).graph)) == rank * rank
+
+    def test_k4_candidates_are_its_seven_circles(self):
+        k4 = Graph(range(4), {1: (0, 1), 2: (0, 2), 3: (0, 3), 4: (1, 2), 5: (1, 3), 6: (2, 3)})
+        words = _candidate_words(k4)
+        assert sorted(map(len, words)) == [3, 3, 3, 3, 4, 4, 4]
+
+    def test_small_core_graph_total(self):
+        graphs = connected_core_graphs(4)
+        assert len(graphs) == 20
+        assert sum(len(_candidate_words(g)) for g in graphs) == 108
 
     def test_counts_and_determinism(self):
         x = barbell_point()
