@@ -29,7 +29,6 @@ class SweepConfig:
     floors: Tuple[float, ...] = field(
         default_factory=lambda: tuple(10.0**-k for k in range(1, 7))
     )
-    iters: int = 60
 
 
 def parse_args(argv=None) -> SweepConfig:
@@ -38,11 +37,9 @@ def parse_args(argv=None) -> SweepConfig:
                         help="semicolon-separated images, e.g. 'a->ab; b->ba'")
     parser.add_argument("--min-floor-exp", type=int, default=6,
                         help="smallest floor is 10**-THIS (default 6)")
-    parser.add_argument("--iters", type=int, default=SweepConfig.iters,
-                        help="bisection iterations per floor")
     args = parser.parse_args(argv)
     floors = tuple(10.0**-k for k in range(1, args.min_floor_exp + 1))
-    return SweepConfig(map_text=args.map_text, floors=floors, iters=args.iters)
+    return SweepConfig(map_text=args.map_text, floors=floors)
 
 
 def main(argv=None) -> int:
@@ -53,9 +50,7 @@ def main(argv=None) -> int:
     print(f"{'floor':>10}  {'lambda':>18}  {'log lambda':>12}  boundary")
     prev = None
     for floor in cfg.floors:
-        rep = min_displacement_on_simplex(
-            m.domain.graph, m.edge_image, floor, iters=cfg.iters
-        )
+        rep = min_displacement_on_simplex(m.domain.graph, m.edge_image, floor)
         drift = "" if prev is None else f"  (drop {prev - rep.lam:+.3e})"
         print(
             f"{floor:>10.0e}  {rep.lam:>18.12f}  {math.log(rep.lam):>12.8f}  "

@@ -306,7 +306,9 @@ def _simplex_json(rep) -> Dict[str, object]:
     return {
         "floor": _f12(rep.floor),
         "lambda": _f12(rep.lam),
+        "lower": _f12(rep.lower),
         "boundary_flag": rep.boundary_flag,
+        "pinned": [_edge_name(e) for e in rep.pinned],
         "metric": _metric_json(rep.metric, sorted(rep.metric.edge_ids)),
         "trace": [[_f12(lo), _f12(hi)] for lo, hi in rep.trace],
     }
@@ -350,11 +352,16 @@ def _classify_report(result) -> Tuple[Dict[str, object], int]:
         }
         return report, EXIT_OK
     assert isinstance(result, Inconclusive)
-    report = {
-        "kind": result.kind,
-        "reason": result.reason,
-        "evidence": {"trace": list(result.certificate.trace)},
-    }
+    evidence: Dict[str, object] = {"trace": list(result.certificate.trace)}
+    if result.simplex is not None:
+        point = result.certificate.graph_map.domain
+        evidence.update(
+            lambda_cert=_f12(result.certificate.lam),
+            lambda_pf=_f12(result.pf_ratio),
+            metric=_metric_json(point.metric, sorted(point.graph.edge_ids)),
+            simplex=_simplex_json(result.simplex),
+        )
+    report = {"kind": result.kind, "reason": result.reason, "evidence": evidence}
     return report, EXIT_CAP
 
 
@@ -499,7 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", parents=[common], help="sort a map into the displacement trichotomy")
     p.add_argument("--map", required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
 
     p = sub.add_parser("candidates", parents=[common], help="list candidate loops of a point")
     p.add_argument("--point", required=True)
@@ -507,8 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minimize", parents=[common], help="minimize displacement over floored metrics")
     p.add_argument("--map", required=True)
     p.add_argument("--floor", type=float, default=1e-6)
-    p.add_argument("--max-iters", type=int, default=10**4)
-    p.add_argument("--tol", type=float, default=1e-12)
 
     return parser
 

@@ -29,6 +29,8 @@ from .marked_metric import (
     path_length,
 )
 
+# Relative tolerance for comparing float stretch factors and growth rates;
+# the one copy every module uses.
 REL_TOL = 1e-9
 
 

@@ -5,8 +5,8 @@ stretch over the Francaviglia–Martino candidate loops (embedded circles,
 figure-eights and barbells) of a difference-of-markings map; this max equals
 the optimal Lipschitz constant, so no geometric optimal map is ever built.
 Displacement of an automorphism is minimized over a metric simplex with a
-floor by bisecting on the stretch bound, with a linear feasibility test per
-step.
+floor by a Dinkelbach-type iteration, one linear program per step, whose row
+duals certify a lower bound on the minimum.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .marked_metric import (
     candidates,
     _candidate_words,
 )
-from .graph_map import GraphMap, difference_of_markings
+from .graph_map import REL_TOL, GraphMap, difference_of_markings
 from .train_track_algo import (
     Certificate,
     FiniteOrderCertificate,
@@ -39,8 +39,6 @@ from .train_track_algo import (
     closed_class,
     find_train_track,
 )
-
-REL_TOL = 1e-9
 
 
 class StretchIntegrityError(RuntimeError):
@@ -141,10 +139,15 @@ def displacement(x: OuterSpacePoint, phi: Automorphism) -> DistanceReport:
 @dataclass(frozen=True)
 class SimplexMinReport:
     metric: Metric
-    lam: float
+    lam: float  # maximal candidate ratio at `metric`, an upper bound on the minimum
+    lower: float  # certified lower bound on the minimum over the floored simplex
     floor: float
-    trace: Tuple[Tuple[float, float], ...]  # (lower, upper) per bisection step
-    boundary_flag: bool
+    trace: Tuple[Tuple[float, float], ...]  # (lower, upper) after each LP step
+    pinned: Tuple[int, ...]  # edges of `metric` at the floor
+
+    @property
+    def boundary_flag(self) -> bool:
+        return bool(self.pinned)
 
 
 def _counts(edge_ids: Tuple[int, ...], word: Sequence[int]) -> Tuple[int, ...]:
@@ -178,17 +181,34 @@ def _constraint_rows(
     return rows
 
 
+# LP steps per minimization.  Convergence is superlinear at an interior
+# minimum (about 5 steps); a minimum on the floor can take about 20.
+_MAX_STEPS = 32
+_GAP = 1e-12  # relative gap between the bounds at which the minimum is settled
+
+
 def min_displacement_on_simplex(
     g: Graph,
     edge_image: Mapping[int, EdgePath],
     floor: float,
-    iters: int = 60,
 ) -> SimplexMinReport:
     """Minimize the maximal candidate stretch of a fixed topological self-map
     over unit-volume metrics with every edge length at least the floor.
 
-    Bisection on the stretch bound; each step asks a linear program whether
-    some floored metric keeps every candidate ratio at or below the bound.
+    The objective max_i B_i.l / C_i.l is a min-max linear fractional program,
+    solved by the Dinkelbach-type method of Crouzeix, Ferland and Schaible
+    (JOTA 47, 1985).  Step k solves one epigraph LP at the current ratio
+    lam_k = max_i B_i.l_k / C_i.l_k:
+
+        minimize t  subject to  (B_i - lam_k C_i).l / (C_i.l_k) <= t,
+                                sum(l) = 1,  floor <= l <= 1,
+
+    and moves to its point.  The LP's row duals y give a certified lower
+    bound: a maximum of ratios is at least any weighted mediant, so the
+    minimum is at least min (yB).l / (yC).l over the floored simplex, which
+    is attained at one of its n vertices.  The iteration stops when t >= 0
+    (l_k is optimal), when the two bounds meet, or when a step no longer
+    lowers lam.
     """
     ids = g.edge_ids
     n = len(ids)
@@ -199,57 +219,65 @@ def min_displacement_on_simplex(
         raise StretchIntegrityError("self-map stretches no candidate loop")
     Bm = np.array([r[0] for r in rows], dtype=float)
     Cm = np.array([r[1] for r in rows], dtype=float)
-
-    def feasible(lam: float) -> Optional[np.ndarray]:
-        res = linprog(
-            c=np.zeros(n),
-            A_ub=Bm - lam * Cm,
-            b_ub=np.zeros(len(rows)),
-            A_eq=np.ones((1, n)),
-            b_eq=np.ones(1),
-            bounds=[(floor, 1.0)] * n,
-            method="highs",
-        )
-        return res.x if res.status == 0 else None
-
-    bary = np.full(n, 1.0 / n)
+    # Vertices of the floored simplex: one edge long, every other at the floor.
+    vertices = floor + (1.0 - n * floor) * np.eye(n)
 
     def max_ratio(ell: np.ndarray) -> float:
         return float(np.max((Bm @ ell) / (Cm @ ell)))
 
-    hi = max_ratio(bary)
-    lo = min(1.0, float(np.min((Bm @ bary) / (Cm @ bary))))
-    best = bary
-    trace: List[Tuple[float, float]] = []
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        x = feasible(mid)
-        if x is not None:
-            hi, best = mid, x
-        else:
-            lo = mid
-        trace.append((lo, hi))
-    # At the degenerate final bound the solver's point can violate a tight row
-    # by its tolerance, which the small floor-sized denominators would amplify;
-    # re-solving at slightly relaxed bounds lands on an accurate vertex instead.
-    def cleaned(x: np.ndarray) -> np.ndarray:
-        x = np.maximum(x, floor)
-        return x / x.sum()
+    def mediant_bound(y: np.ndarray) -> float:
+        return float(np.min((vertices @ (y @ Bm)) / (vertices @ (y @ Cm))))
 
-    ell = cleaned(best)
-    for pad in (1e-9, 1e-8, 1e-7, 1e-6):
-        polished = feasible(hi * (1.0 + pad))
-        if polished is not None:
-            candidate = cleaned(polished)
-            if max_ratio(candidate) < max_ratio(ell):
-                ell = candidate
+    def cleaned(x: np.ndarray) -> np.ndarray:
+        # Lift the solver's point onto the floored simplex exactly, so that
+        # floor-sized edges never dip below the floor by the solver's tolerance.
+        excess = np.maximum(x - floor, 0.0)
+        return floor + (1.0 - n * floor) * excess / excess.sum()
+
+    objective = np.zeros(n + 1)
+    objective[n] = 1.0
+    volume = np.ones((1, n + 1))
+    volume[0, n] = 0.0
+    bounds = [(floor, 1.0)] * n + [(None, None)]
+    t_column = -np.ones((len(rows), 1))
+
+    ell = np.full(n, 1.0 / n)
+    lam = max_ratio(ell)
+    lower = min(lam, mediant_bound(np.ones(len(rows))))
+    trace: List[Tuple[float, float]] = []
+    for _ in range(_MAX_STEPS):
+        scale = Cm @ ell
+        res = linprog(
+            objective,
+            A_ub=np.hstack(((Bm - lam * Cm) / scale[:, None], t_column)),
+            b_ub=np.zeros(len(rows)),
+            A_eq=volume,
+            b_eq=np.ones(1),
+            bounds=bounds,
+            method="highs",
+        )
+        if res.status != 0:
+            break
+        y = np.maximum(-res.ineqlin.marginals, 0.0) / scale
+        if y.any():
+            lower = max(lower, mediant_bound(y))
+        step = cleaned(res.x[:n])
+        step_lam = max_ratio(step)
+        improved = step_lam < lam
+        if improved:
+            ell, lam = step, step_lam
+        lower = min(lower, lam)  # only rounding can lift a true bound above lam
+        trace.append((lower, lam))
+        if res.fun >= 0 or lam - lower <= _GAP * lam or not improved:
+            break
     tol = max(1e-7, 1e-3 * floor)
     return SimplexMinReport(
         metric=Metric({e: float(ell[i]) for i, e in enumerate(ids)}),
-        lam=max_ratio(ell),
+        lam=lam,
+        lower=lower,
         floor=floor,
         trace=tuple(trace),
-        boundary_flag=bool(np.any(ell <= floor + tol)),
+        pinned=tuple(e for i, e in enumerate(ids) if ell[i] <= floor + tol),
     )
 
 
@@ -284,36 +312,56 @@ class ParabolicSuspect:
 class Inconclusive:
     reason: str
     certificate: Certificate
+    # For a train track certificate, the numbers that decided the verdict
+    # besides its growth rate: the maximal candidate ratio at its PF metric
+    # and the simplex minimization (upper and lower bounds, floor, pinned edges).
+    pf_ratio: Optional[float] = None
+    simplex: Optional[SimplexMinReport] = None
     kind: ClassVar[str] = "inconclusive"
 
 
 Classification = Union[Elliptic, Hyperbolic, ParabolicSuspect, Inconclusive]
 
+_CLASSIFY_FLOOR = 1e-6
+
 
 def classify(phi: Automorphism, trials: int = 3) -> Classification:
     """Sort an outer automorphism into the displacement trichotomy.
 
-    Finite-order certificate -> elliptic.  Train track certificate whose
-    simplex minimum is interior and matches the stretch factor -> hyperbolic.
+    Finite-order certificate -> elliptic.  Train track certificate -> hyperbolic
+    when it is certified at its Perron–Frobenius (PF) metric: the maximal
+    candidate ratio there is at most lambda(1 + REL_TOL), the simplex
+    minimizer's lower bound is at least lambda(1 - REL_TOL), and every PF
+    edge is longer than the floor.  The PF point then realizes the minimum
+    displacement in the interior, whichever LP vertex the minimizer returned.
     Reduction certificate -> parabolic suspect, with the invariant chain and
     a floor sweep showing the boundary-pinned minima.  Anything else is
-    inconclusive, with the trace as evidence.
+    inconclusive, with the trace and the deciding numbers as evidence.
     """
     cert = find_train_track(phi)
     if isinstance(cert, FiniteOrderCertificate):
         return Elliptic(order=cert.order, certificate=cert)
     if isinstance(cert, TrainTrackCertificate):
         m = cert.graph_map
-        rep = min_displacement_on_simplex(m.domain.graph, m.edge_image, floor=1e-6)
-        interior = not rep.boundary_flag
-        agrees = abs(rep.lam - cert.lam) <= 1e-6 * max(1.0, cert.lam)
-        if interior and agrees:
-            return Hyperbolic(
-                lam=cert.lam, point=m.domain, certificate=cert, simplex=rep
-            )
+        rep = min_displacement_on_simplex(
+            m.domain.graph, m.edge_image, floor=_CLASSIFY_FLOOR
+        )
+        lam = cert.lam
+        pf_ratio = float(sigma(m.domain, m.codomain, m).sigma)
+        failed = []
+        if pf_ratio > lam * (1 + REL_TOL):
+            failed.append("the PF metric stretches a candidate by more than lambda")
+        if rep.lower < lam * (1 - REL_TOL):
+            failed.append("the simplex lower bound is below lambda")
+        if min(cert.metric.length(e) for e in cert.metric.edge_ids) <= rep.floor:
+            failed.append("the PF metric reaches the floor")
+        if not failed:
+            return Hyperbolic(lam=lam, point=m.domain, certificate=cert, simplex=rep)
         return Inconclusive(
-            reason="train track found but the simplex minimum is not an interior match",
+            reason="train track found but " + "; ".join(failed),
             certificate=cert,
+            pf_ratio=pf_ratio,
+            simplex=rep,
         )
     if isinstance(cert, ReductionCertificate):
         chain: List[FrozenSet[int]] = [cert.subset]

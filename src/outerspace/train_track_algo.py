@@ -39,13 +39,13 @@ from .marked_metric import (
     rose_point,
 )
 from .graph_map import (
+    REL_TOL,
     GraphMap,
     TrainTrackStructure,
     gates_iterated,
     self_map_from_automorphism,
 )
 
-REL_TOL = 1e-9
 _STALL_CAP = 25
 _ORDER_LENGTH_CAP = 20_000
 

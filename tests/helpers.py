@@ -1,4 +1,5 @@
-"""Shared test utilities: small-graph enumeration and loop-ratio oracles.
+"""Shared test utilities: small-graph enumeration, loop-ratio oracles and the
+bracketing check of a displacement minimizer's trace.
 
 These are deliberately independent of the library's candidate machinery so
 they can serve as oracles for it: the loop enumeration below is a plain
@@ -189,3 +190,15 @@ def _scaled_integer_lengths(metric: Metric, ids: Sequence[int]) -> Tuple[List[in
     fracs = [Fraction(metric.length(e)) for e in ids]
     scale = lcm(*(f.denominator for f in fracs))
     return [int(f * scale) for f in fracs], scale
+
+
+def assert_bracketing_trace(trace: Sequence[Sequence[float]], cap: int) -> None:
+    """A minimizer trace of (lower, upper) pairs, one per LP step: at most
+    `cap` steps, upper bounds never rise, lower bounds (a running maximum)
+    never fall, and lower <= upper at every step."""
+    assert 1 <= len(trace) <= cap
+    los = [lo for lo, _ in trace]
+    his = [hi for _, hi in trace]
+    assert los == sorted(los)
+    assert his == sorted(his, reverse=True)
+    assert all(lo <= hi for lo, hi in trace)

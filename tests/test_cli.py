@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import assert_bracketing_trace
+from outerspace import lipschitz_metric
 from outerspace.cli import (
     EXIT_CAP,
     EXIT_INTEGRITY,
@@ -194,8 +196,29 @@ class TestClassifyCommand:
         assert code == EXIT_OK
         assert report["kind"] == "hyperbolic"
         assert report["lambda"] == pytest.approx(GOLDEN_SQ, abs=1e-6)
-        assert report["evidence"]["simplex"]["boundary_flag"] is False
-        assert len(report["evidence"]["simplex"]["trace"]) == 60
+        simplex = report["evidence"]["simplex"]
+        assert simplex["boundary_flag"] is False
+        assert simplex["pinned"] == []
+        assert simplex["lower"] == pytest.approx(GOLDEN_SQ, rel=1e-9)
+        assert_bracketing_trace(simplex["trace"], lipschitz_metric._MAX_STEPS)
+
+    def test_inconclusive_reports_deciding_numbers(self, capsys, monkeypatch):
+        # A floor above the PF length of edge a (1/GOLDEN_SQ) fails the
+        # interiority condition, so the golden rose is left inconclusive.
+        monkeypatch.setattr(lipschitz_metric, "_CLASSIFY_FLOOR", 0.45)
+        code, report = run_json(capsys, "classify", "--map", "a->ab; b->bab")
+        assert code == EXIT_CAP
+        assert report["kind"] == "inconclusive"
+        assert "the PF metric reaches the floor" in report["reason"]
+        evidence = report["evidence"]
+        assert evidence["lambda_cert"] == pytest.approx(GOLDEN_SQ, rel=1e-9)
+        assert evidence["lambda_pf"] == pytest.approx(GOLDEN_SQ, rel=1e-9)
+        assert evidence["metric"]["a"] == pytest.approx(1 / GOLDEN_SQ, rel=1e-9)
+        simplex = evidence["simplex"]
+        assert simplex["floor"] == 0.45
+        assert simplex["pinned"] == ["a"]
+        assert simplex["lower"] <= simplex["lambda"]
+        assert simplex["lambda"] > GOLDEN_SQ
 
     def test_parabolic_suspect(self, capsys):
         code, report = run_json(
@@ -229,7 +252,8 @@ class TestMinimizeCommand:
         assert code == EXIT_OK
         assert report["lambda"] == pytest.approx(1.0 / (1.0 - 1e-3), abs=1e-6)
         assert report["boundary_flag"] is True
-        assert len(report["trace"]) == 60
+        assert report["pinned"] == ["a"]
+        assert_bracketing_trace(report["trace"], lipschitz_metric._MAX_STEPS)
 
     def test_interior_minimum(self, capsys):
         code, report = run_json(
@@ -238,6 +262,15 @@ class TestMinimizeCommand:
         assert code == EXIT_OK
         assert report["lambda"] == pytest.approx(GOLDEN_SQ, abs=1e-6)
         assert report["boundary_flag"] is False
+
+    def test_removed_knobs_are_rejected(self, capsys):
+        for argv in (
+            ("minimize", "--map", "a->ab; b->bab", "--max-iters", "5"),
+            ("minimize", "--map", "a->ab; b->bab", "--tol", "1e-9"),
+            ("classify", "--map", "a->ab; b->bab", "--tol", "1e-9"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == EXIT_PARSE
 
     def test_bad_floor_exit(self, capsys):
         code, out, err = run_cli(

@@ -11,11 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import assert_bracketing_trace
+from outerspace import lipschitz_metric
 from outerspace.graph_core import EdgePath
 from outerspace.graph_map import GraphMap, self_map_from_automorphism
 from outerspace.lipschitz_metric import (
     Elliptic,
     Hyperbolic,
+    Inconclusive,
     ParabolicSuspect,
     StretchIntegrityError,
     _constraint_rows,
@@ -48,6 +51,32 @@ RANK4_REDUCIBLE = Automorphism.from_text("a -> ab; b -> bab; c -> cad; d -> dcad
 # together, and ac alone carries the stretch at some metrics.
 UNREDUCED_IMAGES = Automorphism.from_text("a->aCA; b->bccaCAcA; c->bcc")
 UNREDUCED_IMAGES_LAM = 3.91223
+# Rank-3 train tracks with an interior PF metric on which the floor-1e-6 LP
+# can return a point on the floor: draws 17, 23, 26 and 27 of
+# random_automorphism(3, 12, Random(0)), and draw 1 relabelled by the signed
+# permutation a -> b, b -> C, c -> A (as drawn, the fold loop reduces it).
+FLOOR_VERTEX_TRAIN_TRACKS = (
+    "a->Aca; b->ca; c->cacb",
+    "a->cb; b->BCABacacb; c->BCABacb",
+    "a->caaBaaB; b->aaB; c->aB",
+    "a->BA; b->abbcab; c->BBA",
+    "a->bbbACb; b->BcaBB; c->aBB",
+)
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Records the row count (keyword b_ub) of every LP the minimizer solves;
+    clear the list to start a new count."""
+    calls = []
+    solve = lipschitz_metric.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(len(kwargs["b_ub"]))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lipschitz_metric, "linprog", counting)
+    return calls
 
 
 def rose_self_map(phi: Automorphism) -> GraphMap:
@@ -217,17 +246,24 @@ class TestMinDisplacement:
             assert rep.metric.length(e) == pytest.approx(val, abs=1e-4)
 
     def test_floored_family_tracks_closed_form(self):
+        # Petal b stretches by 1/b and wins, so the minimum sits at a = floor.
         m = rose_self_map(REDUCIBLE)
-        for floor in (1e-2, 1e-3, 1e-4):
+        for floor in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
             rep = min_displacement_on_simplex(m.domain.graph, m.edge_image, floor)
-            assert abs(rep.lam - 1.0 / (1.0 - floor)) <= 1e-6
+            exact = 1.0 / (1.0 - floor)
+            assert rep.lam == pytest.approx(exact, rel=1e-12)
+            assert rep.lower <= exact * (1 + 1e-12)
             assert rep.boundary_flag is True
-            assert len(rep.trace) == 60
-            los = [lo for lo, _ in rep.trace]
-            his = [hi for _, hi in rep.trace]
-            assert los == sorted(los)
-            assert his == sorted(his, reverse=True)
-            assert all(lo <= hi for lo, hi in rep.trace)
+            assert rep.pinned == (1,)
+            assert rep.metric.length(1) >= floor
+            assert_bracketing_trace(rep.trace, lipschitz_metric._MAX_STEPS)
+
+    def test_golden_rose_lp_calls(self, lp_calls):
+        m = rose_self_map(EXPANDING)
+        rep = min_displacement_on_simplex(m.domain.graph, m.edge_image, 1e-6)
+        assert len(lp_calls) == len(rep.trace) <= 6
+        assert rep.lower == pytest.approx(GOLDEN_SQ, rel=1e-12)
+        assert rep.lower <= rep.lam
 
     def test_floored_family_is_monotone(self):
         m = rose_self_map(REDUCIBLE)
@@ -241,14 +277,15 @@ class TestMinDisplacement:
         m = rose_self_map(RANK4_REDUCIBLE)
         start = time.monotonic()
         reports = [
-            min_displacement_on_simplex(m.domain.graph, m.edge_image, f)
-            for f in (1e-2, 1e-3, 1e-4)
+            min_displacement_on_simplex(m.domain.graph, m.edge_image, 10.0**-k)
+            for k in range(2, 7)
         ]
         elapsed = time.monotonic() - start
         lams = [rep.lam for rep in reports]
-        assert lams[0] > lams[1] > lams[2]
+        assert all(a > b for a, b in zip(lams, lams[1:]))
         assert all(lam >= GOLDEN_SQ - 1e-9 for lam in lams)
         assert lams[2] - GOLDEN_SQ <= 0.05
+        assert lams[-1] < 2.618036
         assert all(rep.boundary_flag for rep in reports)
         assert elapsed < 10.0
 
@@ -266,7 +303,7 @@ class TestMinDisplacement:
         rep = min_displacement_on_simplex(m.domain.graph, m.edge_image, 1e-6)
         assert rep.lam >= cert.lam * (1 - 1e-9)
 
-    def test_train_track_minimum_not_below_growth_rate(self):
+    def test_train_track_minimum_not_below_growth_rate(self, lp_calls):
         rng = random.Random(7)
         checked = 0
         for _ in range(40):
@@ -274,8 +311,15 @@ class TestMinDisplacement:
             if not isinstance(cert, TrainTrackCertificate):
                 continue
             m = cert.graph_map
+            lp_calls.clear()
             rep = min_displacement_on_simplex(m.domain.graph, m.edge_image, 1e-6)
             assert rep.lam >= cert.lam * (1 - 1e-9)
+            assert rep.lower <= cert.lam * (1 + 1e-9)
+            lengths = [rep.metric.length(e) for e in m.domain.graph.edge_ids]
+            assert min(lengths) >= 1e-6
+            assert sum(lengths) == pytest.approx(1.0, abs=1e-12)
+            assert len(lp_calls) <= 25
+            assert_bracketing_trace(rep.trace, lipschitz_metric._MAX_STEPS)
             checked += 1
         assert checked >= 20
 
@@ -306,6 +350,26 @@ class TestClassify:
         assert isinstance(result, Hyperbolic)
         assert result.lam == pytest.approx(UNREDUCED_IMAGES_LAM, abs=1e-5)
         assert result.simplex.lam >= result.lam * (1 - 1e-9)
+
+    @pytest.mark.parametrize("text", FLOOR_VERTEX_TRAIN_TRACKS)
+    def test_floor_vertex_train_track_is_hyperbolic(self, text):
+        result = classify(Automorphism.from_text(text))
+        assert isinstance(result, Hyperbolic)
+        assert result.simplex.lower >= result.lam * (1 - 1e-9)
+        assert result.simplex.lam == pytest.approx(result.lam, rel=1e-9)
+        assert min(result.point.metric.length(e) for e in result.point.graph.edge_ids) > 1e-6
+
+    def test_inconclusive_carries_deciding_numbers(self, monkeypatch):
+        # The golden rose's PF metric has a = 1/GOLDEN_SQ < 0.45.
+        monkeypatch.setattr(lipschitz_metric, "_CLASSIFY_FLOOR", 0.45)
+        result = classify(EXPANDING)
+        assert isinstance(result, Inconclusive)
+        assert result.reason == "train track found but the PF metric reaches the floor"
+        assert result.certificate.lam == pytest.approx(GOLDEN_SQ, rel=1e-12)
+        assert result.pf_ratio == pytest.approx(GOLDEN_SQ, rel=1e-9)
+        assert result.simplex.floor == 0.45
+        assert result.simplex.pinned == (1,)
+        assert result.simplex.lower >= GOLDEN_SQ
 
     def test_polynomially_growing_input(self):
         result = classify(REDUCIBLE)
