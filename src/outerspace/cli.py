@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .graph_core import EdgePath, Graph, GraphError, PathError
 from .graph_map import GraphMap, difference_of_markings, self_map_from_automorphism
 from .lipschitz_metric import (
@@ -51,6 +49,7 @@ from .train_track_algo import (
     ReductionCertificate,
     TrainTrackCertificate,
     find_train_track,
+    spectral_radius,
 )
 
 EXIT_OK = 0
@@ -72,7 +71,6 @@ class RunConfig:
     max_iters: int = 10**4
     tol: float = 1e-12
     fmt: str = "json"
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.tol <= 0:
@@ -268,14 +266,12 @@ def _traintrack_report(cert) -> Tuple[Dict[str, object], int]:
         return report, EXIT_OK
     if isinstance(cert, ReductionCertificate):
         g = cert.graph_map.domain.graph
-        rows = [list(r) for r in cert.matrix.rows]
-        rho = float(np.max(np.abs(np.linalg.eigvals(np.array(rows, dtype=float)))))
         report = {
             "status": cert.status,
             "subgraph": sorted(_edge_name(e) for e in cert.subset),
-            "matrix": rows,
+            "matrix": [list(r) for r in cert.matrix.rows],
             "edge_order": [_edge_name(e) for e in cert.matrix.edge_ids],
-            "lambda": _f12(rho),
+            "lambda": _f12(spectral_radius(cert.matrix.rows)),
             "metric": _metric_json(cert.graph_map.domain.metric, sorted(g.edge_ids)),
             "edge_images": _edge_images_json(cert.graph_map),
             "trace": list(cert.trace),
@@ -490,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="emit canonical JSON (default)")
     fmt.add_argument("--text", action="store_true", help="emit plain text")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized runs")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -528,7 +523,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         max_iters=getattr(args, "max_iters", 10**4),
         tol=getattr(args, "tol", 1e-12),
         fmt="text" if args.text else "json",
-        seed=args.seed,
     )
 
 

@@ -23,7 +23,6 @@ from .graph_core import (
     GraphError,
     PathError,
     canonical_loop,
-    core,
     cyclic_reduce,
     direction_key,
     reduce_path,
@@ -545,27 +544,6 @@ def systole(x: OuterSpacePoint) -> Tuple[EdgePath, object]:
         if best is None or length < best[1]:
             best = (c.loop, length)
     return best
-
-
-def epsilon_core(x: OuterSpacePoint, eps) -> frozenset:
-    """Edges of the core of the union of immersed essential loops of length <= eps."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    support = set()
-    for c in candidates(x):
-        if path_length(x, c.loop) <= eps:
-            support.update(abs(d) for d in c.loop.edges)
-    return frozenset(core(x.graph, support).edge_ids)
-
-
-def epsilon_thin_scale(rank: int) -> Fraction:
-    """Scale below which the thin part is always a proper subgraph."""
-    return Fraction(1, 6 * rank - 6)
-
-
-def chain_bound(rank: int) -> int:
-    """Bound on the length of a strictly nested chain of proper core subgraphs."""
-    return 3 * rank - 3
 
 
 # -- the right action -------------------------------------------------------

@@ -5,8 +5,10 @@ normalizes the current self-map, inspects its transition matrix, and either
 certifies the outcome (train track structure, invariant subgraph, finite
 order) or folds an illegal turn and repeats.  All graph surgery goes through
 a single mutable state object so that edge images, both markings, and the
-metric stay synchronized; every constructed GraphMap re-checks marking
-compatibility, which makes each round self-verifying.
+metric stay synchronized.  The maps built inside a round (by ``fold``,
+``normalize`` and ``_collapse_class``) skip the marking-compatibility check;
+only a returned certificate's map is validated, so a bad round shows up at
+the end rather than where it happened.
 """
 
 from __future__ import annotations
@@ -33,9 +35,6 @@ from .marked_metric import (
     Automorphism,
     Metric,
     OuterSpacePoint,
-    chain_bound,
-    epsilon_core,
-    epsilon_thin_scale,
     rose_point,
 )
 from .graph_map import (
@@ -111,12 +110,6 @@ def _scc_labels(M: TransitionMatrix) -> Tuple[int, np.ndarray]:
     return connected_components(csr_matrix(adj), directed=True, connection="strong")
 
 
-def matrix_irreducible(M: TransitionMatrix) -> bool:
-    """Whether the crossing digraph is strongly connected."""
-    n_comp, _ = _scc_labels(M)
-    return n_comp == 1
-
-
 def closed_class(M: TransitionMatrix) -> Optional[FrozenSet[int]]:
     """A proper invariant edge class (images of class edges stay in the class).
 
@@ -163,6 +156,17 @@ def pf_eigen(
     Power iteration on the transpose action; if it stalls (periodic matrix),
     the averaged iterate v + M^T v is used instead, which shifts the spectrum
     by one and breaks the periodicity.
+
+    On an irreducible matrix of period > 1 the plain iteration converges only
+    when the start vector has no component along the other eigenvalues of
+    maximal modulus; otherwise its iterates settle into a cycle.  The plain
+    iteration is a deterministic map of its floating-point state (v, lam_prev),
+    so once that state repeats (found by Brent's cycle detection) every step of
+    the cycle has already failed the convergence test and no later step can
+    pass it, and the shifted iteration starts at once instead of after
+    ``max_iters`` steps.  A repeat one step apart would pass the test, so the
+    cut never fires on a converging run, and the result is the same to the
+    last bit on every matrix.
     """
     A = np.array(M.rows, dtype=float)
     n = A.shape[0]
@@ -171,6 +175,8 @@ def pf_eigen(
     for shift in (0.0, 1.0):
         v = np.full(n, 1.0 / n)
         lam_prev = None
+        watch = shift == 0.0
+        saved, power, steps = None, 1, 0
         for _ in range(max_iters):
             w = A.T @ v + shift * v
             s = float(w.sum())
@@ -184,11 +190,19 @@ def pf_eigen(
             ):
                 return s - shift, tuple(float(t) for t in w)
             v, lam_prev = w, s
+            if watch:
+                state = (v.tobytes(), s)
+                if state == saved:
+                    break
+                steps += 1
+                if steps == power:
+                    saved, power, steps = state, 2 * power, 0
     raise ArithmeticError("power iteration did not converge")
 
 
-def _spectral_radius(M: TransitionMatrix) -> float:
-    return float(np.max(np.abs(np.linalg.eigvals(np.array(M.rows, dtype=float)))))
+def spectral_radius(rows: Sequence[Sequence[int]]) -> float:
+    """Largest modulus of an eigenvalue of a square matrix, in floating point."""
+    return float(np.max(np.abs(np.linalg.eigvals(np.array(rows, dtype=float)))))
 
 
 # -- train track test ----------------------------------------------------------
@@ -465,11 +479,11 @@ class _MapState:
     def _count_spectral_radius(self) -> float:
         ids = sorted(self.images)
         pos = {e: i for i, e in enumerate(ids)}
-        mat = np.zeros((len(ids), len(ids)))
+        rows = [[0] * len(ids) for _ in ids]
         for e, path in self.images.items():
             for d in path:
-                mat[pos[abs(d)], pos[e]] += 1
-        return float(np.max(np.abs(np.linalg.eigvals(mat)))) if ids else 0.0
+                rows[pos[abs(d)]][pos[e]] += 1
+        return spectral_radius(rows) if ids else 0.0
 
     def unsubdivide_pass(self) -> bool:
         """Merge the chain at one valence-2 vertex other than the basepoint;
@@ -719,8 +733,50 @@ Certificate = Union[
 # -- the search loop --------------------------------------------------------------
 
 
+def _abelianization(phi: Automorphism) -> List[List[int]]:
+    """Integer matrix of phi on homology: entry [i][j] is the exponent sum of
+    generator i+1 in the image of generator j+1."""
+    n = phi.rank
+    mat = [[0] * n for _ in range(n)]
+    for j, w in enumerate(phi.images):
+        for x in w:
+            mat[abs(x) - 1][j] += 1 if x > 0 else -1
+    return mat
+
+
+def _homology_allows_order(phi: Automorphism, cap: int) -> bool:
+    """Whether some power A^k with k <= cap of the abelianization A is I.
+
+    Stops early once |trace A^k| exceeds the rank: a matrix of finite order
+    has root-of-unity eigenvalues, so every power has |trace| <= rank.
+    """
+    A = _abelianization(phi)
+    n = len(A)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    power = A
+    for _ in range(cap):
+        if power == identity:
+            return True
+        if abs(sum(power[i][i] for i in range(n))) > n:
+            return False
+        power = [
+            [sum(A[i][m] * power[m][j] for m in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+    return False
+
+
 def _word_level_order(phi: Automorphism, cap: int, length_cap: int) -> Optional[int]:
-    """Smallest k <= cap with the k-th power inner, watching total word length."""
+    """Smallest k <= cap with the k-th power inner, watching total word length.
+
+    Inner automorphisms act trivially on homology, so the k-th power can be
+    inner only if A^k = I for the abelianization A.  When no power up to
+    ``cap`` is I, the answer is None without composing any words; otherwise
+    the word loop runs as it would without the filter, so the length cap
+    cuts it off at the same place.
+    """
+    if not _homology_allows_order(phi, cap):
+        return None
     acc = phi.images
     for k in range(1, cap + 1):
         if words.is_conjugate_identity(acc):
@@ -762,6 +818,12 @@ def find_train_track(
     and a gate structure making every crossed turn legal), a reduction
     certificate (proper invariant non-forest edge class), a finite-order
     certificate, or a non-termination report carrying the round trace.
+
+    Before the first round, a word-level pre-check looks for the smallest
+    k <= order_cap with phi^k inner.  It composes words only when the
+    abelianization A of phi has A^k = I for some such k (a necessary
+    condition), so maps of infinite order on homology go straight to the
+    fold loop.
     """
     if phi.rank < 2:
         raise ValueError("rank must be at least 2")
@@ -789,7 +851,7 @@ def find_train_track(
         cls = closed_class(M)
         if cls is not None:
             gates = gates_iterated(m)
-            rho = _spectral_radius(M)
+            rho = spectral_radius(M.rows)
             pot = _gate_potential(gates, g)
             if is_forest(g, cls):
                 trace.append(
@@ -882,31 +944,3 @@ def find_train_track(
             trace.append(f"round={rnd} error={exc}")
             return NonTerminationCertificate(reason=str(exc), trace=tuple(trace))
     return NonTerminationCertificate(reason="iteration cap reached", trace=tuple(trace))
-
-
-# -- thin-core chains --------------------------------------------------------------
-
-
-def thin_chain_reduction(
-    x: OuterSpacePoint, phi: Automorphism, d_bound: float
-) -> Optional[FrozenSet[int]]:
-    """Invariant thin core found by comparing nested epsilon-cores.
-
-    Scales decay geometrically from the thinness threshold; with displacement
-    below d_bound, two consecutive equal nonempty cores whose edges map into
-    the larger-scale core certify an invariant proper subgraph.
-    """
-    n = x.rank
-    if n < 2:
-        raise ValueError("rank must be at least 2")
-    eps = float(epsilon_thin_scale(n))
-    bound = chain_bound(n)
-    deltas = [eps * math.exp(-(d_bound + 1.0) * i) for i in range(bound + 1)]
-    cores = [epsilon_core(x, d) for d in deltas]
-    m = self_map_from_automorphism(x, phi)
-    for i in range(bound):
-        small, big = cores[i + 1], cores[i]
-        if small and small == big:
-            if all(abs(d) in big for e in sorted(small) for d in m.edge_image[e].edges):
-                return frozenset(small)
-    return None

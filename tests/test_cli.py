@@ -263,11 +263,16 @@ class TestMinimizeCommand:
         assert report["lambda"] == pytest.approx(GOLDEN_SQ, abs=1e-6)
         assert report["boundary_flag"] is False
 
-    def test_removed_knobs_are_rejected(self, capsys):
+    def test_removed_knobs_are_rejected(self, capsys, quarter_point, half_point):
         for argv in (
             ("minimize", "--map", "a->ab; b->bab", "--max-iters", "5"),
             ("minimize", "--map", "a->ab; b->bab", "--tol", "1e-9"),
             ("classify", "--map", "a->ab; b->bab", "--tol", "1e-9"),
+            ("traintrack", "--map", "a->ab; b->bab", "--seed", "1"),
+            ("classify", "--map", "a->ab; b->bab", "--seed", "1"),
+            ("minimize", "--map", "a->ab; b->bab", "--seed", "1"),
+            ("candidates", "--point", quarter_point, "--seed", "1"),
+            ("distance", "--point", quarter_point, "--point2", half_point, "--seed", "1"),
         ):
             code, out, err = run_cli(capsys, *argv)
             assert code == EXIT_PARSE

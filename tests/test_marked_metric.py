@@ -19,9 +19,6 @@ from outerspace.marked_metric import (
     act,
     _candidate_words,
     candidates,
-    chain_bound,
-    epsilon_core,
-    epsilon_thin_scale,
     graph_point,
     loop_length,
     random_automorphism,
@@ -417,28 +414,6 @@ class TestSystoleAndThinPart:
         x = theta_point((Fraction(1, 5), Fraction(3, 10), Fraction(1, 2)))
         loop, length = systole(x)
         assert loop.edges == (1, -2) and length == Fraction(1, 2)
-
-    def test_epsilon_core_examples(self):
-        t = Fraction(1, 10)
-        x = rose_point(2, [t, 1 - t])
-        assert epsilon_core(x, Fraction(15, 100)) == {1}
-        assert epsilon_core(x, 1) == {1, 2}
-        y = rose_point(2)
-        assert epsilon_core(y, Fraction(4, 10)) == frozenset()
-
-    def test_epsilon_core_monotone_and_proper_at_scale(self):
-        rng = random.Random(19)
-        for rank in (2, 3):
-            for _ in range(10):
-                base = rose_point(rank).with_metric(random_unit_metric(range(1, rank + 1), rng))
-                x = act(base, random_automorphism(rank, 5, rng))
-                eps1, eps2 = Fraction(1, 20), Fraction(1, 10)
-                assert epsilon_core(x, eps1) <= epsilon_core(x, eps2)
-                assert epsilon_core(x, epsilon_thin_scale(rank)) < set(x.graph.edge_ids)
-
-    def test_scale_constants(self):
-        assert epsilon_thin_scale(2) == Fraction(1, 6)
-        assert chain_bound(2) == 3 and chain_bound(4) == 9
 
 
 class TestUnsubdivide:
