@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import ClassVar, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .graph_core import EdgePath, Graph, cyclic_reduce, reduce_path
 from .marked_metric import (
@@ -181,6 +180,14 @@ def _constraint_rows(
     return rows
 
 
+def linprog(c, **kwargs):
+    """scipy.optimize.linprog, imported on first use: scipy takes longer to
+    import than most commands take to run, and only minimization needs it."""
+    from scipy.optimize import linprog as solve
+
+    return solve(c, **kwargs)
+
+
 # LP steps per minimization.  Convergence is superlinear at an interior
 # minimum (about 5 steps); a minimum on the floor can take about 20.
 _MAX_STEPS = 32
@@ -191,6 +198,7 @@ def min_displacement_on_simplex(
     g: Graph,
     edge_image: Mapping[int, EdgePath],
     floor: float,
+    start: Optional[Metric] = None,
 ) -> SimplexMinReport:
     """Minimize the maximal candidate stretch of a fixed topological self-map
     over unit-volume metrics with every edge length at least the floor.
@@ -209,11 +217,20 @@ def min_displacement_on_simplex(
     is attained at one of its n vertices.  The iteration stops when t >= 0
     (l_k is optimal), when the two bounds meet, or when a step no longer
     lowers lam.
+
+    The iteration starts at l_0 = `start` when given (a metric on the edges
+    of g, scaled to unit volume and lifted onto the floored simplex), else at
+    the barycenter, and the lam it returns is at most lam_0.  A start at the
+    minimizer, such as a train track's Perron–Frobenius metric, is usually
+    confirmed by the first LP step; a start near it, such as the minimizer
+    for a larger floor, saves the steps that approach it.
     """
     ids = g.edge_ids
     n = len(ids)
     if not 0 < floor < 1 / n:
         raise ValueError(f"floor must lie strictly between 0 and 1/{n}")
+    if start is not None and start.edge_ids != ids:
+        raise ValueError(f"start metric has edges {start.edge_ids}, graph has {ids}")
     rows = _constraint_rows(g, edge_image)
     if not rows:
         raise StretchIntegrityError("self-map stretches no candidate loop")
@@ -241,7 +258,11 @@ def min_displacement_on_simplex(
     bounds = [(floor, 1.0)] * n + [(None, None)]
     t_column = -np.ones((len(rows), 1))
 
-    ell = np.full(n, 1.0 / n)
+    if start is None:
+        ell = np.full(n, 1.0 / n)
+    else:
+        lengths = np.array([float(start.length(e)) for e in ids])
+        ell = cleaned(lengths / lengths.sum())
     lam = max_ratio(ell)
     lower = min(lam, mediant_bound(np.ones(len(rows))))
     trace: List[Tuple[float, float]] = []
@@ -334,9 +355,13 @@ def classify(phi: Automorphism, trials: int = 3) -> Classification:
     minimizer's lower bound is at least lambda(1 - REL_TOL), and every PF
     edge is longer than the floor.  The PF point then realizes the minimum
     displacement in the interior, whichever LP vertex the minimizer returned.
-    Reduction certificate -> parabolic suspect, with the invariant chain and
-    a floor sweep showing the boundary-pinned minima.  Anything else is
-    inconclusive, with the trace and the deciding numbers as evidence.
+    The minimization starts at the PF point, so its first LP step usually
+    confirms it and stops.  Reduction certificate -> parabolic suspect, with
+    the invariant chain and a floor sweep showing the boundary-pinned minima;
+    each floor after the first starts at the previous floor's minimizer,
+    which the smaller floor still admits, so the sweep lambda cannot rise
+    (beyond rounding).  Anything else is inconclusive, with the trace and the
+    deciding numbers as evidence.
     """
     cert = find_train_track(phi)
     if isinstance(cert, FiniteOrderCertificate):
@@ -344,7 +369,7 @@ def classify(phi: Automorphism, trials: int = 3) -> Classification:
     if isinstance(cert, TrainTrackCertificate):
         m = cert.graph_map
         rep = min_displacement_on_simplex(
-            m.domain.graph, m.edge_image, floor=_CLASSIFY_FLOOR
+            m.domain.graph, m.edge_image, floor=_CLASSIFY_FLOOR, start=cert.metric
         )
         lam = cert.lam
         pf_ratio = float(sigma(m.domain, m.codomain, m).sigma)
@@ -372,11 +397,13 @@ def classify(phi: Automorphism, trials: int = 3) -> Classification:
             chain.append(sub)
         m = cert.graph_map
         sweep = []
+        start = None
         for i in range(max(1, trials)):
             rep = min_displacement_on_simplex(
-                m.domain.graph, m.edge_image, floor=10.0 ** (-2 - i)
+                m.domain.graph, m.edge_image, floor=10.0 ** (-2 - i), start=start
             )
             sweep.append((rep.floor, rep.lam, rep.boundary_flag))
+            start = rep.metric
         return ParabolicSuspect(
             invariant_chain=tuple(chain), sweep=tuple(sweep), certificate=cert
         )

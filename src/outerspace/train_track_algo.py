@@ -20,8 +20,6 @@ from fractions import Fraction
 from typing import ClassVar, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from . import words
 from .graph_core import (
@@ -99,17 +97,6 @@ def transition_matrix(m: GraphMap) -> TransitionMatrix:
     return TransitionMatrix(ids, rows, g)
 
 
-def _scc_labels(M: TransitionMatrix) -> Tuple[int, np.ndarray]:
-    """Strong components of the digraph with an arc j -> i when rows[i][j] > 0."""
-    n = len(M.edge_ids)
-    adj = np.zeros((n, n), dtype=np.int8)
-    for i, row in enumerate(M.rows):
-        for j, x in enumerate(row):
-            if x > 0:
-                adj[j][i] = 1
-    return connected_components(csr_matrix(adj), directed=True, connection="strong")
-
-
 def closed_class(M: TransitionMatrix) -> Optional[FrozenSet[int]]:
     """A proper invariant edge class (images of class edges stay in the class).
 
@@ -117,20 +104,13 @@ def closed_class(M: TransitionMatrix) -> Optional[FrozenSet[int]]:
     forest, else the least proper class; absent iff the matrix is irreducible.
     """
     n = len(M.edge_ids)
-    n_comp, labels = _scc_labels(M)
-    if n_comp <= 1:
-        return None
-    # arcs j -> i; an invariant class is closed under reachability.
-    succ: List[set] = [set() for _ in range(n)]
-    for i, row in enumerate(M.rows):
-        for j, x in enumerate(row):
-            if x > 0:
-                succ[j].add(i)
+    # arcs j -> i; an invariant class is closed under reachability, and the
+    # closure of one edge is that of its whole strong component.
+    succ = [[i for i in range(n) if M.rows[i][j] > 0] for j in range(n)]
     closures = set()
-    for comp in range(n_comp):
-        seed = [i for i in range(n) if labels[i] == comp]
-        seen = set(seed)
-        stack = list(seed)
+    for v in range(n):
+        seen = {v}
+        stack = [v]
         while stack:
             for k in succ[stack.pop()]:
                 if k not in seen:

@@ -56,17 +56,32 @@ def cyclic_reduce(w: Sequence) -> Word:
     return tuple(w[i:j])
 
 
-def substitute(images: Sequence[Word], w: Sequence) -> Word:
-    """Apply the endomorphism generator k -> images[k-1] to w, reduced."""
+def _letter_images(images: Sequence[Word]) -> dict:
+    """Reduced image of every signed letter, each image inverted once."""
+    table = {}
+    for k, img in enumerate(images, start=1):
+        table[k] = reduce_word(img)
+        table[-k] = invert_word(table[k])
+    return table
+
+
+def _apply(table: dict, w: Sequence) -> Word:
+    # Images are reduced, so letters cancel only where an image meets the
+    # reduced word before it.
     out: list = []
     for x in w:
-        img = images[x - 1] if x > 0 else invert_word(images[-x - 1])
-        for y in img:
-            if out and out[-1] == -y:
-                out.pop()
-            else:
-                out.append(y)
+        img = table[x]
+        i = 0
+        while i < len(img) and out and out[-1] == -img[i]:
+            out.pop()
+            i += 1
+        out.extend(img[i:] if i else img)
     return tuple(out)
+
+
+def substitute(images: Sequence[Word], w: Sequence) -> Word:
+    """Apply the endomorphism generator k -> images[k-1] to w, reduced."""
+    return _apply(_letter_images(images), w)
 
 
 def identity_images(rank: int) -> tuple:
@@ -75,11 +90,8 @@ def identity_images(rank: int) -> tuple:
 
 def compose(outer: Sequence[Word], inner: Sequence[Word]) -> tuple:
     """Images of the composite map w -> outer(inner(w))."""
-    return tuple(substitute(outer, w) for w in inner)
-
-
-def is_identity(images: Sequence[Word]) -> bool:
-    return all(w == (i + 1,) for i, w in enumerate(images))
+    table = _letter_images(outer)
+    return tuple(_apply(table, w) for w in inner)
 
 
 # ---------------------------------------------------------------------------

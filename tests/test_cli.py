@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import outerspace
 from helpers import assert_bracketing_trace
 from outerspace import lipschitz_metric
 from outerspace.cli import (
@@ -298,3 +302,21 @@ class TestArgumentHandling:
 
     def test_json_text_exclusive(self, capsys):
         assert main(["traintrack", "--map", "a->ab; b->bab", "--json", "--text"]) == EXIT_PARSE
+
+
+def test_folding_does_not_import_scipy():
+    # scipy is imported on the first LP, not with the library.
+    script = (
+        "import sys\n"
+        "import outerspace.cli\n"
+        "from outerspace.marked_metric import Automorphism\n"
+        "from outerspace.train_track_algo import find_train_track\n"
+        "find_train_track(Automorphism.from_text('a->ab; b->bab'))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(outerspace.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"

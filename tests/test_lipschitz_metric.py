@@ -323,6 +323,53 @@ class TestMinDisplacement:
             checked += 1
         assert checked >= 20
 
+    def test_start_metric_on_other_edges_is_rejected(self):
+        m = rose_self_map(EXPANDING)
+        for lengths in ({1: 0.5}, {1: 0.25, 2: 0.25, 3: 0.5}, {1: 0.5, 3: 0.5}):
+            with pytest.raises(ValueError):
+                min_displacement_on_simplex(
+                    m.domain.graph, m.edge_image, 1e-6, start=Metric(lengths)
+                )
+
+    def test_warm_start_matches_cold_start(self):
+        # Rank-3 train tracks start at their PF metric; reductions run the
+        # classify sweep, each floor after the first starting at the
+        # previous floor's minimizer.
+        rng = random.Random(5)
+        kinds = {"train_track": 0, "reducible": 0}
+        for _ in range(30):
+            cert = find_train_track(random_automorphism(3, 12, rng))
+            if cert.status not in kinds:
+                continue
+            kinds[cert.status] += 1
+            m = cert.graph_map
+            if cert.status == "train_track":
+                runs = [(1e-6, cert.metric)]
+            else:
+                runs, start = [], None
+                for floor in (1e-2, 1e-3, 1e-4):
+                    runs.append((floor, start))
+                    start = min_displacement_on_simplex(
+                        m.domain.graph, m.edge_image, floor, start=start
+                    ).metric
+            for floor, start in runs:
+                warm = min_displacement_on_simplex(
+                    m.domain.graph, m.edge_image, floor, start=start
+                )
+                cold = min_displacement_on_simplex(m.domain.graph, m.edge_image, floor)
+                assert warm.lower <= warm.lam and cold.lower <= cold.lam
+                # Each lam bounds the minimum from above and each lower from
+                # below.  A run may stop short of 1e-9 when an LP step no
+                # longer lowers lam (cold on draw 3, floor 1e-4: 3.6e-9 above
+                # warm, 3.9e-9 above the exact 1/(1 - floor)), so the two
+                # agree within 1e-9 or within the larger certified gap.
+                assert warm.lam >= cold.lower and cold.lam >= warm.lower
+                gap = max(warm.lam - warm.lower, cold.lam - cold.lower)
+                assert abs(warm.lam - cold.lam) <= max(1e-9 * cold.lam, gap)
+                assert warm.lam <= cold.lam * (1 + 1e-9)
+                assert min(warm.metric.length(e) for e in m.domain.graph.edge_ids) >= floor
+        assert kinds["train_track"] >= 5 and kinds["reducible"] >= 5
+
     def test_repeat_runs_agree(self):
         m = rose_self_map(RANK4_REDUCIBLE)
         first = min_displacement_on_simplex(m.domain.graph, m.edge_image, 1e-4)
@@ -344,6 +391,13 @@ class TestClassify:
         assert abs(result.lam - GOLDEN_SQ) <= 1e-6
         assert result.simplex.boundary_flag is False
         assert abs(result.certificate.lam - GOLDEN_SQ) <= 1e-9
+
+    def test_train_track_is_settled_by_one_lp(self, lp_calls):
+        # The minimization starts at the PF point, which the first LP confirms.
+        result = classify(EXPANDING)
+        assert isinstance(result, Hyperbolic)
+        assert len(lp_calls) == len(result.simplex.trace) == 1
+        assert result.simplex.lower == pytest.approx(GOLDEN_SQ, rel=1e-12)
 
     def test_unreduced_images_train_track_is_hyperbolic(self):
         result = classify(UNREDUCED_IMAGES)
@@ -380,6 +434,13 @@ class TestClassify:
         lams = [lam for _, lam, _ in result.sweep]
         assert lams == sorted(lams, reverse=True)
         assert lams[-1] < 1.02
+
+    @pytest.mark.parametrize("phi", [REDUCIBLE, RANK4_REDUCIBLE])
+    def test_sweep_lambda_never_rises(self, phi):
+        result = classify(phi, trials=5)
+        lams = [lam for _, lam, _ in result.sweep]
+        assert [floor for floor, _, _ in result.sweep] == [10.0**-k for k in range(2, 7)]
+        assert all(b <= a * (1 + 1e-12) for a, b in zip(lams, lams[1:]))
 
     def test_reducible_exponential_input(self):
         result = classify(RANK4_REDUCIBLE)

@@ -105,6 +105,29 @@ class TestIrreducibility:
         assert closed_class(TransitionMatrix((1, 2, 3), rows, theta)) == frozenset({2, 3})
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_closed_class_matches_subset_oracle(self, seed):
+        # Without a graph the answer is the least proper class among the
+        # smallest invariant classes holding one edge; found by trying every
+        # edge subset.
+        rng = random.Random(seed)
+        n = rng.randint(1, 6)
+        ids = tuple(sorted(rng.sample(range(1, 20), n)))
+        rows = tuple(tuple(int(rng.random() < 0.3) for _ in ids) for _ in ids)
+        M = TransitionMatrix(ids, rows)
+
+        def invariant(s):
+            return all(rows[i][j] == 0 or ids[i] in s
+                       for j in range(n) if ids[j] in s for i in range(n))
+
+        subsets = [frozenset(e for k, e in enumerate(ids) if mask >> k & 1)
+                   for mask in range(1, 2**n)]
+        smallest = {min((s for s in subsets if e in s and invariant(s)), key=len) for e in ids}
+        proper = sorted((s for s in smallest if len(s) < n), key=lambda s: tuple(sorted(s)))
+        assert closed_class(M) == (proper[0] if proper else None)
+
+
 class TestPerronFrobenius:
     def test_golden_square_matrix(self):
         lam, ell = pf_eigen(TransitionMatrix((1, 2), ((1, 1), (1, 2))))

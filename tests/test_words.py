@@ -80,6 +80,20 @@ def test_substitute_and_compose():
     assert twice[0] == substitute(fig2, (1, 2))
 
 
+@given(st.lists(words_st, min_size=3, max_size=3), st.lists(words_st, max_size=4))
+def test_substitute_and_compose_match_rescan_oracle(images, inner):
+    # Images need not be reduced; the result is always the reduced word.
+    def oracle(w):
+        letters = []
+        for x in w:
+            letters.extend(images[x - 1] if x > 0 else invert_word(images[-x - 1]))
+        return oracle_reduce(letters)
+
+    for w in inner:
+        assert substitute(images, w) == oracle(w)
+    assert compose(images, inner) == tuple(oracle(w) for w in inner)
+
+
 def test_common_conjugator():
     g = (2, -1)
     vs = [concat(g, (k,), invert_word(g)) for k in (1, 2, 3)]
