@@ -69,12 +69,9 @@ class RunConfig:
     both: bool = False
     floor: float = 1e-6
     max_iters: int = 10**4
-    tol: float = 1e-12
     fmt: str = "json"
 
     def __post_init__(self) -> None:
-        if self.tol <= 0:
-            raise ValueError("--tol must be positive")
         if self.max_iters <= 0:
             raise ValueError("--max-iters must be positive")
         if self.fmt not in ("json", "text"):
@@ -409,7 +406,7 @@ def _require_map(cfg: RunConfig) -> Automorphism:
 
 def cmd_traintrack(cfg: RunConfig) -> int:
     phi = _require_map(cfg)
-    cert = find_train_track(phi, max_iters=cfg.max_iters, eigen_rel_tol=cfg.tol)
+    cert = find_train_track(phi, max_iters=cfg.max_iters)
     report, code = _traintrack_report(cert)
     _emit(report, cfg.fmt)
     return code
@@ -492,7 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("traintrack", parents=[common], help="fold a map to a certificate")
     p.add_argument("--map", required=True, help="map text, e.g. 'a->ab; b->bab'")
     p.add_argument("--max-iters", type=int, default=10**4)
-    p.add_argument("--tol", type=float, default=1e-12)
 
     p = sub.add_parser("distance", parents=[common], help="stretch distance between two points")
     p.add_argument("--point", required=True, help="JSON point file")
@@ -521,7 +517,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         both=getattr(args, "both", False),
         floor=getattr(args, "floor", 1e-6),
         max_iters=getattr(args, "max_iters", 10**4),
-        tol=getattr(args, "tol", 1e-12),
         fmt="text" if args.text else "json",
     )
 

@@ -4,13 +4,16 @@ Vertices and edges carry stable integer ids (edge ids >= 1).  An oriented
 edge is a signed id: +e runs from endpoints(e)[0] to endpoints(e)[1], -e the
 other way, so reversal is negation and is fixed-point free.  A direction is
 an oriented edge regarded as a germ at its initial vertex; a turn is an
-unordered pair of distinct directions at one vertex.
+unordered pair of distinct directions at one vertex.  Edge paths are words
+in signed edge ids and are reduced by the word functions of ``words``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Tuple
+
+from .words import cyclic_reduce, reduce_word  # cyclic_reduce is re-exported
 
 
 class GraphError(ValueError):
@@ -24,8 +27,8 @@ class PathError(ValueError):
 class Graph:
     """Undirected multigraph (loops allowed) with a chosen edge orientation.
 
-    Connectivity is not an invariant of the class: cores of subgraphs may be
-    disconnected or empty.  Marked points enforce connectivity themselves.
+    Connectivity is not an invariant of the class: graphs built during graph
+    surgery may be disconnected.  Marked points enforce connectivity themselves.
     """
 
     __slots__ = ("_vertices", "_endpoints", "_dirs", "_hash")
@@ -131,10 +134,6 @@ def turn(d1: int, d2: int) -> Tuple[int, int]:
     return tuple(sorted((d1, d2), key=direction_key))  # type: ignore[return-value]
 
 
-def is_degenerate_turn(t: Tuple[int, int]) -> bool:
-    return t[0] == t[1]
-
-
 @dataclass(frozen=True)
 class EdgePath:
     """Sequence of oriented edges; closed=True marks a free loop."""
@@ -164,28 +163,10 @@ def validate_path(g: Graph, p: EdgePath) -> None:
         raise PathError("closed path does not return to its start")
 
 
-def path_init(g: Graph, p: EdgePath) -> Optional[int]:
-    return g.init(p.edges[0]) if p.edges else None
-
-
-def path_term(g: Graph, p: EdgePath) -> Optional[int]:
-    return g.term(p.edges[-1]) if p.edges else None
-
-
-def _stack_reduce(edges: Iterable[int]) -> Tuple[int, ...]:
-    out: list = []
-    for d in edges:
-        if out and out[-1] == -d:
-            out.pop()
-        else:
-            out.append(d)
-    return tuple(out)
-
-
 def tighten(g: Graph, p: EdgePath) -> EdgePath:
     """Reduce rel endpoints (no cyclic cancellation, no rotation)."""
     validate_path(g, p)
-    return EdgePath(_stack_reduce(p.edges), p.closed)
+    return EdgePath(reduce_word(p.edges), p.closed)
 
 
 def canonical_loop(edges: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -201,25 +182,6 @@ def canonical_loop(edges: Tuple[int, ...]) -> Tuple[int, ...]:
         if best is None or key < best[0]:
             best = (key, w[i:] + w[:i])
     return best[1]
-
-
-def cyclic_reduce(edges: Tuple[int, ...]) -> Tuple[int, ...]:
-    """A cyclically reduced word in the rotation class (not canonicalized)."""
-    edges = _stack_reduce(edges)
-    i, j = 0, len(edges)
-    while j - i >= 2 and edges[i] == -edges[j - 1]:
-        i += 1
-        j -= 1
-    return edges[i:j]
-
-
-def reduce_path(g: Graph, p: EdgePath) -> EdgePath:
-    """Reduced representative: rel endpoints for open paths; for closed paths
-    the cyclically reduced canonical form (least rotation of word/inverse)."""
-    validate_path(g, p)
-    if not p.closed:
-        return EdgePath(_stack_reduce(p.edges), False)
-    return EdgePath(canonical_loop(cyclic_reduce(p.edges)), True)
 
 
 def _component_count(vertices, edge_endpoints) -> int:
@@ -248,35 +210,6 @@ def _resolve_subset(g: Graph, edge_subset) -> FrozenSet[int]:
     return subset
 
 
-def subgraph(g: Graph, edge_subset) -> Graph:
-    """Subgraph induced by an edge set: its edges plus their endpoints."""
-    subset = _resolve_subset(g, edge_subset)
-    eps = {e: g.endpoints(e) for e in subset}
-    verts = {u for uv in eps.values() for u in uv}
-    return Graph(verts, eps)
-
-
-def core(g: Graph, edge_subset=None) -> Graph:
-    """Maximal subgraph of the given edge set with all valences >= 2.
-
-    Deletes valence <= 1 vertices (with their edges) until stable; the result
-    can be empty or disconnected.
-    """
-    subset = set(_resolve_subset(g, edge_subset))
-    eps = {e: g.endpoints(e) for e in subset}
-    while True:
-        val: Dict[int, int] = {}
-        for u, v in eps.values():
-            val[u] = val.get(u, 0) + 1
-            val[v] = val.get(v, 0) + 1
-        bad = {v for v, k in val.items() if k <= 1}
-        if not bad:
-            break
-        eps = {e: (u, v) for e, (u, v) in eps.items() if u not in bad and v not in bad}
-    verts = {u for uv in eps.values() for u in uv}
-    return Graph(verts, eps)
-
-
 def is_forest(g: Graph, edge_subset=None) -> bool:
     """True when the induced subgraph has no cycle (per component E = V - 1)."""
     subset = _resolve_subset(g, edge_subset)
@@ -286,18 +219,3 @@ def is_forest(g: Graph, edge_subset=None) -> bool:
         return True
     comps = _component_count(verts, eps)
     return len(subset) == len(verts) - comps
-
-
-def complexity(g: Graph, edge_subset) -> Tuple[int, int]:
-    """(first betti number, -component count) of the induced subgraph.
-
-    Lexicographic order on these pairs strictly drops on proper core
-    subgraphs, which bounds chains of invariant subgraphs.
-    """
-    subset = _resolve_subset(g, edge_subset)
-    if not subset:
-        raise GraphError("complexity of the empty subgraph is undefined")
-    eps = [g.endpoints(e) for e in subset]
-    verts = {u for uv in eps for u in uv}
-    comps = _component_count(verts, eps)
-    return (len(subset) - len(verts) + comps, -comps)

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Mapping, Sequence, Tuple
 
 from . import words
 from .graph_core import (
     EdgePath,
     Graph,
-    PathError,
     direction_key,
     tighten,
     turn,

@@ -14,11 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    ClassVar, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
-from .graph_core import EdgePath, Graph, cyclic_reduce, reduce_path
+from . import words
+from .graph_core import EdgePath, Graph
 from .marked_metric import (
     Automorphism,
     CandidateLoop,
@@ -32,7 +35,6 @@ from .graph_map import REL_TOL, GraphMap, difference_of_markings
 from .train_track_algo import (
     Certificate,
     FiniteOrderCertificate,
-    NonTerminationCertificate,
     ReductionCertificate,
     TrainTrackCertificate,
     closed_class,
@@ -68,19 +70,12 @@ def sigma(x: OuterSpacePoint, y: OuterSpacePoint, m: GraphMap) -> DistanceReport
     exact = x.metric.is_rational and y.metric.is_rational
     x_len = _length_lookup(x, exact)
     y_len = _length_lookup(y, exact)
-    # The candidate table grows fast with the edge count, so the loop below
-    # works on raw direction tuples instead of going through map_path.
-    dir_image: Dict[int, Tuple[int, ...]] = {}
-    for e, p in m.edge_image.items():
-        dir_image[e] = p.edges
-        dir_image[-e] = tuple(-d for d in reversed(p.edges))
     best: Optional[Tuple[CandidateLoop, object]] = None
     table: List[Tuple[CandidateLoop, object]] = []
-    for c in candidates(x):
-        raw: List[int] = []
-        for d in c.loop.edges:
-            raw.extend(dir_image[d])
-        num = sum(y_len[abs(d)] for d in cyclic_reduce(tuple(raw)))
+    cands = candidates(x)
+    images = _loop_images(m.edge_image, (c.loop.edges for c in cands))
+    for c, image in zip(cands, images):
+        num = sum(y_len[abs(d)] for d in image)
         if num == 0:
             raise StretchIntegrityError(
                 f"candidate {c.loop.edges} has a nullhomotopic image"
@@ -99,6 +94,26 @@ def sigma(x: OuterSpacePoint, y: OuterSpacePoint, m: GraphMap) -> DistanceReport
         witness=best[0],
         table=tuple(table),
     )
+
+
+def _loop_images(
+    edge_image: Mapping[int, EdgePath], loops: Iterable[Sequence[int]]
+) -> Iterator[Tuple[int, ...]]:
+    """Cyclically reduced image of each loop (a closed word of directions)
+    under the map with the given edge images.
+
+    Candidate tables grow fast with the edge count, so this works on raw
+    direction tuples instead of going through GraphMap.map_path.
+    """
+    dir_image: Dict[int, Tuple[int, ...]] = {}
+    for e, p in edge_image.items():
+        dir_image[e] = p.edges
+        dir_image[-e] = words.invert_word(p.edges)
+    for loop in loops:
+        raw: List[int] = []
+        for d in loop:
+            raw.extend(dir_image[d])
+        yield words.cyclic_reduce(raw)
 
 
 class _length_lookup:
@@ -149,31 +164,20 @@ class SimplexMinReport:
         return bool(self.pinned)
 
 
-def _counts(edge_ids: Tuple[int, ...], word: Sequence[int]) -> Tuple[int, ...]:
-    tally = {e: 0 for e in edge_ids}
-    for d in word:
-        tally[abs(d)] += 1
-    return tuple(tally[e] for e in edge_ids)
-
-
 def _constraint_rows(
     g: Graph, edge_image: Mapping[int, EdgePath]
 ) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """Deduplicated (image-count, count) rows over all candidate loops; their
     maximal ratio is the stretch of the map at every metric."""
     ids = g.edge_ids
-    images = {e: edge_image[e].edges for e in ids}
+    loops = _candidate_words(g)
     rows = []
     seen = set()
-    for w in _candidate_words(g):
-        img: List[int] = []
-        for d in w:
-            img.extend(images[d] if d > 0 else [-t for t in reversed(images[-d])])
-        reduced = reduce_path(g, EdgePath(tuple(img), closed=True))
-        B = _counts(ids, reduced.edges)
+    for w, image in zip(loops, _loop_images(edge_image, loops)):
+        B = words.letter_counts(ids, image)
         if not any(B):
             continue  # nullhomotopic image constrains nothing
-        C = _counts(ids, w)
+        C = words.letter_counts(ids, w)
         if (B, C) not in seen:
             seen.add((B, C))
             rows.append((B, C))

@@ -23,9 +23,7 @@ from .graph_core import (
     GraphError,
     PathError,
     canonical_loop,
-    cyclic_reduce,
     direction_key,
-    reduce_path,
     tighten,
     validate_path,
 )
@@ -36,10 +34,6 @@ VOLUME_TOL = 1e-12
 
 class MarkingError(ValueError):
     """A marking fails to be a homotopy equivalence with the stored inverse."""
-
-
-class UnsupportedOperationError(RuntimeError):
-    """The requested computation was disabled and no stored data covers it."""
 
 
 class AutomorphismParseError(ValueError):
@@ -399,10 +393,8 @@ def loop_length(x: OuterSpacePoint, p: EdgePath):
     if not p.closed:
         raise PathError("loop_length needs a closed path")
     validate_path(x.graph, p)
-    # Length only needs the cyclic reduction; the canonical rotation of
-    # reduce_path would cost quadratic time for nothing here.
     length = x.metric.length
-    return sum((length(d) for d in cyclic_reduce(p.edges)), Fraction(0))
+    return sum((length(d) for d in words.cyclic_reduce(p.edges)), Fraction(0))
 
 
 def path_length(x: OuterSpacePoint, p: EdgePath):
@@ -426,10 +418,7 @@ class CandidateLoop:
 
     def __init__(self, loop: EdgePath, edge_ids: Tuple[int, ...]):
         self.loop = loop
-        tally = {e: 0 for e in edge_ids}
-        for d in loop.edges:
-            tally[abs(d)] += 1
-        self.counts = tuple(tally[e] for e in edge_ids)
+        self.counts = words.letter_counts(edge_ids, loop.edges)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CandidateLoop) and self.loop == other.loop
@@ -536,21 +525,15 @@ def candidates(x: OuterSpacePoint) -> Tuple[CandidateLoop, ...]:
     )
 
 
-def systole(x: OuterSpacePoint) -> Tuple[EdgePath, object]:
-    """A shortest immersed essential loop and its length."""
-    best = None
-    for c in candidates(x):
-        length = path_length(x, c.loop)
-        if best is None or length < best[1]:
-            best = (c.loop, length)
-    return best
-
-
 # -- the right action -------------------------------------------------------
 
 
-def act(x: OuterSpacePoint, phi: Automorphism, recompute: bool = True) -> OuterSpacePoint:
-    """The point x . phi: same metric graph, marking precomposed with phi."""
+def act(x: OuterSpacePoint, phi: Automorphism) -> OuterSpacePoint:
+    """The point x . phi: same metric graph, marking precomposed with phi.
+
+    The inverse marking is carried over exactly when phi has a stored inverse
+    and x a stored inverse marking; otherwise it is computed on first use.
+    """
     if phi.rank != x.rank:
         raise ValueError(f"rank mismatch: point has rank {x.rank}, map has rank {phi.rank}")
     new_marking = tuple(x.marking_image(w) for w in phi.images)
@@ -560,10 +543,6 @@ def act(x: OuterSpacePoint, phi: Automorphism, recompute: bool = True) -> OuterS
         new_inverse = {
             e: words.substitute(inv, w) for e, w in x._inverse_marking.items()
         }
-    elif not recompute:
-        raise UnsupportedOperationError(
-            "acting without a supplied inverse requires recompute=True"
-        )
     return OuterSpacePoint(
         x.graph,
         x.metric,
@@ -638,93 +617,6 @@ def graph_point(
         inverse_marking=inverse,
         require_unit_volume=require_unit_volume,
         allow_valence_two=has_val2,
-    )
-
-
-def unsubdivide(x: OuterSpacePoint) -> OuterSpacePoint:
-    """Remove valence-2 vertices, concatenating edge chains and summing lengths."""
-    g = x.graph
-    keep = {v for v in g.vertices if g.valence(v) != 2}
-    circle = not keep
-    if circle:
-        keep = {x.basepoint}
-
-    basepoint = x.basepoint
-    marking = x.marking
-    if basepoint not in keep:
-        # rebase at the nearest kept vertex
-        tree_paths = x._spanning_tree()
-        new_base = min(keep, key=lambda v: (len(tree_paths[v]), v))
-        connector = tuple(-d for d in reversed(tree_paths[new_base]))  # new_base -> basepoint
-        marking = tuple(
-            tighten(g, EdgePath(connector + p.edges + tuple(-d for d in reversed(connector))))
-            for p in marking
-        )
-        basepoint = new_base
-
-    # chains: walk from each kept vertex through valence-2 vertices
-    chain_of: Dict[int, Tuple[Tuple[int, ...], int]] = {}  # first direction -> (chain, new id)
-    new_endpoints: Dict[int, Tuple[int, int]] = {}
-    new_id = 0
-    consumed = set()
-    starts = []
-    for v in sorted(keep):
-        for d in g.directions_at(v):
-            starts.append(d)
-    for d0 in starts:
-        if d0 in consumed:
-            continue
-        chain = [d0]
-        cur = g.term(d0)
-        while cur not in keep:
-            (nxt,) = [d for d in g.directions_at(cur) if d != -chain[-1]]
-            chain.append(nxt)
-            cur = g.term(nxt)
-        new_id += 1
-        chain_t = tuple(chain)
-        chain_of[chain_t[0]] = (chain_t, new_id)
-        rev = tuple(-d for d in reversed(chain_t))
-        consumed.add(chain_t[0])
-        consumed.add(rev[0])
-        if rev != chain_t:
-            chain_of[rev[0]] = (rev, -new_id)
-        new_endpoints[new_id] = (g.init(chain_t[0]), g.term(chain_t[-1]))
-
-    new_graph = Graph(keep, new_endpoints)
-
-    def rewrite(p: EdgePath) -> EdgePath:
-        out = []
-        i = 0
-        edges = p.edges
-        while i < len(edges):
-            chain, nid = chain_of[edges[i]]
-            assert edges[i : i + len(chain)] == chain, "path does not follow chains"
-            out.append(nid)
-            i += len(chain)
-        return EdgePath(tuple(out), p.closed)
-
-    new_lengths = {}
-    new_inverse: Optional[Dict[int, Word]] = None
-    if x._inverse_marking is not None:
-        new_inverse = {}
-    for d0, (chain, nid) in chain_of.items():
-        if nid < 0:
-            continue
-        total = Fraction(0)
-        for d in chain:
-            total = total + x.metric.length(d)
-        new_lengths[nid] = total
-        if new_inverse is not None:
-            new_inverse[nid] = x.inverse_marking_word(chain)
-
-    return OuterSpacePoint(
-        new_graph,
-        Metric(new_lengths),
-        tuple(rewrite(p) for p in marking),
-        basepoint,
-        inverse_marking=new_inverse,
-        require_unit_volume=False,
-        allow_valence_two=circle,
     )
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import ClassVar, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -69,13 +68,6 @@ class TransitionMatrix:
     def index(self, e: int) -> int:
         return self.edge_ids.index(e)
 
-    def entry(self, ei: int, ej: int) -> int:
-        return self.rows[self.index(ei)][self.index(ej)]
-
-    def column_sum(self, ej: int) -> int:
-        j = self.index(ej)
-        return sum(row[j] for row in self.rows)
-
     def submatrix(self, subset) -> "TransitionMatrix":
         ids = tuple(sorted(subset))
         pos = [self.index(e) for e in ids]
@@ -90,11 +82,8 @@ def transition_matrix(m: GraphMap) -> TransitionMatrix:
     """Unoriented crossing counts of each edge by each edge image."""
     g = m.domain.graph
     ids = g.edge_ids
-    rows = tuple(
-        tuple(sum(1 for d in m.edge_image[ej].edges if abs(d) == ei) for ej in ids)
-        for ei in ids
-    )
-    return TransitionMatrix(ids, rows, g)
+    columns = [words.letter_counts(ids, m.edge_image[e].edges) for e in ids]
+    return TransitionMatrix(ids, tuple(zip(*columns)), g)
 
 
 def closed_class(M: TransitionMatrix) -> Optional[FrozenSet[int]]:
@@ -198,17 +187,6 @@ def _first_illegal_image_turn(m: GraphMap, s: TrainTrackStructure) -> Optional[T
     return None
 
 
-def is_train_track(m: GraphMap) -> Optional[TrainTrackStructure]:
-    """Gate structure if every turn crossed by an edge image is legal, else None.
-
-    Legality is taken for the iterated gates, so success means every iterated
-    edge image is immersed.  Vertices with a single gate do not fail here;
-    the search loop deals with them separately.
-    """
-    s = gates_iterated(m)
-    return s if _first_illegal_image_turn(m, s) is None else None
-
-
 def finite_order_check(m: GraphMap, cap: int = 1000) -> Optional[int]:
     """Smallest k <= cap with the k-th power the identity permutation of directions."""
     g = m.domain.graph
@@ -249,10 +227,10 @@ class _MapState:
         g = m.domain.graph
         self.endpoints: Dict[int, Tuple[int, int]] = {e: g.endpoints(e) for e in g.edge_ids}
         self.vertices = set(g.vertices)
-        self.images: Dict[int, List[int]] = {e: list(m.edge_image[e].edges) for e in g.edge_ids}
+        self.images: Dict[int, Sequence[int]] = {e: m.edge_image[e].edges for e in g.edge_ids}
         self.vertex_image: Dict[int, int] = dict(m.vertex_image)
-        self.dom_marking = [list(p.edges) for p in m.domain.marking]
-        self.cod_marking = [list(p.edges) for p in m.codomain.marking]
+        self.dom_marking = [p.edges for p in m.domain.marking]
+        self.cod_marking = [p.edges for p in m.codomain.marking]
         self.lengths = {e: m.domain.metric.length(e) for e in g.edge_ids}
         self.basepoint = m.domain.basepoint
         self.next_vertex = max(self.vertices) + 1
@@ -271,16 +249,6 @@ class _MapState:
     def image_of(self, d: int) -> List[int]:
         img = self.images[abs(d)]
         return list(img) if d > 0 else [-x for x in reversed(img)]
-
-    @staticmethod
-    def _reduce(path: Sequence[int]) -> List[int]:
-        out: List[int] = []
-        for d in path:
-            if out and out[-1] == -d:
-                out.pop()
-            else:
-                out.append(d)
-        return out
 
     def _rewrite(self, path: Sequence[int], sub: Dict[int, List[int]]) -> List[int]:
         out: List[int] = []
@@ -302,9 +270,9 @@ class _MapState:
 
     def tighten_all(self) -> None:
         for e in self.images:
-            self.images[e] = self._reduce(self.images[e])
-        self.dom_marking = [self._reduce(p) for p in self.dom_marking]
-        self.cod_marking = [self._reduce(p) for p in self.cod_marking]
+            self.images[e] = words.reduce_word(self.images[e])
+        self.dom_marking = [words.reduce_word(p) for p in self.dom_marking]
+        self.cod_marking = [words.reduce_word(p) for p in self.cod_marking]
 
     def _merge_vertex(self, drop: int, keep: int) -> None:
         if drop == keep:
@@ -458,12 +426,8 @@ class _MapState:
 
     def _count_spectral_radius(self) -> float:
         ids = sorted(self.images)
-        pos = {e: i for i, e in enumerate(ids)}
-        rows = [[0] * len(ids) for _ in ids]
-        for e, path in self.images.items():
-            for d in path:
-                rows[pos[abs(d)]][pos[e]] += 1
-        return spectral_radius(rows) if ids else 0.0
+        columns = [words.letter_counts(ids, self.images[e]) for e in ids]
+        return spectral_radius(list(zip(*columns))) if ids else 0.0
 
     def unsubdivide_pass(self) -> bool:
         """Merge the chain at one valence-2 vertex other than the basepoint;
@@ -551,7 +515,7 @@ class _MapState:
         vol = sum(self.lengths.values())
         metric = Metric({e: length / vol for e, length in self.lengths.items()})
 
-        def point(marking: List[List[int]]) -> OuterSpacePoint:
+        def point(marking: List[Sequence[int]]) -> OuterSpacePoint:
             return OuterSpacePoint(
                 graph,
                 metric,
@@ -786,11 +750,15 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _round_line(rnd: int, edges: int, lam: float, potential, move: str) -> str:
+    """One trace line of the fold loop; potential is an int or "-"."""
+    return f"round={rnd} edges={edges} lambda={_fmt(lam)} potential={potential} move={move}"
+
+
 def find_train_track(
     phi: Automorphism,
     max_iters: int = 10**4,
     order_cap: int = 60,
-    eigen_rel_tol: float = 1e-12,
 ) -> Certificate:
     """Run the fold loop from the rose until a certificate appears.
 
@@ -812,10 +780,7 @@ def find_train_track(
     k = _word_level_order(phi, order_cap, _ORDER_LENGTH_CAP)
     if k is not None:
         m = self_map_from_automorphism(x0, phi)
-        trace.append(
-            f"round=0 edges={m.domain.graph.num_edges} lambda=1 potential=0 "
-            f"move=finite_order({k})"
-        )
+        trace.append(_round_line(0, m.domain.graph.num_edges, 1.0, 0, f"finite_order({k})"))
         return FiniteOrderCertificate(order=k, graph_map=m, trace=tuple(trace))
     m = self_map_from_automorphism(x0, phi)
     best_lam: Optional[float] = None
@@ -835,22 +800,18 @@ def find_train_track(
             pot = _gate_potential(gates, g)
             if is_forest(g, cls):
                 trace.append(
-                    f"round={rnd} edges={g.num_edges} lambda={_fmt(rho)} "
-                    f"potential={pot} move=collapse_forest({sorted(cls)})"
+                    _round_line(rnd, g.num_edges, rho, pot, f"collapse_forest({sorted(cls)})")
                 )
                 m = _collapse_class(m, cls)
                 continue
             for e in sorted(cls):  # integrity of the certificate
                 if any(abs(d) not in cls for d in m.edge_image[e].edges):
                     raise InvalidMapError("invariant class is not actually invariant")
-            trace.append(
-                f"round={rnd} edges={g.num_edges} lambda={_fmt(rho)} "
-                f"potential={pot} move=reduction({sorted(cls)})"
-            )
+            trace.append(_round_line(rnd, g.num_edges, rho, pot, f"reduction({sorted(cls)})"))
             return ReductionCertificate(
                 subset=cls, graph_map=m.validate(), matrix=M, trace=tuple(trace)
             )
-        lam, ell = pf_eigen(M, rel_tol=eigen_rel_tol)
+        lam, ell = pf_eigen(M)
         # Folds never raise the stretch factor, but the valence-two slide of a
         # blocked vertex image is a homotopy onto a smaller graph and may; a
         # long run without any strict improvement means the moves are cycling.
@@ -859,10 +820,7 @@ def find_train_track(
         else:
             stalled += 1
             if stalled > _STALL_CAP:
-                trace.append(
-                    f"round={rnd} edges={g.num_edges} lambda={_fmt(lam)} "
-                    f"potential=- move=stalled"
-                )
+                trace.append(_round_line(rnd, g.num_edges, lam, "-", "stalled"))
                 return NonTerminationCertificate(
                     reason=f"stretch factor stalled near {_fmt(best_lam)}",
                     trace=tuple(trace),
@@ -873,10 +831,7 @@ def find_train_track(
             pot = _gate_potential(gates, g)
             if simplicial:
                 k = finite_order_check(m)
-                trace.append(
-                    f"round={rnd} edges={g.num_edges} lambda={_fmt(lam)} "
-                    f"potential={pot} move=finite_order({k})"
-                )
+                trace.append(_round_line(rnd, g.num_edges, lam, pot, f"finite_order({k})"))
                 if k is None:
                     return NonTerminationCertificate(
                         reason="permutation order exceeds the cap", trace=tuple(trace)
@@ -894,10 +849,7 @@ def find_train_track(
         bad = _first_illegal_image_turn(m, s)
         if bad is None:
             if s.min_gate_count() >= 2:
-                trace.append(
-                    f"round={rnd} edges={g.num_edges} lambda={_fmt(lam)} "
-                    f"potential={pot} move=train_track"
-                )
+                trace.append(_round_line(rnd, g.num_edges, lam, pot, "train_track"))
                 return TrainTrackCertificate(
                     graph_map=m.validate(),
                     structure=s,
@@ -908,16 +860,10 @@ def find_train_track(
             v = s.one_gate_vertices()[0]
             gate = sorted(s.gates_at(v)[0], key=direction_key)
             t = _descend_to_one_step(m, gate[0], gate[1])
-            trace.append(
-                f"round={rnd} edges={g.num_edges} lambda={_fmt(lam)} "
-                f"potential={pot} move=gate_fold({t[0]},{t[1]})"
-            )
+            trace.append(_round_line(rnd, g.num_edges, lam, pot, f"gate_fold({t[0]},{t[1]})"))
         else:
             t = _descend_to_one_step(m, *bad)
-            trace.append(
-                f"round={rnd} edges={g.num_edges} lambda={_fmt(lam)} "
-                f"potential={pot} move=fold({t[0]},{t[1]})"
-            )
+            trace.append(_round_line(rnd, g.num_edges, lam, pot, f"fold({t[0]},{t[1]})"))
         try:
             m = fold(m, t)
         except (InvalidMapError, RankCollapseError) as exc:

@@ -4,10 +4,13 @@ A word in the free group F_n is a tuple of nonzero ints: letter k stands for
 the k-th generator (1 = a, 2 = b, ...) and -k for its inverse.  Everything
 downstream (markings, automorphisms, inverse markings) reduces to a handful
 of exact operations on these tuples, kept here free of any graph structure.
+An edge path is a word in the same sense, with signed edge ids as letters,
+so free and cyclic reduction of paths and loop images use the functions here.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 Word = tuple  # tuple of nonzero ints
@@ -21,12 +24,12 @@ def reduce_word(letters: Iterable[int]) -> Word:
     """Free reduction: cancel adjacent inverse pairs."""
     out: list = []
     for x in letters:
-        if x == 0:
-            raise ValueError("0 is not a letter")
-        if out and out[-1] == -x:
+        if out and out[-1] == -x:  # never true for x == 0: no 0 is appended
             out.pop()
-        else:
+        elif x:
             out.append(x)
+        else:
+            raise ValueError("0 is not a letter")
     return tuple(out)
 
 
@@ -36,14 +39,7 @@ def invert_word(w: Sequence) -> Word:
 
 def concat(*ws: Sequence) -> Word:
     """Reduced product of words."""
-    out: list = []
-    for w in ws:
-        for x in w:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-    return tuple(out)
+    return reduce_word(chain.from_iterable(ws))
 
 
 def cyclic_reduce(w: Sequence) -> Word:
@@ -54,6 +50,14 @@ def cyclic_reduce(w: Sequence) -> Word:
         i += 1
         j -= 1
     return tuple(w[i:j])
+
+
+def letter_counts(letters: Sequence[int], w: Iterable[int]) -> tuple:
+    """Occurrences in w of each of the given generators, either sign."""
+    tally = dict.fromkeys(letters, 0)
+    for x in w:
+        tally[abs(x)] += 1
+    return tuple(tally[k] for k in letters)
 
 
 def _letter_images(images: Sequence[Word]) -> dict:

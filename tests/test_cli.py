@@ -272,6 +272,7 @@ class TestMinimizeCommand:
             ("minimize", "--map", "a->ab; b->bab", "--max-iters", "5"),
             ("minimize", "--map", "a->ab; b->bab", "--tol", "1e-9"),
             ("classify", "--map", "a->ab; b->bab", "--tol", "1e-9"),
+            ("traintrack", "--map", "a->ab; b->bab", "--tol", "1e-9"),
             ("traintrack", "--map", "a->ab; b->bab", "--seed", "1"),
             ("classify", "--map", "a->ab; b->bab", "--seed", "1"),
             ("minimize", "--map", "a->ab; b->bab", "--seed", "1"),

@@ -1,9 +1,9 @@
-"""Graph layer: oriented edges, path reduction, cores, complexity."""
+"""Graph layer: oriented edges, path reduction, forests."""
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from outerspace.graph_core import (
@@ -12,19 +12,13 @@ from outerspace.graph_core import (
     GraphError,
     PathError,
     canonical_loop,
-    complexity,
-    core,
     direction_key,
-    is_degenerate_turn,
     is_forest,
-    path_init,
-    path_term,
-    reduce_path,
-    subgraph,
     tighten,
     turn,
     validate_path,
 )
+from outerspace.words import cyclic_reduce
 
 
 def rose(n: int) -> Graph:
@@ -155,8 +149,8 @@ class TestGraphBasics:
     def test_turns(self):
         assert turn(-2, 1) == (1, -2)
         assert turn(2, -1) == (-1, 2)
-        assert is_degenerate_turn(turn(3, 3))
-        assert not is_degenerate_turn(turn(3, -3))
+        assert turn(3, 3) == (3, 3)
+        assert turn(-3, 3) == (3, -3)
         assert direction_key(1) < direction_key(-1) < direction_key(2)
 
 
@@ -173,25 +167,28 @@ class TestPaths:
     def test_rose_word_reduces_to_single_letter(self):
         g = rose(2)
         p = EdgePath((1, 2, -2, -1, 1), closed=True)
-        assert reduce_path(g, p) == EdgePath((1,), closed=True)
+        validate_path(g, p)
+        assert cyclic_reduce(p.edges) == (1,)
 
     def test_backtrack_loop_reduces_to_empty(self):
         g = theta()
         p = EdgePath((1, -1), closed=True)
-        assert reduce_path(g, p) == EdgePath((), closed=True)
+        validate_path(g, p)
+        assert cyclic_reduce(p.edges) == ()
 
     def test_tighten_keeps_endpoints(self):
         g = barbell()
         p = EdgePath((2, 3, -3, -2, 2))
         t = tighten(g, p)
         assert t.edges == (2,)
-        assert path_init(g, t) == 0 and path_term(g, t) == 1
+        assert g.init(t.edges[0]) == 0 and g.term(t.edges[-1]) == 1
 
     def test_closed_reduction_strips_seam(self):
         g = barbell()
         # conjugate of the x-loop: y z z' y' x y ... rotated so the seam shows
         p = EdgePath((2, 3, -3, -2, 1), closed=True)
-        assert reduce_path(g, p) == EdgePath((1,), closed=True)
+        validate_path(g, p)
+        assert cyclic_reduce(p.edges) == (1,)
 
     def test_canonical_loop_prefers_positive_minimal_edge(self):
         assert canonical_loop((-2, -1)) == (1, 2)
@@ -213,12 +210,12 @@ class TestPaths:
     @given(graph_walk(closed=True))
     def test_closed_reduce_is_cyclically_reduced_rotation_of_oracle(self, gw):
         g, p = gw
-        r = reduce_path(g, p)
-        assert r.closed
-        assert r.edges in rotations_of(oracle_cyclic(p.edges))
-        if len(r.edges) >= 2:
-            assert r.edges[0] != -r.edges[-1]
-        assert reduce_path(g, r) == r
+        r = cyclic_reduce(p.edges)
+        validate_path(g, EdgePath(r, closed=True))
+        assert r in rotations_of(oracle_cyclic(p.edges))
+        if len(r) >= 2:
+            assert r[0] != -r[-1]
+        assert cyclic_reduce(r) == r
 
     @given(graph_walk(closed=True), st.integers(0, 13), st.booleans())
     def test_closed_reduce_invariant_under_rotation_and_reversal(self, gw, k, rev):
@@ -229,93 +226,31 @@ class TestPaths:
             q = EdgePath(q.edges[k:] + q.edges[:k], closed=True)
         if rev:
             q = q.reverse()
-        assert reduce_path(g, q) == reduce_path(g, p)
+        assert canonical_loop(cyclic_reduce(q.edges)) == canonical_loop(cyclic_reduce(p.edges))
 
 
-def small_core_graphs(max_edges=4):
-    pairs = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-    out = []
-    for m in range(1, max_edges + 1):
-        for combo in combinations_with_replacement(pairs, m):
-            eps = {i + 1: uv for i, uv in enumerate(combo)}
-            verts = {u for uv in combo for u in uv}
-            g = Graph(verts, eps)
-            if g.is_core() and g.is_connected():
-                out.append(g)
-    return out
+def core_edges(g: Graph, sub) -> set:
+    """Edges left after repeatedly deleting valence <= 1 vertices of the
+    subgraph spanned by sub (an oracle for is_forest)."""
+    eps = {e: g.endpoints(e) for e in sub}
+    while True:
+        valence = {}
+        for u, v in eps.values():
+            valence[u] = valence.get(u, 0) + 1
+            valence[v] = valence.get(v, 0) + 1
+        bad = {v for v, k in valence.items() if k <= 1}
+        if not bad:
+            return set(eps)
+        eps = {e: (u, v) for e, (u, v) in eps.items() if u not in bad and v not in bad}
 
 
-class TestCoreAndComplexity:
-    def test_core_trims_hanging_bridge(self):
-        g = barbell()
-        c = core(g, {1, 2})
-        assert c.edge_ids == (1,) and c.vertices == (0,)
-
-    def test_core_can_be_disconnected(self):
-        g = barbell()
-        c = core(g, {1, 3})
-        assert c.edge_ids == (1, 3) and not c.is_connected()
-
-    def test_core_of_forest_is_empty(self):
-        g = theta()
-        c = core(g, {1})
-        assert c.num_edges == 0 and c.vertices == ()
-
-    def test_core_idempotent_and_contained(self):
-        for g in GRAPHS.values():
-            for r in range(g.num_edges + 1):
-                for sub in combinations(g.edge_ids, r):
-                    c = core(g, sub)
-                    assert set(c.edge_ids) <= set(sub)
-                    assert c.num_edges == 0 or c.is_core()
-                    c2 = core(g, c.edge_ids)
-                    assert c2 == c
-
+class TestForest:
     def test_forest_iff_empty_core(self):
         for g in GRAPHS.values():
             for r in range(g.num_edges + 1):
                 for sub in combinations(g.edge_ids, r):
-                    assert is_forest(g, sub) == (core(g, sub).num_edges == 0)
+                    assert is_forest(g, sub) == (not core_edges(g, sub))
 
-    def test_theta_complexity(self):
-        assert complexity(theta(), {1, 2, 3}) == (2, -1)
-        assert complexity(theta(), {1, 2}) == (1, -1)
-        assert complexity(barbell(), {1, 3}) == (2, -2)
-
-    def test_complexity_of_empty_subset_rejected(self):
+    def test_unknown_edges_rejected(self):
         with pytest.raises(GraphError):
-            complexity(theta(), set())
-        with pytest.raises(GraphError):
-            subgraph(theta(), {9})
-
-    def test_subgraph_keeps_ids(self):
-        g = barbell()
-        s = subgraph(g, {2, 3})
-        assert s.edge_ids == (2, 3) and s.vertices == (0, 1)
-        assert s.endpoints(2) == (0, 1)
-
-    @settings(deadline=None)
-    @given(st.integers(0, 10 ** 6))
-    def test_complexity_drops_on_proper_core_subgraphs_sampled(self, seed):
-        import random
-
-        rng = random.Random(seed)
-        graphs = small_core_graphs()
-        g = graphs[rng.randrange(len(graphs))]
-        full = complexity(g, g.edge_ids)
-        r = rng.randrange(1, g.num_edges + 1)
-        sub = tuple(rng.sample(g.edge_ids, r))
-        c = core(g, sub)
-        if c.num_edges == 0 or set(c.edge_ids) == set(g.edge_ids):
-            return
-        assert complexity(g, c.edge_ids) < full
-
-    def test_complexity_drops_on_proper_core_subgraphs_exhaustive(self):
-        for g in small_core_graphs():
-            full = complexity(g, g.edge_ids)
-            for r in range(1, g.num_edges):
-                for sub in combinations(g.edge_ids, r):
-                    c = core(g, sub)
-                    if c.num_edges == 0 or set(c.edge_ids) != set(sub):
-                        continue
-                    assert complexity(g, sub) < full
+            is_forest(theta(), {9})

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_bracketing_trace
+from helpers import assert_bracketing_trace, connected_core_graphs
 from outerspace import lipschitz_metric
-from outerspace.graph_core import EdgePath
+from outerspace.graph_core import EdgePath, canonical_loop, validate_path
 from outerspace.graph_map import GraphMap, self_map_from_automorphism
 from outerspace.lipschitz_metric import (
     Elliptic,
@@ -31,14 +31,17 @@ from outerspace.lipschitz_metric import (
 from outerspace.marked_metric import (
     Automorphism,
     Metric,
+    _candidate_words,
     act,
     candidates,
+    graph_point,
     loop_length,
     random_automorphism,
     random_unit_metric,
     rose_point,
 )
 from outerspace.train_track_algo import TrainTrackCertificate, find_train_track
+from outerspace.words import cyclic_reduce
 
 GOLDEN_SQ = (3 + math.sqrt(5)) / 2
 
@@ -200,7 +203,34 @@ class TestDisplacement:
         assert rep.log_sigma == 0.0
 
 
+def reference_rows(g, edge_image):
+    """Constraint rows built from each candidate's image as a validated
+    closed path in its canonical rotation, then counted edge by edge."""
+    ids = g.edge_ids
+    rows = []
+    for w in _candidate_words(g):
+        image = []
+        for d in w:
+            p = edge_image[abs(d)].edges
+            image.extend(p if d > 0 else [-t for t in reversed(p)])
+        validate_path(g, EdgePath(tuple(image), closed=True))
+        loop = canonical_loop(cyclic_reduce(image))
+        B = tuple(sum(1 for d in loop if abs(d) == e) for e in ids)
+        C = tuple(sum(1 for d in w if abs(d) == e) for e in ids)
+        if any(B) and (B, C) not in rows:
+            rows.append((B, C))
+    return rows
+
+
 class TestConstraintRows:
+    def test_rows_match_reference_on_small_graphs(self):
+        rng = random.Random(7)
+        for g in connected_core_graphs(3):
+            x = graph_point(g, random_unit_metric(g.edge_ids, rng))
+            for _ in range(4):
+                m = self_map_from_automorphism(x, random_automorphism(x.rank, 10, rng))
+                assert _constraint_rows(g, m.edge_image) == reference_rows(g, m.edge_image)
+
     def test_rose_rows_are_fm_candidate_rows(self):
         # Candidates a, b, ab, aB; a -> ab and b -> bab send aB to B.
         m2 = rose_self_map(EXPANDING)

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from outerspace.graph_core import EdgePath, Graph, GraphError, PathError, canonical_loop, reduce_path
+from outerspace.graph_core import EdgePath, Graph, GraphError, PathError, canonical_loop
 from outerspace.marked_metric import (
     Automorphism,
     AutomorphismParseError,
     MarkingError,
     Metric,
     OuterSpacePoint,
-    UnsupportedOperationError,
     act,
     _candidate_words,
     candidates,
@@ -24,10 +23,8 @@ from outerspace.marked_metric import (
     random_automorphism,
     random_unit_metric,
     rose_point,
-    systole,
-    unsubdivide,
 )
-from outerspace.words import NotBasisError
+from outerspace.words import NotBasisError, cyclic_reduce
 
 from helpers import connected_core_graphs
 
@@ -364,8 +361,8 @@ class TestAction:
             x = rose_point(2)
             y = act(act(x, phi), phi.inverse())
             for p, q in zip(y.marking, x.marking):
-                assert reduce_path(x.graph, EdgePath(p.edges, closed=True)) == reduce_path(
-                    x.graph, EdgePath(q.edges, closed=True)
+                assert canonical_loop(cyclic_reduce(p.edges)) == canonical_loop(
+                    cyclic_reduce(q.edges)
                 )
 
     def test_action_composes(self):
@@ -386,94 +383,16 @@ class TestAction:
         assert y._inverse_marking is not None  # eager path taken
         assert y.check_marking() is not None
 
-    def test_recompute_disabled(self):
+    def test_inverse_marking_computed_lazily(self):
         x = rose_point(2)
         phi = Automorphism([(1, 2), (2, 1, 2)])  # no inverse attached
-        with pytest.raises(UnsupportedOperationError):
-            act(x, phi, recompute=False)
-        y = act(x, phi)  # lazy inverse marking
+        y = act(x, phi)
         assert y._inverse_marking is None
         assert y.inverse_marking() is not None and y.check_marking() == ()
 
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
             act(rose_point(2), Automorphism.identity(3))
-
-
-class TestSystoleAndThinPart:
-    def test_rose_systole(self):
-        loop, length = systole(rose_point(2, [Fraction(1, 4), Fraction(3, 4)]))
-        assert loop.edges == (1,) and length == Fraction(1, 4)
-
-    def test_growing_family_systole(self):
-        t = Fraction(1, 10)
-        loop, length = systole(rose_point(2, [t, 1 - t]))
-        assert loop.edges == (1,) and length == t
-
-    def test_theta_systole(self):
-        x = theta_point((Fraction(1, 5), Fraction(3, 10), Fraction(1, 2)))
-        loop, length = systole(x)
-        assert loop.edges == (1, -2) and length == Fraction(1, 2)
-
-
-class TestUnsubdivide:
-    def test_identity_when_no_valence_two(self):
-        x = rose_point(2)
-        y = unsubdivide(x)
-        assert y.graph == x.graph and y.metric == x.metric and y.marking == x.marking
-
-    def test_subdivided_petal(self):
-        g = Graph([0, 1], {1: (0, 1), 2: (1, 0)})
-        x = OuterSpacePoint(
-            g,
-            Metric({1: Fraction(3, 10), 2: Fraction(1, 5)}),
-            [EdgePath((1, 2))],
-            basepoint=0,
-            inverse_marking={1: (1,), 2: ()},
-            require_unit_volume=False,
-            allow_valence_two=True,
-        )
-        y = unsubdivide(x)
-        assert y.graph.num_edges == 1 and y.metric.length(1) == Fraction(1, 2)
-        assert y.marking == (EdgePath((1,)),)
-        assert y.check_marking() == ()
-
-    def test_subdivided_fig2_rose(self):
-        g = Graph([0, 1], {1: (0, 0), 2: (0, 1), 3: (1, 0)})
-        x = OuterSpacePoint(
-            g,
-            Metric({1: Fraction(1, 2), 2: Fraction(1, 4), 3: Fraction(1, 4)}),
-            [EdgePath((1,)), EdgePath((2, 3))],
-            basepoint=0,
-            inverse_marking={1: (1,), 2: (2,), 3: ()},
-            allow_valence_two=True,
-        )
-        y = unsubdivide(x)
-        assert y.graph == Graph([0], {1: (0, 0), 2: (0, 0)})
-        assert y.metric == Metric({1: Fraction(1, 2), 2: Fraction(1, 2)})
-        assert y.marking == (EdgePath((1,)), EdgePath((2,)))
-        assert y.check_marking() == ()
-        assert [loop_length(y, EdgePath(p.edges, closed=True)) for p in y.marking] == [
-            loop_length(x, EdgePath(p.edges, closed=True)) for p in x.marking
-        ]
-
-    def test_rebases_when_basepoint_dissolves(self):
-        g = Graph([0, 1, 2], {1: (0, 0), 2: (0, 1), 3: (1, 2), 4: (2, 2)})
-        x = OuterSpacePoint(
-            g,
-            Metric({1: Fraction(1, 4), 2: Fraction(1, 4), 3: Fraction(1, 4), 4: Fraction(1, 4)}),
-            [EdgePath((-2, 1, 2)), EdgePath((3, 4, -3))],
-            basepoint=1,
-            allow_valence_two=True,
-        )
-        y = unsubdivide(x)
-        assert y.basepoint == 0
-        assert y.graph.num_edges == 3
-        assert {y.metric.length(e) for e in y.graph.edge_ids} == {
-            Fraction(1, 4), Fraction(1, 2),
-        }
-        assert y.check_marking() == ()
-        assert systole(y) == systole(x)
 
 
 class TestRandomHelpers:

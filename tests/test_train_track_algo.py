@@ -7,7 +7,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from outerspace import words
+from outerspace import train_track_algo, words
 from outerspace.graph_core import EdgePath, Graph, is_forest
 from outerspace.marked_metric import (
     Automorphism,
@@ -16,7 +16,7 @@ from outerspace.marked_metric import (
     random_automorphism,
     rose_point,
 )
-from outerspace.graph_map import GraphMap, self_map_from_automorphism
+from outerspace.graph_map import GraphMap, gates_iterated, is_legal, self_map_from_automorphism
 from outerspace.train_track_algo import (
     _ORDER_LENGTH_CAP,
     FiniteOrderCertificate,
@@ -30,7 +30,6 @@ from outerspace.train_track_algo import (
     find_train_track,
     finite_order_check,
     fold,
-    is_train_track,
     normalize,
     pf_eigen,
     transition_matrix,
@@ -50,6 +49,12 @@ R4_31_ROWS = ((0, 0, 0, 1), (0, 0, 1, 0), (1, 1, 0, 0), (2, 1, 0, 0))
 def rose_self_map(text: str) -> GraphMap:
     phi = Automorphism.from_text(text)
     return self_map_from_automorphism(rose_point(phi.rank), phi)
+
+
+def train_track_gates(m: GraphMap):
+    """The iterated gates if every edge image crosses only legal turns, else None."""
+    s = gates_iterated(m)
+    return s if all(is_legal(m.edge_image[e], s) for e in m.domain.graph.edge_ids) else None
 
 
 # -- transition matrices ---------------------------------------------------
@@ -75,7 +80,7 @@ class TestTransitionMatrix:
         m = rose_self_map(EXPANDING)
         M = transition_matrix(m)
         for e in (1, 2):
-            assert M.column_sum(e) == len(m.edge_image[e].edges)
+            assert sum(row[M.index(e)] for row in M.rows) == len(m.edge_image[e].edges)
 
 
 class TestIrreducibility:
@@ -253,17 +258,17 @@ class TestWordLevelOrder:
 
 class TestIsTrainTrack:
     def test_expanding_map_is_train_track(self):
-        s = is_train_track(rose_self_map(EXPANDING))
+        s = train_track_gates(rose_self_map(EXPANDING))
         assert s is not None
         assert s.as_sets() == {0: (frozenset({1}), frozenset({-1, -2}), frozenset({2}))}
 
     def test_single_gate_rose_map_fails(self):
         # Image of b crosses the turn {-b, a}-ish whose directions share the
         # single iterated gate, so the map cannot be a train track map.
-        assert is_train_track(rose_self_map("a -> B; b -> ba")) is None
+        assert train_track_gates(rose_self_map("a -> B; b -> ba")) is None
 
     def test_positive_map_is_train_track(self):
-        assert is_train_track(rose_self_map("a -> b; b -> ab")) is not None
+        assert train_track_gates(rose_self_map("a -> b; b -> ab")) is not None
 
 
 class TestFiniteOrderCheck:
@@ -312,7 +317,7 @@ class TestFold:
         # a -> B, b -> babb: images share no prefix, but the first illegal
         # turn descends to a partial-prefix fold that lands on a train track.
         m = rose_self_map("a -> B; b -> babb")
-        s = is_train_track(m)
+        s = train_track_gates(m)
         assert s is None
 
     def test_self_fold_on_loop(self):
@@ -388,6 +393,89 @@ class TestNormalize:
 # -- the search loop ---------------------------------------------------------------
 
 
+# Full fold-loop traces, one per move kind, as the loop wrote them before its
+# trace lines went through one formatter.  No known input reaches gate_fold
+# (a vertex with one gate while every edge image is legal) or a failing
+# fold, so those two cases stub the legality test and fold respectively.
+PINNED_TRACES = {
+    "finite_order_precheck": (
+        "a->B; b->C; c->A", {},
+        ("round=0 edges=3 lambda=1 potential=0 move=finite_order(6)",),
+    ),
+    "finite_order_simplicial": (
+        "a->B; b->C; c->A", {"order_cap": 0},
+        ("round=0 edges=3 lambda=1 potential=4 move=finite_order(6)",),
+    ),
+    "collapse_forest": (
+        "a->aBA; b->abb", {},
+        (
+            "round=0 edges=2 lambda=3 potential=0 move=fold(-1,2)",
+            "round=1 edges=3 lambda=2 potential=0 move=fold(-3,6)",
+            "round=2 edges=3 lambda=1 potential=1 move=collapse_forest([7])",
+            "round=3 edges=2 lambda=1 potential=1 move=reduction([10])",
+        ),
+    ),
+    "reduction": (
+        "a->b; b->BBA", {},
+        (
+            "round=0 edges=2 lambda=2.41421356237 potential=1 move=fold(-1,2)",
+            "round=1 edges=2 lambda=1 potential=0 move=reduction([4])",
+        ),
+    ),
+    "fold_then_train_track": (
+        "a->aabab; b->Babab", {},
+        (
+            "round=0 edges=2 lambda=5 potential=0 move=fold(-1,2)",
+            "round=1 edges=3 lambda=4.35530139761 potential=0 move=fold(-3,4)",
+            "round=2 edges=3 lambda=4.2360679775 potential=1 move=train_track",
+        ),
+    ),
+    "stalled": (
+        "a->ba; b->c; c->A", {},
+        (
+            "round=0 edges=3 lambda=1.46557123188 potential=0 move=fold(-1,3)",
+            "round=1 edges=3 lambda=1.46557123188 potential=0 move=fold(2,3)",
+            "round=2 edges=3 lambda=1.46557123188 potential=0 move=fold(2,4)",
+            "round=3 edges=3 lambda=1.46557123188 potential=0 move=fold(4,-6)",
+            "round=4 edges=3 lambda=1.46557123188 potential=0 move=fold(-6,-8)",
+            "round=5 edges=3 lambda=1.46557123188 potential=0 move=fold(-8,-10)",
+            "round=6 edges=3 lambda=1.46557123188 potential=0 move=fold(-10,11)",
+            "round=7 edges=3 lambda=1.46557123188 potential=0 move=fold(11,12)",
+            "round=8 edges=3 lambda=1.46557123188 potential=0 move=fold(12,13)",
+            "round=9 edges=3 lambda=1.46557123188 potential=0 move=fold(13,-15)",
+            "round=10 edges=3 lambda=1.46557123188 potential=0 move=fold(-15,-17)",
+            "round=11 edges=3 lambda=1.46557123188 potential=0 move=fold(-17,-19)",
+            "round=12 edges=3 lambda=1.46557123188 potential=0 move=fold(-19,20)",
+            "round=13 edges=3 lambda=1.46557123188 potential=0 move=fold(20,21)",
+            "round=14 edges=3 lambda=1.46557123188 potential=0 move=fold(21,22)",
+            "round=15 edges=3 lambda=1.46557123188 potential=0 move=fold(22,-24)",
+            "round=16 edges=3 lambda=1.46557123188 potential=0 move=fold(-24,-26)",
+            "round=17 edges=3 lambda=1.46557123188 potential=0 move=fold(-26,-28)",
+            "round=18 edges=3 lambda=1.46557123188 potential=0 move=fold(-28,29)",
+            "round=19 edges=3 lambda=1.46557123188 potential=0 move=fold(29,30)",
+            "round=20 edges=3 lambda=1.46557123188 potential=0 move=fold(30,31)",
+            "round=21 edges=3 lambda=1.46557123188 potential=0 move=fold(31,-33)",
+            "round=22 edges=3 lambda=1.46557123188 potential=0 move=fold(-33,-35)",
+            "round=23 edges=3 lambda=1.46557123188 potential=0 move=fold(-35,-37)",
+            "round=24 edges=3 lambda=1.46557123188 potential=0 move=fold(-37,38)",
+            "round=25 edges=3 lambda=1.46557123188 potential=0 move=fold(38,39)",
+            "round=26 edges=3 lambda=1.46557123188 potential=- move=stalled",
+        ),
+    ),
+    "gate_fold": (
+        "a->ABa; b->AB", {"max_iters": 1},
+        ("round=0 edges=2 lambda=2.61803398875 potential=0 move=gate_fold(1,-1)",),
+    ),
+    "error": (
+        "a->AbA; b->bA", {},
+        (
+            "round=0 edges=2 lambda=2.61803398875 potential=1 move=fold(-1,-2)",
+            "round=0 error=fold refused",
+        ),
+    ),
+}
+
+
 class TestFindTrainTrack:
     def test_expanding_map_certificate(self):
         cert = find_train_track(Automorphism.from_text(EXPANDING))
@@ -409,6 +497,19 @@ class TestFindTrainTrack:
             r"round=0 edges=2 lambda=2\.61803398875 potential=1 move=train_track",
             cert.trace[0],
         )
+
+    @pytest.mark.parametrize("kind", sorted(PINNED_TRACES))
+    def test_trace_lines_pinned(self, kind, monkeypatch):
+        text, kwargs, expected = PINNED_TRACES[kind]
+        if kind == "gate_fold":
+            monkeypatch.setattr(train_track_algo, "_first_illegal_image_turn", lambda m, s: None)
+        if kind == "error":
+            def refuse(m, t):
+                raise RankCollapseError("fold refused")
+
+            monkeypatch.setattr(train_track_algo, "fold", refuse)
+        cert = find_train_track(Automorphism.from_text(text), **kwargs)
+        assert cert.trace == expected
 
     def test_finite_order_map(self):
         cert = find_train_track(Automorphism.from_text(PERMUTED))
@@ -479,7 +580,7 @@ class TestFindTrainTrack:
         cert = find_train_track(phi, max_iters=60)
         if isinstance(cert, TrainTrackCertificate):
             assert cert.lam > 1 + 1e-9
-            assert is_train_track(cert.graph_map) is not None
+            assert train_track_gates(cert.graph_map) is not None
             lam, ell = pf_eigen(transition_matrix(cert.graph_map))
             assert lam == pytest.approx(cert.lam, abs=1e-9)
             assert cert.graph_map.domain.graph.first_betti() == rank
