@@ -84,11 +84,6 @@ class GraphMap:
                 raise ValueError(f"edge {e} has a point image but its endpoints map apart")
         self.check_marking_compatibility()
 
-    def validate(self) -> "GraphMap":
-        """Run the full construction checks (for maps built with check=False)."""
-        self._validate()
-        return self
-
     def check_marking_compatibility(self) -> tuple:
         """Conjugating word certifying map . domain marking ~ codomain marking."""
         vs = []
@@ -120,16 +115,6 @@ class GraphMap:
 
     def derivative_map(self) -> Dict[int, int]:
         return {d: self.derivative(d) for d in self.domain.graph.directions()}
-
-    def with_metrics(self, metric) -> "GraphMap":
-        """Same combinatorial map with both sides re-metrized."""
-        return GraphMap(
-            self.domain.with_metric(metric, require_unit_volume=False),
-            self.codomain.with_metric(metric, require_unit_volume=False),
-            self.vertex_image,
-            self.edge_image,
-            check=False,
-        )
 
     def __repr__(self) -> str:
         ims = {e: p.edges for e, p in sorted(self.edge_image.items())}
@@ -265,20 +250,24 @@ def gates_one_step(m: GraphMap, subset=None) -> TrainTrackStructure:
 
 
 def gates_iterated(m: GraphMap) -> TrainTrackStructure:
-    """Gates by eventual coincidence of derivative iterates (self-maps).
+    """Gates by eventual coincidence of derivative iterates (self-maps)."""
+    if not m.is_self_map:
+        raise ValueError("iterated gates need a self-map")
+    return gates_from_derivative(m.domain.graph, m.derivative_map())
+
+
+def gates_from_derivative(g: Graph, deriv: Mapping[int, int]) -> TrainTrackStructure:
+    """Gates of a self-map of g given by its derivative on directions.
 
     Two directions at a vertex lie in one gate iff some iterate of the
     derivative map identifies them; since merged trajectories never split,
     checking the |directions|-th iterate decides all pairs at once.
     """
-    if not m.is_self_map:
-        raise ValueError("iterated gates need a self-map")
-    deriv = m.derivative_map()
-    directions = m.domain.graph.directions()
+    directions = g.directions()
     state = {d: deriv[d] for d in directions}
     for _ in range(len(directions) - 1):
         state = {d: deriv[state[d]] for d in directions}
-    return _structure_from_key(m.domain.graph, m.domain.graph.edge_ids, state)
+    return _structure_from_key(g, g.edge_ids, state)
 
 
 def is_legal(p: EdgePath, s: TrainTrackStructure) -> bool:

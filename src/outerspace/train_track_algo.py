@@ -3,20 +3,19 @@
 Starting from the rose realization of an automorphism, the search loop
 normalizes the current self-map, inspects its transition matrix, and either
 certifies the outcome (train track structure, invariant subgraph, finite
-order) or folds an illegal turn and repeats.  All graph surgery goes through
-a single mutable state object so that edge images, both markings, and the
-metric stay synchronized.  The maps built inside a round (by ``fold``,
-``normalize`` and ``_collapse_class``) skip the marking-compatibility check;
-only a returned certificate's map is validated, so a bad round shows up at
-the end rather than where it happened.
+order) or folds an illegal turn and repeats.  The whole search runs on one
+mutable surgery state that keeps the graph, the edge images, both markings
+and the metric synchronized; ``normalize``, ``fold`` and the forest collapse
+rewrite it in place, and a round builds no ``GraphMap``.  Only a returned
+certificate's map is built, with every point and marking check, so a bad
+round shows up at the end rather than where it happened.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import ClassVar, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,9 +35,10 @@ from .marked_metric import (
 )
 from .graph_map import (
     REL_TOL,
+    DegenerateImageError,
     GraphMap,
     TrainTrackStructure,
-    gates_iterated,
+    gates_from_derivative,
     self_map_from_automorphism,
 )
 
@@ -74,15 +74,15 @@ class TransitionMatrix:
         rows = tuple(tuple(self.rows[i][j] for j in pos) for i in pos)
         return TransitionMatrix(ids, rows, self.graph)
 
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in row) for row in self.rows)
-
 
 def transition_matrix(m: GraphMap) -> TransitionMatrix:
     """Unoriented crossing counts of each edge by each edge image."""
-    g = m.domain.graph
+    return _crossing_counts(m.domain.graph, {e: p.edges for e, p in m.edge_image.items()})
+
+
+def _crossing_counts(g: Graph, images: Mapping[int, Sequence[int]]) -> TransitionMatrix:
     ids = g.edge_ids
-    columns = [words.letter_counts(ids, m.edge_image[e].edges) for e in ids]
+    columns = [words.letter_counts(ids, images[e]) for e in ids]
     return TransitionMatrix(ids, tuple(zip(*columns)), g)
 
 
@@ -177,9 +177,8 @@ def spectral_radius(rows: Sequence[Sequence[int]]) -> float:
 # -- train track test ----------------------------------------------------------
 
 
-def _first_illegal_image_turn(m: GraphMap, s: TrainTrackStructure) -> Optional[Tuple[int, int]]:
-    for e in m.domain.graph.edge_ids:
-        path = m.edge_image[e].edges
+def _first_illegal_image_turn(st: _MapState, s: TrainTrackStructure) -> Optional[Tuple[int, int]]:
+    for _, path in sorted(st.images.items()):
         for a, b in zip(path, path[1:]):
             t = turn(-a, b)
             if not s.is_legal_turn(t):
@@ -221,9 +220,15 @@ def finite_order_check(m: GraphMap, cap: int = 1000) -> Optional[int]:
 
 
 class _MapState:
-    """Graph, edge images, both markings, and metric under joint rewriting."""
+    """Graph, edge images, both markings, and metric under joint rewriting.
+
+    The fold loop rewrites one state for its whole run.  The edge-keyed dicts
+    stay in edge order, because a new edge always takes the largest id.
+    """
 
     def __init__(self, m: GraphMap):
+        if not m.is_self_map:
+            raise ValueError("graph surgery needs a self-map")
         g = m.domain.graph
         self.endpoints: Dict[int, Tuple[int, int]] = {e: g.endpoints(e) for e in g.edge_ids}
         self.vertices = set(g.vertices)
@@ -235,6 +240,27 @@ class _MapState:
         self.basepoint = m.domain.basepoint
         self.next_vertex = max(self.vertices) + 1
         self.next_edge = max(self.endpoints) + 1
+
+    def finish(self) -> None:
+        """End a move as a round trip through a GraphMap did: an edge must be
+        left, lengths are scaled to unit volume, and new ids restart past the
+        largest ones left."""
+        if not self.endpoints:
+            raise InvalidMapError("graph has no edges left")
+        vol = sum(self.lengths.values())
+        self.lengths = {e: length / vol for e, length in self.lengths.items()}
+        self.next_vertex = max(self.vertices) + 1
+        self.next_edge = max(self.endpoints) + 1
+
+    def copy(self) -> "_MapState":
+        """A state whose containers can be rewritten without touching this one."""
+        new = object.__new__(_MapState)
+        new.__dict__ = {k: v.copy() if isinstance(v, (dict, set, list)) else v
+                        for k, v in self.__dict__.items()}
+        return new
+
+    def graph(self) -> Graph:
+        return Graph(sorted(self.vertices), dict(self.endpoints))
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -249,6 +275,12 @@ class _MapState:
     def image_of(self, d: int) -> List[int]:
         img = self.images[abs(d)]
         return list(img) if d > 0 else [-x for x in reversed(img)]
+
+    def derivative(self, d: int) -> int:
+        img = self.images[abs(d)]
+        if not img:
+            raise DegenerateImageError(f"direction {d} has a point image")
+        return img[0] if d > 0 else -img[-1]
 
     def _rewrite(self, path: Sequence[int], sub: Dict[int, List[int]]) -> List[int]:
         out: List[int] = []
@@ -425,9 +457,7 @@ class _MapState:
         self.tighten_all()
 
     def _count_spectral_radius(self) -> float:
-        ids = sorted(self.images)
-        columns = [words.letter_counts(ids, self.images[e]) for e in ids]
-        return spectral_radius(list(zip(*columns))) if ids else 0.0
+        return spectral_radius(_crossing_counts(self.graph(), self.images).rows)
 
     def unsubdivide_pass(self) -> bool:
         """Merge the chain at one valence-2 vertex other than the basepoint;
@@ -450,7 +480,7 @@ class _MapState:
             if v in self.vertex_image.values():
                 trials = []
                 for idx, along in enumerate((c1, c2)):
-                    trial = copy.deepcopy(self)
+                    trial = self.copy()
                     trial._slide_images_off(v, along)
                     try:
                         trial._merge_valence_two(v, c1, c2)
@@ -508,12 +538,10 @@ class _MapState:
         self.vertex_image.pop(v, None)
         self.tighten_all()
 
-    def to_graph_map(self, check: bool = True) -> GraphMap:
-        if not self.endpoints:
-            raise InvalidMapError("graph has no edges left")
-        graph = Graph(sorted(self.vertices), dict(self.endpoints))
-        vol = sum(self.lengths.values())
-        metric = Metric({e: length / vol for e, length in self.lengths.items()})
+    def to_graph_map(self) -> GraphMap:
+        """The state as a GraphMap, with every point and marking check."""
+        graph = self.graph()
+        metric = Metric(self.lengths)
 
         def point(marking: List[Sequence[int]]) -> OuterSpacePoint:
             return OuterSpacePoint(
@@ -530,7 +558,6 @@ class _MapState:
             point(self.cod_marking),
             dict(self.vertex_image),
             {e: EdgePath(tuple(p)) for e, p in self.images.items()},
-            check=check,
         )
 
 
@@ -546,23 +573,19 @@ def _common_prefix_len(a: Sequence[int], b: Sequence[int]) -> int:
     return n
 
 
-def fold(m: GraphMap, t: Tuple[int, int]) -> GraphMap:
-    """Fold a one-step illegal turn: subdivide so the shared image prefix is an
-    initial edge on both sides, then identify the two initial edges."""
-    if not m.is_self_map:
-        raise ValueError("fold needs a self-map")
+def fold(st: _MapState, t: Tuple[int, int]) -> None:
+    """Fold a one-step illegal turn in place: subdivide so the shared image
+    prefix is an initial edge on both sides, then identify the two initial edges."""
     d1, d2 = t
-    g = m.domain.graph
     for d in (d1, d2):
-        if abs(d) not in set(g.edge_ids):
+        if abs(d) not in st.endpoints:
             raise ValueError(f"direction {d} is not in the graph")
     if d1 == d2:
         raise ValueError("cannot fold a degenerate turn")
-    if g.init(d1) != g.init(d2):
+    if st.init(d1) != st.init(d2):
         raise ValueError("turn directions start at different vertices")
-    if m.derivative(d1) != m.derivative(d2):
+    if st.derivative(d1) != st.derivative(d2):
         raise ValueError("turn is legal at one step; nothing to fold")
-    st = _MapState(m)
     A, B = st.image_of(d1), st.image_of(d2)
     if abs(d1) == abs(d2):
         # Loop edge folded onto itself: reducedness forces the shared prefix
@@ -597,18 +620,16 @@ def fold(m: GraphMap, t: Tuple[int, int]) -> GraphMap:
         f1, f2 = f2, f1
     st.identify(f1, f2)
     st.trim_hairs()
-    return st.to_graph_map(check=False)
+    st.finish()
 
 
-def normalize(m: GraphMap) -> GraphMap:
-    """Tighten, collapse point-image forests, trim hairs, unsubdivide chains."""
-    st = _MapState(m)
+def normalize(st: _MapState) -> None:
+    """Tighten, collapse point-image forests, trim hairs, unsubdivide chains (in place)."""
     st.tighten_all()
     while True:
         degenerate = sorted(e for e, p in st.images.items() if not p)
         if degenerate:
-            g = Graph(sorted(st.vertices), dict(st.endpoints))
-            if not is_forest(g, degenerate):
+            if not is_forest(st.graph(), degenerate):
                 raise InvalidMapError(
                     "point-image edges contain a cycle; collapsing would drop the rank"
                 )
@@ -619,14 +640,7 @@ def normalize(m: GraphMap) -> GraphMap:
         if st.unsubdivide_pass():
             continue
         break
-    return st.to_graph_map(check=False)
-
-
-def _collapse_class(m: GraphMap, cls) -> GraphMap:
-    """Collapse an invariant forest class and re-express the map on the quotient."""
-    st = _MapState(m)
-    st.collapse_edges(sorted(cls))
-    return st.to_graph_map(check=False)
+    st.finish()
 
 
 # -- certificates ----------------------------------------------------------------
@@ -688,8 +702,8 @@ def _abelianization(phi: Automorphism) -> List[List[int]]:
     return mat
 
 
-def _homology_allows_order(phi: Automorphism, cap: int) -> bool:
-    """Whether some power A^k with k <= cap of the abelianization A is I.
+def _homology_order(phi: Automorphism, cap: int) -> Optional[int]:
+    """Order of the abelianization A if it is at most cap, else None.
 
     Stops early once |trace A^k| exceeds the rank: a matrix of finite order
     has root-of-unity eigenvalues, so every power has |trace| <= rank.
@@ -698,42 +712,39 @@ def _homology_allows_order(phi: Automorphism, cap: int) -> bool:
     n = len(A)
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
     power = A
-    for _ in range(cap):
+    for k in range(1, cap + 1):
         if power == identity:
-            return True
+            return k
         if abs(sum(power[i][i] for i in range(n))) > n:
-            return False
+            return None
         power = [
             [sum(A[i][m] * power[m][j] for m in range(n)) for j in range(n)]
             for i in range(n)
         ]
-    return False
+    return None
 
 
 def _word_level_order(phi: Automorphism, cap: int, length_cap: int) -> Optional[int]:
     """Smallest k <= cap with the k-th power inner, watching total word length.
 
-    Inner automorphisms act trivially on homology, so the k-th power can be
-    inner only if A^k = I for the abelianization A.  When no power up to
-    ``cap`` is I, the answer is None without composing any words; otherwise
-    the word loop runs as it would without the filter, so the length cap
-    cuts it off at the same place.
+    The kernel of Out(F_n) -> GL(n, Z/3) is torsion-free (Baumslag and
+    Taylor, 1968), so a finite order of phi in Out(F_n) is exactly the order
+    d of its abelianization A.  Words are composed only up to phi^d, with
+    the length cap checked before each composition, and only phi^d is tested.
     """
-    if not _homology_allows_order(phi, cap):
+    d = _homology_order(phi, cap)
+    if d is None:
         return None
     acc = phi.images
-    for k in range(1, cap + 1):
-        if words.is_conjugate_identity(acc):
-            return k
+    for _ in range(d - 1):
         if sum(len(w) for w in acc) > length_cap:
             return None
         acc = words.compose(phi.images, acc)
-    return None
+    return d if words.is_conjugate_identity(acc) else None
 
 
-def _descend_to_one_step(m: GraphMap, d1: int, d2: int) -> Tuple[int, int]:
+def _descend_to_one_step(deriv: Mapping[int, int], d1: int, d2: int) -> Tuple[int, int]:
     """From a pair in one iterated gate down to a pair with equal derivatives."""
-    deriv = m.derivative_map()
     a, b = d1, d2
     for _ in range(len(deriv)):
         if deriv[a] == deriv[b]:
@@ -768,48 +779,48 @@ def find_train_track(
     certificate, or a non-termination report carrying the round trace.
 
     Before the first round, a word-level pre-check looks for the smallest
-    k <= order_cap with phi^k inner.  It composes words only when the
-    abelianization A of phi has A^k = I for some such k (a necessary
-    condition), so maps of infinite order on homology go straight to the
-    fold loop.
+    k <= order_cap with phi^k inner.  That k can only be the order of the
+    abelianization A of phi, so maps of infinite order on homology go
+    straight to the fold loop, and otherwise one power of phi is tested.
     """
     if phi.rank < 2:
         raise ValueError("rank must be at least 2")
     trace: List[str] = []
-    x0 = rose_point(phi.rank)
+    m = self_map_from_automorphism(rose_point(phi.rank), phi)
     k = _word_level_order(phi, order_cap, _ORDER_LENGTH_CAP)
     if k is not None:
-        m = self_map_from_automorphism(x0, phi)
         trace.append(_round_line(0, m.domain.graph.num_edges, 1.0, 0, f"finite_order({k})"))
         return FiniteOrderCertificate(order=k, graph_map=m, trace=tuple(trace))
-    m = self_map_from_automorphism(x0, phi)
+    st = _MapState(m)
     best_lam: Optional[float] = None
     stalled = 0
     for rnd in range(max_iters):
         try:
-            m = normalize(m)
+            normalize(st)
         except (InvalidMapError, RankCollapseError) as exc:
             trace.append(f"round={rnd} error={exc}")
             return NonTerminationCertificate(reason=str(exc), trace=tuple(trace))
-        g = m.domain.graph
-        M = transition_matrix(m)
+        g = st.graph()
+        M = _crossing_counts(g, st.images)
+        deriv = {d: st.derivative(d) for d in g.directions()}
+        s = gates_from_derivative(g, deriv)
+        pot = _gate_potential(s, g)
         cls = closed_class(M)
         if cls is not None:
-            gates = gates_iterated(m)
             rho = spectral_radius(M.rows)
-            pot = _gate_potential(gates, g)
             if is_forest(g, cls):
                 trace.append(
                     _round_line(rnd, g.num_edges, rho, pot, f"collapse_forest({sorted(cls)})")
                 )
-                m = _collapse_class(m, cls)
+                st.collapse_edges(sorted(cls))
+                st.finish()
                 continue
             for e in sorted(cls):  # integrity of the certificate
-                if any(abs(d) not in cls for d in m.edge_image[e].edges):
+                if any(abs(d) not in cls for d in st.images[e]):
                     raise InvalidMapError("invariant class is not actually invariant")
             trace.append(_round_line(rnd, g.num_edges, rho, pot, f"reduction({sorted(cls)})"))
             return ReductionCertificate(
-                subset=cls, graph_map=m.validate(), matrix=M, trace=tuple(trace)
+                subset=cls, graph_map=st.to_graph_map(), matrix=M, trace=tuple(trace)
             )
         lam, ell = pf_eigen(M)
         # Folds never raise the stretch factor, but the valence-two slide of a
@@ -825,47 +836,41 @@ def find_train_track(
                     reason=f"stretch factor stalled near {_fmt(best_lam)}",
                     trace=tuple(trace),
                 )
-        simplicial = all(len(p.edges) == 1 for p in m.edge_image.values())
         if abs(lam - 1.0) <= 1e-9:
-            gates = gates_iterated(m)
-            pot = _gate_potential(gates, g)
-            if simplicial:
-                k = finite_order_check(m)
+            if all(len(p) == 1 for p in st.images.values()):
+                cert_map = st.to_graph_map()
+                k = finite_order_check(cert_map)
                 trace.append(_round_line(rnd, g.num_edges, lam, pot, f"finite_order({k})"))
                 if k is None:
                     return NonTerminationCertificate(
                         reason="permutation order exceeds the cap", trace=tuple(trace)
                     )
-                return FiniteOrderCertificate(
-                    order=k, graph_map=m.validate(), trace=tuple(trace)
-                )
+                return FiniteOrderCertificate(order=k, graph_map=cert_map, trace=tuple(trace))
             return NonTerminationCertificate(
                 reason="unit stretch without single-edge images", trace=tuple(trace)
             )
-        metric = Metric({e: ell[i] for i, e in enumerate(M.edge_ids)})
-        m = m.with_metrics(metric)
-        s = gates_iterated(m)
-        pot = _gate_potential(s, g)
-        bad = _first_illegal_image_turn(m, s)
+        st.lengths = dict(zip(M.edge_ids, ell))
+        bad = _first_illegal_image_turn(st, s)
         if bad is None:
             if s.min_gate_count() >= 2:
                 trace.append(_round_line(rnd, g.num_edges, lam, pot, "train_track"))
+                cert_map = st.to_graph_map()
                 return TrainTrackCertificate(
-                    graph_map=m.validate(),
+                    graph_map=cert_map,
                     structure=s,
                     lam=lam,
-                    metric=metric,
+                    metric=cert_map.domain.metric,
                     trace=tuple(trace),
                 )
             v = s.one_gate_vertices()[0]
             gate = sorted(s.gates_at(v)[0], key=direction_key)
-            t = _descend_to_one_step(m, gate[0], gate[1])
+            t = _descend_to_one_step(deriv, gate[0], gate[1])
             trace.append(_round_line(rnd, g.num_edges, lam, pot, f"gate_fold({t[0]},{t[1]})"))
         else:
-            t = _descend_to_one_step(m, *bad)
+            t = _descend_to_one_step(deriv, *bad)
             trace.append(_round_line(rnd, g.num_edges, lam, pot, f"fold({t[0]},{t[1]})"))
         try:
-            m = fold(m, t)
+            fold(st, t)
         except (InvalidMapError, RankCollapseError) as exc:
             trace.append(f"round={rnd} error={exc}")
             return NonTerminationCertificate(reason=str(exc), trace=tuple(trace))

@@ -26,6 +26,7 @@ from outerspace.train_track_algo import (
     ReductionCertificate,
     TrainTrackCertificate,
     TransitionMatrix,
+    _MapState,
     closed_class,
     find_train_track,
     finite_order_check,
@@ -49,6 +50,18 @@ R4_31_ROWS = ((0, 0, 0, 1), (0, 0, 1, 0), (1, 1, 0, 0), (2, 1, 0, 0))
 def rose_self_map(text: str) -> GraphMap:
     phi = Automorphism.from_text(text)
     return self_map_from_automorphism(rose_point(phi.rank), phi)
+
+
+def folded(m: GraphMap, t) -> GraphMap:
+    state = _MapState(m)
+    fold(state, t)
+    return state.to_graph_map()
+
+
+def normalized(m: GraphMap) -> GraphMap:
+    state = _MapState(m)
+    normalize(state)
+    return state.to_graph_map()
 
 
 def train_track_gates(m: GraphMap):
@@ -224,14 +237,30 @@ class TestWordLevelOrder:
     def test_permutation_has_order_six(self):
         assert _word_level_order(Automorphism.from_text(PERMUTED), 60, _ORDER_LENGTH_CAP) == 6
 
-    def test_trivial_on_homology_still_runs_word_loop(self, monkeypatch):
+    @staticmethod
+    def count_word_calls(monkeypatch):
+        composed, tested = [], []
+        compose, is_identity = words.compose, words.is_conjugate_identity
+        monkeypatch.setattr(words, "compose", lambda *a: composed.append(1) or compose(*a))
+        monkeypatch.setattr(
+            words, "is_conjugate_identity", lambda w: tested.append(1) or is_identity(w)
+        )
+        return composed, tested
+
+    def test_trivial_on_homology_tests_only_phi(self, monkeypatch):
+        # A = I, so a finite order could only be 1: phi itself is tested
+        # once and no word is composed.
         phi = Automorphism.from_text("a -> a; b -> b; c -> cabAB")
         assert _abelianization(phi) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-        calls = []
-        compose = words.compose
-        monkeypatch.setattr(words, "compose", lambda *a: calls.append(1) or compose(*a))
+        composed, tested = self.count_word_calls(monkeypatch)
         assert _word_level_order(phi, 60, _ORDER_LENGTH_CAP) is None
-        assert len(calls) == 60  # one composition per power up to the cap
+        assert (len(composed), len(tested)) == (0, 1)
+
+    def test_composes_up_to_the_homology_order(self, monkeypatch):
+        # A has order 6: phi^6 takes five compositions and one test.
+        composed, tested = self.count_word_calls(monkeypatch)
+        assert _word_level_order(Automorphism.from_text(PERMUTED), 60, _ORDER_LENGTH_CAP) == 6
+        assert (len(composed), len(tested)) == (5, 1)
 
     def test_infinite_order_on_homology_composes_nothing(self, monkeypatch):
         monkeypatch.setattr(words, "compose", None)
@@ -301,14 +330,14 @@ class TestFold:
     def test_fold_validations(self):
         m = rose_self_map(EXPANDING)
         with pytest.raises(ValueError):
-            fold(m, (1, 1))  # degenerate
+            fold(_MapState(m), (1, 1))  # degenerate
         with pytest.raises(ValueError):
-            fold(m, (-1, 2))  # legal turn, derivatives differ
+            fold(_MapState(m), (-1, 2))  # legal turn, derivatives differ
 
     def test_fold_triangular_map(self):
         m = rose_self_map(REDUCIBLE)
         assert m.derivative(1) == m.derivative(2) == 1
-        f = fold(m, (1, 2))
+        f = folded(m, (1, 2))
         g = f.domain.graph
         assert g.first_betti() == 2
         assert {e: f.edge_image[e].edges for e in g.edge_ids} == {1: (1,), 4: (1, 4)}
@@ -324,7 +353,7 @@ class TestFold:
         # a -> bab~: both directions of the loop a share the initial letter b.
         m = rose_self_map("a -> baB; b -> b")
         assert m.derivative(1) == m.derivative(-1) == 2
-        f = fold(m, (-1, 1))
+        f = folded(m, (-1, 1))
         g = f.domain.graph
         assert g.first_betti() == 2
         assert g.num_edges == 3
@@ -346,13 +375,13 @@ class TestFold:
             check=False,
         )
         with pytest.raises(RankCollapseError):
-            fold(bad, (2, 3))
+            fold(_MapState(bad), (2, 3))
 
     def test_fold_preserves_marking_compatibility(self):
-        # GraphMap re-validates markings on construction, so a successful
-        # fold of a genuine self-map is itself the integrity check.
+        # The folded state's GraphMap validates markings on construction, so
+        # a successful fold of a genuine self-map is itself the integrity check.
         m = rose_self_map(REDUCIBLE)
-        f = fold(m, (1, 2))
+        f = folded(m, (1, 2))
         assert f.check_marking_compatibility() is not None
 
 
@@ -362,7 +391,7 @@ class TestFold:
 class TestNormalize:
     def test_rose_map_unchanged(self):
         m = rose_self_map(EXPANDING)
-        n = normalize(m)
+        n = normalized(m)
         assert n.domain.graph == m.domain.graph
         assert {e: n.edge_image[e].edges for e in (1, 2)} == {1: (1, 2), 2: (2, 1, 2)}
 
@@ -380,7 +409,7 @@ class TestNormalize:
             dom, cod, {0: 0, 5: 0},
             {1: EdgePath((1, 2, 3)), 2: EdgePath((2, 3, 1)), 3: EdgePath((2, 3))},
         )
-        n = normalize(m)
+        n = normalized(m)
         g2 = n.domain.graph
         assert g2.num_edges == 2
         assert len(g2.vertices) == 1
@@ -597,3 +626,59 @@ class TestFindTrainTrack:
             assert words.is_conjugate_identity(acc)
         else:
             assert isinstance(cert, NonTerminationCertificate)
+
+
+# -- one surgery state across rounds ------------------------------------------------
+
+
+class TestOneState:
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=12, deadline=None)
+    def test_every_round_leaves_a_valid_map(self, seed):
+        # The rounds build no GraphMap; here every normalize and fold is
+        # followed by building the state's map with every point, path and
+        # marking check, so a bad move fails where it happens.
+        rng = random.Random(seed)
+        rank = 3 + seed % 3
+        phi = random_automorphism(rank, 12, rng)
+        steps = []
+
+        def checked(step):
+            def run(state, *args):
+                step(state, *args)
+                steps.append(step.__name__)
+                m = state.to_graph_map()
+                assert m.domain.graph.first_betti() == rank
+                for p in list(state.images.values()) + state.dom_marking + state.cod_marking:
+                    assert tuple(p) == words.reduce_word(p)
+
+            return run
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(train_track_algo, "normalize", checked(normalize))
+            mp.setattr(train_track_algo, "fold", checked(fold))
+            cert = find_train_track(phi, max_iters=300)
+        assert steps or isinstance(cert, FiniteOrderCertificate)
+
+    @pytest.mark.parametrize(
+        "text, kwargs, built",
+        [
+            (EXPANDING, {}, 2),
+            ("a -> B; b -> babb", {}, 2),
+            (REDUCIBLE, {}, 2),
+            ("a->AD; b->cdabAD; c->bAB; d->bAD", {}, 2),  # collapses a forest, slides
+            (PERMUTED, {}, 1),
+            (PERMUTED, {"order_cap": 0}, 2),
+            ("a->ba; b->c; c->A", {}, 1),  # stalls
+        ],
+    )
+    def test_builds_only_start_and_certificate_maps(self, monkeypatch, text, kwargs, built):
+        maps = []
+        init = GraphMap.__init__
+        monkeypatch.setattr(
+            GraphMap, "__init__", lambda self, *a, **k: maps.append(self) or init(self, *a, **k)
+        )
+        cert = find_train_track(Automorphism.from_text(text), **kwargs)
+        assert len(maps) == built
+        if built == 2:
+            assert cert.graph_map is maps[-1]
