@@ -24,6 +24,7 @@ from .graph_map import GraphMap, difference_of_markings, self_map_from_automorph
 from .lipschitz_metric import (
     DistanceReport,
     Elliptic,
+    GameSolveError,
     Hyperbolic,
     Inconclusive,
     ParabolicSuspect,
@@ -530,7 +531,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = _config_from_args(args)
         return _COMMANDS[cfg.command](cfg)
-    except (MarkingError, StretchIntegrityError, GraphError, PathError) as exc:
+    except (MarkingError, StretchIntegrityError, GameSolveError, GraphError, PathError) as exc:
         sys.stderr.write(f"integrity error: {exc}\n")
         return EXIT_INTEGRITY
     except (CliInputError, AutomorphismParseError, NotBasisError, ValueError) as exc:

@@ -5,8 +5,9 @@ stretch over the Francaviglia–Martino candidate loops (embedded circles,
 figure-eights and barbells) of a difference-of-markings map; this max equals
 the optimal Lipschitz constant, so no geometric optimal map is ever built.
 Displacement of an automorphism is minimized over a metric simplex with a
-floor by a Dinkelbach-type iteration, one linear program per step, whose row
-duals certify a lower bound on the minimum.
+floor by a Dinkelbach-type iteration, one linear program per step, solved as
+a matrix game by a small dense dual simplex; the program's row duals certify
+a lower bound on the minimum.
 """
 
 from __future__ import annotations
@@ -184,12 +185,144 @@ def _constraint_rows(
     return rows
 
 
-def linprog(c, **kwargs):
-    """scipy.optimize.linprog, imported on first use: scipy takes longer to
-    import than most commands take to run, and only minimization needs it."""
-    from scipy.optimize import linprog as solve
+class GameSolveError(ArithmeticError):
+    """The dual simplex of a matrix game found no entering column, reached a
+    singular basis or hit its pivot cap."""
 
-    return solve(c, **kwargs)
+
+_PIVOT_TOL = 1e-13  # relative: the mapped game's value lies in [1, 2]
+_PAYOFF_RANGE = 1e6  # mapped payoffs lie within about this of the value
+
+
+def solve_matrix_game(P: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Optimal strategies (mu, y) of the zero-sum game with payoff matrix P:
+    mu in the simplex of columns minimizes max_i (P mu)_i, y in the simplex of
+    rows maximizes min_j (y P)_j, and both reach the game's value.
+
+    The best pure strategies bound the value: L = max_i min_j P_ij <= value
+    <= min_j max_i P_ij = U, and when L = U they are optimal as they are.
+    Otherwise the affine map Q = 1 + (P - L) / S, with S the larger of U - L
+    and P's range divided by _PAYOFF_RANGE, puts the value in [1, 2] and
+    changes no optimal strategy.  S stays near U - L so that huge payoffs do
+    not round the value's digits away (a floored step's payoffs reach about
+    lam / floor while its value nears 0); its lower limit keeps the tableau's
+    entries within _PAYOFF_RANGE of each other, whose products would lose
+    those digits instead.  Every column of Q has an entry >= 1, so the row
+    player's LP  min 1.w  s.t.  Q^T w >= 1, w >= 0  is feasible, with value
+    1 / value(Q).
+
+    A dual simplex solves it from the all-slack basis, which is dual feasible
+    because every cost is 1 or 0, on an (n + 1) x (m + n + 1) tableau with
+    one row per column of P.  Dantzig's rule picks the leaving row and a
+    Harris ratio test the entering column; Bland's rule takes over while the
+    objective stalls.  When the tableau shows no infeasible row, its basis is
+    solved again from Q, and pivoting goes on if that shows one.  The
+    strategies come from that solve, so the tableau's rounding reaches
+    neither: the basic w give y = w / sum(w), and the basis duals z (a
+    solution of  max 1.z  s.t.  Q z <= 1, z >= 0) give mu = z / sum(z).
+    Raises GameSolveError when the simplex fails.
+    """
+    m, n = P.shape
+    lo, hi = float(P.min(axis=1).max()), float(P.max(axis=0).min())
+    if lo >= hi:  # a saddle point: the best pure strategies are optimal
+        return np.eye(n)[np.argmin(P.max(axis=0))], np.eye(m)[np.argmax(P.min(axis=1))]
+    scale = max(hi - lo, float(P.max() - P.min()) / _PAYOFF_RANGE)
+    Q = 1.0 + (P - lo) / scale
+    # Row j: -(Q^T w)_j + s_j = -1 for a surplus s_j >= 0; last row: costs.
+    data = np.zeros((n + 1, m + n + 1))
+    data[:n, :m] = -Q.T
+    data[:n, m:-1] = np.eye(n)
+    data[:n, -1] = -1.0
+    data[n, :m] = 1.0
+
+    def tableau(basis: np.ndarray) -> np.ndarray:
+        try:
+            rows = np.linalg.solve(data[:n, basis], data[:n])
+        except np.linalg.LinAlgError as exc:
+            raise GameSolveError(f"singular basis of a {m}x{n} game") from exc
+        return np.vstack((rows, data[n] - data[n, basis] @ rows))
+
+    basis = np.arange(m, m + n)
+    T = data.copy()  # the all-slack basis's tableau
+    fresh = True  # T was computed from the data, not by pivoting
+    refreshes = 0
+    stalled = 0  # pivots since the objective last rose
+    for _ in range(10 * (m + n)):
+        infeasible = np.flatnonzero(T[:n, -1] < -_PIVOT_TOL)
+        if not infeasible.size:
+            if fresh:
+                break
+            # Pivoting accumulates rounding: solve the basis again from the
+            # data, and go on pivoting if that shows it still infeasible,
+            # unless that has happened often enough to blame the rounding.
+            T, fresh, refreshes = tableau(basis), True, refreshes + 1
+            if refreshes > 3:
+                break
+            continue
+        fresh = False
+        # After n pivots without progress, Bland's rule (smallest indices)
+        # until the objective rises again, so degenerate pivots cannot cycle.
+        bland = stalled > n
+        if bland:
+            r = int(infeasible[np.argmin(basis[infeasible])])
+        else:
+            r = int(infeasible[np.argmin(T[infeasible, -1])])
+        row, cost = T[r, :-1], T[n, :-1]
+        entering = row < -_PIVOT_TOL * max(1.0, float(np.abs(row).max()))
+        entering[basis] = False  # rounding may leave a basic column nonzero
+        cols = np.flatnonzero(entering)
+        if not cols.size:
+            raise GameSolveError(f"no column can enter at row {r} of a {m}x{n} game")
+        # Harris: the longest step that keeps every cost above -tolerance,
+        # then the largest pivot among the columns that step admits.
+        step = np.min((cost[cols] + _PIVOT_TOL) / -row[cols])
+        cols = cols[cost[cols] / -row[cols] <= step]
+        k = int(cols[0] if bland else cols[np.argmax(-row[cols])])
+        # A cost the tolerance let dip below 0 enters at 0: a negative step
+        # would lower the objective, and through a tiny pivot, by a lot.
+        T[n, k] = max(T[n, k], 0.0)
+        objective = T[n, -1]  # minus the objective, which never falls
+        T[r] /= T[r, k]
+        pivot_col = T[:, k].copy()
+        pivot_col[r] = 0.0
+        T -= np.outer(pivot_col, T[r])
+        basis[r] = k
+        stalled = stalled + 1 if T[n, -1] > objective - _PIVOT_TOL else 0
+    else:
+        raise GameSolveError(f"no optimal basis of a {m}x{n} game within {10 * (m + n)} pivots")
+    # Surplus j's cost is the dual z_j; w is read off the rows of basic w.
+    z = np.maximum(T[n, m:-1], 0.0)
+    in_w = basis < m
+    w = np.zeros(m)
+    w[basis[in_w]] = np.maximum(T[:n, -1][in_w], 0.0)
+    return z / z.sum(), w / w.sum()
+
+
+@dataclass(frozen=True)
+class StepSolution:
+    x: np.ndarray  # lengths on the floored simplex
+    fun: float  # the LP's optimal t, max_i (A_ub x - b_ub)_i
+    y: np.ndarray  # optimal row duals: y >= 0, sum(y) = 1
+
+
+def linprog(A_ub: np.ndarray, *, b_ub: np.ndarray, floor: float) -> StepSolution:
+    """One Dinkelbach step's LP over the floored simplex,
+
+        minimize t  subject to  A_ub l - t <= b_ub,  sum(l) = 1,  l >= floor,
+
+    solved in the library as a matrix game, with no LP package.  Writing
+    l = floor + (1 - n floor) mu with mu in the standard simplex gives
+    (A_ub l - b_ub)_i = (P mu)_i for P = (1 - n floor) A_ub
+    + (floor A_ub 1 - b_ub) 1^T, so the optimal t is the value of the game P
+    (see solve_matrix_game), and every such l also satisfies l <= 1.  t is
+    evaluated at mu itself: recovering it from the mapped game's value would
+    lose digits to cancellation.  Raises GameSolveError when the game is not
+    solved.
+    """
+    n = A_ub.shape[1]
+    P = (1.0 - n * floor) * A_ub + (floor * A_ub.sum(axis=1) - b_ub)[:, None]
+    mu, y = solve_matrix_game(P)
+    return StepSolution(x=floor + (1.0 - n * floor) * mu, fun=float(np.max(P @ mu)), y=y)
 
 
 # LP steps per minimization.  Convergence is superlinear at an interior
@@ -213,14 +346,17 @@ def min_displacement_on_simplex(
     lam_k = max_i B_i.l_k / C_i.l_k:
 
         minimize t  subject to  (B_i - lam_k C_i).l / (C_i.l_k) <= t,
-                                sum(l) = 1,  floor <= l <= 1,
+                                sum(l) = 1,  l >= floor,
 
-    and moves to its point.  The LP's row duals y give a certified lower
-    bound: a maximum of ratios is at least any weighted mediant, so the
-    minimum is at least min (yB).l / (yC).l over the floored simplex, which
-    is attained at one of its n vertices.  The iteration stops when t >= 0
-    (l_k is optimal), when the two bounds meet, or when a step no longer
-    lowers lam.
+    and moves to its point.  The LP is solved in the library as a small
+    matrix game (see `linprog`), so numpy is all the minimizer needs.  The
+    LP's row duals y give a certified lower bound: a maximum of ratios is at
+    least any weighted mediant, so the minimum is at least
+    min (yB).l / (yC).l over the floored simplex, which is attained at one
+    of its n vertices.  The bound holds for any y >= 0, so an inexact LP
+    answer can slow the iteration but never falsify a bound it reports.  The
+    iteration stops when t >= 0 (l_k is optimal), when the two bounds meet,
+    or when a step no longer lowers lam.
 
     The iteration starts at l_0 = `start` when given (a metric on the edges
     of g, scaled to unit volume and lifted onto the floored simplex), else at
@@ -249,48 +385,25 @@ def min_displacement_on_simplex(
     def mediant_bound(y: np.ndarray) -> float:
         return float(np.min((vertices @ (y @ Bm)) / (vertices @ (y @ Cm))))
 
-    def cleaned(x: np.ndarray) -> np.ndarray:
-        # Lift the solver's point onto the floored simplex exactly, so that
-        # floor-sized edges never dip below the floor by the solver's tolerance.
-        excess = np.maximum(x - floor, 0.0)
-        return floor + (1.0 - n * floor) * excess / excess.sum()
-
-    objective = np.zeros(n + 1)
-    objective[n] = 1.0
-    volume = np.ones((1, n + 1))
-    volume[0, n] = 0.0
-    bounds = [(floor, 1.0)] * n + [(None, None)]
-    t_column = -np.ones((len(rows), 1))
-
     if start is None:
         ell = np.full(n, 1.0 / n)
     else:
+        # Lift the start onto the floored simplex: its excess over the floor,
+        # scaled to the volume left above the floor.
         lengths = np.array([float(start.length(e)) for e in ids])
-        ell = cleaned(lengths / lengths.sum())
+        excess = np.maximum(lengths / lengths.sum() - floor, 0.0)
+        ell = floor + (1.0 - n * floor) * excess / excess.sum()
     lam = max_ratio(ell)
     lower = min(lam, mediant_bound(np.ones(len(rows))))
     trace: List[Tuple[float, float]] = []
     for _ in range(_MAX_STEPS):
         scale = Cm @ ell
-        res = linprog(
-            objective,
-            A_ub=np.hstack(((Bm - lam * Cm) / scale[:, None], t_column)),
-            b_ub=np.zeros(len(rows)),
-            A_eq=volume,
-            b_eq=np.ones(1),
-            bounds=bounds,
-            method="highs",
-        )
-        if res.status != 0:
-            break
-        y = np.maximum(-res.ineqlin.marginals, 0.0) / scale
-        if y.any():
-            lower = max(lower, mediant_bound(y))
-        step = cleaned(res.x[:n])
-        step_lam = max_ratio(step)
+        res = linprog((Bm - lam * Cm) / scale[:, None], b_ub=np.zeros(len(rows)), floor=floor)
+        lower = max(lower, mediant_bound(res.y / scale))
+        step_lam = max_ratio(res.x)
         improved = step_lam < lam
         if improved:
-            ell, lam = step, step_lam
+            ell, lam = res.x, step_lam
         lower = min(lower, lam)  # only rounding can lift a true bound above lam
         trace.append((lower, lam))
         if res.fun >= 0 or lam - lower <= _GAP * lam or not improved:

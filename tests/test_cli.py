@@ -305,19 +305,37 @@ class TestArgumentHandling:
         assert main(["traintrack", "--map", "a->ab; b->bab", "--json", "--text"]) == EXIT_PARSE
 
 
-def test_folding_does_not_import_scipy():
-    # scipy is imported on the first LP, not with the library.
+def test_commands_run_without_scipy():
+    # numpy is the only runtime dependency: with scipy made unimportable,
+    # classify and minimize still run on the README maps and load no scipy.
     script = (
         "import sys\n"
+        "sys.modules['scipy'] = None\n"
         "import outerspace.cli\n"
-        "from outerspace.marked_metric import Automorphism\n"
-        "from outerspace.train_track_algo import find_train_track\n"
-        "find_train_track(Automorphism.from_text('a->ab; b->bab'))\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "codes = [outerspace.cli.main(argv) for argv in (\n"
+        "    ['classify', '--map', 'a->ab; b->bab'],\n"
+        "    ['classify', '--map', 'a->B; b->C; c->A'],\n"
+        "    ['classify', '--map', 'a->a; b->ab'],\n"
+        "    ['classify', '--map', 'a->ab; b->bab; c->cad; d->dcad'],\n"
+        "    ['minimize', '--map', 'a->ab; b->bab', '--floor', '1e-6'],\n"
+        "    ['minimize', '--map', 'a->ab; b->bab; c->cad; d->dcad', '--floor', '1e-4'],\n"
+        ")]\n"
+        "loaded = sorted(m for m, v in sys.modules.items() if m.split('.')[0] == 'scipy' and v)\n"
+        "print(codes, loaded, file=sys.stderr)\n"
     )
     src = os.path.dirname(os.path.dirname(outerspace.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stderr.strip() == f"{[EXIT_OK] * 6} []"
+
+
+def test_unsolved_lp_step_is_an_integrity_failure(capsys, monkeypatch):
+    def fail(P):
+        raise lipschitz_metric.GameSolveError("no column can enter")
+
+    monkeypatch.setattr(lipschitz_metric, "solve_matrix_game", fail)
+    code, out, err = run_cli(capsys, "minimize", "--map", "a->ab; b->bab")
+    assert code == EXIT_INTEGRITY
+    assert "no column can enter" in err

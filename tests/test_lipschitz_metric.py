@@ -6,7 +6,9 @@ import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,8 +27,10 @@ from outerspace.lipschitz_metric import (
     classify,
     displacement,
     distance,
+    linprog,
     min_displacement_on_simplex,
     sigma,
+    solve_matrix_game,
 )
 from outerspace.marked_metric import (
     Automorphism,
@@ -264,6 +268,132 @@ class TestConstraintRows:
         assert full == petals
 
 
+# A game's duality gap max_i (P mu)_i - min_j (y P)_j may reach the pivot
+# tolerance of the game mapped onto [1, 2], in units of the width U - L of
+# the pure-strategy bounds (the map divides by at least that), with room for
+# rounding.
+def assert_game_solution(P, mu, y):
+    assert mu.min() >= 0 and mu.sum() == pytest.approx(1.0, abs=1e-12)
+    assert y.min() >= 0 and y.sum() == pytest.approx(1.0, abs=1e-12)
+    width = P.max(axis=0).min() - P.min(axis=1).max()
+    gap = np.max(P @ mu) - np.min(y @ P)
+    assert abs(gap) <= 100 * lipschitz_metric._PIVOT_TOL * max(1.0, width)
+
+
+def scipy_step(A, b, floor):
+    """The step LP as scipy states it: variables (l, t), bounds floor <= l <= 1."""
+    sp = pytest.importorskip("scipy.optimize")
+    m, n = A.shape
+    res = sp.linprog(
+        np.r_[np.zeros(n), 1.0],
+        A_ub=np.hstack((A, -np.ones((m, 1)))),
+        b_ub=b,
+        A_eq=np.r_[np.ones(n), 0.0][None],
+        b_eq=[1.0],
+        bounds=[(floor, 1.0)] * n + [(None, None)],
+        method="highs",
+    )
+    assert res.status == 0
+    return res.fun
+
+
+payoffs = st.one_of(st.integers(-3, 3).map(float), st.floats(-50, 50, allow_nan=False))
+games = st.tuples(st.integers(1, 12), st.integers(1, 7)).flatmap(
+    lambda shape: st.lists(payoffs, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])
+    .map(lambda xs: np.array(xs).reshape(shape))
+)
+
+
+@pytest.fixture(scope="module")
+def survey_steps():
+    """(A_ub, b_ub, floor) of every LP step classify solves on the inputs of
+    the benchmark's classify-survey workload at seed 0."""
+    mp = pytest.MonkeyPatch()
+    mp.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    steps = []
+    solve = lipschitz_metric.linprog
+
+    def recording(A_ub, *, b_ub, floor):
+        steps.append((A_ub, b_ub, floor))
+        return solve(A_ub, b_ub=b_ub, floor=floor)
+
+    mp.setattr(lipschitz_metric, "linprog", recording)
+    try:
+        survey = workloads.ClassifySurvey(0)
+        for item in survey.inputs:
+            survey.run_one(item.payload)
+    finally:
+        mp.undo()
+    return steps
+
+
+class TestStepLP:
+    """The library's step solver against scipy's HiGHS as an oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(P=games)
+    def test_game_value_matches_scipy(self, P):
+        m, n = P.shape
+        mu, y = solve_matrix_game(P)
+        assert_game_solution(P, mu, y)
+        # The game is the step LP with floor 0 and b_ub = 0.
+        value = scipy_step(P, np.zeros(m), 0.0)
+        assert np.max(P @ mu) == pytest.approx(value, rel=1e-9, abs=1e-9 * max(1.0, np.abs(P).max()))
+
+    def test_classify_survey_steps_match_scipy(self, survey_steps):
+        assert len(survey_steps) >= 200
+        for A, b, floor in survey_steps:
+            n = A.shape[1]
+            res = linprog(A, b_ub=b, floor=floor)
+            assert res.fun == pytest.approx(scipy_step(A, b, floor), rel=1e-9, abs=1e-9)
+            assert res.x.sum() == pytest.approx(1.0, abs=1e-12)
+            assert res.x.min() >= floor
+            P = (1.0 - n * floor) * A + (floor * A.sum(axis=1) - b)[:, None]
+            mu = (res.x - floor) / (1.0 - n * floor)
+            assert res.fun == pytest.approx(np.max(P @ mu), abs=1e-12)
+            assert_game_solution(P, mu, res.y)
+
+    def test_general_right_hand_side(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            A, b = rng.normal(size=(9, 4)), rng.normal(size=9)
+            res = linprog(A, b_ub=b, floor=1e-3)
+            assert res.fun == pytest.approx(np.max(A @ res.x - b), abs=1e-12)
+            assert res.fun == pytest.approx(scipy_step(A, b, 1e-3), rel=1e-9, abs=1e-9)
+
+    def test_degenerate_game_is_solved(self):
+        # Payoffs in {-3..3} times column scales 1e-6..1e6: without Bland's
+        # rule the dual simplex cycles on this game until its pivot cap.
+        # Spanning 12 orders of magnitude, it is solved to its payoff range.
+        rng = np.random.default_rng(578)
+        P = rng.integers(-3, 4, size=(30, 12)) * 10.0 ** rng.integers(-6, 7, size=(1, 12))
+        mu, y = solve_matrix_game(P)
+        assert mu.min() >= 0 and mu.sum() == pytest.approx(1.0, abs=1e-12)
+        assert y.min() >= 0 and y.sum() == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.max(P @ mu) - np.min(y @ P)) <= 1e-12 * np.ptp(P)
+
+    def test_tableau_rounding_is_cleared(self):
+        # Small integers mixed with payoffs from 5e-9 to 50 in size: the
+        # pivoted tableau drifts by about 1e-8 on this game, and solving its
+        # basis again from the payoffs clears that.
+        rng = np.random.default_rng(96)
+        payoffs = rng.integers(-3, 4, size=84).astype(float)
+        mixed = rng.random(84) < 0.5
+        payoffs[mixed] = rng.uniform(-50, 50, size=mixed.sum()) * 10.0 ** rng.integers(
+            -9, 1, size=mixed.sum()
+        )
+        P = payoffs.reshape(12, 7)
+        mu, y = solve_matrix_game(P)
+        assert_game_solution(P, mu, y)
+
+    def test_saddle_point_game(self):
+        P = np.array([[1.0, 3.0], [0.0, -1.0]])  # row 0, column 0 is a saddle point
+        mu, y = solve_matrix_game(P)
+        assert mu.tolist() == [1.0, 0.0] and y.tolist() == [1.0, 0.0]
+
+
 class TestMinDisplacement:
     def test_interior_optimum(self):
         m = rose_self_map(EXPANDING)
@@ -318,6 +448,16 @@ class TestMinDisplacement:
         assert lams[-1] < 2.618036
         assert all(rep.boundary_flag for rep in reports)
         assert elapsed < 10.0
+
+    @pytest.mark.parametrize("phi", [REDUCIBLE, RANK4_REDUCIBLE])
+    def test_certified_gap_at_small_floors(self, phi):
+        # Minima pinned to a small floor give the step LPs whose payoffs reach
+        # about lam / floor while their value nears 0; an LP answer that loses
+        # those digits stalls the iteration with the bounds apart.
+        m = rose_self_map(phi)
+        for k in range(2, 7):
+            rep = min_displacement_on_simplex(m.domain.graph, m.edge_image, 10.0**-k)
+            assert rep.lam - rep.lower <= 1e-9 * rep.lam
 
     def test_floor_domain_is_checked(self):
         m = rose_self_map(EXPANDING)
