@@ -172,11 +172,18 @@ def _parse_length(value) -> object:
     raise CliInputError(f"invalid length {value!r}")
 
 
+def _json_int(value, field: str) -> int:
+    """A JSON integer; a float or a boolean, which int() would truncate, is refused."""
+    if type(value) is not int:
+        raise CliInputError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def point_from_json(data: Mapping[str, object]) -> OuterSpacePoint:
     try:
-        vertices = tuple(int(v) for v in data["vertices"])
+        vertices = tuple(_json_int(v, "vertex") for v in data["vertices"])
         endpoints = {
-            int(rec["id"]): (int(rec["endpoints"][0]), int(rec["endpoints"][1]))
+            _json_int(rec["id"], "edge id"): tuple(_json_int(u, "endpoint") for u in rec["endpoints"])
             for rec in data["edges"]
         }
         graph = Graph(vertices, endpoints)
@@ -187,11 +194,12 @@ def point_from_json(data: Mapping[str, object]) -> OuterSpacePoint:
             key = _gen_name(i + 1)
             if key not in marking_obj:
                 raise CliInputError(f"marking is missing generator {key!r}")
-            loops.append(EdgePath(tuple(int(d) for d in marking_obj[key]), closed=True))
+            loop = tuple(_json_int(d, f"marking entry of {key!r}") for d in marking_obj[key])
+            loops.append(EdgePath(loop, closed=True))
         inverse = {
             int(e): _parse_gen_word(w) for e, w in data["inverse_marking"].items()
         }
-        basepoint = int(data.get("basepoint", min(vertices)))
+        basepoint = _json_int(data.get("basepoint", min(vertices)), "basepoint")
     except CliInputError:
         raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:

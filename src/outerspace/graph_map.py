@@ -212,9 +212,6 @@ class TrainTrackStructure:
     def one_gate_vertices(self) -> Tuple[int, ...]:
         return tuple(v for v in sorted(self.vertex_gates) if len(self.vertex_gates[v]) < 2)
 
-    def as_sets(self) -> Dict[int, Tuple[FrozenSet[int], ...]]:
-        return dict(self.vertex_gates)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TrainTrackStructure)

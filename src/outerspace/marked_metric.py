@@ -85,13 +85,6 @@ class Metric:
             return self.volume == 1
         return abs(float(self.volume) - 1.0) <= tol
 
-    def scaled(self, c) -> "Metric":
-        return Metric({e: v * c for e, v in self._lengths.items()})
-
-    def normalized(self) -> "Metric":
-        vol = self.volume
-        return Metric({e: v / vol for e, v in self._lengths.items()})
-
     def items(self):
         return tuple((e, self._lengths[e]) for e in sorted(self._lengths))
 
@@ -243,7 +236,7 @@ class OuterSpacePoint:
     the generators; it may be omitted and is then computed on first use.
     """
 
-    __slots__ = ("graph", "metric", "marking", "basepoint", "_inverse_marking", "_flags")
+    __slots__ = ("graph", "metric", "marking", "basepoint", "_inverse_marking")
 
     def __init__(
         self,
@@ -263,7 +256,6 @@ class OuterSpacePoint:
         if inverse_marking is not None:
             inverse_marking = {e: words.reduce_word(w) for e, w in inverse_marking.items()}
         self._inverse_marking = inverse_marking
-        self._flags = {"allow_valence_two": allow_valence_two}
         if check:
             self._validate(require_unit_volume, allow_valence_two)
 
@@ -369,15 +361,13 @@ class OuterSpacePoint:
 
     # -- basic geometry ----------------------------------------------------
 
-    def with_metric(self, metric: Metric, require_unit_volume: bool = True) -> "OuterSpacePoint":
+    def with_metric(self, metric: Metric) -> "OuterSpacePoint":
         return OuterSpacePoint(
             self.graph,
             metric,
             self.marking,
             self.basepoint,
             inverse_marking=self._inverse_marking,
-            require_unit_volume=require_unit_volume,
-            allow_valence_two=self._flags["allow_valence_two"],
             check=False,
         )
 
@@ -550,7 +540,7 @@ def act(x: OuterSpacePoint, phi: Automorphism) -> OuterSpacePoint:
         x.basepoint,
         inverse_marking=new_inverse,
         require_unit_volume=False,
-        allow_valence_two=x._flags["allow_valence_two"],
+        allow_valence_two=True,  # x's graph has passed its own validation
     )
 
 

@@ -4,11 +4,11 @@ Starting from the rose realization of an automorphism, the search loop
 normalizes the current self-map, inspects its transition matrix, and either
 certifies the outcome (train track structure, invariant subgraph, finite
 order) or folds an illegal turn and repeats.  The whole search runs on one
-mutable surgery state that keeps the graph, the edge images, both markings
-and the metric synchronized; ``normalize``, ``fold`` and the forest collapse
-rewrite it in place, and a round builds no ``GraphMap``.  Only a returned
-certificate's map is built, with every point and marking check, so a bad
-round shows up at the end rather than where it happened.
+mutable surgery state that keeps the graph, the edge images, the domain
+marking and the metric synchronized; ``normalize``, ``fold`` and the forest
+collapse rewrite it in place, and a round builds no ``GraphMap``.  Only a
+returned certificate's map is built, with every point and marking check, so a
+bad round shows up at the end rather than where it happened.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .marked_metric import (
     Automorphism,
     Metric,
     OuterSpacePoint,
+    act,
     rose_point,
 )
 from .graph_map import (
@@ -220,10 +221,13 @@ def finite_order_check(m: GraphMap, cap: int = 1000) -> Optional[int]:
 
 
 class _MapState:
-    """Graph, edge images, both markings, and metric under joint rewriting.
+    """Graph, edge images, domain marking, and metric under joint rewriting.
 
-    The fold loop rewrites one state for its whole run.  The edge-keyed dicts
-    stay in edge order, because a new edge always takes the largest id.
+    Moves rewrite paths by edge substitution and free reduction, which commute
+    with composing marking loops, so the codomain's marking stays the domain's
+    precomposed with `twist` (phi from the rose); a certificate's map builds it.
+    One state is rewritten for the whole run; the edge-keyed dicts stay in
+    edge order, because a new edge always takes the largest id.
     """
 
     def __init__(self, m: GraphMap):
@@ -235,7 +239,7 @@ class _MapState:
         self.images: Dict[int, Sequence[int]] = {e: m.edge_image[e].edges for e in g.edge_ids}
         self.vertex_image: Dict[int, int] = dict(m.vertex_image)
         self.dom_marking = [p.edges for p in m.domain.marking]
-        self.cod_marking = [p.edges for p in m.codomain.marking]
+        self.twist = Automorphism([m.domain.inverse_marking_word(p.edges) for p in m.codomain.marking])
         self.lengths = {e: m.domain.metric.length(e) for e in g.edge_ids}
         self.basepoint = m.domain.basepoint
         self.next_vertex = max(self.vertices) + 1
@@ -298,13 +302,11 @@ class _MapState:
         for e in self.images:
             self.images[e] = self._rewrite(self.images[e], sub)
         self.dom_marking = [self._rewrite(p, sub) for p in self.dom_marking]
-        self.cod_marking = [self._rewrite(p, sub) for p in self.cod_marking]
 
     def tighten_all(self) -> None:
         for e in self.images:
             self.images[e] = words.reduce_word(self.images[e])
         self.dom_marking = [words.reduce_word(p) for p in self.dom_marking]
-        self.cod_marking = [words.reduce_word(p) for p in self.cod_marking]
 
     def _merge_vertex(self, drop: int, keep: int) -> None:
         if drop == keep:
@@ -425,7 +427,7 @@ class _MapState:
             self.tighten_all()
 
     def _rebase_off_hair(self) -> None:
-        """Move a valence-1 basepoint to its attachment, conjugating markings.
+        """Move a valence-1 basepoint to its attachment, conjugating the marking.
 
         Every reduced loop based at a leaf starts along the hair and returns
         along it, so stripping the first and last letters rebases the loop.
@@ -435,11 +437,10 @@ class _MapState:
         e = next(e for e, (a, b) in self.endpoints.items() if v in (a, b))
         a, b = self.endpoints[e]
         h = e if a == v else -e
-        for marking in (self.dom_marking, self.cod_marking):
-            for i, loop in enumerate(marking):
-                if not (loop and loop[0] == h and loop[-1] == -h):
-                    raise InvalidMapError("marking loop is not based at the leaf")
-                marking[i] = loop[1:-1]
+        for i, loop in enumerate(self.dom_marking):
+            if not (loop and loop[0] == h and loop[-1] == -h):
+                raise InvalidMapError("marking loop is not based at the leaf")
+            self.dom_marking[i] = loop[1:-1]
         self.basepoint = b if a == v else a
 
     def _slide_images_off(self, v: int, along: int) -> None:
@@ -532,7 +533,6 @@ class _MapState:
         for e in self.images:
             self.images[e] = chain_rewrite(self.images[e])
         self.dom_marking = [chain_rewrite(p) for p in self.dom_marking]
-        self.cod_marking = [chain_rewrite(p) for p in self.cod_marking]
         self.images[E] = chain_rewrite(new_image)
         self.vertices.discard(v)
         self.vertex_image.pop(v, None)
@@ -540,22 +540,17 @@ class _MapState:
 
     def to_graph_map(self) -> GraphMap:
         """The state as a GraphMap, with every point and marking check."""
-        graph = self.graph()
-        metric = Metric(self.lengths)
-
-        def point(marking: List[Sequence[int]]) -> OuterSpacePoint:
-            return OuterSpacePoint(
-                graph,
-                metric,
-                [EdgePath(tuple(p)) for p in marking],
-                self.basepoint,
-                require_unit_volume=False,
-                allow_valence_two=True,
-            )
-
+        domain = OuterSpacePoint(
+            self.graph(),
+            Metric(self.lengths),
+            [EdgePath(tuple(p)) for p in self.dom_marking],
+            self.basepoint,
+            require_unit_volume=False,
+            allow_valence_two=True,
+        )
         return GraphMap(
-            point(self.dom_marking),
-            point(self.cod_marking),
+            domain,
+            act(domain, self.twist),
             dict(self.vertex_image),
             {e: EdgePath(tuple(p)) for e, p in self.images.items()},
         )
@@ -624,8 +619,7 @@ def fold(st: _MapState, t: Tuple[int, int]) -> None:
 
 
 def normalize(st: _MapState) -> None:
-    """Tighten, collapse point-image forests, trim hairs, unsubdivide chains (in place)."""
-    st.tighten_all()
+    """Collapse point-image forests, trim hairs, unsubdivide chains (in place)."""
     while True:
         degenerate = sorted(e for e, p in st.images.items() if not p)
         if degenerate:

@@ -247,6 +247,40 @@ class TestCandidatesCommand:
         assert all("/" in str(c["length"]) or str(c["length"]).isdigit()
                    for c in report["candidates"])
 
+    def test_non_integer_ids_are_refused(self, capsys, tmp_path):
+        # Read with int(), this file was the rank-2 rose and exited 0.
+        rose = {
+            "vertices": [0.9],
+            "edges": [{"id": 1.7, "endpoints": [0.9, 0.9]},
+                      {"id": 2.2, "endpoints": [0.9, 0.9]}],
+            "basepoint": 0.5,
+            "lengths": {"1": "1/4", "2": "3/4"},
+            "marking": {"a": [1.3], "b": [2.9]},
+            "inverse_marking": {"1": "a", "2": "b"},
+        }
+        path = tmp_path / "floats.json"
+        path.write_text(json.dumps(rose))
+        code, out, err = run_cli(capsys, "candidates", "--point", str(path))
+        assert code == EXIT_PARSE
+        assert "vertex must be an integer" in err
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("vertices", [True], "vertex"),
+        ("edges", [{"id": 1.0, "endpoints": [0, 0]}, {"id": 2, "endpoints": [0, 0]}],
+         "edge id"),
+        ("edges", [{"id": 1, "endpoints": [0, 0.0]}, {"id": 2, "endpoints": [0, 0]}],
+         "endpoint"),
+        ("basepoint", False, "basepoint"),
+        ("marking", {"a": [1], "b": [2.0]}, "marking entry of 'b'"),
+    ])
+    def test_each_id_field_is_named(self, capsys, tmp_path, quarter_point, field, value, named):
+        data = json.loads((tmp_path / "x.json").read_text())
+        data[field] = value
+        (tmp_path / "x.json").write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "candidates", "--point", quarter_point)
+        assert code == EXIT_PARSE
+        assert f"{named} must be an integer" in err
+
 
 class TestMinimizeCommand:
     def test_floored_minimum(self, capsys):

@@ -1,4 +1,5 @@
-"""No unused imports, and no library function or class that nothing calls.
+"""No unused imports, and no library function, class or public method that
+nothing calls.
 
 A static check by name with the standard library's ast module.  A name
 counts as used where it appears as a name, an attribute, an imported name,
@@ -10,7 +11,6 @@ by name, it misses a dead definition whose name some other code uses.
 from __future__ import annotations
 
 import ast
-from collections import Counter
 from pathlib import Path
 from typing import Iterable, List, Set, Tuple
 
@@ -26,6 +26,7 @@ UNCALLED_ALLOWED = {
     ("graph_map", "tension_subgraph"): "kept for the optimal-map step of stalled fold loops",
     ("graph_map", "gates_one_step"): "kept for the optimal-map step of stalled fold loops",
     ("graph_map", "find_legal_loop"): "kept for certifying hyperbolic by a legal loop",
+    ("marked_metric", "OuterSpacePoint.with_metric"): "tests re-metricize points with it",
 }
 
 # Imports a module keeps only for its importers, each with its reason.
@@ -81,17 +82,46 @@ def test_no_unused_imports():
     assert not unused, "imports never used:\n" + "\n".join(unused)
 
 
+def _units(tree: ast.Module) -> Iterable[Tuple[Tuple[str, ...], ast.AST]]:
+    """(owner, node) for each top-level statement, a class split into its
+    header and its members; owner is the defined name, or class and member."""
+    for stmt in tree.body:
+        if not isinstance(stmt, ast.ClassDef):
+            name = getattr(stmt, "name", "")
+            yield (name,), stmt
+            continue
+        header = stmt.bases + stmt.keywords + stmt.decorator_list
+        yield (stmt.name,), ast.Module(body=header, type_ignores=[])
+        for member in stmt.body:
+            yield (stmt.name, getattr(member, "name", "")), member
+
+
 def test_every_library_definition_is_used():
-    # How many top-level statements of the callers use each name.
-    users: Counter = Counter()
+    # The names each unit of the callers uses, and the library's definitions:
+    # top-level functions and classes, and public methods as "Class.method".
+    uses: List[Tuple[str, Tuple[str, ...], Set[str]]] = []
     library_defs = []
     for path in _sources(CALLERS):
-        for stmt in _parse(path).body:
-            names = _names([stmt], attributes=True)
-            users.update(names)
-            if path.parent == LIBRARY and isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                library_defs.append((path.stem, stmt.name, stmt.name in names))
-    uncalled = {(module, name) for module, name, recursive in library_defs
-                if users[name] - recursive == 0}
+        tree = _parse(path)
+        for owner, node in _units(tree):
+            uses.append((path.stem, owner, _names([node], attributes=True)))
+        if path.parent != LIBRARY:
+            continue
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                library_defs.append((path.stem, (stmt.name,)))
+            if isinstance(stmt, ast.ClassDef):
+                library_defs.extend(
+                    (path.stem, (stmt.name, m.name)) for m in stmt.body
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+                )
+
+    def used(module: str, owner: Tuple[str, ...]) -> bool:
+        # A use inside the definition itself does not count.
+        return any(owner[-1] in names and not (m == module and o[: len(owner)] == owner)
+                   for m, o, names in uses)
+
+    uncalled = {(module, ".".join(owner)) for module, owner in library_defs
+                if not used(module, owner)}
     unexpected = sorted(f"{m}.{n}" for m, n in uncalled - set(UNCALLED_ALLOWED))
     assert not unexpected, "defined but used by no code outside tests: " + ", ".join(unexpected)

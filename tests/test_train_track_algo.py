@@ -289,7 +289,7 @@ class TestIsTrainTrack:
     def test_expanding_map_is_train_track(self):
         s = train_track_gates(rose_self_map(EXPANDING))
         assert s is not None
-        assert s.as_sets() == {0: (frozenset({1}), frozenset({-1, -2}), frozenset({2}))}
+        assert s.vertex_gates == {0: (frozenset({1}), frozenset({-1, -2}), frozenset({2}))}
 
     def test_single_gate_rose_map_fails(self):
         # Image of b crosses the turn {-b, a}-ish whose directions share the
@@ -409,6 +409,11 @@ class TestNormalize:
             dom, cod, {0: 0, 5: 0},
             {1: EdgePath((1, 2, 3)), 2: EdgePath((2, 3, 1)), 3: EdgePath((2, 3))},
         )
+        # Off the rose the twist is read through the computed inverse marking;
+        # acting by it on the domain gives back the codomain marking exactly.
+        same = _MapState(m).to_graph_map()
+        assert [p.edges for p in same.codomain.marking] == [(1, 2, 3), (2, 3, 1, 2, 3)]
+        assert same.edge_image == m.edge_image
         n = normalized(m)
         g2 = n.domain.graph
         assert g2.num_edges == 2
@@ -515,7 +520,7 @@ class TestFindTrainTrack:
         lengths = [cert.metric.length(e) for e in g.edge_ids]
         assert lengths[0] == pytest.approx((3 - math.sqrt(5)) / 2, abs=1e-9)
         assert lengths[1] == pytest.approx((math.sqrt(5) - 1) / 2, abs=1e-9)
-        assert cert.structure.as_sets() == {
+        assert cert.structure.vertex_gates == {
             0: (frozenset({1}), frozenset({-1, -2}), frozenset({2}))
         }
 
@@ -649,7 +654,7 @@ class TestOneState:
                 steps.append(step.__name__)
                 m = state.to_graph_map()
                 assert m.domain.graph.first_betti() == rank
-                for p in list(state.images.values()) + state.dom_marking + state.cod_marking:
+                for p in list(state.images.values()) + state.dom_marking:
                     assert tuple(p) == words.reduce_word(p)
 
             return run
