@@ -4,17 +4,21 @@ Starting from the rose realization of an automorphism, the search loop
 normalizes the current self-map, inspects its transition matrix, and either
 certifies the outcome (train track structure, invariant subgraph, finite
 order) or folds an illegal turn and repeats.  The whole search runs on one
-mutable surgery state that keeps the graph, the edge images, the domain
-marking and the metric synchronized; ``normalize``, ``fold`` and the forest
-collapse rewrite it in place, and a round builds no ``GraphMap``.  Only a
-returned certificate's map is built, with every point and marking check, so a
-bad round shows up at the end rather than where it happened.
+mutable surgery state, started directly from phi's images on the rose, that
+keeps the graph, the edge images, the domain marking, its inverse marking
+and the metric synchronized; ``normalize``, ``fold`` and the forest collapse
+rewrite it in place.  Each move updates the inverse marking exactly (a
+Stallings fold has an exact effect on it), so nothing is ever inverted from
+scratch.  No start map is built and a round builds no ``GraphMap``: only a
+returned certificate's map is built, with every point and marking check, so
+a bad round shows up at the end rather than where it happened.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import ClassVar, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -29,10 +33,10 @@ from .graph_core import (
 )
 from .marked_metric import (
     Automorphism,
+    MarkingError,
     Metric,
     OuterSpacePoint,
     act,
-    rose_point,
 )
 from .graph_map import (
     REL_TOL,
@@ -40,8 +44,8 @@ from .graph_map import (
     GraphMap,
     TrainTrackStructure,
     gates_from_derivative,
-    self_map_from_automorphism,
 )
+from .words import NotBasisError, Word
 
 _STALL_CAP = 25
 _ORDER_LENGTH_CAP = 20_000
@@ -221,11 +225,15 @@ def finite_order_check(m: GraphMap, cap: int = 1000) -> Optional[int]:
 
 
 class _MapState:
-    """Graph, edge images, domain marking, and metric under joint rewriting.
+    """Graph, edge images, domain marking and its inverse, and metric under
+    joint rewriting.
 
     Moves rewrite paths by edge substitution and free reduction, which commute
     with composing marking loops, so the codomain's marking stays the domain's
-    precomposed with `twist` (phi from the rose); a certificate's map builds it.
+    precomposed with `twist` (phi from the rose, with its inverse); a
+    certificate's map builds it.  `inv` is the domain's inverse marking
+    (edge -> word in the generators), and every move updates it exactly, so
+    a certificate's domain and codomain are checked by substitution alone.
     One state is rewritten for the whole run; the edge-keyed dicts stay in
     edge order, because a new edge always takes the largest id.
     """
@@ -239,11 +247,42 @@ class _MapState:
         self.images: Dict[int, Sequence[int]] = {e: m.edge_image[e].edges for e in g.edge_ids}
         self.vertex_image: Dict[int, int] = dict(m.vertex_image)
         self.dom_marking = [p.edges for p in m.domain.marking]
-        self.twist = Automorphism([m.domain.inverse_marking_word(p.edges) for p in m.codomain.marking])
+        self.inv: Dict[int, Word] = m.domain.inverse_marking()
+        self.twist = Automorphism(
+            [m.domain.inverse_marking_word(p.edges) for p in m.codomain.marking],
+            inverse=[m.codomain.inverse_marking_word(p.edges) for p in m.domain.marking],
+        )
         self.lengths = {e: m.domain.metric.length(e) for e in g.edge_ids}
         self.basepoint = m.domain.basepoint
         self.next_vertex = max(self.vertices) + 1
         self.next_edge = max(self.endpoints) + 1
+
+    @classmethod
+    def rose(cls, phi: Automorphism) -> "_MapState":
+        """The state of phi's self-map of the uniform rose with the identity
+        marking, built from phi's images; raises MarkingError unless they
+        form a basis."""
+        if phi.has_inverse:
+            twist = phi
+        else:
+            try:
+                twist = Automorphism(phi.images, inverse=words.invert_images(phi.images))
+            except NotBasisError as exc:
+                raise MarkingError(f"marking is not a homotopy equivalence: {exc}") from exc
+        ids = range(1, phi.rank + 1)
+        st = object.__new__(cls)
+        st.endpoints = {e: (0, 0) for e in ids}
+        st.vertices = {0}
+        st.images = dict(zip(ids, phi.images))
+        st.vertex_image = {0: 0}
+        st.dom_marking = [(e,) for e in ids]
+        st.inv = {e: (e,) for e in ids}
+        st.twist = twist
+        st.lengths = {e: Fraction(1, phi.rank) for e in ids}
+        st.basepoint = 0
+        st.next_vertex = 1
+        st.next_edge = phi.rank + 1
+        return st
 
     def finish(self) -> None:
         """End a move as a round trip through a GraphMap did: an edge must be
@@ -308,9 +347,21 @@ class _MapState:
             self.images[e] = words.reduce_word(self.images[e])
         self.dom_marking = [words.reduce_word(p) for p in self.dom_marking]
 
-    def _merge_vertex(self, drop: int, keep: int) -> None:
+    def inv_of(self, d: int) -> Word:
+        w = self.inv[abs(d)]
+        return w if d > 0 else words.invert_word(w)
+
+    def _merge_vertex(self, drop: int, keep: int, c: Word) -> None:
+        """Merge vertex drop into keep; c is the word of a path from keep to
+        drop, which edges at drop absorb so every loop keeps its word."""
         if drop == keep:
             return
+        c_inv = words.invert_word(c)
+        for e, (u, v) in self.endpoints.items():
+            if u == drop or v == drop:
+                self.inv[e] = words.concat(
+                    c if u == drop else (), self.inv[e], c_inv if v == drop else ()
+                )
         self.endpoints = {
             e: (keep if u == drop else u, keep if v == drop else v)
             for e, (u, v) in self.endpoints.items()
@@ -325,7 +376,9 @@ class _MapState:
     # -- surgery moves -----------------------------------------------------
 
     def subdivide(self, e: int, cuts: Sequence[int]) -> List[int]:
-        """Split edge e at the given positions of its image path; new edge ids."""
+        """Split edge e at the given positions of its image path; new edge ids.
+
+        The first piece carries e's inverse-marking word, the others none."""
         image = self.images.pop(e)
         u, v = self.endpoints.pop(e)
         length = self.lengths.pop(e)
@@ -336,9 +389,11 @@ class _MapState:
         self.next_vertex += len(cuts)
         self.vertices.update(mids)
         chain = [u] + mids + [v]
+        word = self.inv.pop(e)
         for i, p in enumerate(parts):
             self.endpoints[p] = (chain[i], chain[i + 1])
             self.lengths[p] = length / k
+            self.inv[p] = word if i == 0 else ()
         sub = {e: parts}
         self.rewrite_all(sub)
         new_image = self._rewrite(image, sub)
@@ -365,11 +420,13 @@ class _MapState:
             w_keep, w_drop = w_drop, w_keep
         e_drop = abs(drop_d)
         rep = [keep_d] if drop_d > 0 else [-keep_d]
+        c = words.concat(self.inv_of(-keep_d), self.inv_of(drop_d))
         del self.images[e_drop]
         del self.endpoints[e_drop]
         del self.lengths[e_drop]
+        del self.inv[e_drop]
         self.rewrite_all({e_drop: rep})
-        self._merge_vertex(w_drop, w_keep)
+        self._merge_vertex(w_drop, w_keep, c)
         self.tighten_all()
 
     def collapse_edges(self, edge_set: Sequence[int]) -> None:
@@ -378,14 +435,16 @@ class _MapState:
             u, v = self.endpoints[e]
             if u == v:
                 raise InvalidMapError("cannot collapse a loop edge")
-            keep, drop = (u, v)
+            keep, drop, d = u, v, e
             if v == self.basepoint or (u != self.basepoint and v < u):
-                keep, drop = v, u
+                keep, drop, d = v, u, -e
+            c = self.inv_of(d)
             del self.endpoints[e]
             del self.images[e]
             del self.lengths[e]
+            del self.inv[e]
             self.rewrite_all({e: []})
-            self._merge_vertex(drop, keep)
+            self._merge_vertex(drop, keep, c)
         self.tighten_all()
 
     def trim_hairs(self) -> bool:
@@ -419,6 +478,7 @@ class _MapState:
             del self.endpoints[e]
             del self.images[e]
             del self.lengths[e]
+            del self.inv[e]
             self.rewrite_all({e: []})
             self.vertex_image = {
                 u: (other if w == v else w) for u, w in self.vertex_image.items() if u != v
@@ -431,9 +491,10 @@ class _MapState:
 
         Every reduced loop based at a leaf starts along the hair and returns
         along it, so stripping the first and last letters rebases the loop.
+        The inverse marking stays: every loop's word is conjugated by the
+        hair's word, and the marking check allows one common conjugator.
         """
         v = self.basepoint
-        self.tighten_all()
         e = next(e for e, (a, b) in self.endpoints.items() if v in (a, b))
         a, b = self.endpoints[e]
         h = e if a == v else -e
@@ -501,6 +562,7 @@ class _MapState:
     def _merge_valence_two(self, v: int, c1: int, c2: int) -> None:
         """Replace the two-edge chain through v by a single edge."""
         new_image = self.image_of(-c1) + self.image_of(c2)
+        new_inv = words.concat(self.inv_of(-c1), self.inv_of(c2))
         E = self.next_edge
         self.next_edge += 1
         u, w = self.term(c1), self.term(c2)
@@ -509,8 +571,10 @@ class _MapState:
             del self.endpoints[e]
             del self.images[e]
             del self.lengths[e]
+            del self.inv[e]
         self.endpoints[E] = (u, w)
         self.lengths[E] = length
+        self.inv[E] = new_inv
 
         def chain_rewrite(path: Sequence[int]) -> List[int]:
             out: List[int] = []
@@ -539,12 +603,19 @@ class _MapState:
         self.tighten_all()
 
     def to_graph_map(self) -> GraphMap:
-        """The state as a GraphMap, with every point and marking check."""
+        """The state as a GraphMap, with every point and marking check.
+
+        The domain checks that `inv` inverts its marking up to one
+        conjugation, which with rank(G) = n proves the marking a homotopy
+        equivalence (free groups are Hopfian); the codomain's inverse
+        marking is `inv` followed by the twist's inverse, a substitution.
+        """
         domain = OuterSpacePoint(
             self.graph(),
             Metric(self.lengths),
             [EdgePath(tuple(p)) for p in self.dom_marking],
             self.basepoint,
+            inverse_marking=self.inv,
             require_unit_volume=False,
             allow_valence_two=True,
         )
@@ -780,12 +851,11 @@ def find_train_track(
     if phi.rank < 2:
         raise ValueError("rank must be at least 2")
     trace: List[str] = []
-    m = self_map_from_automorphism(rose_point(phi.rank), phi)
+    st = _MapState.rose(phi)
     k = _word_level_order(phi, order_cap, _ORDER_LENGTH_CAP)
     if k is not None:
-        trace.append(_round_line(0, m.domain.graph.num_edges, 1.0, 0, f"finite_order({k})"))
-        return FiniteOrderCertificate(order=k, graph_map=m, trace=tuple(trace))
-    st = _MapState(m)
+        trace.append(_round_line(0, phi.rank, 1.0, 0, f"finite_order({k})"))
+        return FiniteOrderCertificate(order=k, graph_map=st.to_graph_map(), trace=tuple(trace))
     best_lam: Optional[float] = None
     stalled = 0
     for rnd in range(max_iters):

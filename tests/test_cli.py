@@ -104,6 +104,11 @@ class TestTraintrackCommand:
         assert code == EXIT_PARSE
         assert "clause 2" in err
 
+    def test_non_basis_map_is_an_integrity_error(self, capsys):
+        code, out, err = run_cli(capsys, "traintrack", "--map", "a->aa; b->b")
+        assert code == EXIT_INTEGRITY
+        assert "not a homotopy equivalence" in err
+
     def test_cap_exit(self, capsys):
         code, out, err = run_cli(
             capsys, "traintrack", "--map", "a->aab; b->A", "--max-iters", "3"

@@ -11,6 +11,7 @@ from outerspace import train_track_algo, words
 from outerspace.graph_core import EdgePath, Graph, is_forest
 from outerspace.marked_metric import (
     Automorphism,
+    MarkingError,
     Metric,
     OuterSpacePoint,
     random_automorphism,
@@ -598,6 +599,10 @@ class TestFindTrainTrack:
         with pytest.raises(ValueError):
             find_train_track(Automorphism.from_text("a -> a"))
 
+    def test_non_basis_images_are_a_marking_error(self):
+        with pytest.raises(MarkingError, match="not a homotopy equivalence"):
+            find_train_track(Automorphism.from_text("a -> aa; b -> b"))
+
     def test_iteration_cap_reports_non_termination(self):
         cert = find_train_track(
             Automorphism.from_text("a -> aab; b -> A"), max_iters=3, order_cap=0
@@ -656,6 +661,9 @@ class TestOneState:
                 assert m.domain.graph.first_betti() == rank
                 for p in list(state.images.values()) + state.dom_marking:
                     assert tuple(p) == words.reduce_word(p)
+                assert list(state.inv) == list(state.endpoints)
+                for w in state.inv.values():
+                    assert w == words.reduce_word(w)
 
             return run
 
@@ -668,16 +676,16 @@ class TestOneState:
     @pytest.mark.parametrize(
         "text, kwargs, built",
         [
-            (EXPANDING, {}, 2),
-            ("a -> B; b -> babb", {}, 2),
-            (REDUCIBLE, {}, 2),
-            ("a->AD; b->cdabAD; c->bAB; d->bAD", {}, 2),  # collapses a forest, slides
+            (EXPANDING, {}, 1),
+            ("a -> B; b -> babb", {}, 1),
+            (REDUCIBLE, {}, 1),
+            ("a->AD; b->cdabAD; c->bAB; d->bAD", {}, 1),  # collapses a forest, slides
             (PERMUTED, {}, 1),
-            (PERMUTED, {"order_cap": 0}, 2),
-            ("a->ba; b->c; c->A", {}, 1),  # stalls
+            (PERMUTED, {"order_cap": 0}, 1),
+            ("a->ba; b->c; c->A", {}, 0),  # stalls
         ],
     )
-    def test_builds_only_start_and_certificate_maps(self, monkeypatch, text, kwargs, built):
+    def test_builds_only_the_certificate_map(self, monkeypatch, text, kwargs, built):
         maps = []
         init = GraphMap.__init__
         monkeypatch.setattr(
@@ -685,5 +693,70 @@ class TestOneState:
         )
         cert = find_train_track(Automorphism.from_text(text), **kwargs)
         assert len(maps) == built
-        if built == 2:
+        if built:
             assert cert.graph_map is maps[-1]
+
+    @pytest.mark.parametrize("stored_inverse", [True, False])
+    def test_rose_state_matches_the_start_map(self, stored_inverse):
+        phi = random_automorphism(4, 20, random.Random(7))
+        if not stored_inverse:
+            phi = Automorphism(phi.images)
+        st = _MapState.rose(phi)
+        ref = _MapState(self_map_from_automorphism(rose_point(phi.rank), phi))
+        assert vars(st).keys() == vars(ref).keys()
+        for field, value in vars(ref).items():
+            assert getattr(st, field) == value, field
+        assert st.twist.inverse_images == ref.twist.inverse_images
+        assert st.twist.has_inverse
+
+
+# -- the marking check on a certificate ---------------------------------------------
+
+
+class TestMarkingCheck:
+    """A state's map must refuse a corrupted inverse marking, edge image or
+    marking loop: the check proves the marking a homotopy equivalence by
+    substitution alone, so it has to see each of them."""
+
+    @pytest.fixture
+    def state(self, monkeypatch):
+        # The last normalized state of a rank-4 run that folds.
+        states = []
+
+        def keep(st):
+            normalize(st)
+            states.append(st.copy())
+
+        monkeypatch.setattr(train_track_algo, "normalize", keep)
+        find_train_track(Automorphism.from_text("a->CdbcaC; b->bc; c->dbc; d->aC"))
+        st = states[-1]
+        assert len(st.vertices) > 1
+        st.to_graph_map()
+        return st
+
+    def test_corrupted_inverse_marking(self, state):
+        e = abs(state.dom_marking[0][0])
+        state.inv[e] = words.concat(state.inv[e], (1,))
+        with pytest.raises(MarkingError):
+            state.to_graph_map()
+
+    def test_corrupted_edge_image(self, state):
+        e = min(state.images)
+        image = state.images[e]
+        w = state.term(image[-1])
+        # a loop at w: out along a tree path to the basepoint, marking loop 1, back
+        paths = {state.basepoint: ()}
+        while w not in paths:
+            for f, (a, b) in state.endpoints.items():
+                for u, v, d in ((a, b, f), (b, a, -f)):
+                    if u in paths and v not in paths:
+                        paths[v] = paths[u] + (d,)
+        loop = words.concat(words.invert_word(paths[w]), state.dom_marking[0], paths[w])
+        state.images[e] = words.concat(image, loop)
+        with pytest.raises(MarkingError):
+            state.to_graph_map()
+
+    def test_corrupted_marking_loop(self, state):
+        state.dom_marking[0] = words.concat(state.dom_marking[0], state.dom_marking[1])
+        with pytest.raises(MarkingError):
+            state.to_graph_map()
