@@ -325,14 +325,15 @@ def _classify_report(result) -> Tuple[Dict[str, object], int]:
         }
         return report, EXIT_OK
     if isinstance(result, Hyperbolic):
+        point = result.certificate.graph_map.domain
         report = {
             "kind": result.kind,
             "lambda": _f12(result.lam),
             "evidence": {
                 "trace": list(result.certificate.trace),
-                "metric": _metric_json(
-                    result.point.metric, sorted(result.point.graph.edge_ids)
-                ),
+                "metric": _metric_json(point.metric, sorted(point.graph.edge_ids)),
+                "legal_loop": _edge_word(result.loop.edges),
+                "bracket": [_f12(b) for b in result.bracket],
                 "simplex": _simplex_json(result.simplex),
             },
         }
@@ -354,16 +355,11 @@ def _classify_report(result) -> Tuple[Dict[str, object], int]:
         }
         return report, EXIT_OK
     assert isinstance(result, Inconclusive)
-    evidence: Dict[str, object] = {"trace": list(result.certificate.trace)}
-    if result.simplex is not None:
-        point = result.certificate.graph_map.domain
-        evidence.update(
-            lambda_cert=_f12(result.certificate.lam),
-            lambda_pf=_f12(result.pf_ratio),
-            metric=_metric_json(point.metric, sorted(point.graph.edge_ids)),
-            simplex=_simplex_json(result.simplex),
-        )
-    report = {"kind": result.kind, "reason": result.reason, "evidence": evidence}
+    report = {
+        "kind": result.kind,
+        "reason": result.reason,
+        "evidence": {"trace": list(result.certificate.trace)},
+    }
     return report, EXIT_CAP
 
 

@@ -305,8 +305,7 @@ def find_legal_loop(graph: Graph, subset, s: TrainTrackStructure) -> EdgePath:
         if nxt is None:  # cannot happen with >= 2 gates, defensive
             raise GateDeficitError(f"no legal continuation at vertex {v}")
         if nxt in seen:
-            loop = EdgePath(tuple(walk[seen[nxt]:]), closed=True)
-            return loop
+            return EdgePath(tuple(walk[seen[nxt]:]), closed=True)
         seen[nxt] = len(walk)
         walk.append(nxt)
 

@@ -7,7 +7,8 @@ the optimal Lipschitz constant, so no geometric optimal map is ever built.
 Displacement of an automorphism is minimized over a metric simplex with a
 floor by a Dinkelbach-type iteration, one linear program per step, solved as
 a matrix game by a small dense dual simplex; the program's row duals certify
-a lower bound on the minimum.
+a lower bound on the minimum.  Classifying a train track needs no such
+program: a legal loop and an exact bracket of its growth rate certify it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .marked_metric import (
     candidates,
     _candidate_words,
 )
-from .graph_map import REL_TOL, GraphMap, difference_of_markings
+from .graph_map import GraphMap, difference_of_markings, find_legal_loop
 from .train_track_algo import (
     Certificate,
     FiniteOrderCertificate,
@@ -40,6 +41,8 @@ from .train_track_algo import (
     TrainTrackCertificate,
     closed_class,
     find_train_track,
+    growth_bracket,
+    transition_matrix,
 )
 
 
@@ -432,9 +435,10 @@ class Elliptic:
 @dataclass(frozen=True)
 class Hyperbolic:
     lam: float
-    point: OuterSpacePoint
     certificate: TrainTrackCertificate
-    simplex: SimplexMinReport
+    loop: EdgePath  # a legal loop of the certificate's train track structure
+    bracket: Tuple[Fraction, Fraction]  # exact (lo, hi) around lam and Min(phi)
+    simplex: SimplexMinReport  # evidence only: floored, so it may exceed lam
     kind: ClassVar[str] = "hyperbolic"
 
 
@@ -450,11 +454,6 @@ class ParabolicSuspect:
 class Inconclusive:
     reason: str
     certificate: Certificate
-    # For a train track certificate, the numbers that decided the verdict
-    # besides its growth rate: the maximal candidate ratio at its PF metric
-    # and the simplex minimization (upper and lower bounds, floor, pinned edges).
-    pf_ratio: Optional[float] = None
-    simplex: Optional[SimplexMinReport] = None
     kind: ClassVar[str] = "inconclusive"
 
 
@@ -466,45 +465,31 @@ _CLASSIFY_FLOOR = 1e-6
 def classify(phi: Automorphism, trials: int = 3) -> Classification:
     """Sort an outer automorphism into the displacement trichotomy.
 
-    Finite-order certificate -> elliptic.  Train track certificate -> hyperbolic
-    when it is certified at its Perron–Frobenius (PF) metric: the maximal
-    candidate ratio there is at most lambda(1 + REL_TOL), the simplex
-    minimizer's lower bound is at least lambda(1 - REL_TOL), and every PF
-    edge is longer than the floor.  The PF point then realizes the minimum
-    displacement in the interior, whichever LP vertex the minimizer returned.
-    The minimization starts at the PF point, so its first LP step usually
-    confirms it and stops.  Reduction certificate -> parabolic suspect, with
-    the invariant chain and a floor sweep showing the boundary-pinned minima;
-    each floor after the first starts at the previous floor's minimizer,
-    which the smaller floor still admits, so the sweep lambda cannot rise
-    (beyond rounding).  Anything else is inconclusive, with the trace and the
-    deciding numbers as evidence.
+    Finite-order certificate -> elliptic.  Train track certificate ->
+    hyperbolic iff the exact Collatz–Wielandt bracket [lo, hi] of its growth
+    rate lambda at the PF metric has lo > 1: the PF metric's displacement is
+    at most hi, and a legal loop, whose iterates grow like lambda^k, bounds
+    the displacement below by lambda >= lo everywhere.  No LP, floor or
+    tolerance decides it; the floored minimization from the PF point is
+    evidence only.  Reduction certificate -> parabolic suspect, with the
+    invariant chain and a floor sweep showing the boundary-pinned minima;
+    each floor after the first starts at the previous floor's minimizer, so
+    the sweep lambda cannot rise (beyond rounding).  Anything else is
+    inconclusive.
     """
     cert = find_train_track(phi)
     if isinstance(cert, FiniteOrderCertificate):
         return Elliptic(order=cert.order, certificate=cert)
     if isinstance(cert, TrainTrackCertificate):
         m = cert.graph_map
-        rep = min_displacement_on_simplex(
-            m.domain.graph, m.edge_image, floor=_CLASSIFY_FLOOR, start=cert.metric
-        )
-        lam = cert.lam
-        pf_ratio = float(sigma(m.domain, m.codomain, m).sigma)
-        failed = []
-        if pf_ratio > lam * (1 + REL_TOL):
-            failed.append("the PF metric stretches a candidate by more than lambda")
-        if rep.lower < lam * (1 - REL_TOL):
-            failed.append("the simplex lower bound is below lambda")
-        if min(cert.metric.length(e) for e in cert.metric.edge_ids) <= rep.floor:
-            failed.append("the PF metric reaches the floor")
-        if not failed:
-            return Hyperbolic(lam=lam, point=m.domain, certificate=cert, simplex=rep)
-        return Inconclusive(
-            reason="train track found but " + "; ".join(failed),
-            certificate=cert,
-            pf_ratio=pf_ratio,
-            simplex=rep,
-        )
+        g = m.domain.graph
+        loop = find_legal_loop(g, g.edge_ids, cert.structure)
+        lo, hi = growth_bracket(transition_matrix(m), cert.metric)
+        if not lo > 1:
+            reason = f"train track found but its growth bracket [{float(lo)!r}, {float(hi)!r}]"
+            return Inconclusive(reason + " is not above 1", cert)
+        rep = min_displacement_on_simplex(g, m.edge_image, floor=_CLASSIFY_FLOOR, start=cert.metric)
+        return Hyperbolic(cert.lam, cert, loop=loop, bracket=(lo, hi), simplex=rep)
     if isinstance(cert, ReductionCertificate):
         chain: List[FrozenSet[int]] = [cert.subset]
         while True:

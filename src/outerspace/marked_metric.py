@@ -306,7 +306,10 @@ class OuterSpacePoint:
 
     def inverse_marking_word(self, edges: Iterable[int]) -> Word:
         """Word in the generators carried by an edge sequence."""
-        inv = self.inverse_marking()
+        inv = self._inverse_marking
+        if inv is None:
+            self.inverse_marking()
+            inv = self._inverse_marking
         parts = []
         for d in edges:
             w = inv[abs(d)]

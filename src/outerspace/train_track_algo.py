@@ -174,6 +174,17 @@ def pf_eigen(
     raise ArithmeticError("power iteration did not converge")
 
 
+def growth_bracket(M: TransitionMatrix, metric: Metric) -> Tuple[Fraction, Fraction]:
+    """Exact bounds lo <= lambda <= hi on M's spectral radius (Collatz–Wielandt):
+    the least and greatest edge slopes (M^T v)_j / v_j at the metric's lengths
+    v, read as the rationals they denote; hi is the map's Lipschitz constant."""
+    fracs = [Fraction(metric.length(e)) for e in M.edge_ids]
+    scale = math.lcm(*(f.denominator for f in fracs))
+    v = [int(f * scale) for f in fracs]  # integer arithmetic from here on
+    slopes = [Fraction(sum(r[j] * vi for r, vi in zip(M.rows, v)), vj) for j, vj in enumerate(v)]
+    return min(slopes), max(slopes)
+
+
 def spectral_radius(rows: Sequence[Sequence[int]]) -> float:
     """Largest modulus of an eigenvalue of a square matrix, in floating point."""
     return float(np.max(np.abs(np.linalg.eigvals(np.array(rows, dtype=float)))))

@@ -202,3 +202,22 @@ def assert_bracketing_trace(trace: Sequence[Sequence[float]], cap: int) -> None:
     assert los == sorted(los)
     assert his == sorted(his, reverse=True)
     assert all(lo <= hi for lo, hi in trace)
+
+
+def exceeds_spectral_radius(rows: Sequence[Sequence[int]], t: Fraction) -> bool:
+    """Whether t exceeds the spectral radius of a nonnegative matrix, decided
+    exactly and without eigenvalues: tI - M has no positive off-diagonal
+    entry, so it is a nonsingular M-matrix, which happens iff t > rho(M), iff
+    all its leading principal minors are positive, that is, iff Gaussian
+    elimination without pivoting meets only positive pivots."""
+    n = len(rows)
+    A = [[(t if i == j else 0) - Fraction(rows[i][j]) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        if A[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = A[i][k] / A[k][k]
+            if f:
+                for j in range(k, n):
+                    A[i][j] -= f * A[k][j]
+    return True

@@ -210,24 +210,34 @@ class TestClassifyCommand:
         assert simplex["pinned"] == []
         assert simplex["lower"] == pytest.approx(GOLDEN_SQ, rel=1e-9)
         assert_bracketing_trace(simplex["trace"], lipschitz_metric._MAX_STEPS)
+        assert report["evidence"]["legal_loop"] == "a"
+        assert report["evidence"]["bracket"] == [pytest.approx(GOLDEN_SQ, rel=1e-11)] * 2
 
-    def test_inconclusive_reports_deciding_numbers(self, capsys, monkeypatch):
-        # A floor above the PF length of edge a (1/GOLDEN_SQ) fails the
-        # interiority condition, so the golden rose is left inconclusive.
+    def test_floor_does_not_decide_the_verdict(self, capsys, monkeypatch):
+        # A floor above the PF length of edge a (1/GOLDEN_SQ) pins the floored
+        # minimization above lambda; the verdict rests on the bracket alone.
         monkeypatch.setattr(lipschitz_metric, "_CLASSIFY_FLOOR", 0.45)
         code, report = run_json(capsys, "classify", "--map", "a->ab; b->bab")
-        assert code == EXIT_CAP
-        assert report["kind"] == "inconclusive"
-        assert "the PF metric reaches the floor" in report["reason"]
+        assert code == EXIT_OK
+        assert report["kind"] == "hyperbolic"
         evidence = report["evidence"]
-        assert evidence["lambda_cert"] == pytest.approx(GOLDEN_SQ, rel=1e-9)
-        assert evidence["lambda_pf"] == pytest.approx(GOLDEN_SQ, rel=1e-9)
+        assert evidence["legal_loop"] == "a"
+        lo, hi = evidence["bracket"]
+        assert 1 < lo <= hi
+        assert lo == pytest.approx(GOLDEN_SQ, rel=1e-11)
         assert evidence["metric"]["a"] == pytest.approx(1 / GOLDEN_SQ, rel=1e-9)
         simplex = evidence["simplex"]
         assert simplex["floor"] == 0.45
         assert simplex["pinned"] == ["a"]
         assert simplex["lower"] <= simplex["lambda"]
         assert simplex["lambda"] > GOLDEN_SQ
+
+    def test_stalled_fold_loop_is_inconclusive(self, capsys):
+        code, report = run_json(capsys, "classify", "--map", "a->ba; b->c; c->A")
+        assert code == EXIT_CAP
+        assert report["kind"] == "inconclusive"
+        assert report["reason"].startswith("stretch factor stalled")
+        assert list(report["evidence"]) == ["trace"]
 
     def test_parabolic_suspect(self, capsys):
         code, report = run_json(

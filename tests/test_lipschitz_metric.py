@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_bracketing_trace, connected_core_graphs
+from helpers import assert_bracketing_trace, connected_core_graphs, exceeds_spectral_radius
 from outerspace import lipschitz_metric
 from outerspace.graph_core import EdgePath, canonical_loop, validate_path
-from outerspace.graph_map import GraphMap, self_map_from_automorphism
+from outerspace.graph_map import GraphMap, is_legal, self_map_from_automorphism
 from outerspace.lipschitz_metric import (
     Elliptic,
     Hyperbolic,
@@ -44,7 +44,7 @@ from outerspace.marked_metric import (
     random_unit_metric,
     rose_point,
 )
-from outerspace.train_track_algo import TrainTrackCertificate, find_train_track
+from outerspace.train_track_algo import TrainTrackCertificate, find_train_track, transition_matrix
 from outerspace.words import cyclic_reduce
 
 GOLDEN_SQ = (3 + math.sqrt(5)) / 2
@@ -581,19 +581,88 @@ class TestClassify:
         assert isinstance(result, Hyperbolic)
         assert result.simplex.lower >= result.lam * (1 - 1e-9)
         assert result.simplex.lam == pytest.approx(result.lam, rel=1e-9)
-        assert min(result.point.metric.length(e) for e in result.point.graph.edge_ids) > 1e-6
+        metric = result.certificate.metric
+        assert min(metric.length(e) for e in metric.edge_ids) > 1e-6
 
-    def test_inconclusive_carries_deciding_numbers(self, monkeypatch):
-        # The golden rose's PF metric has a = 1/GOLDEN_SQ < 0.45.
+    def test_floor_does_not_decide_the_verdict(self, monkeypatch):
+        # The golden rose's PF metric has a = 1/GOLDEN_SQ < 0.45, so the
+        # floored minimization is pinned above lambda; the bracket decides.
         monkeypatch.setattr(lipschitz_metric, "_CLASSIFY_FLOOR", 0.45)
         result = classify(EXPANDING)
-        assert isinstance(result, Inconclusive)
-        assert result.reason == "train track found but the PF metric reaches the floor"
-        assert result.certificate.lam == pytest.approx(GOLDEN_SQ, rel=1e-12)
-        assert result.pf_ratio == pytest.approx(GOLDEN_SQ, rel=1e-9)
+        assert isinstance(result, Hyperbolic)
+        # lambda is the larger root of x^2 - 3x + 1, so lo < lambda < hi
+        # exactly iff the quadratic is negative at lo and positive at hi.
+        lo, hi = result.bracket
+        assert 1 < lo and lo * lo - 3 * lo + 1 < 0 < hi * hi - 3 * hi + 1
+        assert result.lam == pytest.approx(GOLDEN_SQ, rel=1e-12)
         assert result.simplex.floor == 0.45
         assert result.simplex.pinned == (1,)
-        assert result.simplex.lower >= GOLDEN_SQ
+        assert result.simplex.lam > result.lam
+
+    def test_train_track_makes_no_sigma_call(self, monkeypatch):
+        calls = []
+        real = lipschitz_metric.sigma
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(lipschitz_metric, "sigma", counting)
+        for phi in (EXPANDING, UNREDUCED_IMAGES, Automorphism.from_text(FLOOR_VERTEX_TRAIN_TRACKS[0])):
+            assert isinstance(classify(phi), Hyperbolic)
+        assert calls == []
+
+    def test_bracket_not_above_one_is_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(
+            lipschitz_metric, "growth_bracket", lambda M, metric: (Fraction(1), Fraction(3))
+        )
+        result = classify(EXPANDING)
+        assert isinstance(result, Inconclusive)
+        assert result.certificate.status == "train_track"
+        assert result.reason == "train track found but its growth bracket [1.0, 3.0] is not above 1"
+
+    def test_rank12_draw6_is_hyperbolic(self):
+        # Draw 6 of random_automorphism(12, 80, Random(0)) is a train track
+        # whose smallest PF edge is 1.0e-10, far below the 1e-6 floor.
+        rng = random.Random(0)
+        phi = [random_automorphism(12, 80, rng) for _ in range(7)][6]
+        result = classify(phi)
+        assert isinstance(result, Hyperbolic)
+        cert = result.certificate
+        assert min(cert.metric.length(e) for e in cert.metric.edge_ids) < 1e-9
+        lo, hi = result.bracket
+        assert 1 < lo <= cert.lam <= hi
+        assert is_legal(result.loop, cert.structure)
+        rows = transition_matrix(cert.graph_map).rows
+        assert exceeds_spectral_radius(rows, hi) and not exceeds_spectral_radius(rows, lo)
+
+    def test_survey_witnesses_are_legal_and_brackets_exact(self):
+        # The classify-survey base maps: the first 34 rank-3 and 6 rank-4
+        # draws of random_automorphism(r, 12, Random(0)).
+        train_tracks = 0
+        for rank, count in ((3, 34), (4, 6)):
+            rng = random.Random(0)
+            for _ in range(count):
+                result = classify(random_automorphism(rank, 12, rng))
+                cert = result.certificate
+                if not isinstance(cert, TrainTrackCertificate):
+                    continue
+                train_tracks += 1
+                assert isinstance(result, Hyperbolic)
+                assert result.loop.closed
+                assert is_legal(result.loop, cert.structure)
+                assert is_legal(cert.graph_map.map_path(result.loop), cert.structure)
+                # lo <= rho < hi for the spectral radius rho, decided exactly.
+                lo, hi = result.bracket
+                rows = transition_matrix(cert.graph_map).rows
+                assert 1 < lo < hi
+                assert exceeds_spectral_radius(rows, hi)
+                assert not exceeds_spectral_radius(rows, lo)
+                # pf_eigen's float lambda is good to its 1e-12 convergence
+                # tolerance: it misses the exact bracket by 1.4e-14 and 5.8e-13
+                # relative on rank-3 draws 22 and 25.
+                assert lo * (1 - 1e-12) <= cert.lam <= hi * (1 + 1e-12)
+        assert train_tracks >= 20
 
     def test_polynomially_growing_input(self):
         result = classify(REDUCIBLE)

@@ -25,7 +25,6 @@ UNCALLED_ALLOWED = {
     ("lipschitz_metric", "displacement"): "the library's stretch report of x against x.phi",
     ("graph_map", "tension_subgraph"): "kept for the optimal-map step of stalled fold loops",
     ("graph_map", "gates_one_step"): "kept for the optimal-map step of stalled fold loops",
-    ("graph_map", "find_legal_loop"): "kept for certifying hyperbolic by a legal loop",
     ("marked_metric", "OuterSpacePoint.with_metric"): "tests re-metricize points with it",
 }
 

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +33,7 @@ from outerspace.train_track_algo import (
     find_train_track,
     finite_order_check,
     fold,
+    growth_bracket,
     normalize,
     pf_eigen,
     transition_matrix,
@@ -191,6 +193,14 @@ class TestPerronFrobenius:
         lam, ell = pf_eigen(TransitionMatrix(tuple(range(1, n + 1)), rows))
         assert lam == 1.0000000000000002
         assert ell == (0.14285714285714285,) * n
+
+    def test_growth_bracket_is_the_exact_slope_range(self):
+        # Edge 1 maps to a path of length 1/3 + 2/3, edge 2 to 1/3 + 2(2/3).
+        M = TransitionMatrix((1, 2), ((1, 1), (1, 2)))
+        lengths = Metric({1: Fraction(1, 3), 2: Fraction(2, 3)})
+        assert growth_bracket(M, lengths) == (Fraction(5, 2), Fraction(3))
+        lo, hi = growth_bracket(M, Metric(dict(zip((1, 2), pf_eigen(M)[1]))))
+        assert lo * lo - 3 * lo + 1 < 0 < hi * hi - 3 * hi + 1  # lo < GOLDEN_SQ < hi
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=20, deadline=None)
