@@ -122,56 +122,26 @@ def closed_class(M: TransitionMatrix) -> Optional[FrozenSet[int]]:
     return ordered[0]
 
 
-def pf_eigen(
-    M: TransitionMatrix, rel_tol: float = 1e-12, max_iters: int = 10**5
-) -> Tuple[float, Tuple[float, ...]]:
-    """Dominant eigenvalue and left eigenvector (edge lengths), sum-normalized.
+def pf_eigen(M: TransitionMatrix) -> Tuple[float, Tuple[float, ...]]:
+    """Dominant eigenvalue and left eigenvector (edge lengths), sum-normalized,
+    of an irreducible matrix, by one dense eigen-solve.
 
-    Power iteration on the transpose action; if it stalls (periodic matrix),
-    the averaged iterate v + M^T v is used instead, which shifts the spectrum
-    by one and breaks the periodicity.
-
-    On an irreducible matrix of period > 1 the plain iteration converges only
-    when the start vector has no component along the other eigenvalues of
-    maximal modulus; otherwise its iterates settle into a cycle.  The plain
-    iteration is a deterministic map of its floating-point state (v, lam_prev),
-    so once that state repeats (found by Brent's cycle detection) every step of
-    the cycle has already failed the convergence test and no later step can
-    pass it, and the shifted iteration starts at once instead of after
-    ``max_iters`` steps.  A repeat one step apart would pass the test, so the
-    cut never fires on a converging run, and the result is the same to the
-    last bit on every matrix.
+    The spectral radius of a nonnegative matrix is an eigenvalue of largest
+    real part, simple with a positive eigenvector when the matrix is
+    irreducible, so periodic matrices need no special case.  Lambda is
+    measured at the returned vector v as sum(M^T v) / sum(v), a weighted mean
+    of the edge slopes (M^T v)_j / v_j, so it lies in growth_bracket's exact
+    [lo, hi] at v up to the rounding of one sum.
     """
     A = np.array(M.rows, dtype=float)
-    n = A.shape[0]
-    if n == 0:
+    if A.size == 0:
         raise ValueError("empty matrix")
-    for shift in (0.0, 1.0):
-        v = np.full(n, 1.0 / n)
-        lam_prev = None
-        watch = shift == 0.0
-        saved, power, steps = None, 1, 0
-        for _ in range(max_iters):
-            w = A.T @ v + shift * v
-            s = float(w.sum())
-            if s <= 0:
-                raise ArithmeticError("transition matrix has a zero column")
-            w = w / s
-            if (
-                lam_prev is not None
-                and abs(s - lam_prev) <= rel_tol * max(1.0, s)
-                and float(np.max(np.abs(w - v))) <= rel_tol
-            ):
-                return s - shift, tuple(float(t) for t in w)
-            v, lam_prev = w, s
-            if watch:
-                state = (v.tobytes(), s)
-                if state == saved:
-                    break
-                steps += 1
-                if steps == power:
-                    saved, power, steps = state, 2 * power, 0
-    raise ArithmeticError("power iteration did not converge")
+    if not A.any(axis=0).all():
+        raise ArithmeticError("transition matrix has a zero column")
+    vals, vecs = np.linalg.eig(A.T)
+    v = np.abs(vecs[:, np.argmax(vals.real)].real)
+    v /= v.sum()
+    return float((A.T @ v).sum() / v.sum()), tuple(v.tolist())
 
 
 def growth_bracket(M: TransitionMatrix, metric: Metric) -> Tuple[Fraction, Fraction]:
@@ -349,9 +319,13 @@ class _MapState:
         return out
 
     def rewrite_all(self, sub: Dict[int, List[int]]) -> None:
-        for e in self.images:
-            self.images[e] = self._rewrite(self.images[e], sub)
-        self.dom_marking = [self._rewrite(p, sub) for p in self.dom_marking]
+        """Substitute in the edge images and marking loops that cross a key of sub."""
+        keys = {d for e in sub for d in (e, -e)}
+        for e, p in self.images.items():
+            if not keys.isdisjoint(p):
+                self.images[e] = self._rewrite(p, sub)
+        self.dom_marking = [p if keys.isdisjoint(p) else self._rewrite(p, sub)
+                            for p in self.dom_marking]
 
     def tighten_all(self) -> None:
         for e in self.images:
@@ -781,8 +755,13 @@ def _abelianization(phi: Automorphism) -> List[List[int]]:
 def _homology_order(phi: Automorphism, cap: int) -> Optional[int]:
     """Order of the abelianization A if it is at most cap, else None.
 
-    Stops early once |trace A^k| exceeds the rank: a matrix of finite order
-    has root-of-unity eigenvalues, so every power has |trace| <= rank.
+    A matrix of finite order is diagonalizable with root-of-unity
+    eigenvalues, so every power A^k has |trace| <= n, and trace n only if
+    A^k = I.  The loop stops at the first power with |trace| > n, or with
+    trace n that is not I.  An A of spectral radius 1 but infinite order
+    (one with a unipotent part, like a -> ab, b -> b) reaches such a power
+    once k is a multiple of its eigenvalues' orders, instead of running to
+    the cap.
     """
     A = _abelianization(phi)
     n = len(A)
@@ -791,13 +770,16 @@ def _homology_order(phi: Automorphism, cap: int) -> Optional[int]:
     for k in range(1, cap + 1):
         if power == identity:
             return k
-        if abs(sum(power[i][i] for i in range(n))) > n:
+        trace = sum(power[i][i] for i in range(n))
+        if trace == n or abs(trace) > n:
             return None
-        power = [
-            [sum(A[i][m] * power[m][j] for m in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
+        power = _matmul(A, power)
     return None
+
+
+def _matmul(A: List[List[int]], B: List[List[int]]) -> List[List[int]]:
+    n = len(A)
+    return [[sum(A[i][m] * B[m][j] for m in range(n)) for j in range(n)] for i in range(n)]
 
 
 def _word_level_order(phi: Automorphism, cap: int, length_cap: int) -> Optional[int]:
@@ -805,7 +787,9 @@ def _word_level_order(phi: Automorphism, cap: int, length_cap: int) -> Optional[
 
     The kernel of Out(F_n) -> GL(n, Z/3) is torsion-free (Baumslag and
     Taylor, 1968), so a finite order of phi in Out(F_n) is exactly the order
-    d of its abelianization A.  Words are composed only up to phi^d, with
+    d of its abelianization A.  A map of infinite order on homology is
+    rejected from the integer powers of A alone (see _homology_order) and
+    composes no words.  Otherwise words are composed only up to phi^d, with
     the length cap checked before each composition, and only phi^d is tested.
     """
     d = _homology_order(phi, cap)

@@ -38,6 +38,7 @@ from outerspace.train_track_algo import (
     pf_eigen,
     transition_matrix,
     _abelianization,
+    _homology_order,
     _word_level_order,
 )
 
@@ -106,8 +107,7 @@ class TestIrreducibility:
     def test_cyclic_permutation_is_irreducible(self):
         M = transition_matrix(rose_self_map(PERMUTED))
         assert closed_class(M) is None
-        # Period 3: the uniform start vector is already the PF eigenvector.
-        assert pf_eigen(M) == (1.0, (1 / 3,) * 3)
+        assert_pf_pair(M, *pf_eigen(M), 1.0)
 
     def test_triangular_map_is_reducible(self):
         M = transition_matrix(rose_self_map(REDUCIBLE))
@@ -149,50 +149,76 @@ class TestIrreducibility:
         assert closed_class(M) == (proper[0] if proper else None)
 
 
+def assert_pf_pair(M: TransitionMatrix, lam: float, ell, root: float) -> None:
+    """lam is within 2 ulps of the true root, and ell is a left eigenvector
+    of lam to a residual of 1e-13, normalized to sum 1."""
+    assert abs(lam - root) <= 2 * math.ulp(root)
+    n = len(ell)
+    assert sum(ell) == pytest.approx(1.0, abs=1e-15)
+    for j in range(n):
+        assert abs(sum(M.rows[i][j] * ell[i] for i in range(n)) - lam * ell[j]) <= 1e-13
+
+
 class TestPerronFrobenius:
     def test_golden_square_matrix(self):
-        lam, ell = pf_eigen(TransitionMatrix((1, 2), ((1, 1), (1, 2))))
-        assert lam == pytest.approx(GOLDEN_SQ, abs=1e-9)
-        assert ell[0] == pytest.approx((3 - math.sqrt(5)) / 2, abs=1e-9)
-        assert ell[1] == pytest.approx((math.sqrt(5) - 1) / 2, abs=1e-9)
+        M = TransitionMatrix((1, 2), ((1, 1), (1, 2)))
+        lam, ell = pf_eigen(M)
+        assert_pf_pair(M, lam, ell, GOLDEN_SQ)
+        assert ell[0] == pytest.approx((3 - math.sqrt(5)) / 2, abs=1e-15)
 
     def test_permutation_matrix(self):
-        lam, ell = pf_eigen(TransitionMatrix((1, 2, 3), ((0, 0, 1), (1, 0, 0), (0, 1, 0))))
-        assert lam == pytest.approx(1.0, abs=1e-12)
-        assert all(x == pytest.approx(1 / 3, abs=1e-12) for x in ell)
+        M = TransitionMatrix((1, 2, 3), ((0, 0, 1), (1, 0, 0), (0, 1, 0)))
+        assert_pf_pair(M, *pf_eigen(M), 1.0)
 
     def test_one_by_one(self):
         assert pf_eigen(TransitionMatrix((1,), ((2,),))) == (2.0, (1.0,))
 
-    def test_periodic_matrix_uses_averaged_iterates(self):
-        lam, ell = pf_eigen(TransitionMatrix((1, 2), ((0, 2), (1, 0))))
-        assert lam == pytest.approx(math.sqrt(2), abs=1e-9)
-        assert sum(ell) == pytest.approx(1.0, abs=1e-12)
+    def test_period_two_matrix(self):
+        M = TransitionMatrix((1, 2), ((0, 2), (1, 0)))
+        assert_pf_pair(M, *pf_eigen(M), math.sqrt(2))
 
     def test_periodic_stall_matrix_keeps_its_result(self):
         # The fold loop meets this period-2 matrix on base draw 31 of
-        # random_automorphism(4, 12, Random(0)).  The plain iteration cycles;
-        # the values are those of running it for all 10^5 steps before the
-        # shifted retry.
+        # random_automorphism(4, 12, Random(0)), where power iteration from
+        # the uniform vector cycles; its spectral radius is the golden ratio.
         M = TransitionMatrix((1, 2, 3, 4), R4_31_ROWS)
-        lam, ell = pf_eigen(M)
-        assert (lam, ell) == (
-            1.618033988748671,
-            (0.3819660112493488, 0.23606797750036748, 0.14589803375142887, 0.23606797749885483),
-        )
-        for j in range(4):
-            combo = sum(M.rows[i][j] * ell[i] for i in range(4))
-            assert combo == pytest.approx(lam * ell[j], abs=1e-8 * lam)
+        assert_pf_pair(M, *pf_eigen(M), (1 + math.sqrt(5)) / 2)
 
     def test_periodic_matrix_with_converging_plain_iteration(self):
-        # The uniform start vector is an eigenvector of a cyclic permutation,
-        # so the plain iteration converges despite the period; shifting would
-        # change the last bits of lambda (1.0000000000000004 here).
+        # A cyclic permutation of seven edges: period 7, eigenvalues the
+        # seventh roots of unity, the PF vector uniform.
         n = 7
         rows = tuple(tuple(int(i == (j + 1) % n) for j in range(n)) for i in range(n))
-        lam, ell = pf_eigen(TransitionMatrix(tuple(range(1, n + 1)), rows))
-        assert lam == 1.0000000000000002
-        assert ell == (0.14285714285714285,) * n
+        M = TransitionMatrix(tuple(range(1, n + 1)), rows)
+        lam, ell = pf_eigen(M)
+        assert_pf_pair(M, lam, ell, 1.0)
+        assert ell == pytest.approx((1 / n,) * n, abs=1e-15)
+
+    def test_rejects_empty_and_zero_column_matrices(self):
+        with pytest.raises(ValueError):
+            pf_eigen(TransitionMatrix((), ()))
+        with pytest.raises(ArithmeticError, match="zero column"):
+            pf_eigen(TransitionMatrix((1, 2), ((1, 0), (1, 0))))
+
+    def test_lambda_lies_in_the_bracket_of_its_own_vector(self, monkeypatch):
+        # Every irreducible matrix the fold loop meets on the classify-survey
+        # base maps (the first 34 rank-3 and 6 rank-4 draws of
+        # random_automorphism(r, 12, Random(0))): lambda is a weighted mean of
+        # the edge slopes at the returned vector, so it lies in their exact
+        # range up to the rounding of one sum.
+        calls = []
+        solve = train_track_algo.pf_eigen
+        monkeypatch.setattr(
+            train_track_algo, "pf_eigen", lambda M: calls.append((M, solve(M))) or calls[-1][1]
+        )
+        for rank, count in ((3, 34), (4, 6)):
+            rng = random.Random(0)
+            for _ in range(count):
+                find_train_track(random_automorphism(rank, 12, rng))
+        assert len(calls) > 50
+        for M, (lam, ell) in calls:
+            lo, hi = growth_bracket(M, Metric(dict(zip(M.edge_ids, ell))))
+            assert lo - 2 * math.ulp(lo) <= lam <= hi + 2 * math.ulp(hi)
 
     def test_growth_bracket_is_the_exact_slope_range(self):
         # Edge 1 maps to a path of length 1/3 + 2/3, edge 2 to 1/3 + 2(2/3).
@@ -229,6 +255,23 @@ def unfiltered_order(phi: Automorphism, cap: int, length_cap: int):
         if sum(len(w) for w in acc) > length_cap:
             return None
         acc = words.compose(phi.images, acc)
+    return None
+
+
+def trace_capped_order(phi: Automorphism, cap: int):
+    """The homology order with only the |trace| > rank exit: every other map
+    of infinite order on homology composes all cap powers."""
+    A = _abelianization(phi)
+    n = len(A)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    power = A
+    for k in range(1, cap + 1):
+        if power == identity:
+            return k
+        if abs(sum(power[i][i] for i in range(n))) > n:
+            return None
+        power = [[sum(A[i][m] * power[m][j] for m in range(n)) for j in range(n)]
+                 for i in range(n)]
     return None
 
 
@@ -276,6 +319,53 @@ class TestWordLevelOrder:
     def test_infinite_order_on_homology_composes_nothing(self, monkeypatch):
         monkeypatch.setattr(words, "compose", None)
         assert _word_level_order(Automorphism.from_text(EXPANDING), 60, _ORDER_LENGTH_CAP) is None
+
+    @staticmethod
+    def count_products(monkeypatch):
+        products = []
+        matmul = train_track_algo._matmul
+        monkeypatch.setattr(
+            train_track_algo, "_matmul", lambda A, B: products.append(1) or matmul(A, B)
+        )
+        return products
+
+    def test_unipotent_on_homology_stops_at_the_first_power(self, monkeypatch):
+        # A = [[1, 1], [0, 1]] has trace 2 = rank but is not I, so it has
+        # infinite order: no power is computed.
+        products = self.count_products(monkeypatch)
+        assert _homology_order(Automorphism.from_text("a -> ab; b -> b"), 60) is None
+        assert products == []
+
+    @pytest.mark.parametrize("rank", range(2, 9))
+    def test_homology_order_matches_the_trace_capped_loop(self, monkeypatch, rank):
+        # Random draws (mostly expanding on homology), conjugates of a
+        # signed cyclic permutation (finite order), and conjugates of the
+        # transvection a -> ab times a cyclic permutation of the generators
+        # after b (spectral radius 1, infinite order), which the
+        # trace-capped loop runs to its cap of 60 powers.
+        rng = random.Random(200 + rank)
+        letters = [chr(97 + k) for k in range(rank)]
+        perm = Automorphism.from_text(
+            "; ".join(f"{x} -> {letters[(k + 1) % rank].upper()}" for k, x in enumerate(letters))
+        )
+        twisted = Automorphism.from_text(
+            "; ".join([f"a -> a{letters[1]}", f"{letters[1]} -> {letters[1]}"]
+                      + [f"{x} -> {letters[2 + (k + 1) % (rank - 2)]}"
+                         for k, x in enumerate(letters[2:])])
+        )
+        maps = [random_automorphism(rank, 8, rng) for _ in range(10)]
+        maps += [conjugate(perm, random_automorphism(rank, 4, rng)) for _ in range(3)]
+        maps += [conjugate(twisted, random_automorphism(rank, 4, rng)) for _ in range(3)]
+        products = self.count_products(monkeypatch)
+        for phi in maps:
+            products.clear()
+            k = _homology_order(phi, 60)
+            assert k == trace_capped_order(phi, 60)
+            # Order k takes k - 1 products; each map of infinite order here
+            # is rejected within 11.
+            assert len(products) <= (k - 1 if k else 11)
+        assert _homology_order(perm, 60) == (2 * rank if rank % 2 else rank)
+        assert trace_capped_order(twisted, 60) is None
 
     @pytest.mark.parametrize("rank", [2, 3, 4, 5])
     def test_matches_unfiltered_loop(self, rank):
@@ -526,7 +616,7 @@ class TestFindTrainTrack:
         cert = find_train_track(Automorphism.from_text(EXPANDING))
         assert isinstance(cert, TrainTrackCertificate)
         assert cert.status == "train_track"
-        assert cert.lam == pytest.approx(GOLDEN_SQ, abs=1e-9)
+        assert abs(cert.lam - GOLDEN_SQ) <= math.ulp(GOLDEN_SQ)
         g = cert.graph_map.domain.graph
         lengths = [cert.metric.length(e) for e in g.edge_ids]
         assert lengths[0] == pytest.approx((3 - math.sqrt(5)) / 2, abs=1e-9)
