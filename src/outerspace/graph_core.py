@@ -11,9 +11,9 @@ in signed edge ids and are reduced by the word functions of ``words``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Tuple
+from typing import Dict, Iterable, Tuple
 
-from .words import cyclic_reduce, reduce_word  # cyclic_reduce is re-exported
+from .words import reduce_word
 
 
 class GraphError(ValueError):
@@ -200,19 +200,12 @@ def _component_count(vertices, edge_endpoints) -> int:
     return len({find(v) for v in vertices})
 
 
-def _resolve_subset(g: Graph, edge_subset) -> FrozenSet[int]:
-    if edge_subset is None:
-        return frozenset(g.edge_ids)
+def is_forest(g: Graph, edge_subset) -> bool:
+    """True when the induced subgraph has no cycle (per component E = V - 1)."""
     subset = frozenset(edge_subset)
     missing = subset - set(g.edge_ids)
     if missing:
         raise GraphError(f"edges {sorted(missing)} not in graph")
-    return subset
-
-
-def is_forest(g: Graph, edge_subset=None) -> bool:
-    """True when the induced subgraph has no cycle (per component E = V - 1)."""
-    subset = _resolve_subset(g, edge_subset)
     eps = [g.endpoints(e) for e in subset]
     verts = {u for uv in eps for u in uv}
     if not subset:

@@ -1,15 +1,15 @@
-"""Maps between marked metric graphs: slopes, tension subgraph, gates, legality.
+"""Maps between marked metric graphs, their gates and legal loops.
 
 A GraphMap sends vertices to vertices and edges to reduced edge paths and is
 required to commute with the markings up to free homotopy.  Stretch-factor
 and train-track computations only ever interrogate these combinatorial data
-together with the two metrics.
+together with the two metrics.  A train track structure partitions all the
+directions of a graph into gates, by the eventual coincidence of a self-map's
+derivative iterates; legality of paths and legal loops are read from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, FrozenSet, Mapping, Sequence, Tuple
 
 from . import words
@@ -25,12 +25,7 @@ from .marked_metric import (
     MarkingError,
     OuterSpacePoint,
     act,
-    path_length,
 )
-
-# Relative tolerance for comparing float stretch factors and growth rates;
-# the one copy every module uses.
-REL_TOL = 1e-9
 
 
 class DegenerateImageError(ValueError):
@@ -121,55 +116,16 @@ class GraphMap:
         return f"GraphMap(self_map={self.is_self_map}, images={ims})"
 
 
-# -- slopes and tension ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SlopeReport:
-    per_edge: Mapping[int, object]
-    sigma_max: object
-    degenerate_edges: FrozenSet[int]
-
-
-def slopes(m: GraphMap) -> SlopeReport:
-    """Per-edge metric stretch and its maximum."""
-    per = {}
-    degenerate = set()
-    for e in m.domain.graph.edge_ids:
-        image_len = path_length(m.codomain, m.edge_image[e])
-        if not m.edge_image[e].edges:
-            degenerate.add(e)
-            per[e] = Fraction(0)
-        else:
-            per[e] = image_len / m.domain.metric.length(e)
-    sigma_max = max(per.values())
-    return SlopeReport(per, sigma_max, frozenset(degenerate))
-
-
-def tension_subgraph(m: GraphMap, rel_tol: float = REL_TOL) -> FrozenSet[int]:
-    """Edges whose slope attains the maximum (within rel_tol for floats)."""
-    report = slopes(m)
-    per, sigma = report.per_edge, report.sigma_max
-    exact = isinstance(sigma, (Fraction, int)) and all(
-        isinstance(v, (Fraction, int)) for v in per.values()
-    )
-    if exact:
-        return frozenset(e for e, v in per.items() if v == sigma)
-    sigma = float(sigma)
-    return frozenset(e for e, v in per.items() if float(v) >= sigma * (1 - rel_tol))
-
-
 # -- gates -------------------------------------------------------------------
 
 
 class TrainTrackStructure:
-    """Partition of the directions of a designated edge subset into gates."""
+    """Partition of the directions of a graph into gates."""
 
-    __slots__ = ("graph", "edge_subset", "vertex_gates", "_gate_of")
+    __slots__ = ("graph", "vertex_gates", "_gate_of")
 
-    def __init__(self, graph: Graph, edge_subset, vertex_gates: Mapping[int, Sequence[FrozenSet[int]]]):
+    def __init__(self, graph: Graph, vertex_gates: Mapping[int, Sequence[FrozenSet[int]]]):
         self.graph = graph
-        self.edge_subset = frozenset(edge_subset)
         norm: Dict[int, Tuple[FrozenSet[int], ...]] = {}
         self._gate_of: Dict[int, Tuple[int, int]] = {}
         for v in sorted(vertex_gates):
@@ -213,37 +169,10 @@ class TrainTrackStructure:
         return tuple(v for v in sorted(self.vertex_gates) if len(self.vertex_gates[v]) < 2)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TrainTrackStructure)
-            and self.edge_subset == other.edge_subset
-            and self.vertex_gates == other.vertex_gates
-        )
+        return isinstance(other, TrainTrackStructure) and self.vertex_gates == other.vertex_gates
 
     def __repr__(self) -> str:
         return f"TrainTrackStructure({ {v: [sorted(b, key=direction_key) for b in gs] for v, gs in self.vertex_gates.items()} })"
-
-
-def _structure_from_key(graph: Graph, subset, key: Mapping[int, object]) -> TrainTrackStructure:
-    subset = frozenset(subset)
-    per_vertex: Dict[int, Dict[object, set]] = {}
-    for e in subset:
-        for d in (e, -e):
-            v = graph.init(d)
-            per_vertex.setdefault(v, {}).setdefault(key[d], set()).add(d)
-    return TrainTrackStructure(
-        graph, subset, {v: tuple(groups.values()) for v, groups in per_vertex.items()}
-    )
-
-
-def gates_one_step(m: GraphMap, subset=None) -> TrainTrackStructure:
-    """Gates by equality of the (one-step) derivative on subset directions."""
-    g = m.domain.graph
-    subset = frozenset(g.edge_ids) if subset is None else frozenset(subset)
-    key = {}
-    for e in subset:
-        for d in (e, -e):
-            key[d] = m.derivative(d)
-    return _structure_from_key(g, subset, key)
 
 
 def gates_iterated(m: GraphMap) -> TrainTrackStructure:
@@ -264,46 +193,43 @@ def gates_from_derivative(g: Graph, deriv: Mapping[int, int]) -> TrainTrackStruc
     state = {d: deriv[d] for d in directions}
     for _ in range(len(directions) - 1):
         state = {d: deriv[state[d]] for d in directions}
-    return _structure_from_key(g, g.edge_ids, state)
+    per_vertex: Dict[int, Dict[int, set]] = {}
+    for e in g.edge_ids:
+        for d in (e, -e):
+            per_vertex.setdefault(g.init(d), {}).setdefault(state[d], set()).add(d)
+    return TrainTrackStructure(g, {v: tuple(groups.values()) for v, groups in per_vertex.items()})
 
 
 def is_legal(p: EdgePath, s: TrainTrackStructure) -> bool:
     """Whether the path crosses only legal turns (wrap-around included for loops)."""
     edges = p.edges
-    for d in edges:
-        if abs(d) not in s.edge_subset:
-            raise ValueError(f"path leaves the designated subgraph at edge {d}")
     pairs = list(zip(edges, edges[1:]))
     if p.closed and edges:
         pairs.append((edges[-1], edges[0]))
     return all(s.is_legal_turn(turn(-a, b)) for a, b in pairs)
 
 
-def find_legal_loop(graph: Graph, subset, s: TrainTrackStructure) -> EdgePath:
-    """A legal loop in the subset crossing each edge at most twice.
+def find_legal_loop(s: TrainTrackStructure) -> EdgePath:
+    """A legal loop in the structure's graph crossing each edge at most twice.
 
     Extends legally with lexicographic tie-breaking until a direction repeats;
     the stretch between the repeats is the loop.
     """
-    subset = frozenset(subset)
-    sub_dirs = sorted((d for e in subset for d in (e, -e)), key=direction_key)
-    if not sub_dirs:
-        raise ValueError("empty subset has no loops")
-    for v in {graph.init(d) for d in sub_dirs}:
-        if s.num_gates(v) < 2:
-            raise GateDeficitError(f"vertex {v} has fewer than two gates")
-    walk = [sub_dirs[0]]
-    seen = {sub_dirs[0]: 0}
+    graph = s.graph
+    deficit = s.one_gate_vertices()
+    if deficit:
+        raise GateDeficitError(f"vertex {deficit[0]} has fewer than two gates")
+    first = min(graph.directions(), key=direction_key)
+    walk = [first]
+    seen = {first: 0}
     while True:
         v = graph.term(walk[-1])
         incoming_gate = s.gate_of(-walk[-1])
-        nxt = None
-        for d in sorted(graph.directions_at(v), key=direction_key):
-            if abs(d) in subset and s.gate_of(d) != incoming_gate:
-                nxt = d
-                break
-        if nxt is None:  # cannot happen with >= 2 gates, defensive
-            raise GateDeficitError(f"no legal continuation at vertex {v}")
+        # v has a second gate, so some direction at v leaves legally.
+        nxt = next(
+            d for d in sorted(graph.directions_at(v), key=direction_key)
+            if s.gate_of(d) != incoming_gate
+        )
         if nxt in seen:
             return EdgePath(tuple(walk[seen[nxt]:]), closed=True)
         seen[nxt] = len(walk)

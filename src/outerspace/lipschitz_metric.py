@@ -483,7 +483,7 @@ def classify(phi: Automorphism, trials: int = 3) -> Classification:
     if isinstance(cert, TrainTrackCertificate):
         m = cert.graph_map
         g = m.domain.graph
-        loop = find_legal_loop(g, g.edge_ids, cert.structure)
+        loop = find_legal_loop(cert.structure)
         lo, hi = growth_bracket(transition_matrix(m), cert.metric)
         if not lo > 1:
             reason = f"train track found but its growth bracket [{float(lo)!r}, {float(hi)!r}]"

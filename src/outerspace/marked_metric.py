@@ -80,10 +80,10 @@ class Metric:
     def is_rational(self) -> bool:
         return all(_is_rational(v) for v in self._lengths.values())
 
-    def is_unit(self, tol: float = VOLUME_TOL) -> bool:
+    def is_unit(self) -> bool:
         if self.is_rational:
             return self.volume == 1
-        return abs(float(self.volume) - 1.0) <= tol
+        return abs(float(self.volume) - 1.0) <= VOLUME_TOL
 
     def items(self):
         return tuple((e, self._lengths[e]) for e in sorted(self._lengths))
@@ -388,14 +388,6 @@ def loop_length(x: OuterSpacePoint, p: EdgePath):
     validate_path(x.graph, p)
     length = x.metric.length
     return sum((length(d) for d in words.cyclic_reduce(p.edges)), Fraction(0))
-
-
-def path_length(x: OuterSpacePoint, p: EdgePath):
-    """Length of a path as given (no reduction)."""
-    total = Fraction(0)
-    for d in p.edges:
-        total = total + x.metric.length(d)
-    return total
 
 
 # -- candidate loops -------------------------------------------------------

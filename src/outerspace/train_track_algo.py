@@ -39,7 +39,6 @@ from .marked_metric import (
     act,
 )
 from .graph_map import (
-    REL_TOL,
     DegenerateImageError,
     GraphMap,
     TrainTrackStructure,
@@ -48,6 +47,8 @@ from .graph_map import (
 from .words import NotBasisError, Word
 
 _STALL_CAP = 25
+# Relative improvement of the stretch factor that resets the stall count.
+REL_TOL = 1e-9
 _ORDER_LENGTH_CAP = 20_000
 
 
@@ -895,19 +896,20 @@ def find_train_track(
                     reason=f"stretch factor stalled near {_fmt(best_lam)}",
                     trace=tuple(trace),
                 )
-        if abs(lam - 1.0) <= 1e-9:
-            if all(len(p) == 1 for p in st.images.values()):
-                cert_map = st.to_graph_map()
-                k = finite_order_check(cert_map)
-                trace.append(_round_line(rnd, g.num_edges, lam, pot, f"finite_order({k})"))
-                if k is None:
-                    return NonTerminationCertificate(
-                        reason="permutation order exceeds the cap", trace=tuple(trace)
-                    )
-                return FiniteOrderCertificate(order=k, graph_map=cert_map, trace=tuple(trace))
-            return NonTerminationCertificate(
-                reason="unit stretch without single-edge images", trace=tuple(trace)
-            )
+        # M is irreducible here, so no column of it is zero.  The spectral
+        # radius of an irreducible nonnegative matrix lies between its least
+        # and greatest column sums, strictly unless they are equal; M's column
+        # sums are the integer image lengths, so lambda = 1 iff every edge
+        # image is a single edge, that is iff M is a permutation matrix.
+        if all(len(p) == 1 for p in st.images.values()):
+            cert_map = st.to_graph_map()
+            k = finite_order_check(cert_map)
+            trace.append(_round_line(rnd, g.num_edges, lam, pot, f"finite_order({k})"))
+            if k is None:
+                return NonTerminationCertificate(
+                    reason="permutation order exceeds the cap", trace=tuple(trace)
+                )
+            return FiniteOrderCertificate(order=k, graph_map=cert_map, trace=tuple(trace))
         st.lengths = dict(zip(M.edge_ids, ell))
         bad = _first_illegal_image_turn(st, s)
         if bad is None:

@@ -24,7 +24,7 @@ from helpers import (
     spanning_tree_point,
 )
 from outerspace.cli import EXIT_OK, main
-from outerspace.graph_core import EdgePath, cyclic_reduce
+from outerspace.graph_core import EdgePath
 from outerspace.graph_map import (
     difference_of_markings,
     is_legal,
@@ -46,6 +46,7 @@ from outerspace.marked_metric import (
     rose_point,
 )
 from outerspace.train_track_algo import TrainTrackCertificate, find_train_track
+from outerspace.words import cyclic_reduce
 
 GOLDEN_SQ = (3 + math.sqrt(5)) / 2
 

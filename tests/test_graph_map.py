@@ -1,4 +1,4 @@
-"""Graph maps: slopes, tension, derivatives, gates, legal loops."""
+"""Graph maps: edge slopes, derivatives, gates, legal loops."""
 
 import math
 import random
@@ -15,11 +15,8 @@ from outerspace.graph_map import (
     difference_of_markings,
     find_legal_loop,
     gates_iterated,
-    gates_one_step,
     is_legal,
     self_map_from_automorphism,
-    slopes,
-    tension_subgraph,
 )
 from outerspace.marked_metric import (
     Automorphism,
@@ -32,6 +29,7 @@ from outerspace.marked_metric import (
     random_unit_metric,
     rose_point,
 )
+from outerspace.train_track_algo import growth_bracket, transition_matrix
 
 GOLDEN_PLUS = (3 + math.sqrt(5)) / 2
 FIG2_SHORT = (3 - math.sqrt(5)) / 2
@@ -47,8 +45,8 @@ def fig1_map():
     return self_map_from_automorphism(x, Automorphism.from_text("a->B; b->C; c->A"))
 
 
-def growth_map(t=Fraction(1, 2)):
-    x = rose_point(2, [t, 1 - t])
+def growth_map():
+    x = rose_point(2, [Fraction(1, 2), Fraction(1, 2)])
     return self_map_from_automorphism(x, Automorphism.from_text("a->a; b->ab"))
 
 
@@ -95,33 +93,17 @@ class TestConstruction:
     def test_difference_of_markings_between_graphs(self):
         m = difference_of_markings(theta_point(), rose_point(2))
         assert m.vertex_image == {0: 0, 1: 0}
-        report = slopes(m)
-        assert report.degenerate_edges == {1}
-        assert report.per_edge[1] == 0
+        assert {e for e, p in m.edge_image.items() if not p.edges} == {1}
 
 
 class TestSlopesAndTension:
     def test_fig2_slopes_at_stretch_minimum(self):
-        report = slopes(fig2_map())
-        assert abs(report.per_edge[1] - GOLDEN_PLUS) < 1e-9
-        assert abs(report.per_edge[2] - GOLDEN_PLUS) < 1e-9
-        assert abs(report.sigma_max - GOLDEN_PLUS) < 1e-9
-        assert tension_subgraph(fig2_map()) == {1, 2}
-
-    def test_identity_slopes(self):
-        x = rose_point(2, [Fraction(1, 4), Fraction(3, 4)])
-        report = slopes(identity_map(x))
-        assert report.per_edge == {1: 1, 2: 1}
-        assert tension_subgraph(identity_map(x)) == {1, 2}
-
-    def test_growth_map_slopes(self):
-        m = growth_map(Fraction(1, 2))
-        report = slopes(m)
-        assert report.per_edge[1] == 1 and report.per_edge[2] == 2
-        assert tension_subgraph(m) == {2}
-        m3 = growth_map(Fraction(1, 3))
-        assert slopes(m3).per_edge[2] == Fraction(3, 2)
-        assert tension_subgraph(m3) == {2}
+        # At the PF metric every edge slope is lambda: the least and greatest
+        # slopes (the growth bracket) meet, so the whole graph is in tension.
+        m = fig2_map()
+        lo, hi = growth_bracket(transition_matrix(m), m.domain.metric)
+        assert abs(lo - GOLDEN_PLUS) < 1e-9
+        assert abs(hi - GOLDEN_PLUS) < 1e-9
 
 
 class TestDerivativeAndGates:
@@ -148,10 +130,8 @@ class TestDerivativeAndGates:
             m.derivative(1)
 
     def test_fig2_gates(self):
-        s = gates_one_step(fig2_map())
+        s = gates_iterated(fig2_map())
         assert s.gates_at(0) == (frozenset({1}), frozenset({-1, -2}), frozenset({2}))
-        s2 = gates_iterated(fig2_map())
-        assert s2 == s
 
     def test_fig1_gates_all_singletons(self):
         s = gates_iterated(fig1_map())
@@ -165,28 +145,8 @@ class TestDerivativeAndGates:
         assert all(len(b) == 1 for gs in s.vertex_gates.values() for b in gs)
 
     def test_identity_gates_singletons(self):
-        s = gates_one_step(identity_map(rose_point(2)))
+        s = gates_iterated(identity_map(rose_point(2)))
         assert s.num_gates(0) == 4
-
-    def test_one_step_refines_iterated(self):
-        rng = random.Random(23)
-        for _ in range(15):
-            rank = rng.choice([2, 3])
-            x = rose_point(rank).with_metric(random_unit_metric(range(1, rank + 1), rng))
-            m = self_map_from_automorphism(x, random_automorphism(rank, 8, rng))
-            one = gates_one_step(m)
-            full = gates_iterated(m)
-            for v, gs in one.vertex_gates.items():
-                for block in gs:
-                    d0 = next(iter(block))
-                    target = next(b for b in full.gates_at(v) if d0 in b)
-                    assert block <= target
-
-    def test_gates_restricted_to_subset(self):
-        m = growth_map()
-        s = gates_one_step(m, {2})
-        assert s.edge_subset == {2}
-        assert set(s._gate_of) == {2, -2}
 
 
 class TestLegality:
@@ -212,34 +172,34 @@ class TestLegality:
         assert not is_legal(EdgePath((1, -2), closed=True), s)
 
     def test_path_outside_subset_rejected(self):
-        m = growth_map()
-        s = gates_one_step(m, {2})
+        # The gates partition all directions of the graph; edge 3 is not in it.
+        s = gates_iterated(growth_map())
         with pytest.raises(ValueError):
-            is_legal(EdgePath((1,), closed=True), s)
+            is_legal(EdgePath((3,), closed=True), s)
 
 
 class TestFindLegalLoop:
     def test_fig2_tension_loop_has_max_ratio(self):
+        # At the PF metric the tension graph is the whole graph.
         m = fig2_map()
         s = gates_iterated(m)
-        delta = tension_subgraph(m)
-        loop = find_legal_loop(m.domain.graph, delta, s)
+        loop = find_legal_loop(s)
         assert is_legal(loop, s)
         ratio = loop_length(m.codomain, m.map_path(loop)) / loop_length(m.domain, loop)
         assert abs(ratio - GOLDEN_PLUS) < 1e-9
 
     def test_single_loop_edge(self):
         x = rose_point(2)
-        s = gates_one_step(identity_map(x), {1})
-        assert find_legal_loop(x.graph, {1}, s) == EdgePath((1,), closed=True)
+        s = gates_iterated(identity_map(x))
+        assert find_legal_loop(s) == EdgePath((1,), closed=True)
 
     def test_theta_all_legal(self):
         x = theta_point()
         literal_id = GraphMap(
             x, x, {0: 0, 1: 1}, {e: EdgePath((e,)) for e in x.graph.edge_ids}
         )
-        s = gates_one_step(literal_id)
-        loop = find_legal_loop(x.graph, x.graph.edge_ids, s)
+        s = gates_iterated(literal_id)
+        loop = find_legal_loop(s)
         assert loop == EdgePath((1, -2), closed=True)
 
     def test_budget_respected(self):
@@ -251,34 +211,19 @@ class TestFindLegalLoop:
             s = gates_iterated(m)
             if s.min_gate_count() < 2:
                 continue
-            loop = find_legal_loop(x.graph, x.graph.edge_ids, s)
+            loop = find_legal_loop(s)
             assert is_legal(loop, s)
             for e in x.graph.edge_ids:
                 assert sum(1 for d in loop.edges if abs(d) == e) <= 2
 
     def test_gate_deficit_signalled(self):
         x = rose_point(2)
-        s = TrainTrackStructure(x.graph, {1, 2}, {0: [{1, -1, 2, -2}]})
+        s = TrainTrackStructure(x.graph, {0: [{1, -1, 2, -2}]})
         with pytest.raises(GateDeficitError):
-            find_legal_loop(x.graph, {1, 2}, s)
+            find_legal_loop(s)
 
 
 class TestMapAction:
-    def test_bounded_stretch_on_random_loops(self):
-        rng = random.Random(57)
-        for _ in range(15):
-            rank = rng.choice([2, 3])
-            x = rose_point(rank).with_metric(random_unit_metric(range(1, rank + 1), rng))
-            y = rose_point(rank).with_metric(random_unit_metric(range(1, rank + 1), rng))
-            m = difference_of_markings(x, y)
-            sigma = slopes(m).sigma_max
-            for _ in range(10):
-                w = [rng.choice([s * k for s in (1, -1) for k in range(1, rank + 1)]) for _ in range(rng.randrange(1, 9))]
-                loop = EdgePath(tuple(w), closed=True)
-                lhs = loop_length(y, m.map_path(loop))
-                rhs = sigma * loop_length(x, loop)
-                assert lhs <= rhs
-
     def test_map_path_tightens(self):
         m = fig2_map()
         p = m.map_path(EdgePath((1, -1), closed=True))

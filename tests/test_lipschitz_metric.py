@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 from helpers import assert_bracketing_trace, connected_core_graphs, exceeds_spectral_radius
 from outerspace import lipschitz_metric
 from outerspace.graph_core import EdgePath, canonical_loop, validate_path
-from outerspace.graph_map import GraphMap, is_legal, self_map_from_automorphism
+from outerspace.graph_map import (
+    GraphMap,
+    difference_of_markings,
+    is_legal,
+    self_map_from_automorphism,
+)
 from outerspace.lipschitz_metric import (
     Elliptic,
     Hyperbolic,
@@ -145,6 +150,21 @@ class TestSigma:
         )
         with pytest.raises(StretchIntegrityError):
             sigma(x, x, crushing)
+
+    def test_bounded_stretch_on_random_loops(self):
+        # The maximal candidate stretch is the optimal Lipschitz constant, so
+        # it bounds the stretch of every loop (Francaviglia-Martino).
+        rng = random.Random(57)
+        for _ in range(15):
+            rank = rng.choice([2, 3])
+            x = rose_point(rank).with_metric(random_unit_metric(range(1, rank + 1), rng))
+            y = rose_point(rank).with_metric(random_unit_metric(range(1, rank + 1), rng))
+            m = difference_of_markings(x, y)
+            bound = sigma(x, y, m).sigma
+            for _ in range(10):
+                w = [rng.choice([s * k for s in (1, -1) for k in range(1, rank + 1)]) for _ in range(rng.randrange(1, 9))]
+                loop = EdgePath(tuple(w), closed=True)
+                assert loop_length(y, m.map_path(loop)) <= bound * loop_length(x, loop)
 
 
 class TestDistance:

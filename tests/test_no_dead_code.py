@@ -5,7 +5,10 @@ A static check by name with the standard library's ast module.  A name
 counts as used where it appears as a name, an attribute, an imported name,
 or a string constant that is exactly that name (a quoted annotation, or the
 benchmark tracer's lookup of a function by module and attribute name).  Being
-by name, it misses a dead definition whose name some other code uses.
+by name, it misses a dead definition whose name some other code uses: the
+CLI's "distance" command string counts as a use of lipschitz_metric.distance,
+which only the README example and tests call.  An allowance is stale, and
+fails the check, once its definition is gone or code outside tests uses it.
 """
 
 from __future__ import annotations
@@ -20,17 +23,9 @@ CALLERS = (ROOT / "src", ROOT / "scripts", ROOT / "perfbench")
 
 # Library definitions that only tests and documents use, each with its reason.
 UNCALLED_ALLOWED = {
-    ("lipschitz_metric", "distance"): "the README library example calls it",
     ("graph_map", "is_legal"): "acceptance criterion 8 finds legal loops with it",
     ("lipschitz_metric", "displacement"): "the library's stretch report of x against x.phi",
-    ("graph_map", "tension_subgraph"): "kept for the optimal-map step of stalled fold loops",
-    ("graph_map", "gates_one_step"): "kept for the optimal-map step of stalled fold loops",
     ("marked_metric", "OuterSpacePoint.with_metric"): "tests re-metricize points with it",
-}
-
-# Imports a module keeps only for its importers, each with its reason.
-REEXPORT_ALLOWED = {
-    ("graph_core", "cyclic_reduce"): "tests/test_acceptance.py imports it from graph_core",
 }
 
 
@@ -76,7 +71,7 @@ def test_no_unused_imports():
         tree = _parse(path)
         used = _names([tree], attributes=False)
         for name, line in _imports(tree):
-            if name not in used and (path.stem, name) not in REEXPORT_ALLOWED:
+            if name not in used:
                 unused.append(f"{path.relative_to(ROOT)}:{line} {name}")
     assert not unused, "imports never used:\n" + "\n".join(unused)
 
@@ -95,9 +90,10 @@ def _units(tree: ast.Module) -> Iterable[Tuple[Tuple[str, ...], ast.AST]]:
             yield (stmt.name, getattr(member, "name", "")), member
 
 
-def test_every_library_definition_is_used():
-    # The names each unit of the callers uses, and the library's definitions:
-    # top-level functions and classes, and public methods as "Class.method".
+def _uncalled() -> Set[Tuple[str, str]]:
+    """(module, name) of each library definition that no code outside tests
+    uses: top-level functions and classes, and public methods as
+    "Class.method"."""
     uses: List[Tuple[str, Tuple[str, ...], Set[str]]] = []
     library_defs = []
     for path in _sources(CALLERS):
@@ -120,7 +116,15 @@ def test_every_library_definition_is_used():
         return any(owner[-1] in names and not (m == module and o[: len(owner)] == owner)
                    for m, o, names in uses)
 
-    uncalled = {(module, ".".join(owner)) for module, owner in library_defs
-                if not used(module, owner)}
-    unexpected = sorted(f"{m}.{n}" for m, n in uncalled - set(UNCALLED_ALLOWED))
+    return {(module, ".".join(owner)) for module, owner in library_defs
+            if not used(module, owner)}
+
+
+def test_every_library_definition_is_used():
+    unexpected = sorted(f"{m}.{n}" for m, n in _uncalled() - set(UNCALLED_ALLOWED))
     assert not unexpected, "defined but used by no code outside tests: " + ", ".join(unexpected)
+
+
+def test_no_stale_allowance():
+    stale = sorted(f"{m}.{n}" for m, n in set(UNCALLED_ALLOWED) - _uncalled())
+    assert not stale, "allowed as uncalled but gone or used outside tests: " + ", ".join(stale)
