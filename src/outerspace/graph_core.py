@@ -200,9 +200,9 @@ def _component_count(vertices, edge_endpoints) -> int:
     return len({find(v) for v in vertices})
 
 
-def is_forest(g: Graph, edge_subset) -> bool:
+def is_forest(g: Graph, edges) -> bool:
     """True when the induced subgraph has no cycle (per component E = V - 1)."""
-    subset = frozenset(edge_subset)
+    subset = frozenset(edges)
     missing = subset - set(g.edge_ids)
     if missing:
         raise GraphError(f"edges {sorted(missing)} not in graph")
