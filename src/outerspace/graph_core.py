@@ -152,14 +152,19 @@ class EdgePath:
 
 
 def validate_path(g: Graph, p: EdgePath) -> None:
-    prev = None
+    endpoints = g._endpoints
+    prev = end = start = None
     for d in p.edges:
-        if abs(d) not in g._endpoints:
+        ends = endpoints.get(d if d > 0 else -d)
+        if ends is None:
             raise PathError(f"unknown edge {d}")
-        if prev is not None and g.term(prev) != g.init(d):
+        u, v = ends if d > 0 else ends[::-1]
+        if prev is None:
+            start = u
+        elif end != u:
             raise PathError(f"edges {prev}, {d} are not incident")
-        prev = d
-    if p.closed and p.edges and g.term(p.edges[-1]) != g.init(p.edges[0]):
+        prev, end = d, v
+    if p.closed and prev is not None and end != start:
         raise PathError("closed path does not return to its start")
 
 

@@ -10,6 +10,7 @@ derivative iterates; legality of paths and legal loops are read from it.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, FrozenSet, Mapping, Sequence, Tuple
 
 from . import words
@@ -19,6 +20,7 @@ from .graph_core import (
     direction_key,
     tighten,
     turn,
+    validate_path,
 )
 from .marked_metric import (
     Automorphism,
@@ -39,7 +41,9 @@ class GateDeficitError(ValueError):
 class GraphMap:
     """Vertex-to-vertex map with reduced edge-path images, marking-compatible."""
 
-    __slots__ = ("domain", "codomain", "vertex_image", "edge_image", "is_self_map")
+    __slots__ = (
+        "domain", "codomain", "vertex_image", "edge_image", "direction_image", "is_self_map",
+    )
 
     def __init__(
         self,
@@ -56,6 +60,7 @@ class GraphMap:
             e: tighten(codomain.graph, p if isinstance(p, EdgePath) else EdgePath(tuple(p)))
             for e, p in edge_image.items()
         }
+        self.direction_image = direction_images(self.edge_image)
         self.is_self_map = domain.graph == codomain.graph
         if check:
             self._validate()
@@ -92,21 +97,15 @@ class GraphMap:
 
     # -- path images -------------------------------------------------------
 
-    def image_of_direction(self, d: int) -> EdgePath:
-        p = self.edge_image[abs(d)]
-        return p if d > 0 else p.reverse()
-
     def map_path(self, p: EdgePath) -> EdgePath:
-        out = []
-        for d in p.edges:
-            out.extend(self.image_of_direction(d).edges)
-        return tighten(self.codomain.graph, EdgePath(tuple(out), p.closed))
+        image = chain.from_iterable(map(self.direction_image.__getitem__, p.edges))
+        return tighten(self.codomain.graph, EdgePath(tuple(image), p.closed))
 
     def derivative(self, d: int) -> int:
-        image = self.image_of_direction(d)
-        if not image.edges:
+        image = self.direction_image[d]
+        if not image:
             raise DegenerateImageError(f"direction {d} has a point image")
-        return image.edges[0]
+        return image[0]
 
     def derivative_map(self) -> Dict[int, int]:
         return {d: self.derivative(d) for d in self.domain.graph.directions()}
@@ -114,6 +113,15 @@ class GraphMap:
     def __repr__(self) -> str:
         ims = {e: p.edges for e, p in sorted(self.edge_image.items())}
         return f"GraphMap(self_map={self.is_self_map}, images={ims})"
+
+
+def direction_images(edge_image: Mapping[int, EdgePath]) -> Dict[int, Tuple[int, ...]]:
+    """Image word of every direction: +e reads e's image, -e its inverse."""
+    table = {}
+    for e, p in edge_image.items():
+        table[e] = p.edges
+        table[-e] = words.invert_word(p.edges)
+    return table
 
 
 # -- gates -------------------------------------------------------------------
@@ -201,7 +209,12 @@ def gates_from_derivative(g: Graph, deriv: Mapping[int, int]) -> TrainTrackStruc
 
 
 def is_legal(p: EdgePath, s: TrainTrackStructure) -> bool:
-    """Whether the path crosses only legal turns (wrap-around included for loops)."""
+    """Whether the path crosses only legal turns (wrap-around included for loops).
+
+    Raises PathError, a ValueError, when p is not a path of the structure's
+    graph, also when it crosses no turn.
+    """
+    validate_path(s.graph, p)
     edges = p.edges
     pairs = list(zip(edges, edges[1:]))
     if p.closed and edges:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import (
     ClassVar, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
 )
@@ -33,7 +34,7 @@ from .marked_metric import (
     candidates,
     _candidate_words,
 )
-from .graph_map import GraphMap, difference_of_markings, find_legal_loop
+from .graph_map import GraphMap, difference_of_markings, direction_images, find_legal_loop
 from .train_track_algo import (
     Certificate,
     FiniteOrderCertificate,
@@ -67,27 +68,28 @@ def sigma(x: OuterSpacePoint, y: OuterSpacePoint, m: GraphMap) -> DistanceReport
     """Maximal stretch of candidate loops of x under a map to y.
 
     Equals the optimal Lipschitz constant of the homotopy class of m; ratios
-    are exact fractions whenever both metrics are rational.  Rational metrics
-    are scaled to integer edge lengths so the per-candidate work stays in
-    machine integers (candidate tables grow quickly with the edge count).
+    are exact fractions whenever both metrics are rational.  Each length is
+    read from a table indexed by direction (+e and -e), as are the map's edge
+    images, so a candidate costs one dict read per letter of its image and of
+    itself.  Rational lengths enter those tables as integers, scaled by the
+    lcm of their denominators, so the sums stay in machine integers and each
+    ratio is one Fraction.
     """
     exact = x.metric.is_rational and y.metric.is_rational
-    x_len = _length_lookup(x, exact)
-    y_len = _length_lookup(y, exact)
+    x_scale, x_len = _direction_lengths(x, exact)
+    y_scale, y_len = _direction_lengths(y, exact)
     best: Optional[Tuple[CandidateLoop, object]] = None
     table: List[Tuple[CandidateLoop, object]] = []
     cands = candidates(x)
-    images = _loop_images(m.edge_image, (c.loop.edges for c in cands))
+    images = _loop_images(m.direction_image, (c.loop.edges for c in cands))
     for c, image in zip(cands, images):
-        num = sum(y_len[abs(d)] for d in image)
+        num = sum(map(y_len.__getitem__, image))
         if num == 0:
             raise StretchIntegrityError(
                 f"candidate {c.loop.edges} has a nullhomotopic image"
             )
-        den = sum(k * l for k, l in zip(c.counts, x_len.ordered) if k)
-        ratio = (
-            Fraction(num * x_len.scale, den * y_len.scale) if exact else num / den
-        )
+        den = sum(map(x_len.__getitem__, c.loop.edges))
+        ratio = Fraction(num * x_scale, den * y_scale) if exact else num / den
         table.append((c, ratio))
         if best is None or ratio > best[1]:
             best = (c, ratio)
@@ -101,43 +103,31 @@ def sigma(x: OuterSpacePoint, y: OuterSpacePoint, m: GraphMap) -> DistanceReport
 
 
 def _loop_images(
-    edge_image: Mapping[int, EdgePath], loops: Iterable[Sequence[int]]
+    direction_image: Mapping[int, Sequence[int]], loops: Iterable[Sequence[int]]
 ) -> Iterator[Tuple[int, ...]]:
     """Cyclically reduced image of each loop (a closed word of directions)
-    under the map with the given edge images.
+    under the map with the given direction images.
 
     Candidate tables grow fast with the edge count, so this works on raw
     direction tuples instead of going through GraphMap.map_path.
     """
-    dir_image: Dict[int, Tuple[int, ...]] = {}
-    for e, p in edge_image.items():
-        dir_image[e] = p.edges
-        dir_image[-e] = words.invert_word(p.edges)
     for loop in loops:
-        raw: List[int] = []
-        for d in loop:
-            raw.extend(dir_image[d])
-        yield words.cyclic_reduce(raw)
+        yield words.cyclic_reduce(chain.from_iterable(map(direction_image.__getitem__, loop)))
 
 
-class _length_lookup:
-    """Edge lengths as ints scaled by `scale` when exact, else floats."""
-
-    __slots__ = ("scale", "ordered", "_by_edge")
-
-    def __init__(self, x: OuterSpacePoint, exact: bool):
-        ids = x.graph.edge_ids
-        if exact:
-            fracs = [Fraction(x.metric.length(e)) for e in ids]
-            self.scale = math.lcm(*(f.denominator for f in fracs))
-            self.ordered = [int(f * self.scale) for f in fracs]
-        else:
-            self.scale = 1
-            self.ordered = [float(x.metric.length(e)) for e in ids]
-        self._by_edge = dict(zip(ids, self.ordered))
-
-    def __getitem__(self, e: int):
-        return self._by_edge[e]
+def _direction_lengths(x: OuterSpacePoint, exact: bool) -> Tuple[int, Dict[int, object]]:
+    """(scale, {+-e: length}): when exact, integer lengths that are the
+    rational ones times scale, the lcm of their denominators; else floats
+    with scale 1."""
+    lengths = x.metric.items()
+    if exact:
+        scale = math.lcm(*(v.denominator for _, v in lengths))
+        by_edge = {e: v.numerator * (scale // v.denominator) for e, v in lengths}
+    else:
+        scale = 1
+        by_edge = {e: float(v) for e, v in lengths}
+    by_edge.update([(-e, l) for e, l in by_edge.items()])
+    return scale, by_edge
 
 
 def distance(x: OuterSpacePoint, y: OuterSpacePoint) -> float:
@@ -177,7 +167,7 @@ def _constraint_rows(
     loops = _candidate_words(g)
     rows = []
     seen = set()
-    for w, image in zip(loops, _loop_images(edge_image, loops)):
+    for w, image in zip(loops, _loop_images(direction_images(edge_image), loops)):
         B = words.letter_counts(ids, image)
         if not any(B):
             continue  # nullhomotopic image constrains nothing

@@ -126,7 +126,7 @@ class Automorphism:
             inv = tuple(words.reduce_word(w) for w in inverse)
             if len(inv) != self.rank:
                 raise ValueError("inverse has wrong rank")
-            composite = tuple(words.substitute(inv, w) for w in imgs)
+            composite = words.compose(inv, imgs)
             if words.common_conjugator(composite) is None:
                 raise NotBasisError("supplied inverse does not invert the images up to one conjugation")
             self._inverse_images = inv
@@ -236,7 +236,7 @@ class OuterSpacePoint:
     the generators; it may be omitted and is then computed on first use.
     """
 
-    __slots__ = ("graph", "metric", "marking", "basepoint", "_inverse_marking")
+    __slots__ = ("graph", "metric", "marking", "basepoint", "_inverse_marking", "_inverse_table")
 
     def __init__(
         self,
@@ -256,6 +256,7 @@ class OuterSpacePoint:
         if inverse_marking is not None:
             inverse_marking = {e: words.reduce_word(w) for e, w in inverse_marking.items()}
         self._inverse_marking = inverse_marking
+        self._inverse_table: Optional[Dict[int, Word]] = None
         if check:
             self._validate(require_unit_volume, allow_valence_two)
 
@@ -306,15 +307,12 @@ class OuterSpacePoint:
 
     def inverse_marking_word(self, edges: Iterable[int]) -> Word:
         """Word in the generators carried by an edge sequence."""
-        inv = self._inverse_marking
-        if inv is None:
-            self.inverse_marking()
-            inv = self._inverse_marking
-        parts = []
-        for d in edges:
-            w = inv[abs(d)]
-            parts.append(w if d > 0 else words.invert_word(w))
-        return words.concat(*parts)
+        table = self._inverse_table
+        if table is None:
+            table = self.inverse_marking()
+            table.update([(-e, words.invert_word(w)) for e, w in table.items()])
+            self._inverse_table = table
+        return words.concat(*map(table.__getitem__, edges))
 
     def _spanning_tree(self) -> Dict[int, Tuple[int, ...]]:
         """BFS tree: vertex -> directions of the path basepoint -> vertex."""
@@ -399,11 +397,10 @@ class CandidateLoop:
     figure-eight, or once around each circle of an embedded barbell and
     twice along its bar."""
 
-    __slots__ = ("loop", "counts")
+    __slots__ = ("loop",)
 
-    def __init__(self, loop: EdgePath, edge_ids: Tuple[int, ...]):
+    def __init__(self, loop: EdgePath):
         self.loop = loop
-        self.counts = words.letter_counts(edge_ids, loop.edges)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CandidateLoop) and self.loop == other.loop
@@ -504,10 +501,7 @@ def _candidate_words(g: Graph) -> Tuple[Tuple[int, ...], ...]:
 
 
 def candidates(x: OuterSpacePoint) -> Tuple[CandidateLoop, ...]:
-    ids = x.graph.edge_ids
-    return tuple(
-        CandidateLoop(EdgePath(w, closed=True), ids) for w in _candidate_words(x.graph)
-    )
+    return tuple(CandidateLoop(EdgePath(w, closed=True)) for w in _candidate_words(x.graph))
 
 
 # -- the right action -------------------------------------------------------
@@ -523,11 +517,9 @@ def act(x: OuterSpacePoint, phi: Automorphism) -> OuterSpacePoint:
         raise ValueError(f"rank mismatch: point has rank {x.rank}, map has rank {phi.rank}")
     new_marking = tuple(x.marking_image(w) for w in phi.images)
     new_inverse: Optional[Dict[int, Word]] = None
-    if phi.has_inverse and x._inverse_marking is not None:
-        inv = phi.inverse_images
-        new_inverse = {
-            e: words.substitute(inv, w) for e, w in x._inverse_marking.items()
-        }
+    inv = x._inverse_marking
+    if phi.has_inverse and inv is not None:
+        new_inverse = dict(zip(inv, words.compose(phi.inverse_images, inv.values())))
     return OuterSpacePoint(
         x.graph,
         x.metric,

@@ -283,13 +283,11 @@ def invert_images(images: Sequence[Word], rank: Optional[int] = None) -> tuple:
         raise NotBasisError("folded graph is not the standard rose")
 
     psi = [loops[k] for k in range(1, n + 1)]
-    vs = [substitute(psi, w) for w in imgs]
-    g = common_conjugator(vs)
+    g = common_conjugator(compose(psi, imgs))
     if g is None:
         raise NotBasisError("inverse candidate fails the conjugacy check")
     gi = invert_word(g)
-    psi = [concat(gi, p, g) for p in psi]
-    for k, w in enumerate(imgs, start=1):
-        if substitute(psi, w) != (k,):
-            raise NotBasisError("inverse verification failed")
-    return tuple(psi)
+    psi = tuple(concat(gi, p, g) for p in psi)
+    if compose(psi, imgs) != identity_images(n):
+        raise NotBasisError("inverse verification failed")
+    return psi

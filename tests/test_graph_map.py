@@ -177,6 +177,13 @@ class TestLegality:
         with pytest.raises(ValueError):
             is_legal(EdgePath((3,), closed=True), s)
 
+    @pytest.mark.parametrize("edges", [(3,), (1, 3)])
+    def test_edge_outside_graph_rejected_without_a_turn(self, edges):
+        # An open (3,) crosses no turn, so no gate lookup sees edge 3.
+        s = gates_iterated(growth_map())
+        with pytest.raises(ValueError):
+            is_legal(EdgePath(edges), s)
+
 
 class TestFindLegalLoop:
     def test_fig2_tension_loop_has_max_ratio(self):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from helpers import assert_bracketing_trace, connected_core_graphs, exceeds_spectral_radius
 from outerspace import lipschitz_metric
-from outerspace.graph_core import EdgePath, canonical_loop, validate_path
+from outerspace.graph_core import EdgePath, Graph, canonical_loop, validate_path
 from outerspace.graph_map import (
     GraphMap,
     difference_of_markings,
@@ -47,6 +47,7 @@ from outerspace.marked_metric import (
     loop_length,
     random_automorphism,
     random_unit_metric,
+    rose_graph,
     rose_point,
 )
 from outerspace.train_track_algo import TrainTrackCertificate, find_train_track, transition_matrix
@@ -165,6 +166,52 @@ class TestSigma:
                 w = [rng.choice([s * k for s in (1, -1) for k in range(1, rank + 1)]) for _ in range(rng.randrange(1, 9))]
                 loop = EdgePath(tuple(w), closed=True)
                 assert loop_length(y, m.map_path(loop)) <= bound * loop_length(x, loop)
+
+
+def _graph(edges):
+    return Graph(sorted({v for e in edges for v in e}), dict(enumerate(edges, start=1)))
+
+
+SIGMA_GRAPHS = {
+    "rose": rose_graph(3),
+    "theta_loop": _graph([(0, 1), (0, 1), (0, 1), (0, 0)]),
+    "k4": _graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+    "barbell": _graph([(0, 0), (0, 1), (1, 2), (1, 2), (1, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGMA_GRAPHS))
+def test_sigma_table_matches_loop_length_reference(name):
+    """Every ratio of the table is the exact ratio of loop lengths, read
+    from the map's edge images; float metrics agree with it to rounding."""
+    g = SIGMA_GRAPHS[name]
+    rng = random.Random(name)
+    for _ in range(4):
+        x = graph_point(g, random_unit_metric(g.edge_ids, rng, denominator=60))
+        y = act(
+            graph_point(g, random_unit_metric(g.edge_ids, rng, denominator=84)),
+            random_automorphism(x.rank, 20, rng),
+        )
+        m = difference_of_markings(x, y)
+        rep = sigma(x, y, m)
+        assert [c for c, _ in rep.table] == list(candidates(x))
+        for c, ratio in rep.table:
+            image = []
+            for d in c.loop.edges:
+                p = m.edge_image[abs(d)].edges
+                image.extend(p if d > 0 else [-t for t in reversed(p)])
+            ref = loop_length(y, EdgePath(tuple(image), closed=True)) / loop_length(x, c.loop)
+            assert type(ratio) is Fraction and ratio == ref
+        assert rep.sigma == max(ratio for _, ratio in rep.table)
+
+        def floats(p):
+            return p.with_metric(Metric({e: float(v) for e, v in p.metric.items()}))
+
+        fx, fy = floats(x), floats(y)
+        frep = sigma(fx, fy, difference_of_markings(fx, fy))
+        for (c, exact), (fc, approx) in zip(rep.table, frep.table):
+            assert fc == c and type(approx) is float
+            assert abs(approx - float(exact)) <= 1e-12 * float(exact)
 
 
 class TestDistance:
