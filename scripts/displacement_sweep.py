@@ -6,7 +6,8 @@ found on the thick part of the metric simplex and whether the minimizer sits
 on the floor boundary.  Maps whose infimum is realized in the interior
 stabilize immediately; maps whose infimum lives at the simplex boundary show
 a strictly decreasing stretch with the boundary flag pinned on.  Each floor
-starts from the previous floor's minimizer, so the stretch never rises.
+starts from the previous floor's report: at its minimizer, so the stretch
+never rises, and with its constraint rows, so they are built once.
 
 Example:
     python3 scripts/displacement_sweep.py --map "a->ab; b->bab; c->cad; d->dcad"
@@ -52,9 +53,10 @@ def main(argv=None) -> int:
     prev = None
     start = None
     for floor in cfg.floors:
-        # The previous floor's minimizer is admissible for this smaller floor.
+        # The previous floor's minimizer is admissible for this smaller floor,
+        # and its report carries the map's rows and last LP basis.
         rep = min_displacement_on_simplex(m.domain.graph, m.edge_image, floor, start=start)
-        start = rep.metric
+        start = rep
         drift = "" if prev is None else f"  (drop {prev - rep.lam:+.3e})"
         print(
             f"{floor:>10.0e}  {rep.lam:>18.12f}  {math.log(rep.lam):>12.8f}  "

@@ -14,7 +14,7 @@ program: a legal loop and an exact bracket of its growth rate certify it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from typing import (
@@ -30,7 +30,6 @@ from .marked_metric import (
     CandidateLoop,
     Metric,
     OuterSpacePoint,
-    act,
     candidates,
     _candidate_words,
 )
@@ -135,13 +134,18 @@ def distance(x: OuterSpacePoint, y: OuterSpacePoint) -> float:
     return sigma(x, y, difference_of_markings(x, y)).log_sigma
 
 
-def displacement(x: OuterSpacePoint, phi: Automorphism) -> DistanceReport:
-    """Stretch report from x to its translate under the automorphism action."""
-    y = act(x, phi)
-    return sigma(x, y, difference_of_markings(x, y))
-
-
 # -- displacement minimization over a floored simplex -----------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class _RowSet:
+    """The constraint rows of a self-map as float arrays, with the map they
+    belong to: B holds the image counts and C the loop counts."""
+
+    graph: Graph
+    edge_image: Mapping[int, EdgePath]
+    B: np.ndarray
+    C: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -152,6 +156,9 @@ class SimplexMinReport:
     floor: float
     trace: Tuple[Tuple[float, float], ...]  # (lower, upper) after each LP step
     pinned: Tuple[int, ...]  # edges of `metric` at the floor
+    # What a later minimization of the same map reuses when it starts here.
+    rows: _RowSet = field(compare=False, repr=False)
+    basis: Optional[np.ndarray] = field(compare=False, repr=False)  # of the last LP
 
     @property
     def boundary_flag(self) -> bool:
@@ -185,41 +192,59 @@ class GameSolveError(ArithmeticError):
 
 _PIVOT_TOL = 1e-13  # relative: the mapped game's value lies in [1, 2]
 _PAYOFF_RANGE = 1e6  # mapped payoffs lie within about this of the value
+_WARM_COND = 1e8  # largest condition number of a basis to start from
 
 
-def solve_matrix_game(P: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Optimal strategies (mu, y) of the zero-sum game with payoff matrix P:
-    mu in the simplex of columns minimizes max_i (P mu)_i, y in the simplex of
-    rows maximizes min_j (y P)_j, and both reach the game's value.
+def solve_matrix_game(
+    P: np.ndarray, basis: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Optimal strategies (mu, y) of the zero-sum game with payoff matrix P,
+    and the optimal basis that gave them: mu in the simplex of columns
+    minimizes max_i (P mu)_i, y in the simplex of rows maximizes
+    min_j (y P)_j, and both reach the game's value.
 
     The best pure strategies bound the value: L = max_i min_j P_ij <= value
-    <= min_j max_i P_ij = U, and when L = U they are optimal as they are.
-    Otherwise the affine map Q = 1 + (P - L) / S, with S the larger of U - L
-    and P's range divided by _PAYOFF_RANGE, puts the value in [1, 2] and
-    changes no optimal strategy.  S stays near U - L so that huge payoffs do
-    not round the value's digits away (a floored step's payoffs reach about
-    lam / floor while its value nears 0); its lower limit keeps the tableau's
-    entries within _PAYOFF_RANGE of each other, whose products would lose
-    those digits instead.  Every column of Q has an entry >= 1, so the row
-    player's LP  min 1.w  s.t.  Q^T w >= 1, w >= 0  is feasible, with value
-    1 / value(Q).
+    <= min_j max_i P_ij = U, and when L = U they are optimal as they are
+    (the basis returned is then None).  Otherwise the affine map
+    Q = 1 + (P - L) / S, with S the larger of U - L and P's range divided by
+    _PAYOFF_RANGE, puts the value in [1, 2] and changes no optimal strategy.
+    S stays near U - L so that huge payoffs do not round the value's digits
+    away (a floored step's payoffs reach about lam / floor while its value
+    nears 0); its lower limit keeps the tableau's entries within
+    _PAYOFF_RANGE of each other, whose products would lose those digits
+    instead.  Every column of Q has an entry >= 1, so the row player's LP
+    min 1.w  s.t.  Q^T w >= 1, w >= 0  is feasible, with value 1 / value(Q).
 
-    A dual simplex solves it from the all-slack basis, which is dual feasible
-    because every cost is 1 or 0, on an (n + 1) x (m + n + 1) tableau with
-    one row per column of P.  Dantzig's rule picks the leaving row and a
-    Harris ratio test the entering column; Bland's rule takes over while the
-    objective stalls.  When the tableau shows no infeasible row, its basis is
-    solved again from Q, and pivoting goes on if that shows one.  The
-    strategies come from that solve, so the tableau's rounding reaches
-    neither: the basic w give y = w / sum(w), and the basis duals z (a
-    solution of  max 1.z  s.t.  Q z <= 1, z >= 0) give mu = z / sum(z).
-    Raises GameSolveError when the simplex fails.
+    A dual simplex solves it on an (n + 1) x (m + n + 1) tableau with one
+    row per column of P, whose columns are the m entries of w and the n
+    surpluses.  It starts from `basis` (n distinct columns, such as the
+    basis an earlier solve returned) when that basis is nonsingular, with a
+    condition number below _WARM_COND, and dual feasible here: every cost at
+    least -_PIVOT_TOL.  Consecutive Dinkelbach steps, and the floors of one
+    sweep, mostly share their optimal basis, so a warm start often needs no
+    pivot.  Otherwise it starts from the all-slack basis, which is dual
+    feasible because every cost is 1 or 0.  Dantzig's rule picks the leaving
+    row and a Harris ratio test the entering column; Bland's rule takes over
+    while the objective stalls.  When the tableau shows no infeasible row,
+    its basis is solved again from Q, and pivoting goes on if that shows
+    one.  The strategies come from that solve, so the tableau's rounding
+    reaches neither: the basic w give y = w / sum(w), and the basis duals z
+    (a solution of  max 1.z  s.t.  Q z <= 1, z >= 0) give mu = z / sum(z).
+    On a degenerate game, a warm start may end at another optimal vertex
+    than a cold one.  Raises ValueError when `basis` is not n distinct
+    columns of the tableau, and GameSolveError when the simplex fails.
     """
     m, n = P.shape
-    lo, hi = float(P.min(axis=1).max()), float(P.max(axis=0).min())
+    if basis is not None:
+        basis = np.array(basis, dtype=np.intp)  # a copy: pivoting writes to it
+        cols = basis.tolist()
+        if basis.shape != (n,) or len(set(cols)) < n or min(cols) < 0 or max(cols) >= m + n:
+            raise ValueError(f"a basis of a {m}x{n} game is {n} distinct columns below {m + n}")
+    row_min, col_max = P.min(axis=1), P.max(axis=0)
+    lo, hi = float(row_min.max()), float(col_max.min())
     if lo >= hi:  # a saddle point: the best pure strategies are optimal
-        return np.eye(n)[np.argmin(P.max(axis=0))], np.eye(m)[np.argmax(P.min(axis=1))]
-    scale = max(hi - lo, float(P.max() - P.min()) / _PAYOFF_RANGE)
+        return np.eye(n)[np.argmin(col_max)], np.eye(m)[np.argmax(row_min)], None
+    scale = max(hi - lo, float(col_max.max() - row_min.min()) / _PAYOFF_RANGE)
     Q = 1.0 + (P - lo) / scale
     # Row j: -(Q^T w)_j + s_j = -1 for a surplus s_j >= 0; last row: costs.
     data = np.zeros((n + 1, m + n + 1))
@@ -235,14 +260,30 @@ def solve_matrix_game(P: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
             raise GameSolveError(f"singular basis of a {m}x{n} game") from exc
         return np.vstack((rows, data[n] - data[n, basis] @ rows))
 
-    basis = np.arange(m, m + n)
-    T = data.copy()  # the all-slack basis's tableau
+    T = None
+    if basis is not None:
+        try:
+            T = tableau(basis)
+        except GameSolveError:  # singular: start cold
+            pass
+        else:
+            # The surplus columns of the data are the identity, so the
+            # tableau holds the basis's inverse there, which gives its 1-norm
+            # condition number.
+            norm = np.abs(data[:n, basis]).sum(axis=0).max()
+            cond = norm * np.abs(T[:n, m:-1]).sum(axis=0).max()
+            if not (cond <= _WARM_COND and T[n, :-1].min() >= -_PIVOT_TOL):
+                T = None
+    if T is None:
+        basis = np.arange(m, m + n)
+        T = data.copy()  # the all-slack basis's tableau
     fresh = True  # T was computed from the data, not by pivoting
     refreshes = 0
     stalled = 0  # pivots since the objective last rose
     for _ in range(10 * (m + n)):
-        infeasible = np.flatnonzero(T[:n, -1] < -_PIVOT_TOL)
-        if not infeasible.size:
+        rhs = T[:n, -1]
+        r = int(np.argmin(rhs))
+        if not rhs[r] < -_PIVOT_TOL:  # no infeasible row
             if fresh:
                 break
             # Pivoting accumulates rounding: solve the basis again from the
@@ -255,11 +296,11 @@ def solve_matrix_game(P: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         fresh = False
         # After n pivots without progress, Bland's rule (smallest indices)
         # until the objective rises again, so degenerate pivots cannot cycle.
+        # Otherwise Dantzig's rule: the most infeasible row, r above.
         bland = stalled > n
         if bland:
+            infeasible = np.flatnonzero(rhs < -_PIVOT_TOL)
             r = int(infeasible[np.argmin(basis[infeasible])])
-        else:
-            r = int(infeasible[np.argmin(T[infeasible, -1])])
         row, cost = T[r, :-1], T[n, :-1]
         entering = row < -_PIVOT_TOL * max(1.0, float(np.abs(row).max()))
         entering[basis] = False  # rounding may leave a basic column nonzero
@@ -288,7 +329,7 @@ def solve_matrix_game(P: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     in_w = basis < m
     w = np.zeros(m)
     w[basis[in_w]] = np.maximum(T[:n, -1][in_w], 0.0)
-    return z / z.sum(), w / w.sum()
+    return z / z.sum(), w / w.sum(), basis
 
 
 @dataclass(frozen=True)
@@ -296,9 +337,12 @@ class StepSolution:
     x: np.ndarray  # lengths on the floored simplex
     fun: float  # the LP's optimal t, max_i (A_ub x - b_ub)_i
     y: np.ndarray  # optimal row duals: y >= 0, sum(y) = 1
+    basis: Optional[np.ndarray]  # the game's optimal basis, None at a saddle point
 
 
-def linprog(A_ub: np.ndarray, *, b_ub: np.ndarray, floor: float) -> StepSolution:
+def linprog(
+    A_ub: np.ndarray, *, b_ub: np.ndarray, floor: float, basis: Optional[np.ndarray] = None
+) -> StepSolution:
     """One Dinkelbach step's LP over the floored simplex,
 
         minimize t  subject to  A_ub l - t <= b_ub,  sum(l) = 1,  l >= floor,
@@ -307,15 +351,17 @@ def linprog(A_ub: np.ndarray, *, b_ub: np.ndarray, floor: float) -> StepSolution
     l = floor + (1 - n floor) mu with mu in the standard simplex gives
     (A_ub l - b_ub)_i = (P mu)_i for P = (1 - n floor) A_ub
     + (floor A_ub 1 - b_ub) 1^T, so the optimal t is the value of the game P
-    (see solve_matrix_game), and every such l also satisfies l <= 1.  t is
-    evaluated at mu itself: recovering it from the mapped game's value would
-    lose digits to cancellation.  Raises GameSolveError when the game is not
-    solved.
+    (see solve_matrix_game, which starts from `basis` when it is usable),
+    and every such l also satisfies l <= 1.  t is evaluated at mu itself:
+    recovering it from the mapped game's value would lose digits to
+    cancellation.  Raises GameSolveError when the game is not solved.
     """
     n = A_ub.shape[1]
     P = (1.0 - n * floor) * A_ub + (floor * A_ub.sum(axis=1) - b_ub)[:, None]
-    mu, y = solve_matrix_game(P)
-    return StepSolution(x=floor + (1.0 - n * floor) * mu, fun=float(np.max(P @ mu)), y=y)
+    mu, y, basis = solve_matrix_game(P, basis)
+    return StepSolution(
+        x=floor + (1.0 - n * floor) * mu, fun=float(np.max(P @ mu)), y=y, basis=basis
+    )
 
 
 # LP steps per minimization.  Convergence is superlinear at an interior
@@ -328,7 +374,7 @@ def min_displacement_on_simplex(
     g: Graph,
     edge_image: Mapping[int, EdgePath],
     floor: float,
-    start: Optional[Metric] = None,
+    start: Union[Metric, SimplexMinReport, None] = None,
 ) -> SimplexMinReport:
     """Minimize the maximal candidate stretch of a fixed topological self-map
     over unit-volume metrics with every edge length at least the floor.
@@ -342,33 +388,51 @@ def min_displacement_on_simplex(
                                 sum(l) = 1,  l >= floor,
 
     and moves to its point.  The LP is solved in the library as a small
-    matrix game (see `linprog`), so numpy is all the minimizer needs.  The
-    LP's row duals y give a certified lower bound: a maximum of ratios is at
-    least any weighted mediant, so the minimum is at least
-    min (yB).l / (yC).l over the floored simplex, which is attained at one
-    of its n vertices.  The bound holds for any y >= 0, so an inexact LP
-    answer can slow the iteration but never falsify a bound it reports.  The
-    iteration stops when t >= 0 (l_k is optimal), when the two bounds meet,
-    or when a step no longer lowers lam.
+    matrix game (see `linprog`), so numpy is all the minimizer needs.  Each
+    step after the first starts from the previous step's optimal basis,
+    which is mostly still optimal or a pivot or two away.  The LP's row
+    duals y give a certified lower bound: a maximum of ratios is at least
+    any weighted mediant, so the minimum is at least min (yB).l / (yC).l
+    over the floored simplex, which is attained at one of its n vertices.
+    The bound holds for any y >= 0, so an inexact LP answer can slow the
+    iteration but never falsify a bound it reports.  The iteration stops
+    when t >= 0 (l_k is optimal), when the two bounds meet, or when a step
+    no longer lowers lam.
 
     The iteration starts at l_0 = `start` when given (a metric on the edges
     of g, scaled to unit volume and lifted onto the floored simplex), else at
     the barycenter, and the lam it returns is at most lam_0.  A start at the
     minimizer, such as a train track's Perron–Frobenius metric, is usually
     confirmed by the first LP step; a start near it, such as the minimizer
-    for a larger floor, saves the steps that approach it.
+    for a larger floor, saves the steps that approach it.  `start` may also
+    be the report of an earlier minimization of the same map, as in a floor
+    sweep: its minimizer is then the start, and its constraint rows and last
+    LP basis are reused, so a sweep builds its rows once.
     """
     ids = g.edge_ids
     n = len(ids)
     if not 0 < floor < 1 / n:
         raise ValueError(f"floor must lie strictly between 0 and 1/{n}")
+    rows: Optional[_RowSet] = None
+    basis = None
+    if isinstance(start, SimplexMinReport):
+        rows, basis, start = start.rows, start.basis, start.metric
     if start is not None and start.edge_ids != ids:
         raise ValueError(f"start metric has edges {start.edge_ids}, graph has {ids}")
-    rows = _constraint_rows(g, edge_image)
-    if not rows:
-        raise StretchIntegrityError("self-map stretches no candidate loop")
-    Bm = np.array([r[0] for r in rows], dtype=float)
-    Cm = np.array([r[1] for r in rows], dtype=float)
+    if rows is None:
+        counts = _constraint_rows(g, edge_image)
+        if not counts:
+            raise StretchIntegrityError("self-map stretches no candidate loop")
+        rows = _RowSet(
+            g,
+            edge_image,
+            np.array([r[0] for r in counts], dtype=float),
+            np.array([r[1] for r in counts], dtype=float),
+        )
+    elif rows.graph != g or rows.edge_image != edge_image:
+        raise ValueError("start report minimized another map")
+    Bm, Cm = rows.B, rows.C
+    b_ub = np.zeros(len(Bm))
     # Vertices of the floored simplex: one edge long, every other at the floor.
     vertices = floor + (1.0 - n * floor) * np.eye(n)
 
@@ -387,11 +451,12 @@ def min_displacement_on_simplex(
         excess = np.maximum(lengths / lengths.sum() - floor, 0.0)
         ell = floor + (1.0 - n * floor) * excess / excess.sum()
     lam = max_ratio(ell)
-    lower = min(lam, mediant_bound(np.ones(len(rows))))
+    lower = min(lam, mediant_bound(np.ones(len(Bm))))
     trace: List[Tuple[float, float]] = []
     for _ in range(_MAX_STEPS):
         scale = Cm @ ell
-        res = linprog((Bm - lam * Cm) / scale[:, None], b_ub=np.zeros(len(rows)), floor=floor)
+        res = linprog((Bm - lam * Cm) / scale[:, None], b_ub=b_ub, floor=floor, basis=basis)
+        basis = res.basis
         lower = max(lower, mediant_bound(res.y / scale))
         step_lam = max_ratio(res.x)
         improved = step_lam < lam
@@ -409,6 +474,8 @@ def min_displacement_on_simplex(
         floor=floor,
         trace=tuple(trace),
         pinned=tuple(e for i, e in enumerate(ids) if ell[i] <= floor + tol),
+        rows=rows,
+        basis=basis,
     )
 
 
@@ -463,9 +530,10 @@ def classify(phi: Automorphism, trials: int = 3) -> Classification:
     tolerance decides it; the floored minimization from the PF point is
     evidence only.  Reduction certificate -> parabolic suspect, with the
     invariant chain and a floor sweep showing the boundary-pinned minima;
-    each floor after the first starts at the previous floor's minimizer, so
-    the sweep lambda cannot rise (beyond rounding).  Anything else is
-    inconclusive.
+    each floor after the first starts from the previous floor's report: at
+    its minimizer, so the sweep lambda cannot rise (beyond rounding), and
+    with its constraint rows and last LP basis, so the sweep builds its rows
+    once.  Anything else is inconclusive.
     """
     cert = find_train_track(phi)
     if isinstance(cert, FiniteOrderCertificate):
@@ -495,7 +563,7 @@ def classify(phi: Automorphism, trials: int = 3) -> Classification:
                 m.domain.graph, m.edge_image, floor=10.0 ** (-2 - i), start=start
             )
             sweep.append((rep.floor, rep.lam, rep.boundary_flag))
-            start = rep.metric
+            start = rep
         return ParabolicSuspect(
             invariant_chain=tuple(chain), sweep=tuple(sweep), certificate=cert
         )

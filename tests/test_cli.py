@@ -381,7 +381,7 @@ def test_commands_run_without_scipy():
 
 
 def test_unsolved_lp_step_is_an_integrity_failure(capsys, monkeypatch):
-    def fail(P):
+    def fail(P, basis=None):
         raise lipschitz_metric.GameSolveError("no column can enter")
 
     monkeypatch.setattr(lipschitz_metric, "solve_matrix_game", fail)

@@ -30,7 +30,6 @@ from outerspace.lipschitz_metric import (
     StretchIntegrityError,
     _constraint_rows,
     classify,
-    displacement,
     distance,
     linprog,
     min_displacement_on_simplex,
@@ -89,6 +88,20 @@ def lp_calls(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(lipschitz_metric, "linprog", counting)
+    return calls
+
+
+@pytest.fixture
+def row_builds(monkeypatch):
+    """Records the arguments of every constraint-row build."""
+    calls = []
+    build = lipschitz_metric._constraint_rows
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(lipschitz_metric, "_constraint_rows", counting)
     return calls
 
 
@@ -255,21 +268,28 @@ class TestDistance:
 
 
 class TestDisplacement:
+    """Stretch from x to its translate x.phi, by the difference of markings."""
+
+    @staticmethod
+    def displacement(x, phi):
+        y = act(x, phi)
+        return sigma(x, y, difference_of_markings(x, y))
+
     def test_expanding_map_at_its_eigenmetric(self):
         a = 1.0 / GOLDEN_SQ  # normalized left eigenvector of [[1,1],[1,2]]
         x = rose_point(2, lengths=(a, 1.0 - a))
-        rep = displacement(x, EXPANDING)
+        rep = self.displacement(x, EXPANDING)
         assert rep.log_sigma == pytest.approx(math.log(GOLDEN_SQ), abs=1e-12)
 
     def test_expanding_map_at_barycenter(self):
         x = rose_point(2)
-        rep = displacement(x, EXPANDING)
+        rep = self.displacement(x, EXPANDING)
         assert rep.sigma == Fraction(3)
         assert rep.witness.loop.edges == (2,)
 
     def test_finite_order_map_is_not_displacing(self):
         x = rose_point(3)
-        rep = displacement(x, PERMUTED)
+        rep = self.displacement(x, PERMUTED)
         assert rep.sigma == Fraction(1)
         assert rep.log_sigma == 0.0
 
@@ -373,8 +393,9 @@ games = st.tuples(st.integers(1, 12), st.integers(1, 7)).flatmap(
 
 @pytest.fixture(scope="module")
 def survey_steps():
-    """(A_ub, b_ub, floor) of every LP step classify solves on the inputs of
-    the benchmark's classify-survey workload at seed 0."""
+    """(A_ub, b_ub, floor, basis) of every LP step classify solves on the
+    inputs of the benchmark's classify-survey workload at seed 0, with the
+    basis the step started from (None for a cold start)."""
     mp = pytest.MonkeyPatch()
     mp.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import workloads
@@ -382,9 +403,9 @@ def survey_steps():
     steps = []
     solve = lipschitz_metric.linprog
 
-    def recording(A_ub, *, b_ub, floor):
-        steps.append((A_ub, b_ub, floor))
-        return solve(A_ub, b_ub=b_ub, floor=floor)
+    def recording(A_ub, *, b_ub, floor, basis=None):
+        steps.append((A_ub, b_ub, floor, basis))
+        return solve(A_ub, b_ub=b_ub, floor=floor, basis=basis)
 
     mp.setattr(lipschitz_metric, "linprog", recording)
     try:
@@ -403,17 +424,17 @@ class TestStepLP:
     @given(P=games)
     def test_game_value_matches_scipy(self, P):
         m, n = P.shape
-        mu, y = solve_matrix_game(P)
+        mu, y, _ = solve_matrix_game(P)
         assert_game_solution(P, mu, y)
         # The game is the step LP with floor 0 and b_ub = 0.
         value = scipy_step(P, np.zeros(m), 0.0)
         assert np.max(P @ mu) == pytest.approx(value, rel=1e-9, abs=1e-9 * max(1.0, np.abs(P).max()))
 
-    def test_classify_survey_steps_match_scipy(self, survey_steps):
-        assert len(survey_steps) >= 200
-        for A, b, floor in survey_steps:
+    @staticmethod
+    def assert_steps_match_scipy(steps, warm):
+        for A, b, floor, basis in steps:
             n = A.shape[1]
-            res = linprog(A, b_ub=b, floor=floor)
+            res = linprog(A, b_ub=b, floor=floor, basis=basis if warm else None)
             assert res.fun == pytest.approx(scipy_step(A, b, floor), rel=1e-9, abs=1e-9)
             assert res.x.sum() == pytest.approx(1.0, abs=1e-12)
             assert res.x.min() >= floor
@@ -421,6 +442,17 @@ class TestStepLP:
             mu = (res.x - floor) / (1.0 - n * floor)
             assert res.fun == pytest.approx(np.max(P @ mu), abs=1e-12)
             assert_game_solution(P, mu, res.y)
+
+    def test_classify_survey_steps_match_scipy(self, survey_steps):
+        assert len(survey_steps) >= 200
+        self.assert_steps_match_scipy(survey_steps, warm=False)
+
+    def test_classify_survey_warm_steps_match_scipy(self, survey_steps):
+        # Each step that classify started from the previous step's basis,
+        # replayed from that basis.
+        warm = [step for step in survey_steps if step[3] is not None]
+        assert len(warm) >= 150
+        self.assert_steps_match_scipy(warm, warm=True)
 
     def test_general_right_hand_side(self):
         rng = np.random.default_rng(3)
@@ -436,7 +468,7 @@ class TestStepLP:
         # Spanning 12 orders of magnitude, it is solved to its payoff range.
         rng = np.random.default_rng(578)
         P = rng.integers(-3, 4, size=(30, 12)) * 10.0 ** rng.integers(-6, 7, size=(1, 12))
-        mu, y = solve_matrix_game(P)
+        mu, y, _ = solve_matrix_game(P)
         assert mu.min() >= 0 and mu.sum() == pytest.approx(1.0, abs=1e-12)
         assert y.min() >= 0 and y.sum() == pytest.approx(1.0, abs=1e-12)
         assert abs(np.max(P @ mu) - np.min(y @ P)) <= 1e-12 * np.ptp(P)
@@ -452,13 +484,48 @@ class TestStepLP:
             -9, 1, size=mixed.sum()
         )
         P = payoffs.reshape(12, 7)
-        mu, y = solve_matrix_game(P)
+        mu, y, _ = solve_matrix_game(P)
         assert_game_solution(P, mu, y)
 
     def test_saddle_point_game(self):
         P = np.array([[1.0, 3.0], [0.0, -1.0]])  # row 0, column 0 is a saddle point
-        mu, y = solve_matrix_game(P)
+        mu, y, _ = solve_matrix_game(P)
         assert mu.tolist() == [1.0, 0.0] and y.tolist() == [1.0, 0.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(P=games, data=st.data())
+    def test_any_start_basis_gives_an_optimal_pair(self, P, data):
+        # Any n distinct tableau columns, singular and dual-infeasible bases
+        # included: the solver starts from the all-slack basis instead of
+        # those, so the answer is an optimal pair of the same game.
+        m, n = P.shape
+        basis = np.array(data.draw(st.permutations(range(m + n)))[:n])
+        mu, y, _ = solve_matrix_game(P, basis)
+        assert_game_solution(P, mu, y)
+        cold_mu, cold_y, cold_basis = solve_matrix_game(P)
+        assert abs(np.max(P @ mu) - np.max(P @ cold_mu)) <= 1e-12 * np.ptp(P)
+        if cold_basis is not None:
+            # Started at the optimal basis, the solver returns the cold
+            # answer bit for bit: that basis's tableau is solved the same way.
+            again = solve_matrix_game(P, cold_basis)
+            assert again[2].tolist() == cold_basis.tolist()
+            assert again[0].tolist() == cold_mu.tolist() and again[1].tolist() == cold_y.tolist()
+
+    def test_near_singular_start_basis_is_not_used(self):
+        # Rows 1-3 of P are proportional, so the basis of their w columns is
+        # singular, but rounding lets its solve through with a tableau that
+        # looks dual feasible; an answer read from there has a duality gap
+        # of 2 on a game of value 0.
+        P = np.array([[-2.0, -2.0, 0.0], [0.0, -1.0, 2.0], [0.0, 1.0, -2.0], [0.0, 2.0, -4.0]])
+        mu, y, _ = solve_matrix_game(P, np.array([1, 2, 3]))
+        assert_game_solution(P, mu, y)
+        assert np.max(P @ mu) == pytest.approx(np.min(y @ P), abs=1e-12)
+
+    def test_basis_of_another_shape_is_rejected(self):
+        P = np.array([[1.0, 3.0, 0.0], [0.0, -1.0, 2.0]])  # 2 rows, 3 columns
+        for bad in ([0, 1], [0, 1, 2, 3], [0, 1, 5], [-1, 0, 1], [2, 2, 3]):
+            with pytest.raises(ValueError):
+                solve_matrix_game(P, np.array(bad))
 
 
 class TestMinDisplacement:
@@ -607,6 +674,26 @@ class TestMinDisplacement:
                 assert min(warm.metric.length(e) for e in m.domain.graph.edge_ids) >= floor
         assert kinds["train_track"] >= 5 and kinds["reducible"] >= 5
 
+    def test_start_report_reuses_its_rows(self, row_builds):
+        m = rose_self_map(RANK4_REDUCIBLE)
+        g = m.domain.graph
+        rep = min_displacement_on_simplex(g, m.edge_image, 1e-2)
+        from_report = min_displacement_on_simplex(g, m.edge_image, 1e-3, start=rep)
+        from_metric = min_displacement_on_simplex(g, m.edge_image, 1e-3, start=rep.metric)
+        assert len(row_builds) == 2  # the first minimization and the metric start
+        assert from_report.lam == pytest.approx(from_metric.lam, rel=1e-12)
+        assert from_report.lower <= from_report.lam
+
+    def test_start_report_of_another_map_is_rejected(self):
+        rank2 = rose_self_map(EXPANDING)
+        rank3 = rose_self_map(Automorphism.from_text(FLOOR_VERTEX_TRAIN_TRACKS[0]))
+        rep = min_displacement_on_simplex(rank2.domain.graph, rank2.edge_image, 1e-2)
+        with pytest.raises(ValueError, match="start metric has edges"):
+            min_displacement_on_simplex(rank3.domain.graph, rank3.edge_image, 1e-3, start=rep)
+        other = rose_self_map(REDUCIBLE)  # same graph, another map
+        with pytest.raises(ValueError, match="another map"):
+            min_displacement_on_simplex(other.domain.graph, other.edge_image, 1e-3, start=rep)
+
     def test_repeat_runs_agree(self):
         m = rose_self_map(RANK4_REDUCIBLE)
         first = min_displacement_on_simplex(m.domain.graph, m.edge_image, 1e-4)
@@ -730,6 +817,15 @@ class TestClassify:
                 # by the rounding of one sum.
                 assert lo - 2 * math.ulp(lo) <= cert.lam <= hi + 2 * math.ulp(hi)
         assert train_tracks >= 20
+
+    @pytest.mark.parametrize("phi", [EXPANDING, REDUCIBLE, RANK4_REDUCIBLE])
+    def test_one_row_build_per_classify(self, row_builds, phi):
+        # A train track's one minimization, or a reduction's 3-floor sweep.
+        result = classify(phi)
+        assert isinstance(result, Hyperbolic if phi is EXPANDING else ParabolicSuspect)
+        if isinstance(result, ParabolicSuspect):
+            assert len(result.sweep) == 3
+        assert len(row_builds) == 1
 
     def test_polynomially_growing_input(self):
         result = classify(REDUCIBLE)
