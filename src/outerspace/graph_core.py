@@ -5,15 +5,14 @@ edge is a signed id: +e runs from endpoints(e)[0] to endpoints(e)[1], -e the
 other way, so reversal is negation and is fixed-point free.  A direction is
 an oriented edge regarded as a germ at its initial vertex; a turn is an
 unordered pair of distinct directions at one vertex.  Edge paths are words
-in signed edge ids and are reduced by the word functions of ``words``.
+in signed edge ids; tighten checks a path against the graph and freely
+reduces it in one pass, and loops are cyclically reduced by ``words``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
-
-from .words import reduce_word
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 
 class GraphError(ValueError):
@@ -31,7 +30,7 @@ class Graph:
     surgery may be disconnected.  Marked points enforce connectivity themselves.
     """
 
-    __slots__ = ("_vertices", "_endpoints", "_dirs", "_hash")
+    __slots__ = ("_vertices", "_endpoints", "_init", "_term", "_dirs", "_hash", "_connected")
 
     def __init__(self, vertices: Iterable[int], endpoints: Dict[int, Tuple[int, int]]):
         self._vertices = tuple(sorted(set(vertices)))
@@ -45,12 +44,17 @@ class Graph:
                 raise GraphError(f"edge {e} endpoints {(u, v)} not among vertices")
             eps[e] = (u, v)
         self._endpoints = eps
+        self._init: Dict[int, int] = {}  # direction -> initial vertex
+        self._term: Dict[int, int] = {}  # direction -> terminal vertex
         dirs: Dict[int, list] = {v: [] for v in self._vertices}
         for e, (u, v) in eps.items():
+            self._init[e] = self._term[-e] = u
+            self._term[e] = self._init[-e] = v
             dirs[u].append(e)
             dirs[v].append(-e)
         self._dirs = {v: tuple(sorted(ds, key=direction_key)) for v, ds in dirs.items()}
         self._hash = hash((self._vertices, tuple(sorted(eps.items()))))
+        self._connected: Optional[bool] = None
 
     @property
     def vertices(self) -> Tuple[int, ...]:
@@ -69,12 +73,10 @@ class Graph:
 
     def init(self, d: int) -> int:
         """Initial vertex of an oriented edge."""
-        u, v = self._endpoints[abs(d)]
-        return u if d > 0 else v
+        return self._init[d]
 
     def term(self, d: int) -> int:
-        u, v = self._endpoints[abs(d)]
-        return v if d > 0 else u
+        return self._term[d]
 
     def directions_at(self, v: int) -> Tuple[int, ...]:
         """Directions based at v; a loop edge contributes both +e and -e."""
@@ -93,18 +95,9 @@ class Graph:
         return all(len(ds) >= 2 for ds in self._dirs.values())
 
     def is_connected(self) -> bool:
-        if not self._vertices:
-            return True
-        seen = {self._vertices[0]}
-        stack = [self._vertices[0]]
-        while stack:
-            v = stack.pop()
-            for d in self._dirs[v]:
-                w = self.term(d)
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self._vertices)
+        if self._connected is None:  # a Graph never changes: count once
+            self._connected = _component_count(self._vertices, self._endpoints.values()) <= 1
+        return self._connected
 
     def first_betti(self) -> int:
         comps = _component_count(self._vertices, self._endpoints.values())
@@ -141,9 +134,6 @@ class EdgePath:
     edges: Tuple[int, ...]
     closed: bool = False
 
-    def reverse(self) -> "EdgePath":
-        return EdgePath(tuple(-d for d in reversed(self.edges)), self.closed)
-
     def __len__(self) -> int:
         return len(self.edges)
 
@@ -151,27 +141,59 @@ class EdgePath:
         return bool(self.edges)
 
 
-def validate_path(g: Graph, p: EdgePath) -> None:
-    endpoints = g._endpoints
-    prev = end = start = None
-    for d in p.edges:
-        ends = endpoints.get(d if d > 0 else -d)
-        if ends is None:
-            raise PathError(f"unknown edge {d}")
-        u, v = ends if d > 0 else ends[::-1]
-        if prev is None:
+_NOWHERE = object()  # where a walk stands before its first edge: no vertex
+
+
+def _reduced_walk(g: Graph, edges: Iterable[int], closed: bool) -> Tuple[int, ...]:
+    """Free reduction of a walk in g, checked in the same pass.
+
+    Raises PathError on an unknown edge, on consecutive edges that do not
+    meet, and on a closed walk that does not return to its start.
+    """
+    init, term = g._init, g._term
+    out: list = []
+    prev = None
+    start = end = _NOWHERE
+    for d in edges:
+        u = init.get(d)
+        if u != end:  # the first edge, an unknown one, or a gap
+            if u is None:
+                raise PathError(f"unknown edge {d}")
+            if prev is not None:
+                raise PathError(f"edges {prev}, {d} are not incident")
             start = u
-        elif end != u:
-            raise PathError(f"edges {prev}, {d} are not incident")
-        prev, end = d, v
-    if p.closed and prev is not None and end != start:
+        end = term[d]
+        prev = d
+        if out and out[-1] == -d:
+            out.pop()
+        else:
+            out.append(d)
+    if closed and prev is not None and end != start:
         raise PathError("closed path does not return to its start")
+    return tuple(out)
 
 
-def tighten(g: Graph, p: EdgePath) -> EdgePath:
-    """Reduce rel endpoints (no cyclic cancellation, no rotation)."""
-    validate_path(g, p)
-    return EdgePath(reduce_word(p.edges), p.closed)
+def validate_path(g: Graph, p: EdgePath) -> None:
+    """Raise PathError unless p is a walk in g (a closed one returns).
+
+    For callers that read p itself, unreduced; a path that a point or a map
+    keeps is checked by tighten when its constructor receives it.
+    """
+    _reduced_walk(g, p.edges, p.closed)
+
+
+def tighten(g: Graph, p: Union[EdgePath, Sequence[int]]) -> EdgePath:
+    """Validate and reduce rel endpoints in one pass (no cyclic cancellation,
+    no rotation).
+
+    p is an EdgePath or a raw direction tuple, read as an open path.  This is
+    the one check of every marking loop and edge image: OuterSpacePoint and
+    GraphMap tighten each path they receive, so builders such as act and
+    difference_of_markings hand them unreduced walks.
+    """
+    if isinstance(p, EdgePath):
+        return EdgePath(_reduced_walk(g, p.edges, p.closed), p.closed)
+    return EdgePath(_reduced_walk(g, p, False))
 
 
 def canonical_loop(edges: Tuple[int, ...]) -> Tuple[int, ...]:

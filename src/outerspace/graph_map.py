@@ -11,7 +11,7 @@ derivative iterates; legality of paths and legal loops are read from it.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, FrozenSet, Mapping, Sequence, Tuple
+from typing import Dict, FrozenSet, Mapping, Sequence, Tuple, Union
 
 from . import words
 from .graph_core import (
@@ -39,7 +39,12 @@ class GateDeficitError(ValueError):
 
 
 class GraphMap:
-    """Vertex-to-vertex map with reduced edge-path images, marking-compatible."""
+    """Vertex-to-vertex map with reduced edge-path images, marking-compatible.
+
+    Edge images may be given as EdgePaths or raw direction tuples, reduced or
+    not: the constructor tightens each one, which is its only validation as a
+    path of the codomain graph.
+    """
 
     __slots__ = (
         "domain", "codomain", "vertex_image", "edge_image", "direction_image", "is_self_map",
@@ -50,16 +55,14 @@ class GraphMap:
         domain: OuterSpacePoint,
         codomain: OuterSpacePoint,
         vertex_image: Mapping[int, int],
-        edge_image: Mapping[int, EdgePath],
+        edge_image: Mapping[int, Union[EdgePath, Sequence[int]]],
         check: bool = True,
     ):
         self.domain = domain
         self.codomain = codomain
         self.vertex_image = dict(vertex_image)
-        self.edge_image = {
-            e: tighten(codomain.graph, p if isinstance(p, EdgePath) else EdgePath(tuple(p)))
-            for e, p in edge_image.items()
-        }
+        h = codomain.graph
+        self.edge_image = {e: tighten(h, p) for e, p in edge_image.items()}
         self.direction_image = direction_images(self.edge_image)
         self.is_self_map = domain.graph == codomain.graph
         if check:
@@ -258,7 +261,9 @@ def difference_of_markings(x: OuterSpacePoint, y: OuterSpacePoint) -> GraphMap:
     Every vertex is sent to y's basepoint; an edge goes to the y-realization
     of the generator word its based extension carries.  Optimality is never
     assumed: stretch maxima over candidate loops do not depend on the
-    representative within its homotopy class.
+    representative within its homotopy class.  Each image is y's unreduced
+    marking walk of that word; the GraphMap constructor validates and reduces
+    it.
     """
     if x.rank != y.rank:
         raise ValueError("points have different ranks")
@@ -268,9 +273,9 @@ def difference_of_markings(x: OuterSpacePoint, y: OuterSpacePoint) -> GraphMap:
     edge_image = {}
     for e in g.edge_ids:
         u, v = g.endpoints(e)
-        based = tree_paths[u] + (e,) + tuple(-d for d in reversed(tree_paths[v]))
+        based = tree_paths[u] + (e,) + words.invert_word(tree_paths[v])
         w = x.inverse_marking_word(based)
-        edge_image[e] = y.marking_image(w)
+        edge_image[e] = y.marking_walk(w)
     return GraphMap(x, y, vertex_image, edge_image)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from typing import (
-    ClassVar, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+    ClassVar, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
 )
 
 import numpy as np
@@ -68,35 +68,46 @@ def sigma(x: OuterSpacePoint, y: OuterSpacePoint, m: GraphMap) -> DistanceReport
 
     Equals the optimal Lipschitz constant of the homotopy class of m; ratios
     are exact fractions whenever both metrics are rational.  Each length is
-    read from a table indexed by direction (+e and -e), as are the map's edge
-    images, so a candidate costs one dict read per letter of its image and of
-    itself.  Rational lengths enter those tables as integers, scaled by the
+    read from a table indexed by direction (+e and -e), built once per metric,
+    as are the map's edge images, so a candidate costs one dict read per
+    letter of its image and of itself.  Rational lengths enter those tables as integers, scaled by the
     lcm of their denominators, so the sums stay in machine integers and each
-    ratio is one Fraction.
+    ratio is one Fraction.  Every ratio shares the scales, so the maximum is
+    tracked on the integer pair (num, den) by cross-multiplication; float
+    ratios are compared as floats.  The first candidate of the largest ratio
+    is the witness.
     """
     exact = x.metric.is_rational and y.metric.is_rational
-    x_scale, x_len = _direction_lengths(x, exact)
-    y_scale, y_len = _direction_lengths(y, exact)
-    best: Optional[Tuple[CandidateLoop, object]] = None
+    x_scale, x_len = x.metric.direction_lengths(exact)
+    y_scale, y_len = y.metric.direction_lengths(exact)
+    best = -1
+    best_num, best_den = 0, 1  # lengths are positive: any candidate beats 0/1
+    best_ratio = -math.inf
     table: List[Tuple[CandidateLoop, object]] = []
     cands = candidates(x)
     images = _loop_images(m.direction_image, (c.loop.edges for c in cands))
-    for c, image in zip(cands, images):
+    for i, (c, image) in enumerate(zip(cands, images)):
         num = sum(map(y_len.__getitem__, image))
         if num == 0:
             raise StretchIntegrityError(
                 f"candidate {c.loop.edges} has a nullhomotopic image"
             )
         den = sum(map(x_len.__getitem__, c.loop.edges))
-        ratio = Fraction(num * x_scale, den * y_scale) if exact else num / den
-        table.append((c, ratio))
-        if best is None or ratio > best[1]:
-            best = (c, ratio)
-    assert best is not None  # every graph here has at least one candidate
+        if exact:
+            table.append((c, Fraction(num * x_scale, den * y_scale)))
+            if num * best_den > best_num * den:
+                best, best_num, best_den = i, num, den
+        else:
+            ratio = num / den
+            table.append((c, ratio))
+            if ratio > best_ratio:
+                best, best_ratio = i, ratio
+    assert best >= 0  # every graph here has at least one candidate
+    witness, top = table[best]
     return DistanceReport(
-        sigma=best[1],
-        log_sigma=math.log(float(best[1])),
-        witness=best[0],
+        sigma=top,
+        log_sigma=math.log(float(top)),
+        witness=witness,
         table=tuple(table),
     )
 
@@ -105,28 +116,15 @@ def _loop_images(
     direction_image: Mapping[int, Sequence[int]], loops: Iterable[Sequence[int]]
 ) -> Iterator[Tuple[int, ...]]:
     """Cyclically reduced image of each loop (a closed word of directions)
-    under the map with the given direction images.
+    under the map with the given direction images, which are reduced, as a
+    GraphMap's are.
 
     Candidate tables grow fast with the edge count, so this works on raw
-    direction tuples instead of going through GraphMap.map_path.
+    direction tuples instead of going through GraphMap.map_path, and cancels
+    only where two images meet.
     """
     for loop in loops:
-        yield words.cyclic_reduce(chain.from_iterable(map(direction_image.__getitem__, loop)))
-
-
-def _direction_lengths(x: OuterSpacePoint, exact: bool) -> Tuple[int, Dict[int, object]]:
-    """(scale, {+-e: length}): when exact, integer lengths that are the
-    rational ones times scale, the lcm of their denominators; else floats
-    with scale 1."""
-    lengths = x.metric.items()
-    if exact:
-        scale = math.lcm(*(v.denominator for _, v in lengths))
-        by_edge = {e: v.numerator * (scale // v.denominator) for e, v in lengths}
-    else:
-        scale = 1
-        by_edge = {e: float(v) for e, v in lengths}
-    by_edge.update([(-e, l) for e, l in by_edge.items()])
-    return scale, by_edge
+        yield words.cyclic_image(direction_image, loop)
 
 
 def distance(x: OuterSpacePoint, y: OuterSpacePoint) -> float:

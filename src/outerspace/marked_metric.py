@@ -10,11 +10,15 @@ identity on the nose, not just up to conjugacy.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from itertools import chain
+from typing import (
+    Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from . import words
 from .graph_core import (
@@ -47,7 +51,7 @@ def _is_rational(x) -> bool:
 class Metric:
     """Positive edge lengths; exact fractions are kept exact."""
 
-    __slots__ = ("_lengths",)
+    __slots__ = ("_lengths", "_rational", "_direction_tables")
 
     def __init__(self, lengths: Mapping[int, object]):
         vals = {}
@@ -61,6 +65,8 @@ class Metric:
                 raise ValueError(f"length of edge {e} must be positive, got {v}")
             vals[e] = v
         self._lengths = vals
+        self._rational = all(_is_rational(v) for v in vals.values())
+        self._direction_tables: Dict[bool, Tuple[int, Dict[int, object]]] = {}
 
     def length(self, e: int):
         return self._lengths[abs(e)]
@@ -78,7 +84,24 @@ class Metric:
 
     @property
     def is_rational(self) -> bool:
-        return all(_is_rational(v) for v in self._lengths.values())
+        return self._rational
+
+    def direction_lengths(self, exact: bool) -> Tuple[int, Dict[int, object]]:
+        """(scale, {+-e: length}), built once per mode and shared, so not to
+        be modified: when exact, integer lengths that are the rational ones
+        times scale, the lcm of their denominators; else floats with scale 1."""
+        table = self._direction_tables.get(exact)
+        if table is None:
+            lengths = self._lengths
+            if exact:
+                scale = math.lcm(*(v.denominator for v in lengths.values()))
+                by_edge = {e: v.numerator * (scale // v.denominator) for e, v in lengths.items()}
+            else:
+                scale = 1
+                by_edge = {e: float(v) for e, v in lengths.items()}
+            by_edge.update([(-e, l) for e, l in by_edge.items()])
+            table = self._direction_tables[exact] = (scale, by_edge)
+        return table
 
     def is_unit(self) -> bool:
         if self.is_rational:
@@ -236,13 +259,16 @@ class OuterSpacePoint:
     the generators; it may be omitted and is then computed on first use.
     """
 
-    __slots__ = ("graph", "metric", "marking", "basepoint", "_inverse_marking", "_inverse_table")
+    __slots__ = (
+        "graph", "metric", "marking", "basepoint", "_inverse_marking", "_inverse_table",
+        "_marking_table",
+    )
 
     def __init__(
         self,
         graph: Graph,
         metric: Metric,
-        marking: Sequence[EdgePath],
+        marking: Sequence[Union[EdgePath, Sequence[int]]],
         basepoint: int,
         inverse_marking: Optional[Mapping[int, Sequence[int]]] = None,
         require_unit_volume: bool = True,
@@ -251,12 +277,15 @@ class OuterSpacePoint:
     ):
         self.graph = graph
         self.metric = metric
-        self.marking = tuple(tighten(graph, p if isinstance(p, EdgePath) else EdgePath(tuple(p))) for p in marking)
+        # The one validation of each marking loop: callers such as act pass
+        # unreduced walks, and tighten checks them against the graph.
+        self.marking = tuple(tighten(graph, p) for p in marking)
         self.basepoint = basepoint
         if inverse_marking is not None:
             inverse_marking = {e: words.reduce_word(w) for e, w in inverse_marking.items()}
         self._inverse_marking = inverse_marking
         self._inverse_table: Optional[Dict[int, Word]] = None
+        self._marking_table: Optional[Dict[int, Tuple[int, ...]]] = None
         if check:
             self._validate(require_unit_volume, allow_valence_two)
 
@@ -292,13 +321,20 @@ class OuterSpacePoint:
 
     # -- marking machinery ------------------------------------------------
 
-    def marking_image(self, w: Sequence[int]) -> EdgePath:
-        """Based path carrying the word w through the marking."""
-        parts = []
-        for x in w:
-            p = self.marking[abs(x) - 1]
-            parts.extend(p.edges if x > 0 else p.reverse().edges)
-        return tighten(self.graph, EdgePath(tuple(parts)))
+    def marking_walk(self, w: Sequence[int]) -> Tuple[int, ...]:
+        """Based walk carrying the word w through the marking, unreduced.
+
+        It is neither checked nor reduced here: the OuterSpacePoint or
+        GraphMap that receives it tightens it, which does both.
+        """
+        table = self._marking_table
+        if table is None:
+            table = {}
+            for k, p in enumerate(self.marking, start=1):
+                table[k] = p.edges
+                table[-k] = words.invert_word(p.edges)
+            self._marking_table = table
+        return tuple(chain.from_iterable(map(table.__getitem__, w)))
 
     def inverse_marking(self) -> Dict[int, Word]:
         if self._inverse_marking is None:
@@ -312,7 +348,8 @@ class OuterSpacePoint:
             table = self.inverse_marking()
             table.update([(-e, words.invert_word(w)) for e, w in table.items()])
             self._inverse_table = table
-        return words.concat(*map(table.__getitem__, edges))
+        # Table words are reduced, so only their junctions can cancel.
+        return words.apply_table(table, edges)
 
     def _spanning_tree(self) -> Dict[int, Tuple[int, ...]]:
         """BFS tree: vertex -> directions of the path basepoint -> vertex."""
@@ -359,18 +396,6 @@ class OuterSpacePoint:
         if g is None:
             raise MarkingError("inverse marking does not invert the marking up to one conjugation")
         return g
-
-    # -- basic geometry ----------------------------------------------------
-
-    def with_metric(self, metric: Metric) -> "OuterSpacePoint":
-        return OuterSpacePoint(
-            self.graph,
-            metric,
-            self.marking,
-            self.basepoint,
-            inverse_marking=self._inverse_marking,
-            check=False,
-        )
 
     def __repr__(self) -> str:
         return (
@@ -501,7 +526,13 @@ def _candidate_words(g: Graph) -> Tuple[Tuple[int, ...], ...]:
 
 
 def candidates(x: OuterSpacePoint) -> Tuple[CandidateLoop, ...]:
-    return tuple(CandidateLoop(EdgePath(w, closed=True)) for w in _candidate_words(x.graph))
+    """The candidate loops of x's graph, as one tuple shared by its points."""
+    return _candidate_loops(x.graph)
+
+
+@lru_cache(maxsize=None)
+def _candidate_loops(g: Graph) -> Tuple[CandidateLoop, ...]:
+    return tuple(CandidateLoop(EdgePath(w, closed=True)) for w in _candidate_words(g))
 
 
 # -- the right action -------------------------------------------------------
@@ -512,10 +543,12 @@ def act(x: OuterSpacePoint, phi: Automorphism) -> OuterSpacePoint:
 
     The inverse marking is carried over exactly when phi has a stored inverse
     and x a stored inverse marking; otherwise it is computed on first use.
+    The new marking loops are x's marking walks of phi's images, handed over
+    unreduced: the OuterSpacePoint constructor validates and reduces each one.
     """
     if phi.rank != x.rank:
         raise ValueError(f"rank mismatch: point has rank {x.rank}, map has rank {phi.rank}")
-    new_marking = tuple(x.marking_image(w) for w in phi.images)
+    new_marking = tuple(x.marking_walk(w) for w in phi.images)
     new_inverse: Optional[Dict[int, Word]] = None
     inv = x._inverse_marking
     if phi.has_inverse and inv is not None:

@@ -17,6 +17,7 @@ a bad round shows up at the end rather than where it happened.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
@@ -779,8 +780,8 @@ def _homology_order(phi: Automorphism, cap: int) -> Optional[int]:
 
 
 def _matmul(A: List[List[int]], B: List[List[int]]) -> List[List[int]]:
-    n = len(A)
-    return [[sum(A[i][m] * B[m][j] for m in range(n)) for j in range(n)] for i in range(n)]
+    cols = list(zip(*B))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in A]
 
 
 def _word_level_order(phi: Automorphism, cap: int, length_cap: int) -> Optional[int]:

@@ -5,12 +5,14 @@ the k-th generator (1 = a, 2 = b, ...) and -k for its inverse.  Everything
 downstream (markings, automorphisms, inverse markings) reduces to a handful
 of exact operations on these tuples, kept here free of any graph structure.
 An edge path is a word in the same sense, with signed edge ids as letters,
-so free and cyclic reduction of paths and loop images use the functions here.
+so cyclic reduction of loops and of their images uses the functions here;
+graph_core.tighten reduces a path in the pass that checks it.
 """
 
 from __future__ import annotations
 
 from itertools import chain
+from operator import neg
 from typing import Iterable, Optional, Sequence
 
 Word = tuple  # tuple of nonzero ints
@@ -34,7 +36,7 @@ def reduce_word(letters: Iterable[int]) -> Word:
 
 
 def invert_word(w: Sequence) -> Word:
-    return tuple(-x for x in reversed(w))
+    return tuple(map(neg, reversed(w)))
 
 
 def concat(*ws: Sequence) -> Word:
@@ -43,8 +45,12 @@ def concat(*ws: Sequence) -> Word:
 
 
 def cyclic_reduce(w: Sequence) -> Word:
+    """Free reduction, then strip matching first/last letters."""
+    return _strip_ends(reduce_word(w))
+
+
+def _strip_ends(w: Word) -> Word:
     """Strip matching first/last letters of a reduced word."""
-    w = reduce_word(w)
     i, j = 0, len(w)
     while j - i >= 2 and w[i] == -w[j - 1]:
         i += 1
@@ -69,23 +75,36 @@ def _letter_images(images: Sequence[Word]) -> dict:
     return table
 
 
-def _apply(table: dict, w: Sequence) -> Word:
-    # Images are reduced, so letters cancel only where an image meets the
-    # reduced word before it.
+def apply_table(table: dict, w: Sequence) -> Word:
+    """Reduced product of the images table[x] of the letters x of w.
+
+    The images must be reduced, so letters cancel only where an image meets
+    the reduced word before it; w itself need not be reduced.
+    """
     out: list = []
     for x in w:
         img = table[x]
-        i = 0
-        while i < len(img) and out and out[-1] == -img[i]:
+        if not (out and img and out[-1] == -img[0]):
+            out.extend(img)
+            continue
+        out.pop()
+        i, n = 1, len(img)
+        while i < n and out and out[-1] == -img[i]:
             out.pop()
             i += 1
-        out.extend(img[i:] if i else img)
+        out.extend(img[i:])
     return tuple(out)
+
+
+def cyclic_image(table: dict, w: Sequence) -> Word:
+    """Cyclically reduced image of the closed word w under a table of
+    reduced letter images, as apply_table."""
+    return _strip_ends(apply_table(table, w))
 
 
 def substitute(images: Sequence[Word], w: Sequence) -> Word:
     """Apply the endomorphism generator k -> images[k-1] to w, reduced."""
-    return _apply(_letter_images(images), w)
+    return apply_table(_letter_images(images), w)
 
 
 def identity_images(rank: int) -> tuple:
@@ -95,7 +114,7 @@ def identity_images(rank: int) -> tuple:
 def compose(outer: Sequence[Word], inner: Sequence[Word]) -> tuple:
     """Images of the composite map w -> outer(inner(w))."""
     table = _letter_images(outer)
-    return tuple(_apply(table, w) for w in inner)
+    return tuple(apply_table(table, w) for w in inner)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +180,9 @@ def common_conjugator(vs: Sequence[Word]) -> Optional[Word]:
                 k += 1
             k = -k
         g = concat(c0, (1,) * k if k >= 0 else (-1,) * (-k))
+    gi = invert_word(g)
     for i, v in enumerate(vs):
-        if reduce_word(v) != concat(g, (i + 1,), invert_word(g)):
+        if reduce_word(v) != concat(g, (i + 1,), gi):
             return None
     return g
 

@@ -114,6 +114,20 @@ def spanning_tree_point(graph: Graph, metric: Metric, basepoint: int = 1) -> Out
     return OuterSpacePoint(graph, metric, marking, basepoint, allow_valence_two=True)
 
 
+def with_metric(x: OuterSpacePoint, metric: Metric, require_unit_volume: bool = True) -> OuterSpacePoint:
+    """x's marked graph with other edge lengths, built by the checked point
+    constructor; x's inverse marking is carried over and checked again."""
+    return OuterSpacePoint(
+        x.graph,
+        metric,
+        x.marking,
+        x.basepoint,
+        inverse_marking=x.inverse_marking(),
+        require_unit_volume=require_unit_volume,
+        allow_valence_two=True,  # x's graph has passed its own validation
+    )
+
+
 def identity_map_between(x: OuterSpacePoint, y: OuterSpacePoint) -> GraphMap:
     """Simplicial identity between two metrics on the same marked graph."""
     return GraphMap(

@@ -22,6 +22,7 @@ from helpers import (
     identity_map_between,
     immersed_loop_vectors,
     spanning_tree_point,
+    with_metric,
 )
 from outerspace.cli import EXIT_OK, main
 from outerspace.graph_core import EdgePath
@@ -153,8 +154,8 @@ def test_criterion_6_candidate_sigma_equals_loop_oracle():
         for _ in range(50):
             mx = random_unit_metric(ids, rng)
             my = random_unit_metric(ids, rng)
-            x = template.with_metric(mx)
-            y = template.with_metric(my)
+            x = with_metric(template, mx)
+            y = with_metric(template, my)
             rep = sigma(x, y, identity_map_between(x, y))
             assert isinstance(rep.sigma, Fraction)
             assert rep.sigma == exact_max_ratio(vectors, mx, my, ids)
@@ -167,7 +168,7 @@ def _random_point(rank: int, rng: random.Random):
     base = rose_point(rank)
     metric = random_unit_metric(base.graph.edge_ids, rng)
     phi = random_automorphism(rank, rng.randrange(0, 5), rng)
-    return act(base.with_metric(metric), phi)
+    return act(with_metric(base, metric), phi)
 
 
 def test_criterion_7_metric_axioms():

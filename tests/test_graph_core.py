@@ -18,7 +18,7 @@ from outerspace.graph_core import (
     turn,
     validate_path,
 )
-from outerspace.words import cyclic_reduce
+from outerspace.words import cyclic_reduce, invert_word
 
 
 def rose(n: int) -> Graph:
@@ -164,6 +164,29 @@ class TestPaths:
         with pytest.raises(PathError):
             validate_path(g, EdgePath((9,)))
 
+    def test_tighten_reduces_raw_tuples_like_paths(self):
+        g = barbell()
+        assert tighten(g, (2, 3, -3, -2, 1)) == tighten(g, EdgePath((2, 3, -3, -2, 1)))
+        assert tighten(g, [1, -1]) == EdgePath(())
+
+    def test_tighten_raises_what_validate_raises(self):
+        g = barbell()
+        broken = [
+            (EdgePath((1, 3)), "edges 1, 3 are not incident"),
+            (EdgePath((2,), closed=True), "closed path does not return to its start"),
+            (EdgePath((9,)), "unknown edge 9"),
+            (EdgePath((1, 1, 2, 0)), "unknown edge 0"),
+        ]
+        for p, message in broken:
+            # A raw tuple is an open path, so only open ones are given raw.
+            for check, path in [(validate_path, p), (tighten, p)] + (
+                [] if p.closed else [(tighten, p.edges)]
+            ):
+                with pytest.raises(PathError) as err:
+                    check(g, path)
+                assert str(err.value) == message
+        assert tighten(g, (2,)) == EdgePath((2,))
+
     def test_rose_word_reduces_to_single_letter(self):
         g = rose(2)
         p = EdgePath((1, 2, -2, -1, 1), closed=True)
@@ -205,7 +228,9 @@ class TestPaths:
         g, p = gw
         t = tighten(g, p)
         assert tighten(g, t) == t
-        assert tighten(g, p.reverse()) == t.reverse()
+        assert tighten(g, EdgePath(invert_word(p.edges), p.closed)) == EdgePath(
+            invert_word(t.edges), t.closed
+        )
 
     @given(graph_walk(closed=True))
     def test_closed_reduce_is_cyclically_reduced_rotation_of_oracle(self, gw):
@@ -225,7 +250,7 @@ class TestPaths:
             k %= len(q.edges)
             q = EdgePath(q.edges[k:] + q.edges[:k], closed=True)
         if rev:
-            q = q.reverse()
+            q = EdgePath(invert_word(q.edges), closed=True)
         assert canonical_loop(cyclic_reduce(q.edges)) == canonical_loop(cyclic_reduce(p.edges))
 
 

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from outerspace.graph_core import EdgePath, Graph
+from helpers import with_metric
+from outerspace.graph_core import EdgePath, Graph, PathError
 from outerspace.graph_map import (
     DegenerateImageError,
     GateDeficitError,
@@ -89,6 +90,21 @@ class TestConstruction:
         # swapping the petals does not commute with the identity marking on both sides
         with pytest.raises(MarkingError):
             GraphMap(x, x, {0: 0}, {1: EdgePath((2,)), 2: EdgePath((1,))})
+
+    def test_constructors_validate_the_walks_they_receive(self):
+        # Loop 1 at vertex 0, bridge 2, loop 3 at vertex 1.  The second
+        # marking loop is a path but not based at the basepoint, which only
+        # the unchecked point lets through; a walk through both loops then
+        # breaks at the junction, and the receiving constructor must say so.
+        g = Graph([0, 1], {1: (0, 0), 2: (0, 1), 3: (1, 1)})
+        lengths = Metric({1: Fraction(1, 3), 2: Fraction(1, 3), 3: Fraction(1, 3)})
+        broken = OuterSpacePoint(g, lengths, [EdgePath((1,)), EdgePath((3,))], 0, check=False)
+        phi = Automorphism.from_text("a -> ab; b -> b")
+        with pytest.raises(PathError, match="edges 1, 3 are not incident"):
+            act(broken, phi)
+        # Edge 1 of the rose marked by phi carries a.B, walked as 1, -3.
+        with pytest.raises(PathError, match="edges 1, -3 are not incident"):
+            difference_of_markings(act(rose_point(2), phi), broken)
 
     def test_difference_of_markings_between_graphs(self):
         m = difference_of_markings(theta_point(), rose_point(2))
@@ -213,7 +229,7 @@ class TestFindLegalLoop:
         rng = random.Random(41)
         for _ in range(20):
             rank = rng.choice([2, 3])
-            x = rose_point(rank).with_metric(random_unit_metric(range(1, rank + 1), rng))
+            x = with_metric(rose_point(rank), random_unit_metric(range(1, rank + 1), rng))
             m = self_map_from_automorphism(x, random_automorphism(rank, 8, rng))
             s = gates_iterated(m)
             if s.min_gate_count() < 2:

@@ -13,7 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import assert_bracketing_trace, connected_core_graphs, exceeds_spectral_radius
+from helpers import (
+    assert_bracketing_trace,
+    connected_core_graphs,
+    exceeds_spectral_radius,
+    with_metric,
+)
 from outerspace import lipschitz_metric
 from outerspace.graph_core import EdgePath, Graph, canonical_loop, validate_path
 from outerspace.graph_map import (
@@ -149,7 +154,7 @@ class TestSigma:
     def test_half_half_shift_map(self):
         x = rose_point(2, lengths=(Fraction(1, 2), Fraction(1, 2)))
         m = rose_self_map(REDUCIBLE)
-        rep = sigma(x, x.with_metric(x.metric), m)
+        rep = sigma(x, with_metric(x, x.metric), m)
         assert rep.sigma == Fraction(2)
         assert rep.witness.loop.edges == (2,)
 
@@ -171,8 +176,8 @@ class TestSigma:
         rng = random.Random(57)
         for _ in range(15):
             rank = rng.choice([2, 3])
-            x = rose_point(rank).with_metric(random_unit_metric(range(1, rank + 1), rng))
-            y = rose_point(rank).with_metric(random_unit_metric(range(1, rank + 1), rng))
+            x = with_metric(rose_point(rank), random_unit_metric(range(1, rank + 1), rng))
+            y = with_metric(rose_point(rank), random_unit_metric(range(1, rank + 1), rng))
             m = difference_of_markings(x, y)
             bound = sigma(x, y, m).sigma
             for _ in range(10):
@@ -218,13 +223,49 @@ def test_sigma_table_matches_loop_length_reference(name):
         assert rep.sigma == max(ratio for _, ratio in rep.table)
 
         def floats(p):
-            return p.with_metric(Metric({e: float(v) for e, v in p.metric.items()}))
+            return with_metric(p, Metric({e: float(v) for e, v in p.metric.items()}))
 
         fx, fy = floats(x), floats(y)
         frep = sigma(fx, fy, difference_of_markings(fx, fy))
         for (c, exact), (fc, approx) in zip(rep.table, frep.table):
             assert fc == c and type(approx) is float
             assert abs(approx - float(exact)) <= 1e-12 * float(exact)
+
+
+@pytest.mark.parametrize("name", sorted(SIGMA_GRAPHS))
+@pytest.mark.parametrize("exact", [True, False])
+def test_sigma_witness_is_first_largest_ratio(name, exact):
+    """sigma is the largest ratio of the table, as a Fraction or a float, and
+    the witness is the first candidate that reaches it; equal lengths and the
+    identity map make every ratio 1, a tie the first candidate wins."""
+    g = SIGMA_GRAPHS[name]
+    rng = random.Random(name)
+
+    def point(metric):
+        if not exact:
+            metric = Metric({e: float(v) for e, v in metric.items()})
+        return graph_point(g, metric)
+
+    for _ in range(4):
+        x = point(random_unit_metric(g.edge_ids, rng, denominator=60))
+        y = act(point(random_unit_metric(g.edge_ids, rng)), random_automorphism(x.rank, 20, rng))
+        rep = sigma(x, y, difference_of_markings(x, y))
+        ratios = [ratio for _, ratio in rep.table]
+        assert all(type(r) is (Fraction if exact else float) for r in ratios)
+        first = ratios.index(max(ratios))
+        assert rep.sigma == ratios[first] and rep.witness == rep.table[first][0]
+    x = point(Metric({e: Fraction(1, g.num_edges) for e in g.edge_ids}))
+    rep = sigma(x, x, difference_of_markings(x, x))
+    assert {ratio for _, ratio in rep.table} == {1}
+    assert rep.witness == candidates(x)[0]
+
+
+def test_candidates_are_one_tuple_per_graph():
+    g = SIGMA_GRAPHS["k4"]
+    rng = random.Random(3)
+    x, y = (graph_point(g, random_unit_metric(g.edge_ids, rng)) for _ in range(2))
+    assert x.metric != y.metric
+    assert candidates(x) is candidates(y)
 
 
 class TestDistance:
@@ -245,7 +286,7 @@ class TestDistance:
         rank = rng.choice((2, 3))
         base = rose_point(rank)
         pts = [
-            base.with_metric(random_unit_metric(base.graph.edge_ids, rng))
+            with_metric(base, random_unit_metric(base.graph.edge_ids, rng))
             for _ in range(3)
         ]
         x, y, z = pts
@@ -259,8 +300,8 @@ class TestDistance:
         rng = random.Random(seed)
         rank = rng.choice((2, 3))
         base = rose_point(rank)
-        x = base.with_metric(random_unit_metric(base.graph.edge_ids, rng))
-        y = base.with_metric(random_unit_metric(base.graph.edge_ids, rng))
+        x = with_metric(base, random_unit_metric(base.graph.edge_ids, rng))
+        y = with_metric(base, random_unit_metric(base.graph.edge_ids, rng))
         phi = random_automorphism(rank, steps=rng.randrange(1, 6), rng=rng)
         assert distance(act(x, phi), act(y, phi)) == pytest.approx(
             distance(x, y), abs=1e-9
@@ -341,7 +382,7 @@ class TestConstraintRows:
     def test_petal_maximum_matches_full_table(self, seed):
         rng = random.Random(seed)
         base = rose_point(2)
-        x = base.with_metric(random_unit_metric(base.graph.edge_ids, rng))
+        x = with_metric(base, random_unit_metric(base.graph.edge_ids, rng))
         m = rose_self_map(EXPANDING)
         full = max(
             Fraction(loop_length(x, m.map_path(c.loop))) / loop_length(x, c.loop)

@@ -26,7 +26,7 @@ from outerspace.marked_metric import (
 )
 from outerspace.words import NotBasisError, cyclic_reduce, letter_counts
 
-from helpers import connected_core_graphs
+from helpers import connected_core_graphs, with_metric
 
 GOLDEN_PLUS = (3 + math.sqrt(5)) / 2
 FIG2_SHORT = (3 - math.sqrt(5)) / 2  # length of the short petal at the stretch-minimal metric
@@ -147,7 +147,7 @@ class TestPointConstruction:
         with pytest.raises(ValueError):
             rose_point(2, [Fraction(1, 2), Fraction(1, 3)])
         x = rose_point(2)
-        y = x.with_metric(Metric({1: Fraction(1), 2: Fraction(1)}))
+        y = with_metric(x, Metric({1: Fraction(1), 2: Fraction(1)}), require_unit_volume=False)
         assert y.metric.volume == 2
 
     def test_marking_rank_must_match(self):

@@ -24,7 +24,6 @@ CALLERS = (ROOT / "src", ROOT / "scripts", ROOT / "perfbench")
 # Library definitions that only tests and documents use, each with its reason.
 UNCALLED_ALLOWED = {
     ("graph_map", "is_legal"): "acceptance criterion 8 finds legal loops with it",
-    ("marked_metric", "OuterSpacePoint.with_metric"): "tests re-metricize points with it",
 }
 
 
