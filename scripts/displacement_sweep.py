@@ -5,9 +5,10 @@ For a self-map of a rose this prints, per floor, the minimal stretch factor
 found on the thick part of the metric simplex and whether the minimizer sits
 on the floor boundary.  Maps whose infimum is realized in the interior
 stabilize immediately; maps whose infimum lives at the simplex boundary show
-a strictly decreasing stretch with the boundary flag pinned on.  Each floor
-starts from the previous floor's report: at its minimizer, so the stretch
-never rises, and with its constraint rows, so they are built once.
+a strictly decreasing stretch with the boundary flag pinned on.  The first
+floor starts at the map's Perron–Frobenius lengths; each later floor starts
+from the previous floor's report: at its minimizer, so the stretch never
+rises, and with its constraint rows, so they are built once.
 
 Example:
     python3 scripts/displacement_sweep.py --map "a->ab; b->bab; c->cad; d->dcad"

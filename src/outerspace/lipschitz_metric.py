@@ -42,6 +42,7 @@ from .train_track_algo import (
     closed_class,
     find_train_track,
     growth_bracket,
+    pf_lengths,
     transition_matrix,
 )
 
@@ -398,14 +399,18 @@ def min_displacement_on_simplex(
     no longer lowers lam.
 
     The iteration starts at l_0 = `start` when given (a metric on the edges
-    of g, scaled to unit volume and lifted onto the floored simplex), else at
-    the barycenter, and the lam it returns is at most lam_0.  A start at the
-    minimizer, such as a train track's Perron–Frobenius metric, is usually
-    confirmed by the first LP step; a start near it, such as the minimizer
-    for a larger floor, saves the steps that approach it.  `start` may also
-    be the report of an earlier minimization of the same map, as in a floor
-    sweep: its minimizer is then the start, and its constraint rows and last
-    LP basis are reused, so a sweep builds its rows once.
+    of g), else at the map's own Perron–Frobenius lengths (`pf_lengths`), at
+    which no candidate stretches by more than the spectral radius of its
+    transition matrix.  Either is scaled to unit volume and lifted onto the
+    floored simplex, where lengths at or below the floor go to the floor,
+    and the lam returned is at most lam_0.  A start at the minimizer, such
+    as a train track's PF metric or the floor vertex that a -> a, b -> ab's
+    PF lengths (0, 1) lift to, is usually confirmed by the first LP step; a
+    start near it, such as the minimizer for a larger floor, saves the
+    steps that approach it.  `start` may also be the report of an earlier
+    minimization of the same map, as in a floor sweep: its minimizer is then
+    the start, and its constraint rows and last LP basis are reused, so a
+    sweep builds its rows once.
     """
     ids = g.edge_ids
     n = len(ids)
@@ -441,13 +446,13 @@ def min_displacement_on_simplex(
         return float(np.min((vertices @ (y @ Bm)) / (vertices @ (y @ Cm))))
 
     if start is None:
-        ell = np.full(n, 1.0 / n)
+        lengths = pf_lengths(g, edge_image)
     else:
-        # Lift the start onto the floored simplex: its excess over the floor,
-        # scaled to the volume left above the floor.
         lengths = np.array([float(start.length(e)) for e in ids])
-        excess = np.maximum(lengths / lengths.sum() - floor, 0.0)
-        ell = floor + (1.0 - n * floor) * excess / excess.sum()
+    # Lift the start onto the floored simplex: its excess over the floor,
+    # scaled to the volume left above the floor.
+    excess = np.maximum(lengths / lengths.sum() - floor, 0.0)
+    ell = floor + (1.0 - n * floor) * excess / excess.sum()
     lam = max_ratio(ell)
     lower = min(lam, mediant_bound(np.ones(len(Bm))))
     trace: List[Tuple[float, float]] = []
@@ -528,10 +533,11 @@ def classify(phi: Automorphism, trials: int = 3) -> Classification:
     tolerance decides it; the floored minimization from the PF point is
     evidence only.  Reduction certificate -> parabolic suspect, with the
     invariant chain and a floor sweep showing the boundary-pinned minima;
-    each floor after the first starts from the previous floor's report: at
-    its minimizer, so the sweep lambda cannot rise (beyond rounding), and
-    with its constraint rows and last LP basis, so the sweep builds its rows
-    once.  Anything else is inconclusive.
+    the first floor starts at the map's PF lengths, and each later floor
+    from the previous floor's report: at its minimizer, so the sweep lambda
+    cannot rise (beyond rounding), and with its constraint rows and last LP
+    basis, so the sweep builds its rows once.  Anything else is
+    inconclusive.
     """
     cert = find_train_track(phi)
     if isinstance(cert, FiniteOrderCertificate):

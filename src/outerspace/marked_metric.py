@@ -251,6 +251,22 @@ def format_map_text(images: Sequence[Word]) -> str:
     )
 
 
+def _bfs_tree(g: Graph, basepoint: int) -> Dict[int, Tuple[int, ...]]:
+    """BFS tree: vertex -> directions of the path basepoint -> vertex."""
+    paths = {basepoint: ()}
+    frontier = [basepoint]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for d in g.directions_at(v):
+                w = g.term(d)
+                if w not in paths:
+                    paths[w] = paths[v] + (d,)
+                    nxt.append(w)
+        frontier = nxt
+    return paths
+
+
 class OuterSpacePoint:
     """A marked metric core graph.
 
@@ -261,7 +277,7 @@ class OuterSpacePoint:
 
     __slots__ = (
         "graph", "metric", "marking", "basepoint", "_inverse_marking", "_inverse_table",
-        "_marking_table",
+        "_marking_table", "_tree",
     )
 
     def __init__(
@@ -286,6 +302,7 @@ class OuterSpacePoint:
         self._inverse_marking = inverse_marking
         self._inverse_table: Optional[Dict[int, Word]] = None
         self._marking_table: Optional[Dict[int, Tuple[int, ...]]] = None
+        self._tree: Optional[Dict[int, Tuple[int, ...]]] = None
         if check:
             self._validate(require_unit_volume, allow_valence_two)
 
@@ -352,20 +369,11 @@ class OuterSpacePoint:
         return words.apply_table(table, edges)
 
     def _spanning_tree(self) -> Dict[int, Tuple[int, ...]]:
-        """BFS tree: vertex -> directions of the path basepoint -> vertex."""
-        g = self.graph
-        paths = {self.basepoint: ()}
-        frontier = [self.basepoint]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for d in g.directions_at(v):
-                    w = g.term(d)
-                    if w not in paths:
-                        paths[w] = paths[v] + (d,)
-                        nxt.append(w)
-            frontier = nxt
-        return paths
+        """The BFS tree of the graph from the basepoint (see `_bfs_tree`),
+        computed once per point; callers must not mutate it."""
+        if self._tree is None:
+            self._tree = _bfs_tree(self.graph, self.basepoint)
+        return self._tree
 
     def _compute_inverse_marking(self) -> Dict[int, Word]:
         g = self.graph
@@ -603,10 +611,7 @@ def graph_point(
     """
     if basepoint is None:
         basepoint = min(graph.vertices)
-    probe = OuterSpacePoint.__new__(OuterSpacePoint)
-    probe.graph = graph
-    probe.basepoint = basepoint
-    tree_paths = probe._spanning_tree()
+    tree_paths = _bfs_tree(graph, basepoint)
     if len(tree_paths) != len(graph.vertices):
         raise GraphError("graph must be connected")
     tree_edges = {abs(p[-1]) for p in tree_paths.values() if p}

@@ -124,26 +124,49 @@ def closed_class(M: TransitionMatrix) -> Optional[FrozenSet[int]]:
     return ordered[0]
 
 
-def pf_eigen(M: TransitionMatrix) -> Tuple[float, Tuple[float, ...]]:
-    """Dominant eigenvalue and left eigenvector (edge lengths), sum-normalized,
-    of an irreducible matrix, by one dense eigen-solve.
+def _pf_vector(A: np.ndarray) -> np.ndarray:
+    """Sum-normalized left eigenvector of a nonnegative matrix for its
+    spectral radius, made nonnegative, by one dense eigen-solve.
 
     The spectral radius of a nonnegative matrix is an eigenvalue of largest
-    real part, simple with a positive eigenvector when the matrix is
-    irreducible, so periodic matrices need no special case.  Lambda is
-    measured at the returned vector v as sum(M^T v) / sum(v), a weighted mean
-    of the edge slopes (M^T v)_j / v_j, so it lies in growth_bracket's exact
-    [lo, hi] at v up to the rounding of one sum.
+    real part, so periodic matrices need no special case.  It has a
+    nonnegative eigenvector, positive and unique up to scale when the matrix
+    is irreducible; when its eigenspace has more than one dimension the
+    solver may return a mixed-sign vector, whose absolute values need not be
+    an eigenvector.
+    """
+    vals, vecs = np.linalg.eig(A.T)
+    v = np.abs(vecs[:, np.argmax(vals.real)].real)
+    v /= v.sum()
+    return v
+
+
+def pf_eigen(M: TransitionMatrix) -> Tuple[float, Tuple[float, ...]]:
+    """Dominant eigenvalue and left eigenvector (edge lengths), sum-normalized,
+    of an irreducible matrix, by the eigen-solve pf_lengths also uses.
+
+    Lambda is measured at the returned vector v as sum(M^T v) / sum(v), a
+    weighted mean of the edge slopes (M^T v)_j / v_j, so it lies in
+    growth_bracket's exact [lo, hi] at v up to the rounding of one sum.
     """
     A = np.array(M.rows, dtype=float)
     if A.size == 0:
         raise ValueError("empty matrix")
     if not A.any(axis=0).all():
         raise ArithmeticError("transition matrix has a zero column")
-    vals, vecs = np.linalg.eig(A.T)
-    v = np.abs(vecs[:, np.argmax(vals.real)].real)
-    v /= v.sum()
+    v = _pf_vector(A)
     return float((A.T @ v).sum() / v.sum()), tuple(v.tolist())
+
+
+def pf_lengths(g: Graph, edge_image: Mapping[int, EdgePath]) -> np.ndarray:
+    """Perron–Frobenius edge lengths of a self-map of g, in g.edge_ids order:
+    the nonnegative left eigenvector, summing to 1, of its transition matrix
+    for the spectral radius rho.  Entries may be 0 when the matrix is
+    reducible.  When they are an eigenvector, no loop is stretched by more
+    than rho there: a loop's image crosses each edge at most M times its own
+    crossing counts, and M^T v = rho v."""
+    M = _crossing_counts(g, {e: p.edges for e, p in edge_image.items()})
+    return _pf_vector(np.array(M.rows, dtype=float))
 
 
 def growth_bracket(M: TransitionMatrix, metric: Metric) -> Tuple[Fraction, Fraction]:
