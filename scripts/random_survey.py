@@ -17,8 +17,8 @@ import random
 import statistics
 import time
 from collections import Counter
-from dataclasses import dataclass
 
+from outerspace.cli import int_at_least
 from outerspace.marked_metric import random_automorphism
 from outerspace.train_track_algo import (
     FiniteOrderCertificate,
@@ -28,41 +28,34 @@ from outerspace.train_track_algo import (
     find_train_track,
 )
 
-
-@dataclass(frozen=True)
-class SurveyConfig:
-    rank: int = 3
-    samples: int = 200
-    steps: int = 12
-    seed: int = 0
-
-
-def parse_args(argv=None) -> SurveyConfig:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--rank", type=int, default=SurveyConfig.rank)
-    parser.add_argument("--samples", type=int, default=SurveyConfig.samples)
-    parser.add_argument("--steps", type=int, default=SurveyConfig.steps,
-                        help="number of Nielsen moves composed per sample")
-    parser.add_argument("--seed", type=int, default=SurveyConfig.seed)
-    args = parser.parse_args(argv)
-    return SurveyConfig(args.rank, args.samples, args.steps, args.seed)
+KINDS = (
+    TrainTrackCertificate,
+    FiniteOrderCertificate,
+    ReductionCertificate,
+    NonTerminationCertificate,
+)
 
 
 def main(argv=None) -> int:
-    cfg = parse_args(argv)
-    rng = random.Random(cfg.seed)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--rank", type=int_at_least(2), default=3)
+    parser.add_argument("--samples", type=int_at_least(1), default=200)
+    parser.add_argument("--steps", type=int, default=12,
+                        help="number of Nielsen moves composed per sample")
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    rng = random.Random(args.seed)
     tally: Counter = Counter()
     lams = []
     orders = Counter()
-    worst = (0.0, None)
+    worst = 0.0
     start = time.perf_counter()
-    for i in range(cfg.samples):
-        phi = random_automorphism(cfg.rank, cfg.steps, rng)
+    for _ in range(args.samples):
+        phi = random_automorphism(args.rank, args.steps, rng)
         t0 = time.perf_counter()
         cert = find_train_track(phi)
         dt = time.perf_counter() - t0
-        if dt > worst[0]:
-            worst = (dt, phi)
+        worst = max(worst, dt)
         tally[type(cert).__name__] += 1
         if isinstance(cert, TrainTrackCertificate):
             lams.append(cert.lam)
@@ -71,18 +64,13 @@ def main(argv=None) -> int:
     total = time.perf_counter() - start
 
     print(
-        f"rank {cfg.rank}, {cfg.samples} samples of {cfg.steps} Nielsen moves, "
-        f"seed {cfg.seed}  ({total:.2f}s total, worst single run {worst[0]:.2f}s)"
+        f"rank {args.rank}, {args.samples} samples of {args.steps} Nielsen moves, "
+        f"seed {args.seed}  ({total:.2f}s total, worst single run {worst:.2f}s)"
     )
-    width = max(len(k) for k in tally) if tally else 0
-    for kind in (
-        TrainTrackCertificate,
-        FiniteOrderCertificate,
-        ReductionCertificate,
-        NonTerminationCertificate,
-    ):
+    width = max(len(kind.__name__) for kind in KINDS)
+    for kind in KINDS:
         n = tally.get(kind.__name__, 0)
-        print(f"  {kind.__name__:<{width}}  {n:>5}  ({100.0 * n / cfg.samples:5.1f}%)")
+        print(f"  {kind.__name__:<{width}}  {n:>5}  ({100.0 * n / args.samples:5.1f}%)")
     if lams:
         print(
             f"\nexpanding stretch factors: min {min(lams):.6f}  "

@@ -1,12 +1,17 @@
 """Command-line front end: parse maps and points, run the library, emit reports.
 
 Subcommands: ``traintrack``, ``distance``, ``classify``, ``candidates``,
-``minimize``.  Reports are emitted as canonical JSON (sorted keys, compact
-separators, floats rounded to 12 significant digits) so repeated runs are
-byte-identical, or as plain text with ``--text``.
+``minimize``.  The parsed argparse namespace is the only configuration: each
+subparser names its command function with ``set_defaults`` and the command
+reads its flags from the namespace.  Reports are emitted as canonical JSON
+(sorted keys, compact separators, floats rounded to 12 significant digits) so
+repeated runs are byte-identical, or as plain text with ``--text``.  Point
+files write and read their words with ``words.format_word`` and
+``words.parse_word``, the codec of ``--map`` images.
 
-Exit codes: 0 success, 2 unparsable input or bad configuration, 3 an
-iteration cap was reached, 4 marking or stretch integrity failure.
+Exit codes: 0 success, 2 unparsable input or a flag argparse refuses (a
+missing one, or ``--max-iters`` below 1), 3 an iteration cap was reached,
+4 marking or stretch integrity failure.
 """
 
 from __future__ import annotations
@@ -15,10 +20,10 @@ import argparse
 import json
 import string
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from . import words
 from .graph_core import EdgePath, Graph, GraphError, PathError
 from .graph_map import GraphMap, difference_of_markings, self_map_from_automorphism
 from .lipschitz_metric import (
@@ -59,26 +64,6 @@ EXIT_CAP = 3
 EXIT_INTEGRITY = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: one command plus its inputs and knobs."""
-
-    command: str
-    map_text: Optional[str] = None
-    point: Optional[str] = None
-    point2: Optional[str] = None
-    both: bool = False
-    floor: float = 1e-6
-    max_iters: int = 10**4
-    fmt: str = "json"
-
-    def __post_init__(self) -> None:
-        if self.max_iters <= 0:
-            raise ValueError("--max-iters must be positive")
-        if self.fmt not in ("json", "text"):
-            raise ValueError("output format must be json or text")
-
-
 class CliInputError(Exception):
     """Unusable input file or flag combination (exit code 2)."""
 
@@ -93,9 +78,7 @@ def _f12(x: float) -> float:
 
 def _num(value) -> object:
     """Exact rationals as 'p/q' strings, floats at 12 significant digits."""
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, int):
+    if isinstance(value, (Fraction, int)):
         return str(value)
     return _f12(value)
 
@@ -117,27 +100,6 @@ def _edge_word(directions: Sequence[int]) -> str:
     return "".join(names)
 
 
-def _gen_name(d: int) -> str:
-    letter = string.ascii_lowercase[abs(d) - 1]
-    return letter.upper() if d < 0 else letter
-
-
-def _gen_word(directions: Sequence[int]) -> str:
-    return "".join(_gen_name(d) for d in directions)
-
-
-def _parse_gen_word(word: str) -> Tuple[int, ...]:
-    out = []
-    for ch in word:
-        if ch in string.ascii_lowercase:
-            out.append(ord(ch) - ord("a") + 1)
-        elif ch in string.ascii_uppercase:
-            out.append(-(ord(ch) - ord("A") + 1))
-        else:
-            raise CliInputError(f"invalid letter {ch!r} in word {word!r}")
-    return tuple(out)
-
-
 # -- point files --------------------------------------------------------------------
 
 
@@ -153,10 +115,10 @@ def point_to_json(x: OuterSpacePoint) -> Dict[str, object]:
         "basepoint": x.basepoint,
         "lengths": {str(e): _num(x.metric.length(e)) for e in sorted(x.graph.edge_ids)},
         "marking": {
-            _gen_name(i + 1): list(p.edges) for i, p in enumerate(x.marking)
+            words.format_word((i + 1,)): list(p.edges) for i, p in enumerate(x.marking)
         },
         "inverse_marking": {
-            str(e): _gen_word(w) for e, w in sorted(x.inverse_marking().items())
+            str(e): words.format_word(w) for e, w in sorted(x.inverse_marking().items())
         },
     }
 
@@ -191,18 +153,18 @@ def point_from_json(data: Mapping[str, object]) -> OuterSpacePoint:
         marking_obj = data["marking"]
         loops = []
         for i in range(len(marking_obj)):
-            key = _gen_name(i + 1)
+            key = words.format_word((i + 1,))
             if key not in marking_obj:
                 raise CliInputError(f"marking is missing generator {key!r}")
             loop = tuple(_json_int(d, f"marking entry of {key!r}") for d in marking_obj[key])
             loops.append(EdgePath(loop, closed=True))
         inverse = {
-            int(e): _parse_gen_word(w) for e, w in data["inverse_marking"].items()
+            int(e): words.parse_word(w) for e, w in data["inverse_marking"].items()
         }
         basepoint = _json_int(data.get("basepoint", min(vertices)), "basepoint")
     except CliInputError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
         raise CliInputError(f"malformed point file: {exc}") from exc
     return OuterSpacePoint(
         graph=graph,
@@ -227,8 +189,8 @@ def _load_point(path: str) -> OuterSpacePoint:
 # -- report builders ----------------------------------------------------------------
 
 
-def _metric_json(metric: Metric, edge_ids: Sequence[int]) -> Dict[str, object]:
-    return {_edge_name(e): _num(metric.length(e)) for e in edge_ids}
+def _metric_json(metric: Metric) -> Dict[str, object]:
+    return {_edge_name(e): _num(length) for e, length in metric.items()}
 
 
 def _gates_json(structure) -> List[List[str]]:
@@ -248,37 +210,34 @@ def _edge_images_json(m: GraphMap) -> Dict[str, str]:
 
 def _traintrack_report(cert) -> Tuple[Dict[str, object], int]:
     if isinstance(cert, TrainTrackCertificate):
-        g = cert.graph_map.domain.graph
         report = {
             "status": cert.status,
             "lambda": _f12(cert.lam),
-            "metric": _metric_json(cert.metric, sorted(g.edge_ids)),
+            "metric": _metric_json(cert.metric),
             "gates": _gates_json(cert.structure),
             "edge_images": _edge_images_json(cert.graph_map),
             "trace": list(cert.trace),
         }
         return report, EXIT_OK
     if isinstance(cert, FiniteOrderCertificate):
-        g = cert.graph_map.domain.graph
         report = {
             "status": cert.status,
             "order": cert.order,
             "lambda": 1.0,
-            "metric": _metric_json(cert.graph_map.domain.metric, sorted(g.edge_ids)),
+            "metric": _metric_json(cert.graph_map.domain.metric),
             "gates": [],
             "edge_images": _edge_images_json(cert.graph_map),
             "trace": list(cert.trace),
         }
         return report, EXIT_OK
     if isinstance(cert, ReductionCertificate):
-        g = cert.graph_map.domain.graph
         report = {
             "status": cert.status,
             "subgraph": sorted(_edge_name(e) for e in cert.subset),
             "matrix": [list(r) for r in cert.matrix.rows],
             "edge_order": [_edge_name(e) for e in cert.matrix.edge_ids],
             "lambda": _f12(spectral_radius(cert.matrix.rows)),
-            "metric": _metric_json(cert.graph_map.domain.metric, sorted(g.edge_ids)),
+            "metric": _metric_json(cert.graph_map.domain.metric),
             "edge_images": _edge_images_json(cert.graph_map),
             "trace": list(cert.trace),
         }
@@ -311,7 +270,7 @@ def _simplex_json(rep) -> Dict[str, object]:
         "lower": _f12(rep.lower),
         "boundary_flag": rep.boundary_flag,
         "pinned": [_edge_name(e) for e in rep.pinned],
-        "metric": _metric_json(rep.metric, sorted(rep.metric.edge_ids)),
+        "metric": _metric_json(rep.metric),
         "trace": [[_f12(lo), _f12(hi)] for lo, hi in rep.trace],
     }
 
@@ -325,13 +284,12 @@ def _classify_report(result) -> Tuple[Dict[str, object], int]:
         }
         return report, EXIT_OK
     if isinstance(result, Hyperbolic):
-        point = result.certificate.graph_map.domain
         report = {
             "kind": result.kind,
             "lambda": _f12(result.lam),
             "evidence": {
                 "trace": list(result.certificate.trace),
-                "metric": _metric_json(point.metric, sorted(point.graph.edge_ids)),
+                "metric": _metric_json(result.certificate.graph_map.domain.metric),
                 "legal_loop": _edge_word(result.loop.edges),
                 "bracket": [_f12(b) for b in result.bracket],
                 "simplex": _simplex_json(result.simplex),
@@ -391,62 +349,49 @@ def _render_text(value, indent: str = "") -> List[str]:
     return lines
 
 
-def _emit(report: Dict[str, object], fmt: str) -> None:
-    if fmt == "json":
+def _emit(report: Dict[str, object], text: bool) -> None:
+    if text:
+        sys.stdout.write("\n".join(_render_text(report)) + "\n")
+    else:
         sys.stdout.write(
             json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
         )
-    else:
-        sys.stdout.write("\n".join(_render_text(report)) + "\n")
 
 
 # -- command drivers ----------------------------------------------------------------
 
 
-def _require_map(cfg: RunConfig) -> Automorphism:
-    if not cfg.map_text:
-        raise CliInputError(f"{cfg.command} requires --map")
-    return Automorphism.from_text(cfg.map_text)
-
-
-def cmd_traintrack(cfg: RunConfig) -> int:
-    phi = _require_map(cfg)
-    cert = find_train_track(phi, max_iters=cfg.max_iters)
+def cmd_traintrack(args: argparse.Namespace) -> int:
+    cert = find_train_track(Automorphism.from_text(args.map), max_iters=args.max_iters)
     report, code = _traintrack_report(cert)
-    _emit(report, cfg.fmt)
+    _emit(report, args.text)
     return code
 
 
-def cmd_distance(cfg: RunConfig) -> int:
-    if not cfg.point or not cfg.point2:
-        raise CliInputError("distance requires --point and --point2")
-    x = _load_point(cfg.point)
-    y = _load_point(cfg.point2)
+def cmd_distance(args: argparse.Namespace) -> int:
+    x = _load_point(args.point)
+    y = _load_point(args.point2)
     if x.rank != y.rank:
         raise MarkingError(f"points have different ranks ({x.rank} vs {y.rank})")
-    if cfg.both:
+    if args.both:
         report = {
             "forward": _distance_report(x, y),
             "backward": _distance_report(y, x),
         }
     else:
         report = _distance_report(x, y)
-    _emit(report, cfg.fmt)
+    _emit(report, args.text)
     return EXIT_OK
 
 
-def cmd_classify(cfg: RunConfig) -> int:
-    phi = _require_map(cfg)
-    result = classify(phi)
-    report, code = _classify_report(result)
-    _emit(report, cfg.fmt)
+def cmd_classify(args: argparse.Namespace) -> int:
+    report, code = _classify_report(classify(Automorphism.from_text(args.map)))
+    _emit(report, args.text)
     return code
 
 
-def cmd_candidates(cfg: RunConfig) -> int:
-    if not cfg.point:
-        raise CliInputError("candidates requires --point")
-    x = _load_point(cfg.point)
+def cmd_candidates(args: argparse.Namespace) -> int:
+    x = _load_point(args.point)
     loops = candidates(x)
     report = {
         "count": len(loops),
@@ -455,28 +400,32 @@ def cmd_candidates(cfg: RunConfig) -> int:
             for c in loops
         ],
     }
-    _emit(report, cfg.fmt)
+    _emit(report, args.text)
     return EXIT_OK
 
 
-def cmd_minimize(cfg: RunConfig) -> int:
-    phi = _require_map(cfg)
+def cmd_minimize(args: argparse.Namespace) -> int:
+    phi = Automorphism.from_text(args.map)
     m = self_map_from_automorphism(rose_point(phi.rank), phi)
-    rep = min_displacement_on_simplex(m.domain.graph, m.edge_image, cfg.floor)
-    _emit(_simplex_json(rep), cfg.fmt)
+    rep = min_displacement_on_simplex(m.domain.graph, m.edge_image, args.floor)
+    _emit(_simplex_json(rep), args.text)
     return EXIT_OK
-
-
-_COMMANDS = {
-    "traintrack": cmd_traintrack,
-    "distance": cmd_distance,
-    "classify": cmd_classify,
-    "candidates": cmd_candidates,
-    "minimize": cmd_minimize,
-}
 
 
 # -- argument parsing ---------------------------------------------------------------
+
+
+def int_at_least(low: int):
+    """An argparse type: an integer no smaller than low, else a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -492,38 +441,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("traintrack", parents=[common], help="fold a map to a certificate")
+    p.set_defaults(run=cmd_traintrack)
     p.add_argument("--map", required=True, help="map text, e.g. 'a->ab; b->bab'")
-    p.add_argument("--max-iters", type=int, default=10**4)
+    p.add_argument("--max-iters", type=int_at_least(1), default=10**4)
 
     p = sub.add_parser("distance", parents=[common], help="stretch distance between two points")
+    p.set_defaults(run=cmd_distance)
     p.add_argument("--point", required=True, help="JSON point file")
     p.add_argument("--point2", required=True, help="JSON point file")
     p.add_argument("--both", action="store_true", help="report both orders")
 
     p = sub.add_parser("classify", parents=[common], help="sort a map into the displacement trichotomy")
+    p.set_defaults(run=cmd_classify)
     p.add_argument("--map", required=True)
 
     p = sub.add_parser("candidates", parents=[common], help="list candidate loops of a point")
+    p.set_defaults(run=cmd_candidates)
     p.add_argument("--point", required=True)
 
     p = sub.add_parser("minimize", parents=[common], help="minimize displacement over floored metrics")
+    p.set_defaults(run=cmd_minimize)
     p.add_argument("--map", required=True)
     p.add_argument("--floor", type=float, default=1e-6)
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        map_text=getattr(args, "map", None),
-        point=getattr(args, "point", None),
-        point2=getattr(args, "point2", None),
-        both=getattr(args, "both", False),
-        floor=getattr(args, "floor", 1e-6),
-        max_iters=getattr(args, "max_iters", 10**4),
-        fmt="text" if args.text else "json",
-    )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -533,8 +474,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_PARSE
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[cfg.command](cfg)
+        return args.run(args)
     except (MarkingError, StretchIntegrityError, GameSolveError, GraphError, PathError) as exc:
         sys.stderr.write(f"integrity error: {exc}\n")
         return EXIT_INTEGRITY

@@ -173,9 +173,6 @@ class TrainTrackStructure:
             return False
         return self.gate_of(a) != self.gate_of(b)
 
-    def min_gate_count(self) -> int:
-        return min((len(gs) for gs in self.vertex_gates.values()), default=0)
-
     def one_gate_vertices(self) -> Tuple[int, ...]:
         return tuple(v for v in sorted(self.vertex_gates) if len(self.vertex_gates[v]) < 2)
 

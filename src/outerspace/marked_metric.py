@@ -122,7 +122,7 @@ class Metric:
 
 
 class Automorphism:
-    """Free-group endomorphism by generator images; invertible on demand.
+    """Free-group automorphism by generator images, with an optional inverse.
 
     When an inverse is supplied its composite with the images must reduce to
     a conjugation by one common word, which pins down a genuine automorphism.
@@ -157,19 +157,8 @@ class Automorphism:
             self._inverse_images = None
 
     @classmethod
-    def identity(cls, rank: int) -> "Automorphism":
-        ims = words.identity_images(rank)
-        return cls(ims, inverse=ims)
-
-    @classmethod
-    def from_text(cls, text: str, inverse_text: Optional[str] = None) -> "Automorphism":
-        images, gens = _parse_map_text(text)
-        inverse = None
-        if inverse_text is not None:
-            inverse, igens = _parse_map_text(inverse_text)
-            if igens != gens:
-                raise AutomorphismParseError("inverse text uses a different generator set")
-        return cls(images, inverse=inverse)
+    def from_text(cls, text: str) -> "Automorphism":
+        return cls(_parse_map_text(text))
 
     @property
     def has_inverse(self) -> bool:
@@ -178,25 +167,6 @@ class Automorphism:
     @property
     def inverse_images(self) -> Optional[tuple]:
         return self._inverse_images
-
-    def __call__(self, w: Sequence[int]) -> Word:
-        return words.substitute(self.images, w)
-
-    def inverse(self) -> "Automorphism":
-        inv = self._inverse_images
-        if inv is None:
-            inv = words.invert_images(self.images, self.rank)
-        return Automorphism(inv, inverse=self.images)
-
-    def compose(self, inner: "Automorphism") -> "Automorphism":
-        """Composite sending w to self(inner(w))."""
-        if inner.rank != self.rank:
-            raise ValueError("rank mismatch")
-        imgs = words.compose(self.images, inner.images)
-        inv = None
-        if self._inverse_images is not None and inner._inverse_images is not None:
-            inv = words.compose(inner._inverse_images, self._inverse_images)
-        return Automorphism(imgs, inverse=inv)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Automorphism) and self.images == other.images
@@ -211,7 +181,7 @@ class Automorphism:
 _CLAUSE_RE = re.compile(r"^\s*([a-z])\s*->\s*([A-Za-z. ]+?)\s*$")
 
 
-def _parse_map_text(text: str) -> Tuple[tuple, tuple]:
+def _parse_map_text(text: str) -> tuple:
     clauses = [c for c in re.split(r"[;\n]", text) if c.strip()]
     if not clauses:
         raise AutomorphismParseError("empty map text")
@@ -242,7 +212,7 @@ def _parse_map_text(text: str) -> Tuple[tuple, tuple]:
                     f"image of {chr(ord('a') + gen - 1)!r} uses letter {words.format_word((x,))!r} "
                     f"outside rank {rank}"
                 )
-    return tuple(seen[i] for i in range(1, rank + 1)), tuple(sorted(seen))
+    return tuple(seen[i] for i in range(1, rank + 1))
 
 
 def format_map_text(images: Sequence[Word]) -> str:
@@ -597,20 +567,15 @@ def rose_point(rank: int, lengths: Optional[Sequence] = None) -> OuterSpacePoint
     )
 
 
-def graph_point(
-    graph: Graph,
-    metric: Metric,
-    basepoint: Optional[int] = None,
-    require_unit_volume: bool = True,
-) -> OuterSpacePoint:
-    """A point on the given core graph with a spanning-tree marking.
+def graph_point(graph: Graph, metric: Metric) -> OuterSpacePoint:
+    """A point on the given core graph with a spanning-tree marking, based at
+    the least vertex.
 
     Generator j is carried to (tree path) . e_j . (tree path back) over the
     j-th non-tree edge, so the induced identification of fundamental groups
     is the standard one for that tree; the inverse marking kills tree edges.
     """
-    if basepoint is None:
-        basepoint = min(graph.vertices)
+    basepoint = min(graph.vertices)
     tree_paths = _bfs_tree(graph, basepoint)
     if len(tree_paths) != len(graph.vertices):
         raise GraphError("graph must be connected")
@@ -630,7 +595,6 @@ def graph_point(
         marking,
         basepoint,
         inverse_marking=inverse,
-        require_unit_volume=require_unit_volume,
         allow_valence_two=has_val2,
     )
 

@@ -937,23 +937,25 @@ def find_train_track(
         st.lengths = dict(zip(M.edge_ids, ell))
         bad = _first_illegal_image_turn(st, s)
         if bad is None:
-            if s.min_gate_count() >= 2:
-                trace.append(_round_line(rnd, g.num_edges, lam, pot, "train_track"))
-                cert_map = st.to_graph_map()
-                return TrainTrackCertificate(
-                    graph_map=cert_map,
-                    structure=s,
-                    lam=lam,
-                    metric=cert_map.domain.metric,
-                    trace=tuple(trace),
-                )
-            v = s.one_gate_vertices()[0]
-            gate = sorted(s.gates_at(v)[0], key=direction_key)
-            t = _descend_to_one_step(deriv, gate[0], gate[1])
-            trace.append(_round_line(rnd, g.num_edges, lam, pot, f"gate_fold({t[0]},{t[1]})"))
-        else:
-            t = _descend_to_one_step(deriv, *bad)
-            trace.append(_round_line(rnd, g.num_edges, lam, pot, f"fold({t[0]},{t[1]})"))
+            # Legal edge images make a train track map: every vertex has two
+            # gates.  M is irreducible and not a permutation, so lambda > 1.
+            # Gates are the classes of directions that coincide eventually
+            # under Df, so Df sends legal turns to legal turns, and the map
+            # sends legal paths to legal paths.  So for each edge e some
+            # iterate of some edge's image is a legal path that crosses e at
+            # least 3 times; one of those crossings is interior, so a legal
+            # turn sits at each end of e.
+            trace.append(_round_line(rnd, g.num_edges, lam, pot, "train_track"))
+            cert_map = st.to_graph_map()
+            return TrainTrackCertificate(
+                graph_map=cert_map,
+                structure=s,
+                lam=lam,
+                metric=cert_map.domain.metric,
+                trace=tuple(trace),
+            )
+        t = _descend_to_one_step(deriv, *bad)
+        trace.append(_round_line(rnd, g.num_edges, lam, pot, f"fold({t[0]},{t[1]})"))
         try:
             fold(st, t)
         except (InvalidMapError, RankCollapseError) as exc:

@@ -102,11 +102,6 @@ def cyclic_image(table: dict, w: Sequence) -> Word:
     return _strip_ends(apply_table(table, w))
 
 
-def substitute(images: Sequence[Word], w: Sequence) -> Word:
-    """Apply the endomorphism generator k -> images[k-1] to w, reduced."""
-    return apply_table(_letter_images(images), w)
-
-
 def identity_images(rank: int) -> tuple:
     return tuple((i,) for i in range(1, rank + 1))
 
@@ -121,7 +116,7 @@ def compose(outer: Sequence[Word], inner: Sequence[Word]) -> tuple:
 # text form: generators a..z, inverses A..Z
 
 
-def parse_word(text: str, rank: Optional[int] = None) -> Word:
+def parse_word(text: str) -> Word:
     letters = []
     for ch in text.strip():
         if ch in " .":
@@ -132,8 +127,6 @@ def parse_word(text: str, rank: Optional[int] = None) -> Word:
             k = -(ord(ch) - ord("A") + 1)
         else:
             raise ValueError(f"bad letter {ch!r} in word {text!r}")
-        if rank is not None and abs(k) > rank:
-            raise ValueError(f"letter {ch!r} exceeds rank {rank}")
         letters.append(k)
     return reduce_word(letters)
 
@@ -207,7 +200,7 @@ def is_conjugate_identity(images: Sequence[Word]) -> bool:
 def invert_images(images: Sequence[Word], rank: Optional[int] = None) -> tuple:
     """Images of the inverse of the automorphism k -> images[k-1].
 
-    The result psi satisfies substitute(psi, images[k-1]) == (k,) exactly.
+    The result psi satisfies compose(psi, images) == identity_images(n) exactly.
     Raises NotBasisError when the images do not form a basis.
     """
     n = len(images)

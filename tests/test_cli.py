@@ -23,8 +23,9 @@ from outerspace.cli import (
     point_from_json,
     point_to_json,
 )
+from outerspace.graph_core import Graph
 from outerspace.lipschitz_metric import distance
-from outerspace.marked_metric import rose_point
+from outerspace.marked_metric import Metric, graph_point, rose_point
 
 GOLDEN_SQ = (3 + math.sqrt(5)) / 2
 
@@ -116,6 +117,19 @@ class TestTraintrackCommand:
         assert code == EXIT_CAP
         assert json.loads(out)["status"] == "max_iters"
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_max_iters_exit(self, capsys, value):
+        code, out, err = run_cli(
+            capsys, "traintrack", "--map", "a->ab; b->bab", "--max-iters", value
+        )
+        assert code == EXIT_PARSE
+        assert out == ""
+
+    def test_empty_map_exit(self, capsys):
+        code, out, err = run_cli(capsys, "traintrack", "--map", "")
+        assert code == EXIT_PARSE
+        assert out == ""
+
     def test_byte_determinism(self, capsys):
         outputs = set()
         for _ in range(3):
@@ -164,6 +178,17 @@ class TestDistanceCommand:
         )
         assert code == EXIT_INTEGRITY
 
+    @pytest.mark.parametrize("word", ["b1", 5])
+    def test_bad_inverse_marking_word_exit(self, capsys, tmp_path, quarter_point, word):
+        data = json.loads((tmp_path / "x.json").read_text())
+        data["inverse_marking"]["2"] = word
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        code, out, err = run_cli(
+            capsys, "distance", "--point", quarter_point, "--point2", str(bad)
+        )
+        assert code == EXIT_PARSE
+
     def test_rank_mismatch_is_integrity(self, capsys, quarter_point, tmp_path):
         z = rose_point(3)
         other = tmp_path / "z.json"
@@ -183,6 +208,19 @@ class TestPointRoundTrip:
             again.metric.length(e) == x.metric.length(e) for e in x.graph.edge_ids
         )
         assert [p.edges for p in again.marking] == [p.edges for p in x.marking]
+
+    def test_rank_three_graph_point_round_trips(self):
+        theta_loop = Graph([0, 1], {1: (0, 1), 2: (0, 1), 3: (0, 1), 4: (0, 0)})
+        x = graph_point(theta_loop, Metric({1: Fraction(1, 8), 2: Fraction(1, 4),
+                                            3: Fraction(3, 8), 4: Fraction(1, 4)}))
+        assert x.rank == 3
+        again = point_from_json(point_to_json(x))
+        assert again.graph == x.graph
+        assert again.metric == x.metric
+        assert again.basepoint == x.basepoint
+        assert [p.edges for p in again.marking] == [p.edges for p in x.marking]
+        assert again.inverse_marking() == x.inverse_marking()
+        assert point_to_json(again) == point_to_json(x)
 
     def test_reparsed_point_reproduces_results(self, capsys, tmp_path):
         x = rose_point(2, lengths=(Fraction(1, 4), Fraction(3, 4)))
@@ -388,3 +426,24 @@ def test_unsolved_lp_step_is_an_integrity_failure(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "minimize", "--map", "a->ab; b->bab")
     assert code == EXIT_INTEGRITY
     assert "no column can enter" in err
+
+
+RANK10 = "a->ab; b->c; c->d; d->e; e->f; f->g; g->h; h->i; i->j; j->a"
+
+
+@pytest.mark.parametrize("script, argv", [
+    ("displacement_sweep.py", ["--min-floor-exp", "0"]),
+    ("displacement_sweep.py", ["--map", RANK10, "--min-floor-exp", "1"]),
+    ("displacement_sweep.py", ["--map", "a->q!"]),
+    ("random_survey.py", ["--samples", "0"]),
+    ("random_survey.py", ["--rank", "1"]),
+])
+def test_scripts_refuse_unusable_arguments(script, argv):
+    # Each was a traceback, a ZeroDivisionError or an empty table before
+    # argparse checked it; now it is a usage error with exit code 2.
+    src = os.path.dirname(os.path.dirname(outerspace.__file__))
+    path = os.path.join(os.path.dirname(src), "scripts", script)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, path, *argv], capture_output=True, text=True, env=env)
+    assert out.returncode == EXIT_PARSE, out.stderr
+    assert out.stdout == "" and "usage:" in out.stderr

@@ -232,7 +232,7 @@ class TestFindLegalLoop:
             x = with_metric(rose_point(rank), random_unit_metric(range(1, rank + 1), rng))
             m = self_map_from_automorphism(x, random_automorphism(rank, 8, rng))
             s = gates_iterated(m)
-            if s.min_gate_count() < 2:
+            if s.one_gate_vertices():
                 continue
             loop = find_legal_loop(s)
             assert is_legal(loop, s)

@@ -1,5 +1,5 @@
-"""No unused imports, and no library function, class or public method that
-nothing calls.
+"""No unused imports, no library function, class or public method that
+nothing calls, and no defaulted library parameter that no call passes.
 
 A static check by name with the standard library's ast module.  A name
 counts as used where it appears as a name, an attribute, an imported name,
@@ -7,15 +7,18 @@ or a string constant that is exactly that name (a quoted annotation, or the
 benchmark tracer's lookup of a function by module and attribute name).  Being
 by name, it misses a dead definition whose name some other code uses: the
 CLI's "distance" command string counts as a use of lipschitz_metric.distance,
-which only the README example and tests call.  An allowance is stale, and
-fails the check, once its definition is gone or code outside tests uses it.
+which only the README example and tests call.  Parameters are checked per
+call instead: a call by the function's name (a class's name for its
+__init__) passes a parameter by keyword, by position, or through * or **.
+An allowance is stale, and fails the check, once its definition is gone or
+code outside tests uses it.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = ROOT / "src" / "outerspace"
@@ -24,6 +27,23 @@ CALLERS = (ROOT / "src", ROOT / "scripts", ROOT / "perfbench")
 # Library definitions that only tests and documents use, each with its reason.
 UNCALLED_ALLOWED = {
     ("graph_map", "is_legal"): "acceptance criterion 8 finds legal loops with it",
+}
+
+# Defaulted library parameters that only tests pass, each with its reason.
+UNPASSED_ALLOWED = {
+    ("marked_metric", "OuterSpacePoint.__init__.check"):
+        "unchecked points show that act and GraphMap validate the walks they receive",
+    ("graph_map", "GraphMap.__init__.check"):
+        "unchecked maps show that sigma and fold refuse a crushing map and that "
+        "finite_order_check finds no order for a non-permutation",
+    ("lipschitz_metric", "classify.trials"):
+        "a five-floor sweep shows the swept lambda never rises",
+    ("marked_metric", "random_unit_metric.denominator"):
+        "sigma is checked on two metrics with different denominators",
+    ("train_track_algo", "finite_order_check.cap"):
+        "a cap below the order shows the order is then not reported",
+    ("train_track_algo", "find_train_track.order_cap"):
+        "order_cap=0 skips the word-level pre-check to reach the fold loop's own exits",
 }
 
 
@@ -126,3 +146,69 @@ def test_every_library_definition_is_used():
 def test_no_stale_allowance():
     stale = sorted(f"{m}.{n}" for m, n in set(UNCALLED_ALLOWED) - _uncalled())
     assert not stale, "allowed as uncalled but gone or used outside tests: " + ", ".join(stale)
+
+
+def _defaulted(fn: ast.FunctionDef) -> Iterable[Tuple[str, int]]:
+    """(name, position) of each defaulted parameter; keyword-only ones have
+    no position and are given -1."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    for i, arg in enumerate(positional[first:], start=first):
+        yield arg.arg, i
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, -1
+
+
+def _passes(call: ast.Call, name: str, position: int) -> bool:
+    if any(k.arg in (name, None) for k in call.keywords):  # None: a ** argument
+        return True
+    if position < 0:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def _unpassed() -> Set[Tuple[str, str]]:
+    """(module, "function.parameter") of each defaulted parameter of a
+    library function or method that no call outside tests passes; a method's
+    position counts self or cls, which a call does not pass."""
+    calls: Dict[str, List[ast.Call]] = {}
+    for path in _sources(CALLERS):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    out = set()
+    for path in _sources([LIBRARY]):
+        for qualname, callee, fn, skip in _library_functions(_parse(path)):
+            for param, position in _defaulted(fn):
+                if position >= 0:
+                    position -= skip
+                if not any(_passes(c, param, position) for c in calls.get(callee, ())):
+                    out.add((path.stem, f"{qualname}.{param}"))
+    return out
+
+
+def _library_functions(tree: ast.Module) -> Iterable[Tuple[str, str, ast.FunctionDef, int]]:
+    """(qualified name, name its calls use, definition, leading parameters a
+    call does not pass) of each top-level function and method."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef):
+            yield stmt.name, stmt.name, stmt, 0
+        elif isinstance(stmt, ast.ClassDef):
+            for m in stmt.body:
+                if isinstance(m, ast.FunctionDef):
+                    static = any(getattr(d, "id", "") == "staticmethod" for d in m.decorator_list)
+                    callee = stmt.name if m.name == "__init__" else m.name
+                    yield f"{stmt.name}.{m.name}", callee, m, 0 if static else 1
+
+
+def test_every_defaulted_parameter_is_passed():
+    unexpected = sorted(f"{m}.{n}" for m, n in _unpassed() - set(UNPASSED_ALLOWED))
+    assert not unexpected, "defaulted but passed by no call outside tests: " + ", ".join(unexpected)
+
+
+def test_no_stale_parameter_allowance():
+    stale = sorted(f"{m}.{n}" for m, n in set(UNPASSED_ALLOWED) - _unpassed())
+    assert not stale, "allowed as unpassed but gone or passed outside tests: " + ", ".join(stale)

@@ -529,9 +529,8 @@ class TestNormalize:
 
 
 # Full fold-loop traces, one per move kind, as the loop wrote them before its
-# trace lines went through one formatter.  No known input reaches gate_fold
-# (a vertex with one gate while every edge image is legal) or a failing
-# fold, so those two cases stub the legality test and fold respectively.
+# trace lines went through one formatter.  No known input makes fold fail, so
+# the error case stubs fold.
 PINNED_TRACES = {
     "finite_order_precheck": (
         "a->B; b->C; c->A", {},
@@ -597,10 +596,6 @@ PINNED_TRACES = {
             "round=26 edges=3 lambda=1.46557123188 potential=- move=stalled",
         ),
     ),
-    "gate_fold": (
-        "a->ABa; b->AB", {"max_iters": 1},
-        ("round=0 edges=2 lambda=2.61803398875 potential=0 move=gate_fold(1,-1)",),
-    ),
     "error": (
         "a->AbA; b->bA", {},
         (
@@ -636,8 +631,6 @@ class TestFindTrainTrack:
     @pytest.mark.parametrize("kind", sorted(PINNED_TRACES))
     def test_trace_lines_pinned(self, kind, monkeypatch):
         text, kwargs, expected = PINNED_TRACES[kind]
-        if kind == "gate_fold":
-            monkeypatch.setattr(train_track_algo, "_first_illegal_image_turn", lambda m, s: None)
         if kind == "error":
             def refuse(m, t):
                 raise RankCollapseError("fold refused")
@@ -645,6 +638,17 @@ class TestFindTrainTrack:
             monkeypatch.setattr(train_track_algo, "fold", refuse)
         cert = find_train_track(Automorphism.from_text(text), **kwargs)
         assert cert.trace == expected
+
+    @pytest.mark.parametrize("rank", [3, 4, 5])
+    def test_train_tracks_have_two_gates_at_every_vertex(self, rank):
+        # Legal edge images of an irreducible map with lambda > 1 force two
+        # gates at every vertex, so the loop needs no fold for a one-gate vertex.
+        rng = random.Random(0)
+        certs = [find_train_track(random_automorphism(rank, 12, rng)) for _ in range(60)]
+        tracks = [c for c in certs if isinstance(c, TrainTrackCertificate)]
+        assert tracks
+        for cert in tracks:
+            assert cert.structure.one_gate_vertices() == ()
 
     def test_finite_order_map(self):
         cert = find_train_track(Automorphism.from_text(PERMUTED))

@@ -16,7 +16,6 @@ from outerspace.words import (
     is_conjugate_identity,
     parse_word,
     reduce_word,
-    substitute,
 )
 
 
@@ -65,19 +64,17 @@ def test_parse_format_roundtrip():
     assert parse_word("aA") == ()
     with pytest.raises(ValueError):
         parse_word("a1b")
-    with pytest.raises(ValueError):
-        parse_word("ac", rank=2)
 
 
 def test_substitute_and_compose():
     fig2 = ((1, 2), (2, 1, 2))  # a -> ab, b -> bab
-    assert substitute(fig2, (1, 2)) == (1, 2, 2, 1, 2)
-    assert substitute(fig2, (-1,)) == (-2, -1)
+    assert compose(fig2, ((1, 2),))[0] == (1, 2, 2, 1, 2)
+    assert compose(fig2, ((-1,),))[0] == (-2, -1)
     ident = identity_images(2)
     assert compose(fig2, ident) == fig2
     assert compose(ident, fig2) == fig2
     twice = compose(fig2, fig2)
-    assert twice[0] == substitute(fig2, (1, 2))
+    assert twice[0] == compose(fig2, ((1, 2),))[0]
 
 
 @given(st.lists(words_st, min_size=3, max_size=3), st.lists(words_st, max_size=4))
@@ -90,7 +87,7 @@ def test_substitute_and_compose_match_rescan_oracle(images, inner):
         return oracle_reduce(letters)
 
     for w in inner:
-        assert substitute(images, w) == oracle(w)
+        assert compose(images, (w,))[0] == oracle(w)
     assert compose(images, inner) == tuple(oracle(w) for w in inner)
 
 
@@ -155,8 +152,8 @@ def test_invert_images_on_random_compositions(rank, steps, seed):
         images, known_inverse = random_basis_images(rank, steps, rng)
         psi = invert_images(images)
         for k in range(1, rank + 1):
-            assert substitute(psi, images[k - 1]) == (k,)
-            assert substitute(images, psi[k - 1]) == (k,)
+            assert compose(psi, (images[k - 1],))[0] == (k,)
+            assert compose(images, (psi[k - 1],))[0] == (k,)
         # psi agrees with the tracked inverse up to conjugation
         assert is_conjugate_identity(compose(psi, images))
         assert is_conjugate_identity(
@@ -167,8 +164,8 @@ def test_invert_images_on_random_compositions(rank, steps, seed):
 def test_invert_images_known_pairs():
     # a -> ab, b -> bab has inverse a -> abA...: verified by composition only
     psi = invert_images(((1, 2), (2, 1, 2)))
-    assert substitute(psi, (1, 2)) == (1,)
-    assert substitute(psi, (2, 1, 2)) == (2,)
+    assert compose(psi, ((1, 2),))[0] == (1,)
+    assert compose(psi, ((2, 1, 2),))[0] == (2,)
     # order-6 letter permutation: inverse is its 5th power
     perm = ((-2,), (-3,), (-1,))
     psi = invert_images(perm)
@@ -196,4 +193,4 @@ def test_invert_images_property(seed, rank, steps):
     images, _ = random_basis_images(rank, steps, rng)
     psi = invert_images(images)
     for k in range(1, rank + 1):
-        assert substitute(psi, images[k - 1]) == (k,)
+        assert compose(psi, (images[k - 1],))[0] == (k,)
