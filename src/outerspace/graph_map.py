@@ -88,11 +88,21 @@ class GraphMap:
         self.check_marking_compatibility()
 
     def check_marking_compatibility(self) -> tuple:
-        """Conjugating word certifying map . domain marking ~ codomain marking."""
-        vs = []
-        for p in self.domain.marking:
-            image = self.map_path(p)
-            vs.append(self.codomain.inverse_marking_word(image.edges))
+        """Conjugating word certifying map . domain marking ~ codomain marking.
+
+        The word of each domain marking loop's image is read back through the
+        codomain's inverse marking.  That reading is a homomorphism from edge
+        paths to F_n that ignores backtracking, so it is read once per edge:
+        t[e] is the word of e's image, and a loop's word is the reduced
+        product of the t of its edges.  This equals the word of the loop's
+        tightened image, so the conjugator, and when none exists the
+        MarkingError, are those of mapping each loop and tightening it.
+        """
+        t = {}
+        for e, p in self.edge_image.items():
+            t[e] = self.codomain.inverse_marking_word(p.edges)
+            t[-e] = words.invert_word(t[e])
+        vs = [words.apply_table(t, p.edges) for p in self.domain.marking]
         g = words.common_conjugator(vs)
         if g is None:
             raise MarkingError("map does not commute with the markings up to homotopy")
@@ -195,12 +205,20 @@ def gates_from_derivative(g: Graph, deriv: Mapping[int, int]) -> TrainTrackStruc
 
     Two directions at a vertex lie in one gate iff some iterate of the
     derivative map identifies them; since merged trajectories never split,
-    checking the |directions|-th iterate decides all pairs at once.
+    checking the |directions|-th iterate decides all pairs at once.  That
+    iterate is taken by repeated squaring of the derivative map.
     """
     directions = g.directions()
-    state = {d: deriv[d] for d in directions}
-    for _ in range(len(directions) - 1):
-        state = {d: deriv[state[d]] for d in directions}
+    state = None  # deriv to the power of the bits read so far
+    square = deriv
+    k = len(directions)
+    while True:
+        if k & 1:
+            state = square if state is None else {d: square[state[d]] for d in directions}
+        k >>= 1
+        if not k:
+            break
+        square = {d: square[square[d]] for d in directions}
     per_vertex: Dict[int, Dict[int, set]] = {}
     for e in g.edge_ids:
         for d in (e, -e):

@@ -408,9 +408,11 @@ def min_displacement_on_simplex(
     PF lengths (0, 1) lift to, is usually confirmed by the first LP step; a
     start near it, such as the minimizer for a larger floor, saves the
     steps that approach it.  `start` may also be the report of an earlier
-    minimization of the same map, as in a floor sweep: its minimizer is then
-    the start, and its constraint rows and last LP basis are reused, so a
-    sweep builds its rows once.
+    minimization of the same map, as in a floor sweep: its constraint rows
+    and last LP basis are reused, so a sweep builds its rows once.  The
+    start is then its minimizer, or that minimizer with its pinned edges
+    lifted to this floor (a zero length lifts to the floor) when that
+    stretches less, so lam_0 is never above the lifted minimizer's.
     """
     ids = g.edge_ids
     n = len(ids)
@@ -418,8 +420,9 @@ def min_displacement_on_simplex(
         raise ValueError(f"floor must lie strictly between 0 and 1/{n}")
     rows: Optional[_RowSet] = None
     basis = None
+    pinned: Tuple[int, ...] = ()
     if isinstance(start, SimplexMinReport):
-        rows, basis, start = start.rows, start.basis, start.metric
+        rows, basis, pinned, start = start.rows, start.basis, start.pinned, start.metric
     if start is not None and start.edge_ids != ids:
         raise ValueError(f"start metric has edges {start.edge_ids}, graph has {ids}")
     if rows is None:
@@ -445,15 +448,27 @@ def min_displacement_on_simplex(
     def mediant_bound(y: np.ndarray) -> float:
         return float(np.min((vertices @ (y @ Bm)) / (vertices @ (y @ Cm))))
 
+    def lift(lengths: np.ndarray) -> np.ndarray:
+        """The start on the floored simplex: its excess over the floor,
+        scaled to the volume left above the floor."""
+        excess = np.maximum(lengths / lengths.sum() - floor, 0.0)
+        return floor + (1.0 - n * floor) * excess / excess.sum()
+
     if start is None:
         lengths = pf_lengths(g, edge_image)
     else:
         lengths = np.array([float(start.length(e)) for e in ids])
-    # Lift the start onto the floored simplex: its excess over the floor,
-    # scaled to the volume left above the floor.
-    excess = np.maximum(lengths / lengths.sum() - floor, 0.0)
-    ell = floor + (1.0 - n * floor) * excess / excess.sum()
+    ell = lift(lengths)
     lam = max_ratio(ell)
+    if pinned:
+        # The earlier minimizer with its pinned edges moved to this floor,
+        # where a floor-pinned minimum moves to; kept only if it stretches
+        # less.
+        lengths[[ids.index(e) for e in pinned]] = 0.0
+        moved = lift(lengths)
+        moved_lam = max_ratio(moved)
+        if moved_lam < lam:
+            ell, lam = moved, moved_lam
     lower = min(lam, mediant_bound(np.ones(len(Bm))))
     trace: List[Tuple[float, float]] = []
     for _ in range(_MAX_STEPS):

@@ -197,8 +197,9 @@ def _first_illegal_image_turn(st: _MapState, s: TrainTrackStructure) -> Optional
     return None
 
 
-def finite_order_check(m: GraphMap, cap: int = 1000) -> Optional[int]:
-    """Smallest k <= cap with the k-th power the identity permutation of directions."""
+def finite_order_check(m: GraphMap) -> Optional[int]:
+    """Smallest k with the k-th power the identity permutation of directions,
+    None when the single-edge images are not a permutation."""
     g = m.domain.graph
     pi = {}
     for e in g.edge_ids:
@@ -222,8 +223,6 @@ def finite_order_check(m: GraphMap, cap: int = 1000) -> Optional[int]:
             if cur == d:
                 break
         order = order * length // math.gcd(order, length)
-        if order > cap:
-            return None
     return order
 
 
@@ -867,6 +866,9 @@ def find_train_track(
     k <= order_cap with phi^k inner.  That k can only be the order of the
     abelianization A of phi, so maps of infinite order on homology go
     straight to the fold loop, and otherwise one power of phi is tested.
+    In the loop, a round whose edge images are single edges is a graph
+    automorphism; its order, which no cap bounds, is certified before any
+    reduction test.
     """
     if phi.rank < 2:
         raise ValueError("rank must be at least 2")
@@ -889,6 +891,16 @@ def find_train_track(
         deriv = {d: st.derivative(d) for d in g.directions()}
         s = gates_from_derivative(g, deriv)
         pot = _gate_potential(s, g)
+        # Single-edge images make the map a graph automorphism, of finite
+        # order whatever its cycles.  Its permutation matrix is reducible
+        # when it has several cycles, so this comes before the reduction test.
+        if all(len(p) == 1 for p in st.images.values()):
+            cert_map = st.to_graph_map()
+            k = finite_order_check(cert_map)
+            if k is None:
+                raise InvalidMapError("single-edge images that are not a permutation")
+            trace.append(_round_line(rnd, g.num_edges, 1.0, pot, f"finite_order({k})"))
+            return FiniteOrderCertificate(order=k, graph_map=cert_map, trace=tuple(trace))
         cls = closed_class(M)
         if cls is not None:
             rho = spectral_radius(M.rows)
@@ -920,25 +932,15 @@ def find_train_track(
                     reason=f"stretch factor stalled near {_fmt(best_lam)}",
                     trace=tuple(trace),
                 )
-        # M is irreducible here, so no column of it is zero.  The spectral
-        # radius of an irreducible nonnegative matrix lies between its least
-        # and greatest column sums, strictly unless they are equal; M's column
-        # sums are the integer image lengths, so lambda = 1 iff every edge
-        # image is a single edge, that is iff M is a permutation matrix.
-        if all(len(p) == 1 for p in st.images.values()):
-            cert_map = st.to_graph_map()
-            k = finite_order_check(cert_map)
-            trace.append(_round_line(rnd, g.num_edges, lam, pot, f"finite_order({k})"))
-            if k is None:
-                return NonTerminationCertificate(
-                    reason="permutation order exceeds the cap", trace=tuple(trace)
-                )
-            return FiniteOrderCertificate(order=k, graph_map=cert_map, trace=tuple(trace))
         st.lengths = dict(zip(M.edge_ids, ell))
         bad = _first_illegal_image_turn(st, s)
         if bad is None:
             # Legal edge images make a train track map: every vertex has two
-            # gates.  M is irreducible and not a permutation, so lambda > 1.
+            # gates.  M is irreducible and not a permutation, so lambda > 1:
+            # the spectral radius of an irreducible nonnegative matrix lies
+            # between its least and greatest column sums, strictly unless they
+            # are equal, and M's column sums are the image lengths, at least
+            # 1 and not all 1.
             # Gates are the classes of directions that coincide eventually
             # under Df, so Df sends legal turns to legal turns, and the map
             # sends legal paths to legal paths.  So for each edge e some

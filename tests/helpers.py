@@ -15,9 +15,10 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
+from outerspace import words
 from outerspace.graph_core import EdgePath, Graph, direction_key
 from outerspace.graph_map import GraphMap
-from outerspace.marked_metric import Metric, OuterSpacePoint
+from outerspace.marked_metric import Automorphism, MarkingError, Metric, OuterSpacePoint
 
 
 def connected_core_graphs(max_edges: int) -> List[Graph]:
@@ -136,6 +137,28 @@ def identity_map_between(x: OuterSpacePoint, y: OuterSpacePoint) -> GraphMap:
         {v: v for v in x.graph.vertices},
         {e: (e,) for e in x.graph.edge_ids},
     )
+
+
+def cycle_permutation(cycles: Sequence[int]) -> Automorphism:
+    """The permutation of the generators a, b, c, ... with cycles of the
+    given lengths, taken in order: (3, 1) is a->b; b->c; c->a; d->d."""
+    clauses, start = [], 0
+    for n in cycles:
+        clauses += [f"{chr(97 + start + i)}->{chr(97 + start + (i + 1) % n)}" for i in range(n)]
+        start += n
+    return Automorphism.from_text("; ".join(clauses))
+
+
+def marking_conjugator_by_loops(m: GraphMap) -> tuple:
+    """The conjugator of GraphMap.check_marking_compatibility, found loop by
+    loop: map each domain marking loop, tighten its image, read the image
+    back through the codomain's inverse marking, and solve for one
+    conjugator.  Raises MarkingError when there is none."""
+    vs = [m.codomain.inverse_marking_word(m.map_path(p).edges) for p in m.domain.marking]
+    g = words.common_conjugator(vs)
+    if g is None:
+        raise MarkingError("map does not commute with the markings up to homotopy")
+    return g
 
 
 def immersed_loop_vectors(graph: Graph, max_length: int) -> Tuple[Tuple[int, ...], ...]:

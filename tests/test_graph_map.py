@@ -3,10 +3,11 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from helpers import with_metric
+from helpers import marking_conjugator_by_loops, with_metric
 from outerspace.graph_core import EdgePath, Graph, PathError
 from outerspace.graph_map import (
     DegenerateImageError,
@@ -15,6 +16,7 @@ from outerspace.graph_map import (
     TrainTrackStructure,
     difference_of_markings,
     find_legal_loop,
+    gates_from_derivative,
     gates_iterated,
     is_legal,
     self_map_from_automorphism,
@@ -30,7 +32,9 @@ from outerspace.marked_metric import (
     random_unit_metric,
     rose_point,
 )
-from outerspace.train_track_algo import growth_bracket, transition_matrix
+from outerspace.train_track_algo import find_train_track, growth_bracket, transition_matrix
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 GOLDEN_PLUS = (3 + math.sqrt(5)) / 2
 FIG2_SHORT = (3 - math.sqrt(5)) / 2
@@ -251,3 +255,90 @@ class TestMapAction:
         m = fig2_map()
         p = m.map_path(EdgePath((1, -1), closed=True))
         assert p.edges == ()
+
+
+def _path_from_basepoint(x, v):
+    """A path of x's graph from its basepoint to v, by breadth-first search."""
+    paths = {x.basepoint: ()}
+    queue = [x.basepoint]
+    for u in queue:
+        for d in sorted(x.graph.directions_at(u)):
+            w = x.graph.term(d)
+            if w not in paths:
+                paths[w] = paths[u] + (d,)
+                queue.append(w)
+    return paths[v]
+
+
+def _corrupted(m, rng):
+    """m with one edge image followed by a loop at its end, so every image
+    still joins the vertex images.  The edge is crossed with a nonzero net
+    count by some domain marking loop and the loop is a codomain generator,
+    so the map changes on homology and cannot commute with the markings."""
+    g, y = m.domain.graph, m.codomain
+    crossed = [
+        e for e in g.edge_ids
+        if any(p.edges.count(e) != p.edges.count(-e) for p in m.domain.marking)
+    ]
+    e = rng.choice(crossed)
+    q = _path_from_basepoint(y, m.vertex_image[g.term(e)])
+    loop = tuple(-d for d in reversed(q)) + rng.choice(y.marking).edges + q
+    images = {f: p.edges for f, p in m.edge_image.items()}
+    images[e] += loop
+    return GraphMap(m.domain, y, m.vertex_image, images, check=False)
+
+
+def _compatibility_cases(monkeypatch):
+    """Differences of markings on the distance-table graph family and the
+    seed-0 fold-survey certificate maps."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    maps = [difference_of_markings(x, y) for x, y in (i.payload for i in workloads.DistanceTable(0).inputs)]
+    for item in workloads.FoldSurvey(0).inputs:
+        m = getattr(find_train_track(item.payload), "graph_map", None)
+        if m is not None:
+            maps.append(m)
+    return maps
+
+
+class TestMarkingCompatibility:
+    def test_matches_the_loop_by_loop_check(self, monkeypatch):
+        maps = _compatibility_cases(monkeypatch)
+        assert len(maps) > 324 + 100
+        rng = random.Random(0)
+        for m in maps:
+            assert m.check_marking_compatibility() == marking_conjugator_by_loops(m)
+            bad = _corrupted(m, rng)
+            with pytest.raises(MarkingError):
+                marking_conjugator_by_loops(bad)
+            with pytest.raises(MarkingError):
+                bad.check_marking_compatibility()
+
+
+class TestGatesByPowering:
+    @staticmethod
+    def naive_gates(g, deriv):
+        """Gates from the |directions|-th iterate, taken one step at a time."""
+        directions = g.directions()
+        state = dict(deriv)
+        for _ in range(len(directions) - 1):
+            state = {d: deriv[state[d]] for d in directions}
+        per_vertex = {}
+        for d in directions:
+            per_vertex.setdefault(g.init(d), {}).setdefault(state[d], set()).add(d)
+        return TrainTrackStructure(g, {v: tuple(b.values()) for v, b in per_vertex.items()})
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_step_by_step_iteration(self, seed):
+        rng = random.Random(seed)
+        n_vertices = rng.randint(1, 5)
+        n_edges = rng.randint(1, 13)
+        g = Graph(
+            range(n_vertices),
+            {e: (rng.randrange(n_vertices), rng.randrange(n_vertices)) for e in range(1, n_edges + 1)},
+        )
+        directions = g.directions()
+        for _ in range(10):
+            deriv = {d: rng.choice(directions) for d in directions}
+            assert gates_from_derivative(g, deriv) == self.naive_gates(g, deriv)

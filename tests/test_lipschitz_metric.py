@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from helpers import (
     assert_bracketing_trace,
     connected_core_graphs,
+    cycle_permutation,
     exceeds_spectral_radius,
     with_metric,
 )
@@ -769,6 +770,19 @@ class TestMinDisplacement:
         assert from_report.lam == pytest.approx(from_metric.lam, rel=1e-12)
         assert from_report.lower <= from_report.lam
 
+    def test_sweep_starts_pinned_edges_at_the_new_floor(self, lp_calls):
+        # The minimizer of a -> a, b -> ab pins edge a to the floor.  Moved
+        # to the next floor, it is that floor's minimizer, so from the
+        # second floor on one LP confirms each start.
+        m = rose_self_map(REDUCIBLE)
+        rep = None
+        for floor in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+            lp_calls.clear()
+            rep = min_displacement_on_simplex(m.domain.graph, m.edge_image, floor, start=rep)
+            assert len(lp_calls) == len(rep.trace) == 1
+            assert rep.lam == pytest.approx(1.0 / (1.0 - floor), rel=1e-12)
+            assert rep.pinned == (1,)
+
     def test_start_report_of_another_map_is_rejected(self):
         rank2 = rose_self_map(EXPANDING)
         rank3 = rose_self_map(Automorphism.from_text(FLOOR_VERTEX_TRAIN_TRACKS[0]))
@@ -793,6 +807,12 @@ class TestClassify:
         assert result.kind == "elliptic"
         assert result.order == 6
 
+    @pytest.mark.parametrize("cycles, order", [((3, 4, 7), 84), ((3, 5, 7, 1), 105)])
+    def test_permutation_of_large_order_is_elliptic(self, cycles, order):
+        result = classify(cycle_permutation(cycles))
+        assert isinstance(result, Elliptic)
+        assert result.order == order
+
     def test_expanding_input(self):
         result = classify(EXPANDING)
         assert isinstance(result, Hyperbolic)
@@ -810,7 +830,9 @@ class TestClassify:
 
     def test_classify_survey_lp_calls(self, lp_calls, monkeypatch):
         # Every parabolic_suspect sweep starts its first floor at the map's
-        # PF lengths; the pass solves 180 LPs.
+        # PF lengths, and each later floor at the better of the previous
+        # minimizer and that minimizer with its pinned edges at the new
+        # floor; the pass solves 167 LPs.
         monkeypatch.syspath_prepend(str(PERFBENCH))
         import workloads
 
@@ -818,7 +840,7 @@ class TestClassify:
         lp_calls.clear()
         for item in survey.inputs:
             survey.run_one(item.payload)
-        assert len(lp_calls) <= 185
+        assert len(lp_calls) <= 170
 
     def test_unreduced_images_train_track_is_hyperbolic(self):
         result = classify(UNREDUCED_IMAGES)

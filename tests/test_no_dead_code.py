@@ -27,6 +27,7 @@ CALLERS = (ROOT / "src", ROOT / "scripts", ROOT / "perfbench")
 # Library definitions that only tests and documents use, each with its reason.
 UNCALLED_ALLOWED = {
     ("graph_map", "is_legal"): "acceptance criterion 8 finds legal loops with it",
+    ("graph_map", "GraphMap.map_path"): "acceptance criterion 8 iterates legal loops with it",
 }
 
 # Defaulted library parameters that only tests pass, each with its reason.
@@ -40,8 +41,6 @@ UNPASSED_ALLOWED = {
         "a five-floor sweep shows the swept lambda never rises",
     ("marked_metric", "random_unit_metric.denominator"):
         "sigma is checked on two metrics with different denominators",
-    ("train_track_algo", "finite_order_check.cap"):
-        "a cap below the order shows the order is then not reported",
     ("train_track_algo", "find_train_track.order_cap"):
         "order_cap=0 skips the word-level pre-check to reach the fold loop's own exits",
 }

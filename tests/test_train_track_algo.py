@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import cycle_permutation
 from outerspace import train_track_algo, words
 from outerspace.graph_core import EdgePath, Graph, is_forest
 from outerspace.marked_metric import (
@@ -409,9 +410,6 @@ class TestFiniteOrderCheck:
     def test_cyclic_with_reversals_has_order_six(self):
         assert finite_order_check(rose_self_map(PERMUTED)) == 6
 
-    def test_cap_hides_large_orders(self):
-        assert finite_order_check(rose_self_map("a -> b; b -> a"), cap=1) is None
-
     def test_non_permutation_has_no_order(self):
         x = rose_point(2)
         m = GraphMap(
@@ -659,6 +657,26 @@ class TestFindTrainTrack:
         cert = find_train_track(Automorphism.from_text(PERMUTED), order_cap=0)
         assert isinstance(cert, FiniteOrderCertificate)
         assert cert.order == 6
+
+    @pytest.mark.parametrize("cycles, order", [((3, 4, 7), 84), ((3, 5, 7, 1), 105)])
+    def test_graph_automorphism_of_any_order_before_reductions(self, cycles, order):
+        # A permutation of the generators with several cycles has a reducible
+        # transition matrix, and its order lies above the word-level
+        # pre-check's cap; it is certified as a graph automorphism.
+        phi = cycle_permutation(cycles)
+        cert = find_train_track(phi)
+        assert isinstance(cert, FiniteOrderCertificate)
+        assert cert.order == order
+        assert cert.trace == (
+            f"round=0 edges={phi.rank} lambda=1 potential={2 * phi.rank - 2} "
+            f"move=finite_order({order})",
+        )
+        A = _abelianization(phi)
+        power, k = A, 1
+        while power != [[int(i == j) for j in range(phi.rank)] for i in range(phi.rank)]:
+            power = [[sum(r[t] * A[t][j] for t in range(phi.rank)) for j in range(phi.rank)] for r in power]
+            k += 1
+        assert k == order
 
     def test_elliptic_map_with_cancellation(self):
         # Folding this map cycles forever; the word-level order check is what
