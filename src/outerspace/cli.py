@@ -5,9 +5,10 @@ Subcommands: ``traintrack``, ``distance``, ``classify``, ``candidates``,
 subparser names its command function with ``set_defaults`` and the command
 reads its flags from the namespace.  Reports are emitted as canonical JSON
 (sorted keys, compact separators, floats rounded to 12 significant digits) so
-repeated runs are byte-identical, or as plain text with ``--text``.  Point
-files write and read their words with ``words.format_word`` and
-``words.parse_word``, the codec of ``--map`` images.
+repeated runs are byte-identical, or as plain text with ``--text``.  Words
+of every rank have one codec, ``words.format_word`` and ``words.parse_word``
+(a..z, then e27, e28, ...): it reads ``--map`` images and point files, and
+writes point files and the edge names and edge words of reports.
 
 Exit codes: 0 success, 2 unparsable input or a flag argparse refuses (a
 missing one, or ``--max-iters`` below 1), 3 an iteration cap was reached,
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import string
 import sys
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -68,7 +68,7 @@ class CliInputError(Exception):
     """Unusable input file or flag combination (exit code 2)."""
 
 
-# -- naming and number formatting ---------------------------------------------------
+# -- number formatting ------------------------------------------------------------
 
 
 def _f12(x: float) -> float:
@@ -81,23 +81,6 @@ def _num(value) -> object:
     if isinstance(value, (Fraction, int)):
         return str(value)
     return _f12(value)
-
-
-def _edge_name(d: int) -> str:
-    """Signed edge id as a word letter: lowercase forward, uppercase reverse."""
-    e = abs(d)
-    if 1 <= e <= 26:
-        letter = string.ascii_lowercase[e - 1]
-    else:
-        letter = f"e{e}"
-    return letter.upper() if d < 0 else letter
-
-
-def _edge_word(directions: Sequence[int]) -> str:
-    names = [_edge_name(d) for d in directions]
-    if any(len(n) > 1 for n in names):
-        return ".".join(names)
-    return "".join(names)
 
 
 # -- point files --------------------------------------------------------------------
@@ -190,20 +173,20 @@ def _load_point(path: str) -> OuterSpacePoint:
 
 
 def _metric_json(metric: Metric) -> Dict[str, object]:
-    return {_edge_name(e): _num(length) for e, length in metric.items()}
+    return {words.format_word((e,)): _num(length) for e, length in metric.items()}
 
 
 def _gates_json(structure) -> List[List[str]]:
     blocks = []
     for v in structure.vertices:
         for gate in structure.gates_at(v):
-            blocks.append(sorted(_edge_name(d) for d in gate))
+            blocks.append(sorted(words.format_word((d,)) for d in gate))
     return sorted(blocks)
 
 
 def _edge_images_json(m: GraphMap) -> Dict[str, str]:
     return {
-        _edge_name(e): _edge_word(m.edge_image[e].edges)
+        words.format_word((e,)): words.format_word(m.edge_image[e].edges)
         for e in sorted(m.domain.graph.edge_ids)
     }
 
@@ -233,9 +216,9 @@ def _traintrack_report(cert) -> Tuple[Dict[str, object], int]:
     if isinstance(cert, ReductionCertificate):
         report = {
             "status": cert.status,
-            "subgraph": sorted(_edge_name(e) for e in cert.subset),
+            "subgraph": sorted(words.format_word((e,)) for e in cert.subset),
             "matrix": [list(r) for r in cert.matrix.rows],
-            "edge_order": [_edge_name(e) for e in cert.matrix.edge_ids],
+            "edge_order": [words.format_word((e,)) for e in cert.matrix.edge_ids],
             "lambda": _f12(spectral_radius(cert.matrix.rows)),
             "metric": _metric_json(cert.graph_map.domain.metric),
             "edge_images": _edge_images_json(cert.graph_map),
@@ -269,7 +252,7 @@ def _simplex_json(rep) -> Dict[str, object]:
         "lambda": _f12(rep.lam),
         "lower": _f12(rep.lower),
         "boundary_flag": rep.boundary_flag,
-        "pinned": [_edge_name(e) for e in rep.pinned],
+        "pinned": [words.format_word((e,)) for e in rep.pinned],
         "metric": _metric_json(rep.metric),
         "trace": [[_f12(lo), _f12(hi)] for lo, hi in rep.trace],
     }
@@ -290,7 +273,7 @@ def _classify_report(result) -> Tuple[Dict[str, object], int]:
             "evidence": {
                 "trace": list(result.certificate.trace),
                 "metric": _metric_json(result.certificate.graph_map.domain.metric),
-                "legal_loop": _edge_word(result.loop.edges),
+                "legal_loop": words.format_word(result.loop.edges),
                 "bracket": [_f12(b) for b in result.bracket],
                 "simplex": _simplex_json(result.simplex),
             },
@@ -300,7 +283,7 @@ def _classify_report(result) -> Tuple[Dict[str, object], int]:
         report = {
             "kind": result.kind,
             "invariant_chain": [
-                sorted(_edge_name(e) for e in subset)
+                sorted(words.format_word((e,)) for e in subset)
                 for subset in result.invariant_chain
             ],
             "evidence": {

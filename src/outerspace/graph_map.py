@@ -56,7 +56,6 @@ class GraphMap:
         codomain: OuterSpacePoint,
         vertex_image: Mapping[int, int],
         edge_image: Mapping[int, Union[EdgePath, Sequence[int]]],
-        check: bool = True,
     ):
         self.domain = domain
         self.codomain = codomain
@@ -65,8 +64,7 @@ class GraphMap:
         self.edge_image = {e: tighten(h, p) for e, p in edge_image.items()}
         self.direction_image = direction_images(self.edge_image)
         self.is_self_map = domain.graph == codomain.graph
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         g, h = self.domain.graph, self.codomain.graph

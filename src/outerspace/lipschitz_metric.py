@@ -16,10 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
-from typing import (
-    ClassVar, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
-)
+from typing import ClassVar, FrozenSet, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -33,7 +30,7 @@ from .marked_metric import (
     candidates,
     _candidate_words,
 )
-from .graph_map import GraphMap, difference_of_markings, direction_images, find_legal_loop
+from .graph_map import GraphMap, direction_images, find_legal_loop
 from .train_track_algo import (
     Certificate,
     FiniteOrderCertificate,
@@ -85,9 +82,8 @@ def sigma(x: OuterSpacePoint, y: OuterSpacePoint, m: GraphMap) -> DistanceReport
     best_num, best_den = 0, 1  # lengths are positive: any candidate beats 0/1
     best_ratio = -math.inf
     table: List[Tuple[CandidateLoop, object]] = []
-    cands = candidates(x)
-    images = _loop_images(m.direction_image, (c.loop.edges for c in cands))
-    for i, (c, image) in enumerate(zip(cands, images)):
+    for i, c in enumerate(candidates(x)):
+        image = words.cyclic_image(m.direction_image, c.loop.edges)
         num = sum(map(y_len.__getitem__, image))
         if num == 0:
             raise StretchIntegrityError(
@@ -111,26 +107,6 @@ def sigma(x: OuterSpacePoint, y: OuterSpacePoint, m: GraphMap) -> DistanceReport
         witness=witness,
         table=tuple(table),
     )
-
-
-def _loop_images(
-    direction_image: Mapping[int, Sequence[int]], loops: Iterable[Sequence[int]]
-) -> Iterator[Tuple[int, ...]]:
-    """Cyclically reduced image of each loop (a closed word of directions)
-    under the map with the given direction images, which are reduced, as a
-    GraphMap's are.
-
-    Candidate tables grow fast with the edge count, so this works on raw
-    direction tuples instead of going through GraphMap.map_path, and cancels
-    only where two images meet.
-    """
-    for loop in loops:
-        yield words.cyclic_image(direction_image, loop)
-
-
-def distance(x: OuterSpacePoint, y: OuterSpacePoint) -> float:
-    """log of the maximal stretch of the difference of markings; asymmetric."""
-    return sigma(x, y, difference_of_markings(x, y)).log_sigma
 
 
 # -- displacement minimization over a floored simplex -----------------------------
@@ -170,11 +146,12 @@ def _constraint_rows(
     """Deduplicated (image-count, count) rows over all candidate loops; their
     maximal ratio is the stretch of the map at every metric."""
     ids = g.edge_ids
-    loops = _candidate_words(g)
+    table = direction_images(edge_image)
     rows = []
     seen = set()
-    for w, image in zip(loops, _loop_images(direction_images(edge_image), loops)):
-        B = words.letter_counts(ids, image)
+    for c in _candidate_words(g):
+        w = c.loop.edges
+        B = words.letter_counts(ids, words.cyclic_image(table, w))
         if not any(B):
             continue  # nullhomotopic image constrains nothing
         C = words.letter_counts(ids, w)
@@ -535,9 +512,10 @@ class Inconclusive:
 Classification = Union[Elliptic, Hyperbolic, ParabolicSuspect, Inconclusive]
 
 _CLASSIFY_FLOOR = 1e-6
+_SWEEP_FLOORS = (1e-2, 1e-3, 1e-4)  # the parabolic_suspect floor sweep
 
 
-def classify(phi: Automorphism, trials: int = 3) -> Classification:
+def classify(phi: Automorphism) -> Classification:
     """Sort an outer automorphism into the displacement trichotomy.
 
     Finite-order certificate -> elliptic.  Train track certificate ->
@@ -577,10 +555,8 @@ def classify(phi: Automorphism, trials: int = 3) -> Classification:
         m = cert.graph_map
         sweep = []
         start = None
-        for i in range(max(1, trials)):
-            rep = min_displacement_on_simplex(
-                m.domain.graph, m.edge_image, floor=10.0 ** (-2 - i), start=start
-            )
+        for floor in _SWEEP_FLOORS:
+            rep = min_displacement_on_simplex(m.domain.graph, m.edge_image, floor, start=start)
             sweep.append((rep.floor, rep.lam, rep.boundary_flag))
             start = rep
         return ParabolicSuspect(

@@ -178,7 +178,8 @@ class Automorphism:
         return f"Automorphism({format_map_text(self.images)!r})"
 
 
-_CLAUSE_RE = re.compile(r"^\s*([a-z])\s*->\s*([A-Za-z. ]+?)\s*$")
+# A generator is one name of words.format_word (a..z, then e27, e28, ...).
+_CLAUSE_RE = re.compile(r"^\s*([a-z][0-9]*)\s*->\s*([A-Za-z0-9. ]+?)\s*$")
 
 
 def _parse_map_text(text: str) -> tuple:
@@ -193,31 +194,33 @@ def _parse_map_text(text: str) -> tuple:
                 f"clause {pos} ({clause.strip()!r}): expected `gen -> word` with lowercase "
                 "generators and uppercase inverses"
             )
-        gen = ord(m.group(1)) - ord("a") + 1
-        if gen in seen:
-            raise AutomorphismParseError(f"clause {pos}: generator {m.group(1)!r} assigned twice")
         try:
-            seen[gen] = words.parse_word(m.group(2))
+            (gen,) = words.parse_word(m.group(1))
+            image = words.parse_word(m.group(2))
         except ValueError as exc:
             raise AutomorphismParseError(f"clause {pos}: {exc}") from exc
+        if gen in seen:
+            raise AutomorphismParseError(f"clause {pos}: generator {m.group(1)!r} assigned twice")
+        seen[gen] = image
     rank = len(seen)
     expected = set(range(1, rank + 1))
     if set(seen) != expected:
-        names = ", ".join(chr(ord("a") + i - 1) for i in sorted(expected - set(seen)))
+        names = ", ".join(words.format_word((i,)) for i in sorted(expected - set(seen)))
         raise AutomorphismParseError(f"generators must be consecutive from 'a'; missing: {names}")
     for gen, w in seen.items():
         for x in w:
             if abs(x) > rank:
                 raise AutomorphismParseError(
-                    f"image of {chr(ord('a') + gen - 1)!r} uses letter {words.format_word((x,))!r} "
-                    f"outside rank {rank}"
+                    f"image of {words.format_word((gen,))!r} uses letter "
+                    f"{words.format_word((x,))!r} outside rank {rank}"
                 )
     return tuple(seen[i] for i in range(1, rank + 1))
 
 
 def format_map_text(images: Sequence[Word]) -> str:
     return "; ".join(
-        f"{chr(ord('a') + i)}->{words.format_word(w)}" for i, w in enumerate(images)
+        f"{words.format_word((i,))}->{words.format_word(w)}"
+        for i, w in enumerate(images, start=1)
     )
 
 
@@ -259,7 +262,6 @@ class OuterSpacePoint:
         inverse_marking: Optional[Mapping[int, Sequence[int]]] = None,
         require_unit_volume: bool = True,
         allow_valence_two: bool = False,
-        check: bool = True,
     ):
         self.graph = graph
         self.metric = metric
@@ -273,8 +275,7 @@ class OuterSpacePoint:
         self._inverse_table: Optional[Dict[int, Word]] = None
         self._marking_table: Optional[Dict[int, Tuple[int, ...]]] = None
         self._tree: Optional[Dict[int, Tuple[int, ...]]] = None
-        if check:
-            self._validate(require_unit_volume, allow_valence_two)
+        self._validate(require_unit_volume, allow_valence_two)
 
     def _validate(self, require_unit_volume: bool, allow_valence_two: bool) -> None:
         g = self.graph
@@ -474,13 +475,14 @@ def _arcs(g: Graph, start: FrozenSet[int], end: FrozenSet[int]) -> List[Tuple[in
 
 
 @lru_cache(maxsize=None)
-def _candidate_words(g: Graph) -> Tuple[Tuple[int, ...], ...]:
+def _candidate_words(g: Graph) -> Tuple[CandidateLoop, ...]:
     """The Francaviglia–Martino candidate loops of g: embedded circles,
     figure-eights (two circles meeting in one vertex) and barbells (two
     disjoint circles joined by an embedded arc), each figure-eight and
-    barbell in both relative orientations of its circles.  Words are
+    barbell in both relative orientations of its circles.  Their words are
     canonical up to rotation and inversion, sorted by length then by
-    direction_key."""
+    direction_key.  This is the one cache of candidates: a graph's tuple is
+    built once and shared by every point and map on it."""
     circles = _circles(g)
     found = {canonical_loop(c) for c, _ in circles}
     for i, (c1, v1) in enumerate(circles):
@@ -498,19 +500,13 @@ def _candidate_words(g: Graph) -> Tuple[Tuple[int, ...], ...]:
                     back = words.invert_word(arc)
                     found.add(canonical_loop(head + arc + tail + back))
                     found.add(canonical_loop(head + arc + words.invert_word(tail) + back))
-    return tuple(
-        sorted(found, key=lambda w: (len(w), tuple(direction_key(d) for d in w)))
-    )
+    ordered = sorted(found, key=lambda w: (len(w), tuple(direction_key(d) for d in w)))
+    return tuple(CandidateLoop(EdgePath(w, closed=True)) for w in ordered)
 
 
 def candidates(x: OuterSpacePoint) -> Tuple[CandidateLoop, ...]:
     """The candidate loops of x's graph, as one tuple shared by its points."""
-    return _candidate_loops(x.graph)
-
-
-@lru_cache(maxsize=None)
-def _candidate_loops(g: Graph) -> Tuple[CandidateLoop, ...]:
-    return tuple(CandidateLoop(EdgePath(w, closed=True)) for w in _candidate_words(g))
+    return _candidate_words(x.graph)
 
 
 # -- the right action -------------------------------------------------------
@@ -641,15 +637,8 @@ def random_automorphism(rank: int, steps: int, rng: random.Random) -> Automorphi
     return Automorphism(images, inverse=inverse)
 
 
-def random_unit_metric(edge_ids: Sequence[int], rng: random.Random, denominator: int = 60):
-    """Random positive rational lengths with exact sum 1."""
-    n = len(edge_ids)
-    while True:
-        cuts = sorted(rng.sample(range(1, denominator), n - 1)) if n > 1 else []
-        parts = []
-        prev = 0
-        for c in cuts + [denominator]:
-            parts.append(c - prev)
-            prev = c
-        if all(p > 0 for p in parts):
-            return Metric({e: Fraction(p, denominator) for e, p in zip(edge_ids, parts)})
+def random_unit_metric(edge_ids: Sequence[int], rng: random.Random) -> Metric:
+    """Random positive lengths in sixtieths with exact sum 1: the gaps
+    between n - 1 distinct cuts of 1..59."""
+    cuts = [0] + sorted(rng.sample(range(1, 60), len(edge_ids) - 1)) + [60]
+    return Metric({e: Fraction(b - a, 60) for e, a, b in zip(edge_ids, cuts, cuts[1:])})

@@ -776,29 +776,33 @@ def _abelianization(phi: Automorphism) -> List[List[int]]:
     return mat
 
 
-def _homology_order(phi: Automorphism, cap: int) -> Optional[int]:
-    """Order of the abelianization A if it is at most cap, else None.
+def _homology_order(phi: Automorphism) -> Optional[int]:
+    """Order of the abelianization A if it is finite, else None.
 
-    A matrix of finite order is diagonalizable with root-of-unity
-    eigenvalues, so every power A^k has |trace| <= n, and trace n only if
-    A^k = I.  The loop stops at the first power with |trace| > n, or with
-    trace n that is not I.  An A of spectral radius 1 but infinite order
-    (one with a unipotent part, like a -> ab, b -> b) reaches such a power
-    once k is a multiple of its eigenvalues' orders, instead of running to
-    the cap.
+    The kernel of GL(n, Z) -> GL(n, Z/3) is torsion-free (Minkowski), so if
+    A has finite order, the first k with A^k = I mod 3 is that order.  A
+    matrix of finite order is diagonalizable with root-of-unity eigenvalues,
+    so every power A^k has |trace| <= n, and trace n only if A^k = I.  Each
+    round stops at a power with |trace| > n, at the first power that is I
+    mod 3 (the order, if that power is I), or at one with trace n that is
+    not I.  The loop always ends, since A mod 3 lies in the finite group
+    GL(n, Z/3); an A of spectral radius 1 but infinite order (one with a
+    unipotent part, like a -> ab, b -> b) ends once k is a multiple of its
+    eigenvalues' orders.
     """
     A = _abelianization(phi)
     n = len(A)
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    power = A
-    for k in range(1, cap + 1):
-        if power == identity:
-            return k
+    power, k = A, 1
+    while True:
         trace = sum(power[i][i] for i in range(n))
-        if trace == n or abs(trace) > n:
+        if abs(trace) > n:
             return None
-        power = _matmul(A, power)
-    return None
+        if (trace - n) % 3 == 0 and [[x % 3 for x in row] for row in power] == identity:
+            return k if power == identity else None
+        if trace == n:
+            return None
+        power, k = _matmul(A, power), k + 1
 
 
 def _matmul(A: List[List[int]], B: List[List[int]]) -> List[List[int]]:
@@ -806,8 +810,9 @@ def _matmul(A: List[List[int]], B: List[List[int]]) -> List[List[int]]:
     return [[sum(map(operator.mul, row, col)) for col in cols] for row in A]
 
 
-def _word_level_order(phi: Automorphism, cap: int, length_cap: int) -> Optional[int]:
-    """Smallest k <= cap with the k-th power inner, watching total word length.
+def _word_level_order(phi: Automorphism, length_cap: int) -> Optional[int]:
+    """Order of phi in Out(F_n) when it is finite and its powers up to that
+    order stay within length_cap letters in total, else None.
 
     The kernel of Out(F_n) -> GL(n, Z/3) is torsion-free (Baumslag and
     Taylor, 1968), so a finite order of phi in Out(F_n) is exactly the order
@@ -816,7 +821,7 @@ def _word_level_order(phi: Automorphism, cap: int, length_cap: int) -> Optional[
     composes no words.  Otherwise words are composed only up to phi^d, with
     the length cap checked before each composition, and only phi^d is tested.
     """
-    d = _homology_order(phi, cap)
+    d = _homology_order(phi)
     if d is None:
         return None
     acc = phi.images
@@ -850,11 +855,7 @@ def _round_line(rnd: int, edges: int, lam: float, potential, move: str) -> str:
     return f"round={rnd} edges={edges} lambda={_fmt(lam)} potential={potential} move={move}"
 
 
-def find_train_track(
-    phi: Automorphism,
-    max_iters: int = 10**4,
-    order_cap: int = 60,
-) -> Certificate:
+def find_train_track(phi: Automorphism, max_iters: int = 10**4) -> Certificate:
     """Run the fold loop from the rose until a certificate appears.
 
     Outcomes: a train track certificate (metric realizing the stretch factor
@@ -863,18 +864,20 @@ def find_train_track(
     certificate, or a non-termination report carrying the round trace.
 
     Before the first round, a word-level pre-check looks for the smallest
-    k <= order_cap with phi^k inner.  That k can only be the order of the
-    abelianization A of phi, so maps of infinite order on homology go
+    k with phi^k inner, with no cap on k.  The order of the abelianization A
+    of phi, decided exactly from its powers mod 3 (Minkowski), is the only
+    candidate (Baumslag–Taylor), so maps of infinite order on homology go
     straight to the fold loop, and otherwise one power of phi is tested.
-    In the loop, a round whose edge images are single edges is a graph
-    automorphism; its order, which no cap bounds, is certified before any
-    reduction test.
+    Only the total length of the composed words is capped.  In the loop, a
+    round whose edge images are single edges is a graph automorphism; its
+    order is certified before any reduction test, which catches a
+    finite-order map whose powers trip that length cap.
     """
     if phi.rank < 2:
         raise ValueError("rank must be at least 2")
     trace: List[str] = []
     st = _MapState.rose(phi)
-    k = _word_level_order(phi, order_cap, _ORDER_LENGTH_CAP)
+    k = _word_level_order(phi, _ORDER_LENGTH_CAP)
     if k is not None:
         trace.append(_round_line(0, phi.rank, 1.0, 0, f"finite_order({k})"))
         return FiniteOrderCertificate(order=k, graph_map=st.to_graph_map(), trace=tuple(trace))

@@ -11,6 +11,7 @@ graph_core.tighten reduces a path in the pass that checks it.
 
 from __future__ import annotations
 
+import re
 from itertools import chain
 from operator import neg
 from typing import Iterable, Optional, Sequence
@@ -113,31 +114,40 @@ def compose(outer: Sequence[Word], inner: Sequence[Word]) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# text form: generators a..z, inverses A..Z
+# text form: generators a..z, then e27, e28, ...; inverses in uppercase
+
+
+def _name(x: int) -> str:
+    k = abs(x)
+    name = chr(ord("a") + k - 1) if k <= 26 else f"e{k}"
+    return name if x > 0 else name.upper()
+
+
+def _letter(name: str, text: str) -> int:
+    """The signed letter of one name of format_word, else ValueError."""
+    head, digits = name[0], name[1:]
+    if not digits and head.isascii() and head.isalpha():
+        k = ord(head.lower()) - ord("a") + 1
+    elif head in "eE" and digits[0] != "0" and int(digits) > 26:
+        k = int(digits)
+    else:
+        raise ValueError(f"bad letter {name!r} in word {text!r}")
+    return k if head.islower() else -k
 
 
 def parse_word(text: str) -> Word:
-    letters = []
-    for ch in text.strip():
-        if ch in " .":
-            continue
-        if "a" <= ch <= "z":
-            k = ord(ch) - ord("a") + 1
-        elif "A" <= ch <= "Z":
-            k = -(ord(ch) - ord("A") + 1)
-        else:
-            raise ValueError(f"bad letter {ch!r} in word {text!r}")
-        letters.append(k)
-    return reduce_word(letters)
+    """The reduced word of a text written as format_word writes it; spaces
+    and dots between names are ignored."""
+    names = re.findall(r"[A-Za-z][0-9]*|[^ .]", text.strip())
+    return reduce_word(_letter(name, text) for name in names)
 
 
 def format_word(w: Sequence) -> str:
-    out = []
-    for x in w:
-        if abs(x) > 26:
-            raise ValueError("cannot format generator beyond z")
-        out.append(chr(ord("a") + x - 1) if x > 0 else chr(ord("A") - x - 1))
-    return "".join(out)
+    """Letters a..z for generators 1..26 and e27, e28, ... beyond, with
+    inverses in uppercase; the names are joined with dots when any of them
+    has more than one character."""
+    names = [_name(x) for x in w]
+    return ("." if any(len(n) > 1 for n in names) else "").join(names)
 
 
 # ---------------------------------------------------------------------------

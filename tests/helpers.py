@@ -1,5 +1,6 @@
-"""Shared test utilities: small-graph enumeration, loop-ratio oracles and the
-bracketing check of a displacement minimizer's trace.
+"""Shared test utilities: small-graph enumeration, loop-ratio oracles, the
+bracketing check of a displacement minimizer's trace, and ways to build what
+the library's constructors and pre-checks would refuse or settle early.
 
 These are deliberately independent of the library's candidate machinery so
 they can serve as oracles for it: the loop enumeration below is a plain
@@ -14,11 +15,33 @@ from math import lcm
 from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
+import pytest
 
-from outerspace import words
+from outerspace import train_track_algo, words
 from outerspace.graph_core import EdgePath, Graph, direction_key
-from outerspace.graph_map import GraphMap
+from outerspace.graph_map import GraphMap, difference_of_markings
+from outerspace.lipschitz_metric import sigma
 from outerspace.marked_metric import Automorphism, MarkingError, Metric, OuterSpacePoint
+
+
+def distance(x: OuterSpacePoint, y: OuterSpacePoint) -> float:
+    """The stretch distance log sigma(x, y) of the difference of markings;
+    asymmetric."""
+    return sigma(x, y, difference_of_markings(x, y)).log_sigma
+
+
+def unchecked(cls, *args, **kwargs):
+    """An OuterSpacePoint or GraphMap built without its validation, to show
+    what the code that receives such a value checks itself."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cls, "_validate", lambda self, *a: None)
+        return cls(*args, **kwargs)
+
+
+def skip_order_precheck(mp: pytest.MonkeyPatch) -> None:
+    """Turn off find_train_track's word-level finite-order pre-check, so a
+    finite order is left to the fold loop's own graph-automorphism test."""
+    mp.setattr(train_track_algo, "_word_level_order", lambda phi, length_cap: None)
 
 
 def connected_core_graphs(max_edges: int) -> List[Graph]:

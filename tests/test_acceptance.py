@@ -18,6 +18,7 @@ import pytest
 
 from helpers import (
     connected_core_graphs,
+    distance,
     exact_max_ratio,
     identity_map_between,
     immersed_loop_vectors,
@@ -34,7 +35,6 @@ from outerspace.graph_map import (
 from outerspace.lipschitz_metric import (
     Hyperbolic,
     classify,
-    distance,
     min_displacement_on_simplex,
     sigma,
 )

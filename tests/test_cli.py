@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import outerspace
-from helpers import assert_bracketing_trace
+from helpers import assert_bracketing_trace, distance
 from outerspace import lipschitz_metric
 from outerspace.cli import (
     EXIT_CAP,
@@ -24,8 +24,7 @@ from outerspace.cli import (
     point_to_json,
 )
 from outerspace.graph_core import Graph
-from outerspace.lipschitz_metric import distance
-from outerspace.marked_metric import Metric, graph_point, rose_point
+from outerspace.marked_metric import Automorphism, Metric, act, graph_point, rose_point
 
 GOLDEN_SQ = (3 + math.sqrt(5)) / 2
 
@@ -76,6 +75,16 @@ class TestTraintrackCommand:
         assert report["status"] == "finite_order"
         assert report["order"] == 6
         assert report["lambda"] == 1.0
+
+    def test_rank_27_cyclic_permutation(self, capsys):
+        # Generators past z are named e27, e28, ... in the map text and in
+        # the report's edge names.
+        names = [chr(97 + k) for k in range(26)] + ["e27"]
+        text = "; ".join(f"{x}->{names[(k + 1) % 27]}" for k, x in enumerate(names))
+        code, report = run_json(capsys, "traintrack", "--map", text)
+        assert code == EXIT_OK
+        assert report["status"] == "finite_order" and report["order"] == 27
+        assert report["edge_images"] == {x: names[(k + 1) % 27] for k, x in enumerate(names)}
 
     def test_reducible_map(self, capsys):
         code, report = run_json(capsys, "traintrack", "--map", "a->a; b->ab")
@@ -221,6 +230,26 @@ class TestPointRoundTrip:
         assert [p.edges for p in again.marking] == [p.edges for p in x.marking]
         assert again.inverse_marking() == x.inverse_marking()
         assert point_to_json(again) == point_to_json(x)
+
+    def test_rank_27_points_round_trip(self, capsys, tmp_path):
+        # The marking key and inverse-marking word of generator 27 is e27.
+        x = rose_point(27)
+        data = point_to_json(x)
+        assert data["marking"]["e27"] == [27]
+        assert data["inverse_marking"]["27"] == "e27"
+        again = point_from_json(json.loads(json.dumps(data)))
+        assert again.graph == x.graph and again.metric == x.metric
+        assert again.inverse_marking() == x.inverse_marking()
+        assert point_to_json(again) == data
+        y = act(x, Automorphism.from_text("; ".join(
+            [f"{chr(97 + k)}->{chr(97 + k)}" for k in range(25)] + ["z->ze27", "e27->e27"])))
+        words_of_y = point_to_json(y)["inverse_marking"]
+        assert words_of_y["26"] == "z.E27"
+        for name, point in (("x", x), ("y", y)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(point_to_json(point)))
+        code, report = run_json(capsys, "distance", "--point", str(tmp_path / "x.json"),
+                                "--point2", str(tmp_path / "y.json"))
+        assert code == EXIT_OK and report["sigma"] == "2"
 
     def test_reparsed_point_reproduces_results(self, capsys, tmp_path):
         x = rose_point(2, lengths=(Fraction(1, 4), Fraction(3, 4)))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import marking_conjugator_by_loops, with_metric
+from helpers import marking_conjugator_by_loops, unchecked, with_metric
 from outerspace.graph_core import EdgePath, Graph, PathError
 from outerspace.graph_map import (
     DegenerateImageError,
@@ -102,7 +102,7 @@ class TestConstruction:
         # breaks at the junction, and the receiving constructor must say so.
         g = Graph([0, 1], {1: (0, 0), 2: (0, 1), 3: (1, 1)})
         lengths = Metric({1: Fraction(1, 3), 2: Fraction(1, 3), 3: Fraction(1, 3)})
-        broken = OuterSpacePoint(g, lengths, [EdgePath((1,)), EdgePath((3,))], 0, check=False)
+        broken = unchecked(OuterSpacePoint, g, lengths, [EdgePath((1,)), EdgePath((3,))], 0)
         phi = Automorphism.from_text("a -> ab; b -> b")
         with pytest.raises(PathError, match="edges 1, 3 are not incident"):
             act(broken, phi)
@@ -285,7 +285,7 @@ def _corrupted(m, rng):
     loop = tuple(-d for d in reversed(q)) + rng.choice(y.marking).edges + q
     images = {f: p.edges for f, p in m.edge_image.items()}
     images[e] += loop
-    return GraphMap(m.domain, y, m.vertex_image, images, check=False)
+    return unchecked(GraphMap, m.domain, y, m.vertex_image, images)
 
 
 def _compatibility_cases(monkeypatch):

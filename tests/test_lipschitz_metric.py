@@ -17,7 +17,9 @@ from helpers import (
     assert_bracketing_trace,
     connected_core_graphs,
     cycle_permutation,
+    distance,
     exceeds_spectral_radius,
+    unchecked,
     with_metric,
 )
 from outerspace import lipschitz_metric
@@ -36,7 +38,6 @@ from outerspace.lipschitz_metric import (
     StretchIntegrityError,
     _constraint_rows,
     classify,
-    distance,
     linprog,
     min_displacement_on_simplex,
     sigma,
@@ -61,7 +62,7 @@ from outerspace.train_track_algo import (
     pf_lengths,
     transition_matrix,
 )
-from outerspace.words import cyclic_reduce
+from outerspace.words import compose, cyclic_reduce
 
 GOLDEN_SQ = (3 + math.sqrt(5)) / 2
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -167,13 +168,7 @@ class TestSigma:
 
     def test_degenerate_map_is_rejected(self):
         x = rose_point(2)
-        crushing = GraphMap(
-            x,
-            x,
-            {1: 1},
-            {1: (1,), 2: (1,)},
-            check=False,
-        )
+        crushing = unchecked(GraphMap, x, x, {1: 1}, {1: (1,), 2: (1,)})
         with pytest.raises(StretchIntegrityError):
             sigma(x, x, crushing)
 
@@ -205,6 +200,13 @@ SIGMA_GRAPHS = {
 }
 
 
+def metric_in_84ths(edge_ids, rng) -> Metric:
+    """Random positive lengths in 84ths with sum 1, so that a pair with
+    random_unit_metric's 60ths has two different denominators."""
+    cuts = [0] + sorted(rng.sample(range(1, 84), len(edge_ids) - 1)) + [84]
+    return Metric({e: Fraction(b - a, 84) for e, a, b in zip(edge_ids, cuts, cuts[1:])})
+
+
 @pytest.mark.parametrize("name", sorted(SIGMA_GRAPHS))
 def test_sigma_table_matches_loop_length_reference(name):
     """Every ratio of the table is the exact ratio of loop lengths, read
@@ -212,9 +214,9 @@ def test_sigma_table_matches_loop_length_reference(name):
     g = SIGMA_GRAPHS[name]
     rng = random.Random(name)
     for _ in range(4):
-        x = graph_point(g, random_unit_metric(g.edge_ids, rng, denominator=60))
+        x = graph_point(g, random_unit_metric(g.edge_ids, rng))
         y = act(
-            graph_point(g, random_unit_metric(g.edge_ids, rng, denominator=84)),
+            graph_point(g, metric_in_84ths(g.edge_ids, rng)),
             random_automorphism(x.rank, 20, rng),
         )
         m = difference_of_markings(x, y)
@@ -254,7 +256,7 @@ def test_sigma_witness_is_first_largest_ratio(name, exact):
         return graph_point(g, metric)
 
     for _ in range(4):
-        x = point(random_unit_metric(g.edge_ids, rng, denominator=60))
+        x = point(random_unit_metric(g.edge_ids, rng))
         y = act(point(random_unit_metric(g.edge_ids, rng)), random_automorphism(x.rank, 20, rng))
         rep = sigma(x, y, difference_of_markings(x, y))
         ratios = [ratio for _, ratio in rep.table]
@@ -273,6 +275,22 @@ def test_candidates_are_one_tuple_per_graph():
     x, y = (graph_point(g, random_unit_metric(g.edge_ids, rng)) for _ in range(2))
     assert x.metric != y.metric
     assert candidates(x) is candidates(y)
+
+
+def test_warm_sigma_hits_the_candidate_cache():
+    # The graph's candidates are built by the first sigma only; every later
+    # sigma on a point of that graph reads them from the one cache.
+    g = SIGMA_GRAPHS["k4"]
+    rng = random.Random(4)
+    x, y = (graph_point(g, random_unit_metric(g.edge_ids, rng)) for _ in range(2))
+    m = difference_of_markings(x, y)
+    sigma(x, y, m)
+    before = _candidate_words.cache_info()
+    for _ in range(3):
+        sigma(x, y, m)
+    after = _candidate_words.cache_info()
+    assert after.hits == before.hits + 3
+    assert after.misses == before.misses
 
 
 class TestDistance:
@@ -347,7 +365,8 @@ def reference_rows(g, edge_image):
     closed path in its canonical rotation, then counted edge by edge."""
     ids = g.edge_ids
     rows = []
-    for w in _candidate_words(g):
+    for c in _candidate_words(g):
+        w = c.loop.edges
         image = []
         for d in w:
             p = edge_image[abs(d)].edges
@@ -813,6 +832,20 @@ class TestClassify:
         assert isinstance(result, Elliptic)
         assert result.order == order
 
+    @pytest.mark.parametrize("steps", [3, 8, 20])
+    @pytest.mark.parametrize("cycles, order", [((3, 4, 7), 84), ((3, 5, 7, 1), 105)])
+    def test_conjugated_permutation_of_large_order_is_elliptic(self, cycles, order, steps):
+        # The fold loop reduces these conjugates before it reaches a graph
+        # automorphism; the order is found by the pre-check, with no cap.
+        perm = cycle_permutation(cycles)
+        for seed in range(3):
+            psi = random_automorphism(perm.rank, steps, random.Random(seed))
+            phi = Automorphism(compose(psi.images, compose(perm.images, psi.inverse_images)))
+            result = classify(phi)
+            assert isinstance(result, Elliptic), (seed, result)
+            assert result.order == order
+            assert result.certificate.status == "finite_order"
+
     def test_expanding_input(self):
         result = classify(EXPANDING)
         assert isinstance(result, Hyperbolic)
@@ -957,8 +990,9 @@ class TestClassify:
         assert lams[-1] < 1.02
 
     @pytest.mark.parametrize("phi", [REDUCIBLE, RANK4_REDUCIBLE])
-    def test_sweep_lambda_never_rises(self, phi):
-        result = classify(phi, trials=5)
+    def test_sweep_lambda_never_rises(self, phi, monkeypatch):
+        monkeypatch.setattr(lipschitz_metric, "_SWEEP_FLOORS", tuple(10.0**-k for k in range(2, 7)))
+        result = classify(phi)
         lams = [lam for _, lam, _ in result.sweep]
         assert [floor for floor, _, _ in result.sweep] == [10.0**-k for k in range(2, 7)]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(lams, lams[1:]))

@@ -18,6 +18,7 @@ from outerspace.marked_metric import (
     act,
     _candidate_words,
     candidates,
+    format_map_text,
     graph_point,
     loop_length,
     random_automorphism,
@@ -106,6 +107,18 @@ class TestAutomorphismParsing:
             Automorphism.from_text("a->ab")
         with pytest.raises(AutomorphismParseError):
             Automorphism.from_text("")
+
+    def test_rank_27_map_text_round_trips(self):
+        # Generator 27 is e27, and map text with it joins names with dots.
+        phi = random_automorphism(27, 60, random.Random(27))
+        assert any(27 in map(abs, w) for w in phi.images)
+        text = format_map_text(phi.images)
+        assert "e27->" in text and "." in text
+        assert Automorphism.from_text(text) == phi
+        with pytest.raises(AutomorphismParseError, match="missing: a"):
+            Automorphism.from_text("e27->e27")
+        with pytest.raises(AutomorphismParseError, match="clause 1: bad letter 'e5'"):
+            Automorphism.from_text("e5->a")
 
     def test_empty_image_rejected(self):
         with pytest.raises(NotBasisError):
@@ -306,7 +319,7 @@ class TestCandidates:
     def test_matches_walk_enumeration_oracle_on_small_cores(self):
         for g in connected_core_graphs(3):
             shapes = {w for w in brute_force_loops(g, 2 * g.num_edges) if fm_shaped(g, w)}
-            assert set(_candidate_words(g)) == shapes
+            assert {c.loop.edges for c in _candidate_words(g)} == shapes
 
     @pytest.mark.parametrize("rank", [2, 3, 4, 5, 6])
     def test_rose_has_rank_squared_candidates(self, rank):
@@ -315,8 +328,8 @@ class TestCandidates:
 
     def test_k4_candidates_are_its_seven_circles(self):
         k4 = Graph(range(4), {1: (0, 1), 2: (0, 2), 3: (0, 3), 4: (1, 2), 5: (1, 3), 6: (2, 3)})
-        words = _candidate_words(k4)
-        assert sorted(map(len, words)) == [3, 3, 3, 3, 4, 4, 4]
+        loops = _candidate_words(k4)
+        assert sorted(len(c.loop.edges) for c in loops) == [3, 3, 3, 3, 4, 4, 4]
 
     def test_small_core_graph_total(self):
         graphs = connected_core_graphs(4)

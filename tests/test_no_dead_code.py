@@ -5,11 +5,10 @@ A static check by name with the standard library's ast module.  A name
 counts as used where it appears as a name, an attribute, an imported name,
 or a string constant that is exactly that name (a quoted annotation, or the
 benchmark tracer's lookup of a function by module and attribute name).  Being
-by name, it misses a dead definition whose name some other code uses: the
-CLI's "distance" command string counts as a use of lipschitz_metric.distance,
-which only the README example and tests call.  Parameters are checked per
-call instead: a call by the function's name (a class's name for its
-__init__) passes a parameter by keyword, by position, or through * or **.
+by name, it misses a dead definition whose name some other code uses.
+Parameters are checked per call instead: a call by the function's name (a
+class's name for its __init__) passes a parameter by keyword, by position, or
+through * or **.
 An allowance is stale, and fails the check, once its definition is gone or
 code outside tests uses it.
 """
@@ -31,19 +30,7 @@ UNCALLED_ALLOWED = {
 }
 
 # Defaulted library parameters that only tests pass, each with its reason.
-UNPASSED_ALLOWED = {
-    ("marked_metric", "OuterSpacePoint.__init__.check"):
-        "unchecked points show that act and GraphMap validate the walks they receive",
-    ("graph_map", "GraphMap.__init__.check"):
-        "unchecked maps show that sigma and fold refuse a crushing map and that "
-        "finite_order_check finds no order for a non-permutation",
-    ("lipschitz_metric", "classify.trials"):
-        "a five-floor sweep shows the swept lambda never rises",
-    ("marked_metric", "random_unit_metric.denominator"):
-        "sigma is checked on two metrics with different denominators",
-    ("train_track_algo", "find_train_track.order_cap"):
-        "order_cap=0 skips the word-level pre-check to reach the fold loop's own exits",
-}
+UNPASSED_ALLOWED: Dict[Tuple[str, str], str] = {}
 
 
 def _sources(dirs: Iterable[Path]) -> List[Path]:

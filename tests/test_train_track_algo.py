@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import cycle_permutation
+from helpers import cycle_permutation, skip_order_precheck, unchecked
 from outerspace import train_track_algo, words
 from outerspace.graph_core import EdgePath, Graph, is_forest
 from outerspace.marked_metric import (
@@ -259,6 +259,11 @@ def unfiltered_order(phi: Automorphism, cap: int, length_cap: int):
     return None
 
 
+# Far above every order the oracles below meet: a signed permutation of at
+# most 16 generators has order at most 210.
+ORACLE_CAP = 500
+
+
 def trace_capped_order(phi: Automorphism, cap: int):
     """The homology order with only the |trace| > rank exit: every other map
     of infinite order on homology composes all cap powers."""
@@ -282,6 +287,30 @@ def conjugate(phi: Automorphism, psi: Automorphism) -> Automorphism:
     return Automorphism(words.compose(psi.images, words.compose(phi.images, psi_inv)))
 
 
+def signed_permutation(cycles) -> Automorphism:
+    """The permutation of the generators with the given (length, flipped)
+    cycles, taken in order; a flipped cycle sends its last generator to the
+    inverse of its first, which doubles its order."""
+    images, start = [], 1
+    for n, flipped in cycles:
+        images += [(start + i + 1,) for i in range(n - 1)]
+        images.append((-start if flipped else start,))
+        start += n
+    return Automorphism(images)
+
+
+# Cycle structures (length, flipped) of signed permutations, with their orders.
+LARGE_ORDERS = {
+    ((3, False), (4, False), (7, False)): 84,
+    ((3, False), (5, False), (7, False), (1, False)): 105,
+    ((4, False), (5, False), (7, False)): 140,
+    ((5, True), (7, False)): 70,
+    ((3, True), (5, False), (7, False)): 210,
+    ((1, True), (3, True), (5, True), (7, True)): 210,
+    ((2, True), (9, False), (5, False)): 180,
+}
+
+
 class TestWordLevelOrder:
     def test_abelianization(self):
         assert _abelianization(Automorphism.from_text("a -> aab; b -> Ab")) == [[2, -1], [1, 1]]
@@ -290,7 +319,7 @@ class TestWordLevelOrder:
         ]
 
     def test_permutation_has_order_six(self):
-        assert _word_level_order(Automorphism.from_text(PERMUTED), 60, _ORDER_LENGTH_CAP) == 6
+        assert _word_level_order(Automorphism.from_text(PERMUTED), _ORDER_LENGTH_CAP) == 6
 
     @staticmethod
     def count_word_calls(monkeypatch):
@@ -308,18 +337,18 @@ class TestWordLevelOrder:
         phi = Automorphism.from_text("a -> a; b -> b; c -> cabAB")
         assert _abelianization(phi) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         composed, tested = self.count_word_calls(monkeypatch)
-        assert _word_level_order(phi, 60, _ORDER_LENGTH_CAP) is None
+        assert _word_level_order(phi, _ORDER_LENGTH_CAP) is None
         assert (len(composed), len(tested)) == (0, 1)
 
     def test_composes_up_to_the_homology_order(self, monkeypatch):
         # A has order 6: phi^6 takes five compositions and one test.
         composed, tested = self.count_word_calls(monkeypatch)
-        assert _word_level_order(Automorphism.from_text(PERMUTED), 60, _ORDER_LENGTH_CAP) == 6
+        assert _word_level_order(Automorphism.from_text(PERMUTED), _ORDER_LENGTH_CAP) == 6
         assert (len(composed), len(tested)) == (5, 1)
 
     def test_infinite_order_on_homology_composes_nothing(self, monkeypatch):
         monkeypatch.setattr(words, "compose", None)
-        assert _word_level_order(Automorphism.from_text(EXPANDING), 60, _ORDER_LENGTH_CAP) is None
+        assert _word_level_order(Automorphism.from_text(EXPANDING), _ORDER_LENGTH_CAP) is None
 
     @staticmethod
     def count_products(monkeypatch):
@@ -334,7 +363,7 @@ class TestWordLevelOrder:
         # A = [[1, 1], [0, 1]] has trace 2 = rank but is not I, so it has
         # infinite order: no power is computed.
         products = self.count_products(monkeypatch)
-        assert _homology_order(Automorphism.from_text("a -> ab; b -> b"), 60) is None
+        assert _homology_order(Automorphism.from_text("a -> ab; b -> b")) is None
         assert products == []
 
     @pytest.mark.parametrize("rank", range(2, 9))
@@ -343,7 +372,7 @@ class TestWordLevelOrder:
         # signed cyclic permutation (finite order), and conjugates of the
         # transvection a -> ab times a cyclic permutation of the generators
         # after b (spectral radius 1, infinite order), which the
-        # trace-capped loop runs to its cap of 60 powers.
+        # trace-capped loop runs to its cap.
         rng = random.Random(200 + rank)
         letters = [chr(97 + k) for k in range(rank)]
         perm = Automorphism.from_text(
@@ -360,13 +389,13 @@ class TestWordLevelOrder:
         products = self.count_products(monkeypatch)
         for phi in maps:
             products.clear()
-            k = _homology_order(phi, 60)
-            assert k == trace_capped_order(phi, 60)
+            k = _homology_order(phi)
+            assert k == trace_capped_order(phi, ORACLE_CAP)
             # Order k takes k - 1 products; each map of infinite order here
             # is rejected within 11.
             assert len(products) <= (k - 1 if k else 11)
-        assert _homology_order(perm, 60) == (2 * rank if rank % 2 else rank)
-        assert trace_capped_order(twisted, 60) is None
+        assert _homology_order(perm) == (2 * rank if rank % 2 else rank)
+        assert trace_capped_order(twisted, ORACLE_CAP) is None
 
     @pytest.mark.parametrize("rank", [2, 3, 4, 5])
     def test_matches_unfiltered_loop(self, rank):
@@ -378,10 +407,22 @@ class TestWordLevelOrder:
         maps += [conjugate(perm, random_automorphism(rank, 4, rng)) for _ in range(3)]
         found = 0
         for phi in maps:
-            k = _word_level_order(phi, 60, _ORDER_LENGTH_CAP)
+            k = _word_level_order(phi, _ORDER_LENGTH_CAP)
             assert k == unfiltered_order(phi, 60, _ORDER_LENGTH_CAP)
             found += k is not None
         assert found >= 3
+
+    @given(st.sampled_from(sorted(LARGE_ORDERS)), st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_orders_above_60_match_brute_force(self, cycles, seed):
+        # Conjugates of signed permutations of orders 70 to 210.  The order
+        # of A is found with no cap, and it is the order of phi in Out(F_n).
+        rng = random.Random(seed)
+        phi = conjugate(signed_permutation(cycles), random_automorphism(
+            sum(n for n, _ in cycles), rng.choice((3, 8, 20)), rng))
+        k = LARGE_ORDERS[cycles]
+        assert _homology_order(phi) == trace_capped_order(phi, ORACLE_CAP) == k > 60
+        assert _word_level_order(phi, _ORDER_LENGTH_CAP) == k
 
 
 # -- train track test --------------------------------------------------------
@@ -412,9 +453,7 @@ class TestFiniteOrderCheck:
 
     def test_non_permutation_has_no_order(self):
         x = rose_point(2)
-        m = GraphMap(
-            x, x, {0: 0}, {1: EdgePath((1,)), 2: EdgePath((1,))}, check=False
-        )
+        m = unchecked(GraphMap, x, x, {0: 0}, {1: EdgePath((1,)), 2: EdgePath((1,))})
         assert finite_order_check(m) is None
 
     def test_multi_edge_images_rejected(self):
@@ -468,10 +507,9 @@ class TestFold:
             theta, met, [EdgePath((1, -2)), EdgePath((2, -3))], 0,
             require_unit_volume=False,
         )
-        bad = GraphMap(
-            pt, pt, {0: 0, 1: 1},
+        bad = unchecked(
+            GraphMap, pt, pt, {0: 0, 1: 1},
             {1: EdgePath((1,)), 2: EdgePath((2,)), 3: EdgePath((2,))},
-            check=False,
         )
         with pytest.raises(RankCollapseError):
             fold(_MapState(bad), (2, 3))
@@ -527,19 +565,20 @@ class TestNormalize:
 
 
 # Full fold-loop traces, one per move kind, as the loop wrote them before its
-# trace lines went through one formatter.  No known input makes fold fail, so
-# the error case stubs fold.
+# trace lines went through one formatter: (map, whether the word-level order
+# pre-check is skipped, trace).  No known input makes fold fail, so the error
+# case stubs fold.
 PINNED_TRACES = {
     "finite_order_precheck": (
-        "a->B; b->C; c->A", {},
+        "a->B; b->C; c->A", False,
         ("round=0 edges=3 lambda=1 potential=0 move=finite_order(6)",),
     ),
     "finite_order_simplicial": (
-        "a->B; b->C; c->A", {"order_cap": 0},
+        "a->B; b->C; c->A", True,
         ("round=0 edges=3 lambda=1 potential=4 move=finite_order(6)",),
     ),
     "collapse_forest": (
-        "a->aBA; b->abb", {},
+        "a->aBA; b->abb", False,
         (
             "round=0 edges=2 lambda=3 potential=0 move=fold(-1,2)",
             "round=1 edges=3 lambda=2 potential=0 move=fold(-3,6)",
@@ -548,14 +587,14 @@ PINNED_TRACES = {
         ),
     ),
     "reduction": (
-        "a->b; b->BBA", {},
+        "a->b; b->BBA", False,
         (
             "round=0 edges=2 lambda=2.41421356237 potential=1 move=fold(-1,2)",
             "round=1 edges=2 lambda=1 potential=0 move=reduction([4])",
         ),
     ),
     "fold_then_train_track": (
-        "a->aabab; b->Babab", {},
+        "a->aabab; b->Babab", False,
         (
             "round=0 edges=2 lambda=5 potential=0 move=fold(-1,2)",
             "round=1 edges=3 lambda=4.35530139761 potential=0 move=fold(-3,4)",
@@ -563,7 +602,7 @@ PINNED_TRACES = {
         ),
     ),
     "stalled": (
-        "a->ba; b->c; c->A", {},
+        "a->ba; b->c; c->A", False,
         (
             "round=0 edges=3 lambda=1.46557123188 potential=0 move=fold(-1,3)",
             "round=1 edges=3 lambda=1.46557123188 potential=0 move=fold(2,3)",
@@ -595,7 +634,7 @@ PINNED_TRACES = {
         ),
     ),
     "error": (
-        "a->AbA; b->bA", {},
+        "a->AbA; b->bA", False,
         (
             "round=0 edges=2 lambda=2.61803398875 potential=1 move=fold(-1,-2)",
             "round=0 error=fold refused",
@@ -628,13 +667,15 @@ class TestFindTrainTrack:
 
     @pytest.mark.parametrize("kind", sorted(PINNED_TRACES))
     def test_trace_lines_pinned(self, kind, monkeypatch):
-        text, kwargs, expected = PINNED_TRACES[kind]
+        text, skip_precheck, expected = PINNED_TRACES[kind]
         if kind == "error":
             def refuse(m, t):
                 raise RankCollapseError("fold refused")
 
             monkeypatch.setattr(train_track_algo, "fold", refuse)
-        cert = find_train_track(Automorphism.from_text(text), **kwargs)
+        if skip_precheck:
+            skip_order_precheck(monkeypatch)
+        cert = find_train_track(Automorphism.from_text(text))
         assert cert.trace == expected
 
     @pytest.mark.parametrize("rank", [3, 4, 5])
@@ -653,17 +694,26 @@ class TestFindTrainTrack:
         assert isinstance(cert, FiniteOrderCertificate)
         assert cert.order == 6
 
-    def test_finite_order_found_inside_loop_too(self):
-        cert = find_train_track(Automorphism.from_text(PERMUTED), order_cap=0)
+    def test_finite_order_found_inside_loop_too(self, monkeypatch):
+        skip_order_precheck(monkeypatch)
+        cert = find_train_track(Automorphism.from_text(PERMUTED))
         assert isinstance(cert, FiniteOrderCertificate)
         assert cert.order == 6
 
     @pytest.mark.parametrize("cycles, order", [((3, 4, 7), 84), ((3, 5, 7, 1), 105)])
-    def test_graph_automorphism_of_any_order_before_reductions(self, cycles, order):
+    def test_graph_automorphism_of_any_order_before_reductions(self, cycles, order, monkeypatch):
         # A permutation of the generators with several cycles has a reducible
-        # transition matrix, and its order lies above the word-level
-        # pre-check's cap; it is certified as a graph automorphism.
+        # transition matrix.  The word-level pre-check finds its order, which
+        # no cap bounds; without the pre-check, the fold loop certifies it as
+        # a graph automorphism before any reduction test.
         phi = cycle_permutation(cycles)
+        cert = find_train_track(phi)
+        assert isinstance(cert, FiniteOrderCertificate)
+        assert cert.order == order
+        assert cert.trace == (
+            f"round=0 edges={phi.rank} lambda=1 potential=0 move=finite_order({order})",
+        )
+        skip_order_precheck(monkeypatch)
         cert = find_train_track(phi)
         assert isinstance(cert, FiniteOrderCertificate)
         assert cert.order == order
@@ -725,10 +775,9 @@ class TestFindTrainTrack:
         with pytest.raises(MarkingError, match="not a homotopy equivalence"):
             find_train_track(Automorphism.from_text("a -> aa; b -> b"))
 
-    def test_iteration_cap_reports_non_termination(self):
-        cert = find_train_track(
-            Automorphism.from_text("a -> aab; b -> A"), max_iters=3, order_cap=0
-        )
+    def test_iteration_cap_reports_non_termination(self, monkeypatch):
+        skip_order_precheck(monkeypatch)
+        cert = find_train_track(Automorphism.from_text("a -> aab; b -> A"), max_iters=3)
         if isinstance(cert, NonTerminationCertificate):
             assert cert.trace
 
@@ -796,24 +845,26 @@ class TestOneState:
         assert steps or isinstance(cert, FiniteOrderCertificate)
 
     @pytest.mark.parametrize(
-        "text, kwargs, built",
+        "text, skip_precheck, built",
         [
-            (EXPANDING, {}, 1),
-            ("a -> B; b -> babb", {}, 1),
-            (REDUCIBLE, {}, 1),
-            ("a->AD; b->cdabAD; c->bAB; d->bAD", {}, 1),  # collapses a forest, slides
-            (PERMUTED, {}, 1),
-            (PERMUTED, {"order_cap": 0}, 1),
-            ("a->ba; b->c; c->A", {}, 0),  # stalls
+            (EXPANDING, False, 1),
+            ("a -> B; b -> babb", False, 1),
+            (REDUCIBLE, False, 1),
+            ("a->AD; b->cdabAD; c->bAB; d->bAD", False, 1),  # collapses a forest, slides
+            (PERMUTED, False, 1),
+            (PERMUTED, True, 1),
+            ("a->ba; b->c; c->A", False, 0),  # stalls
         ],
     )
-    def test_builds_only_the_certificate_map(self, monkeypatch, text, kwargs, built):
+    def test_builds_only_the_certificate_map(self, monkeypatch, text, skip_precheck, built):
         maps = []
         init = GraphMap.__init__
         monkeypatch.setattr(
             GraphMap, "__init__", lambda self, *a, **k: maps.append(self) or init(self, *a, **k)
         )
-        cert = find_train_track(Automorphism.from_text(text), **kwargs)
+        if skip_precheck:
+            skip_order_precheck(monkeypatch)
+        cert = find_train_track(Automorphism.from_text(text))
         assert len(maps) == built
         if built:
             assert cert.graph_map is maps[-1]

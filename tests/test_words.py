@@ -66,6 +66,27 @@ def test_parse_format_roundtrip():
         parse_word("a1b")
 
 
+def test_names_past_z():
+    # Generators 1..26 are a..z; beyond them e27, e28, ..., and any such
+    # name puts dots between all the names of the word.
+    assert format_word((1, 26, -26)) == "azZ"
+    assert format_word((1, 27, -28)) == "a.e27.E28"
+    assert format_word((-27,)) == "E27"
+    assert parse_word("a.e27.E28") == parse_word("ae27E28") == (1, 27, -28)
+    assert parse_word("E27 . e27") == ()
+    for bad in ("e26", "e5", "E1", "e027", "a1b", "1", "-"):
+        with pytest.raises(ValueError, match="bad letter"):
+            parse_word(bad)
+
+
+@given(st.lists(st.integers(1, 60).flatmap(lambda k: st.sampled_from((k, -k))), max_size=12))
+def test_format_parse_round_trip_at_any_rank(w):
+    text = format_word(w)
+    assert parse_word(text) == reduce_word(w)
+    if all(abs(x) <= 26 for x in w):
+        assert "." not in text and len(text) == len(w)
+
+
 def test_substitute_and_compose():
     fig2 = ((1, 2), (2, 1, 2))  # a -> ab, b -> bab
     assert compose(fig2, ((1, 2),))[0] == (1, 2, 2, 1, 2)
