@@ -40,7 +40,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rank", type=int_at_least(2), default=3)
     parser.add_argument("--samples", type=int_at_least(1), default=200)
-    parser.add_argument("--steps", type=int, default=12,
+    parser.add_argument("--steps", type=int_at_least(0), default=12,
                         help="number of Nielsen moves composed per sample")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)

@@ -125,6 +125,9 @@ def _json_int(value, field: str) -> int:
 
 
 def point_from_json(data: Mapping[str, object]) -> OuterSpacePoint:
+    """The point a point file describes.  Its lengths must sum to 1 (else exit
+    2), and it may have no valence-2 vertex (a GraphError, exit 4): a file
+    holds a point of Outer space, whose graphs are unsubdivided."""
     try:
         vertices = tuple(_json_int(v, "vertex") for v in data["vertices"])
         endpoints = {
@@ -149,13 +152,16 @@ def point_from_json(data: Mapping[str, object]) -> OuterSpacePoint:
         raise
     except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
         raise CliInputError(f"malformed point file: {exc}") from exc
-    return OuterSpacePoint(
+    x = OuterSpacePoint(
         graph=graph,
         metric=Metric(lengths),
         marking=loops,
         basepoint=basepoint,
         inverse_marking=inverse,
     )
+    if any(graph.valence(v) == 2 for v in graph.vertices):
+        raise GraphError("valence-2 vertices must be unsubdivided")
+    return x
 
 
 def _load_point(path: str) -> OuterSpacePoint:

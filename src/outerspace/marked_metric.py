@@ -2,10 +2,13 @@
 
 A point is a connected core graph with positive edge lengths summing to 1 and
 a marking: a homotopy equivalence from the standard rose, stored as one based
-loop per generator.  The inverse marking (edge -> word in the generators) is
-computed lazily by collapsing a spanning tree and inverting the induced basis
-map with Stallings folds, so the round trip marking -> inverse marking is the
-identity on the nose, not just up to conjugacy.
+loop per generator.  Every point also carries its inverse marking (edge ->
+word in the generators), and every automorphism its inverse images: an
+inverse is built once, by whoever builds the point or the map, and carried
+exactly through the action, never recomputed.  A point checks that its
+inverse marking inverts its marking up to one conjugation, which with
+rank(G) = n proves the marking a homotopy equivalence (free groups are
+Hopfian).
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ VOLUME_TOL = 1e-12
 
 
 class MarkingError(ValueError):
-    """A marking fails to be a homotopy equivalence with the stored inverse."""
+    """A marking fails to be a homotopy equivalence with the stored inverse,
+    or an automorphism's images are not a basis."""
 
 
 class AutomorphismParseError(ValueError):
@@ -77,10 +81,11 @@ class Metric:
 
     @property
     def volume(self):
-        total = Fraction(0)
-        for v in self._lengths.values():
-            total = total + v
-        return total
+        """Sum of the lengths, exact when they are rational."""
+        if not self._rational:
+            return sum(self._lengths.values())
+        scale, by_edge = self.direction_lengths(True)
+        return Fraction(sum(by_edge[e] for e in self._lengths), scale)
 
     @property
     def is_rational(self) -> bool:
@@ -122,13 +127,15 @@ class Metric:
 
 
 class Automorphism:
-    """Free-group automorphism by generator images, with an optional inverse.
+    """Free-group automorphism by generator images, with its inverse images.
 
-    When an inverse is supplied its composite with the images must reduce to
-    a conjugation by one common word, which pins down a genuine automorphism.
+    A supplied inverse must compose with the images to a conjugation by one
+    common word, which pins down a genuine automorphism.  Without one, the
+    exact inverse is computed once by Stallings folds (`words.invert_images`),
+    and images that are not a basis raise MarkingError.
     """
 
-    __slots__ = ("rank", "images", "_inverse_images")
+    __slots__ = ("rank", "images", "inverse_images")
 
     def __init__(
         self,
@@ -145,28 +152,22 @@ class Automorphism:
             if any(abs(x) > self.rank for x in w):
                 raise ValueError(f"image of generator {i + 1} uses letters beyond rank {self.rank}")
         self.images = imgs
-        if inverse is not None:
+        if inverse is None:
+            try:
+                inv = words.invert_images(imgs)
+            except NotBasisError as exc:
+                raise MarkingError(f"marking is not a homotopy equivalence: {exc}") from exc
+        else:
             inv = tuple(words.reduce_word(w) for w in inverse)
             if len(inv) != self.rank:
                 raise ValueError("inverse has wrong rank")
-            composite = words.compose(inv, imgs)
-            if words.common_conjugator(composite) is None:
+            if words.common_conjugator(words.compose(inv, imgs)) is None:
                 raise NotBasisError("supplied inverse does not invert the images up to one conjugation")
-            self._inverse_images = inv
-        else:
-            self._inverse_images = None
+        self.inverse_images = inv
 
     @classmethod
     def from_text(cls, text: str) -> "Automorphism":
         return cls(_parse_map_text(text))
-
-    @property
-    def has_inverse(self) -> bool:
-        return self._inverse_images is not None
-
-    @property
-    def inverse_images(self) -> Optional[tuple]:
-        return self._inverse_images
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Automorphism) and self.images == other.images
@@ -245,7 +246,10 @@ class OuterSpacePoint:
 
     marking[i] is the based loop (reduced rel endpoints, based at `basepoint`)
     carrying generator i+1.  inverse_marking maps each edge id to a word in
-    the generators; it may be omitted and is then computed on first use.
+    the generators.  The graph is connected and core, and the lengths sum to
+    1 (to VOLUME_TOL when they are floats).  Valence-2 vertices are allowed:
+    point files refuse them (`cli.point_from_json`), but the rank-1 rose, a
+    subdivided graph and the fold loop's graphs have them.
     """
 
     __slots__ = (
@@ -259,9 +263,7 @@ class OuterSpacePoint:
         metric: Metric,
         marking: Sequence[Union[EdgePath, Sequence[int]]],
         basepoint: int,
-        inverse_marking: Optional[Mapping[int, Sequence[int]]] = None,
-        require_unit_volume: bool = True,
-        allow_valence_two: bool = False,
+        inverse_marking: Mapping[int, Sequence[int]],
     ):
         self.graph = graph
         self.metric = metric
@@ -269,15 +271,13 @@ class OuterSpacePoint:
         # unreduced walks, and tighten checks them against the graph.
         self.marking = tuple(tighten(graph, p) for p in marking)
         self.basepoint = basepoint
-        if inverse_marking is not None:
-            inverse_marking = {e: words.reduce_word(w) for e, w in inverse_marking.items()}
-        self._inverse_marking = inverse_marking
+        self._inverse_marking = {e: words.reduce_word(w) for e, w in inverse_marking.items()}
         self._inverse_table: Optional[Dict[int, Word]] = None
         self._marking_table: Optional[Dict[int, Tuple[int, ...]]] = None
         self._tree: Optional[Dict[int, Tuple[int, ...]]] = None
-        self._validate(require_unit_volume, allow_valence_two)
+        self._validate()
 
-    def _validate(self, require_unit_volume: bool, allow_valence_two: bool) -> None:
+    def _validate(self) -> None:
         g = self.graph
         if self.basepoint not in g.vertices:
             raise GraphError(f"basepoint {self.basepoint} is not a vertex")
@@ -285,11 +285,9 @@ class OuterSpacePoint:
             raise GraphError("point graphs must be connected and nonempty")
         if not g.is_core():
             raise GraphError("point graphs must be core (all valences >= 2)")
-        if not allow_valence_two and any(g.valence(v) == 2 for v in g.vertices):
-            raise GraphError("valence-2 vertices must be unsubdivided (or explicitly allowed)")
         if self.metric.edge_ids != g.edge_ids:
             raise ValueError("metric edges do not match graph edges")
-        if require_unit_volume and not self.metric.is_unit():
+        if not self.metric.is_unit():
             raise ValueError(f"metric volume {self.metric.volume} is not 1")
         if len(self.marking) != g.first_betti():
             raise MarkingError(
@@ -298,10 +296,9 @@ class OuterSpacePoint:
         for p in self.marking:
             if p.edges and (g.init(p.edges[0]) != self.basepoint or g.term(p.edges[-1]) != self.basepoint):
                 raise MarkingError("marking loops must be based at the basepoint")
-        if self._inverse_marking is not None:
-            if set(self._inverse_marking) != set(g.edge_ids):
-                raise ValueError("inverse marking must cover exactly the graph edges")
-            self.check_marking()
+        if set(self._inverse_marking) != set(g.edge_ids):
+            raise ValueError("inverse marking must cover exactly the graph edges")
+        self.check_marking()
 
     @property
     def rank(self) -> int:
@@ -325,8 +322,6 @@ class OuterSpacePoint:
         return tuple(chain.from_iterable(map(table.__getitem__, w)))
 
     def inverse_marking(self) -> Dict[int, Word]:
-        if self._inverse_marking is None:
-            self._inverse_marking = self._compute_inverse_marking()
         return dict(self._inverse_marking)
 
     def inverse_marking_word(self, edges: Iterable[int]) -> Word:
@@ -345,28 +340,6 @@ class OuterSpacePoint:
         if self._tree is None:
             self._tree = _bfs_tree(self.graph, self.basepoint)
         return self._tree
-
-    def _compute_inverse_marking(self) -> Dict[int, Word]:
-        g = self.graph
-        tree_paths = self._spanning_tree()
-        tree_edges = {abs(p[-1]) for p in tree_paths.values() if p}
-        cotree = [e for e in g.edge_ids if e not in tree_edges]
-        index = {e: j + 1 for j, e in enumerate(cotree)}
-
-        def collapse(path: EdgePath) -> Word:
-            return words.reduce_word(
-                (index[abs(d)] if d > 0 else -index[abs(d)]) for d in path.edges if abs(d) in index
-            )
-
-        basis = [collapse(p) for p in self.marking]
-        try:
-            psi = words.invert_images(basis, len(cotree))
-        except NotBasisError as exc:
-            raise MarkingError(f"marking is not a homotopy equivalence: {exc}") from exc
-        out: Dict[int, Word] = {e: () for e in tree_edges}
-        for e, j in index.items():
-            out[e] = psi[j - 1]
-        return out
 
     def check_marking(self) -> Word:
         """Conjugator g with inverse_marking(marking(x_i)) = g x_i g^-1; raises if none."""
@@ -515,27 +488,16 @@ def candidates(x: OuterSpacePoint) -> Tuple[CandidateLoop, ...]:
 def act(x: OuterSpacePoint, phi: Automorphism) -> OuterSpacePoint:
     """The point x . phi: same metric graph, marking precomposed with phi.
 
-    The inverse marking is carried over exactly when phi has a stored inverse
-    and x a stored inverse marking; otherwise it is computed on first use.
+    The inverse marking is x's followed by phi's inverse, a substitution.
     The new marking loops are x's marking walks of phi's images, handed over
     unreduced: the OuterSpacePoint constructor validates and reduces each one.
     """
     if phi.rank != x.rank:
         raise ValueError(f"rank mismatch: point has rank {x.rank}, map has rank {phi.rank}")
     new_marking = tuple(x.marking_walk(w) for w in phi.images)
-    new_inverse: Optional[Dict[int, Word]] = None
     inv = x._inverse_marking
-    if phi.has_inverse and inv is not None:
-        new_inverse = dict(zip(inv, words.compose(phi.inverse_images, inv.values())))
-    return OuterSpacePoint(
-        x.graph,
-        x.metric,
-        new_marking,
-        x.basepoint,
-        inverse_marking=new_inverse,
-        require_unit_volume=False,
-        allow_valence_two=True,  # x's graph has passed its own validation
-    )
+    new_inverse = dict(zip(inv, words.compose(phi.inverse_images, inv.values())))
+    return OuterSpacePoint(x.graph, x.metric, new_marking, x.basepoint, inverse_marking=new_inverse)
 
 
 # -- constructors ------------------------------------------------------------
@@ -559,7 +521,6 @@ def rose_point(rank: int, lengths: Optional[Sequence] = None) -> OuterSpacePoint
         [EdgePath((i,)) for i in range(1, rank + 1)],
         basepoint=0,
         inverse_marking={i: (i,) for i in range(1, rank + 1)},
-        allow_valence_two=(rank == 1),
     )
 
 
@@ -584,15 +545,7 @@ def graph_point(graph: Graph, metric: Metric) -> OuterSpacePoint:
         marking.append(EdgePath(tree_paths[u] + (e,) + back))
     inverse = {e: () for e in tree_edges}
     inverse.update({e: (j,) for j, e in enumerate(cotree, start=1)})
-    has_val2 = any(graph.valence(v) == 2 for v in graph.vertices)
-    return OuterSpacePoint(
-        graph,
-        metric,
-        marking,
-        basepoint,
-        inverse_marking=inverse,
-        allow_valence_two=has_val2,
-    )
+    return OuterSpacePoint(graph, metric, marking, basepoint, inverse_marking=inverse)
 
 
 # -- randomized constructions (used by property suites and scripts) ----------

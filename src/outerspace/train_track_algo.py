@@ -34,7 +34,6 @@ from .graph_core import (
 )
 from .marked_metric import (
     Automorphism,
-    MarkingError,
     Metric,
     OuterSpacePoint,
     act,
@@ -45,7 +44,7 @@ from .graph_map import (
     TrainTrackStructure,
     gates_from_derivative,
 )
-from .words import NotBasisError, Word
+from .words import Word
 
 _STALL_CAP = 25
 # Relative improvement of the stretch factor that resets the stall count.
@@ -265,15 +264,7 @@ class _MapState:
     @classmethod
     def rose(cls, phi: Automorphism) -> "_MapState":
         """The state of phi's self-map of the uniform rose with the identity
-        marking, built from phi's images; raises MarkingError unless they
-        form a basis."""
-        if phi.has_inverse:
-            twist = phi
-        else:
-            try:
-                twist = Automorphism(phi.images, inverse=words.invert_images(phi.images))
-            except NotBasisError as exc:
-                raise MarkingError(f"marking is not a homotopy equivalence: {exc}") from exc
+        marking, built from phi's images, with phi as its twist."""
         ids = range(1, phi.rank + 1)
         st = object.__new__(cls)
         st.endpoints = {e: (0, 0) for e in ids}
@@ -282,7 +273,7 @@ class _MapState:
         st.vertex_image = {0: 0}
         st.dom_marking = [(e,) for e in ids]
         st.inv = {e: (e,) for e in ids}
-        st.twist = twist
+        st.twist = phi
         st.lengths = {e: Fraction(1, phi.rank) for e in ids}
         st.basepoint = 0
         st.next_vertex = 1
@@ -415,18 +406,12 @@ class _MapState:
         return parts
 
     def identify(self, keep_d: int, drop_d: int) -> None:
-        """Identify two directions at one vertex whose whole images agree."""
+        """Identify two directions at one vertex whose whole images agree;
+        `fold` has checked that they end at distinct vertices and that
+        drop_d does not end at the basepoint."""
         if self.image_of(keep_d) != self.image_of(drop_d):
             raise InvalidMapError("cannot identify directions with different images")
         w_keep, w_drop = self.term(keep_d), self.term(drop_d)
-        if w_keep == w_drop:
-            raise RankCollapseError(
-                "identifying parallel edges would lower the rank; "
-                "the map is not a homotopy equivalence candidate here"
-            )
-        if w_drop == self.basepoint:
-            keep_d, drop_d = drop_d, keep_d
-            w_keep, w_drop = w_drop, w_keep
         e_drop = abs(drop_d)
         rep = [keep_d] if drop_d > 0 else [-keep_d]
         c = words.concat(self.inv_of(-keep_d), self.inv_of(drop_d))
@@ -456,9 +441,8 @@ class _MapState:
             self._merge_vertex(drop, keep, c)
         self.tighten_all()
 
-    def trim_hairs(self) -> bool:
-        """Retract valence<=1 vertices other than the basepoint; True if any."""
-        trimmed = False
+    def trim_hairs(self) -> None:
+        """Retract valence<=1 vertices other than the basepoint."""
         while True:
             valence = {v: 0 for v in self.vertices}
             for u, v in self.endpoints.values():
@@ -470,11 +454,9 @@ class _MapState:
             if not leaves:
                 if valence.get(self.basepoint, 0) == 1 and len(self.vertices) > 1:
                     self._rebase_off_hair()
-                    trimmed = True
                     continue
-                return trimmed
+                return
             v = leaves[0]
-            trimmed = True
             if valence[v] == 0:
                 if v in self.vertex_image.values():
                     raise InvalidMapError("isolated vertex is an image target")
@@ -625,8 +607,6 @@ class _MapState:
             [EdgePath(tuple(p)) for p in self.dom_marking],
             self.basepoint,
             inverse_marking=self.inv,
-            require_unit_volume=False,
-            allow_valence_two=True,
         )
         return GraphMap(
             domain,
@@ -699,7 +679,7 @@ def fold(st: _MapState, t: Tuple[int, int]) -> None:
 
 
 def normalize(st: _MapState) -> None:
-    """Collapse point-image forests, trim hairs, unsubdivide chains (in place)."""
+    """Collapse point-image forests and unsubdivide chains (in place)."""
     while True:
         degenerate = sorted(e for e, p in st.images.items() if not p)
         if degenerate:
@@ -709,8 +689,9 @@ def normalize(st: _MapState) -> None:
                 )
             st.collapse_edges(degenerate)
             continue
-        if st.trim_hairs():
-            continue
+        # No hairs to trim: only a fold leaves one, and `fold` trims its own;
+        # collapsing a forest and merging at a valence-2 vertex keep every
+        # valence at 2 or more.
         if st.unsubdivide_pass():
             continue
         break

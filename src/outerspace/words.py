@@ -207,17 +207,13 @@ def is_conjugate_identity(images: Sequence[Word]) -> bool:
 # inverse map.
 
 
-def invert_images(images: Sequence[Word], rank: Optional[int] = None) -> tuple:
+def invert_images(images: Sequence[Word]) -> tuple:
     """Images of the inverse of the automorphism k -> images[k-1].
 
     The result psi satisfies compose(psi, images) == identity_images(n) exactly.
     Raises NotBasisError when the images do not form a basis.
     """
     n = len(images)
-    if rank is None:
-        rank = n
-    if rank != n:
-        raise NotBasisError(f"{n} images for rank {rank}")
     imgs = [reduce_word(w) for w in images]
     if any(not w for w in imgs) or any(abs(x) > n for w in imgs for x in w):
         raise NotBasisError("images must be nonempty words in the ambient letters")

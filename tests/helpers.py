@@ -103,7 +103,8 @@ def _canonical_edges(n: int, edges: Sequence[Tuple[int, int]]):
 
 def spanning_tree_point(graph: Graph, metric: Metric, basepoint: int = 1) -> OuterSpacePoint:
     """Marked point whose marking loops are cotree edges closed up through a
-    breadth-first spanning tree at `basepoint`."""
+    breadth-first spanning tree at `basepoint`; the inverse marking kills
+    tree edges, as `graph_point`'s does."""
     into: Dict[int, int] = {}  # vertex -> tree direction entering it
     order = [basepoint]
     reached = {basepoint}
@@ -129,27 +130,21 @@ def spanning_tree_point(graph: Graph, metric: Metric, basepoint: int = 1) -> Out
         return back[::-1]
 
     marking = []
+    inverse: Dict[int, Tuple[int, ...]] = {e: () for e in tree_edges}
     for e in graph.edge_ids:
         if e in tree_edges:
             continue
         u, v = graph.endpoints(e)
         loop = from_base(u) + [e] + [-d for d in reversed(from_base(v))]
         marking.append(EdgePath(tuple(loop)))
-    return OuterSpacePoint(graph, metric, marking, basepoint, allow_valence_two=True)
+        inverse[e] = (len(marking),)
+    return OuterSpacePoint(graph, metric, marking, basepoint, inverse_marking=inverse)
 
 
-def with_metric(x: OuterSpacePoint, metric: Metric, require_unit_volume: bool = True) -> OuterSpacePoint:
+def with_metric(x: OuterSpacePoint, metric: Metric) -> OuterSpacePoint:
     """x's marked graph with other edge lengths, built by the checked point
     constructor; x's inverse marking is carried over and checked again."""
-    return OuterSpacePoint(
-        x.graph,
-        metric,
-        x.marking,
-        x.basepoint,
-        inverse_marking=x.inverse_marking(),
-        require_unit_volume=require_unit_volume,
-        allow_valence_two=True,  # x's graph has passed its own validation
-    )
+    return OuterSpacePoint(x.graph, metric, x.marking, x.basepoint, inverse_marking=x.inverse_marking())
 
 
 def identity_map_between(x: OuterSpacePoint, y: OuterSpacePoint) -> GraphMap:

@@ -363,6 +363,32 @@ class TestCandidatesCommand:
         assert code == EXIT_PARSE
         assert f"{named} must be an integer" in err
 
+    def test_lengths_must_sum_to_one(self, capsys, tmp_path, quarter_point):
+        data = json.loads((tmp_path / "x.json").read_text())
+        data["lengths"] = {"1": "1/4", "2": "1/4"}
+        (tmp_path / "x.json").write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "candidates", "--point", quarter_point)
+        assert code == EXIT_PARSE
+        assert "metric volume 1/2 is not 1" in err
+
+    def test_valence_two_vertex_is_refused(self, capsys, tmp_path):
+        # The rank-2 rose with edge 1 subdivided at vertex 1: a valid marked
+        # graph, but not a point of Outer space as a file states it.
+        subdivided = {
+            "vertices": [0, 1],
+            "edges": [{"id": 1, "endpoints": [0, 1]}, {"id": 2, "endpoints": [1, 0]},
+                      {"id": 3, "endpoints": [0, 0]}],
+            "basepoint": 0,
+            "lengths": {"1": "1/4", "2": "1/4", "3": "1/2"},
+            "marking": {"a": [1, 2], "b": [3]},
+            "inverse_marking": {"1": "a", "2": "", "3": "b"},
+        }
+        path = tmp_path / "subdivided.json"
+        path.write_text(json.dumps(subdivided))
+        code, out, err = run_cli(capsys, "candidates", "--point", str(path))
+        assert code == EXIT_INTEGRITY
+        assert "valence-2 vertices must be unsubdivided" in err
+
 
 class TestMinimizeCommand:
     def test_floored_minimum(self, capsys):
@@ -464,15 +490,26 @@ RANK10 = "a->ab; b->c; c->d; d->e; e->f; f->g; g->h; h->i; i->j; j->a"
     ("displacement_sweep.py", ["--min-floor-exp", "0"]),
     ("displacement_sweep.py", ["--map", RANK10, "--min-floor-exp", "1"]),
     ("displacement_sweep.py", ["--map", "a->q!"]),
+    ("displacement_sweep.py", ["--map", "a->aa; b->b"]),
     ("random_survey.py", ["--samples", "0"]),
     ("random_survey.py", ["--rank", "1"]),
+    ("random_survey.py", ["--steps", "-3"]),
 ])
 def test_scripts_refuse_unusable_arguments(script, argv):
-    # Each was a traceback, a ZeroDivisionError or an empty table before
-    # argparse checked it; now it is a usage error with exit code 2.
+    # Each was a traceback, a ZeroDivisionError, an empty table or a survey
+    # of identity maps before argparse checked it; now it is a usage error
+    # with exit code 2.
     src = os.path.dirname(os.path.dirname(outerspace.__file__))
     path = os.path.join(os.path.dirname(src), "scripts", script)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, path, *argv], capture_output=True, text=True, env=env)
     assert out.returncode == EXIT_PARSE, out.stderr
     assert out.stdout == "" and "usage:" in out.stderr
+
+
+@pytest.mark.parametrize("command", ["classify", "minimize"])
+def test_non_basis_map_is_an_integrity_error(capsys, command):
+    # As on traintrack: the map's inverse is computed when it is parsed.
+    code, out, err = run_cli(capsys, command, "--map", "a->aa; b->b")
+    assert code == EXIT_INTEGRITY and out == ""
+    assert "not a homotopy equivalence" in err

@@ -102,7 +102,10 @@ class TestConstruction:
         # breaks at the junction, and the receiving constructor must say so.
         g = Graph([0, 1], {1: (0, 0), 2: (0, 1), 3: (1, 1)})
         lengths = Metric({1: Fraction(1, 3), 2: Fraction(1, 3), 3: Fraction(1, 3)})
-        broken = unchecked(OuterSpacePoint, g, lengths, [EdgePath((1,)), EdgePath((3,))], 0)
+        broken = unchecked(
+            OuterSpacePoint, g, lengths, [EdgePath((1,)), EdgePath((3,))], 0,
+            inverse_marking={1: (1,), 2: (), 3: (2,)},
+        )
         phi = Automorphism.from_text("a -> ab; b -> b")
         with pytest.raises(PathError, match="edges 1, 3 are not incident"):
             act(broken, phi)

@@ -93,8 +93,8 @@ class TestAutomorphismParsing:
         assert compose(phi.images, ((1,),))[0] == (1, 2)
 
     def test_newlines_and_spaces(self):
-        phi = Automorphism.from_text("a -> a b\nb -> B A")
-        assert phi.images == ((1, 2), (-2, -1))
+        phi = Automorphism.from_text("a -> a b\nb -> B A B")
+        assert phi.images == ((1, 2), (-2, -1, -2))
 
     def test_parse_errors(self):
         with pytest.raises(AutomorphismParseError, match="clause 1"):
@@ -126,9 +126,22 @@ class TestAutomorphismParsing:
 
     def test_supplied_inverse_verified(self):
         phi = Automorphism([(1, 2), (2, 1, 2)], inverse=[(1, 1, -2), (2, -1)])
-        assert phi.has_inverse
+        assert phi.inverse_images == ((1, 1, -2), (2, -1))
         with pytest.raises(NotBasisError):
             Automorphism([(1, 2), (2, 1, 2)], inverse=[(2,), (1,)])
+
+    @pytest.mark.parametrize("rank, steps, seed", [(2, 8, 0), (3, 12, 1), (5, 30, 2)])
+    def test_inverse_computed_exactly(self, rank, steps, seed):
+        # Without a supplied inverse, the images are inverted once, exactly:
+        # composing gives the identity on the nose, not up to conjugation.
+        phi = Automorphism(random_automorphism(rank, steps, random.Random(seed)).images)
+        assert compose(phi.inverse_images, phi.images) == identity_images(rank)
+        assert compose(phi.images, phi.inverse_images) == identity_images(rank)
+
+    @pytest.mark.parametrize("text", ["a->aa; b->b", "a->ab; b->BA", "a->aab; b->Ab"])
+    def test_images_that_are_not_a_basis_rejected(self, text):
+        with pytest.raises(MarkingError, match="not a homotopy equivalence"):
+            Automorphism.from_text(text)
 
 
 class TestPointConstruction:
@@ -141,25 +154,41 @@ class TestPointConstruction:
     def test_graph_must_be_core_and_connected(self):
         g = Graph([0, 1], {1: (0, 0), 2: (0, 1)})
         with pytest.raises(GraphError):
-            OuterSpacePoint(g, Metric({1: Fraction(1, 2), 2: Fraction(1, 2)}), [EdgePath((1,))], 0)
+            OuterSpacePoint(
+                g, Metric({1: Fraction(1, 2), 2: Fraction(1, 2)}), [EdgePath((1,))], 0,
+                inverse_marking={1: (1,), 2: ()},
+            )
         g2 = Graph([0, 1], {1: (0, 0), 2: (1, 1)})
         with pytest.raises(GraphError):
             OuterSpacePoint(
                 g2, Metric({1: Fraction(1, 2), 2: Fraction(1, 2)}),
                 [EdgePath((1,)), EdgePath((2,))], 0,
+                inverse_marking={1: (1,), 2: (2,)},
             )
 
-    def test_unit_volume_enforced_unless_waived(self):
-        with pytest.raises(ValueError):
+    def test_unit_volume_enforced(self):
+        with pytest.raises(ValueError, match="metric volume 5/6 is not 1"):
             rose_point(2, [Fraction(1, 2), Fraction(1, 3)])
-        x = rose_point(2)
-        y = with_metric(x, Metric({1: Fraction(1), 2: Fraction(1)}), require_unit_volume=False)
-        assert y.metric.volume == 2
+        with pytest.raises(ValueError, match="metric volume 2 is not 1"):
+            with_metric(rose_point(2), Metric({1: Fraction(1), 2: Fraction(1)}))
+
+    def test_valence_two_allowed(self):
+        # Only point files refuse valence-2 vertices (cli.point_from_json).
+        g = Graph([0, 1], {1: (0, 0), 2: (0, 1), 3: (1, 0)})
+        x = OuterSpacePoint(
+            g, Metric({1: Fraction(1, 2), 2: Fraction(1, 4), 3: Fraction(1, 4)}),
+            [EdgePath((1,)), EdgePath((2, 3))], 0,
+            inverse_marking={1: (1,), 2: (2,), 3: ()},
+        )
+        assert x.graph.valence(1) == 2 and x.check_marking() == ()
 
     def test_marking_rank_must_match(self):
         g = Graph([0], {1: (0, 0), 2: (0, 0)})
         with pytest.raises(MarkingError):
-            OuterSpacePoint(g, Metric({1: Fraction(1, 2), 2: Fraction(1, 2)}), [EdgePath((1,))], 0)
+            OuterSpacePoint(
+                g, Metric({1: Fraction(1, 2), 2: Fraction(1, 2)}), [EdgePath((1,))], 0,
+                inverse_marking={1: (1,), 2: (2,)},
+            )
 
     def test_bad_inverse_marking_rejected(self):
         g = Graph([0], {1: (0, 0), 2: (0, 0)})
@@ -169,25 +198,6 @@ class TestPointConstruction:
                 [EdgePath((1,)), EdgePath((2,))], 0,
                 inverse_marking={1: (1,), 2: (1,)},
             )
-
-    def test_non_equivalence_marking_detected_lazily(self):
-        g = Graph([0], {1: (0, 0), 2: (0, 0)})
-        x = OuterSpacePoint(
-            g, Metric({1: Fraction(1, 2), 2: Fraction(1, 2)}),
-            [EdgePath((1,)), EdgePath((1,))], 0,
-        )
-        with pytest.raises(MarkingError):
-            x.inverse_marking()
-
-    def test_lazy_inverse_marking_round_trips(self):
-        x = theta_point()
-        y = OuterSpacePoint(x.graph, x.metric, x.marking, x.basepoint)  # no inverse given
-        inv = y.inverse_marking()
-        assert y.check_marking() == ()
-        # tree edge is killed; the round trip is the identity on the nose
-        assert inv[1] == ()
-        for i, p in enumerate(y.marking, start=1):
-            assert y.inverse_marking_word(p.edges) == (i,)
 
     def test_graph_point_constructor(self):
         g = Graph([0, 1], {1: (0, 1), 2: (0, 1), 3: (0, 1)})
@@ -389,15 +399,8 @@ class TestAction:
         x = rose_point(2)
         phi = random_automorphism(2, 8, random.Random(11))
         y = act(x, phi)
-        assert y._inverse_marking is not None  # eager path taken
-        assert y.check_marking() is not None
-
-    def test_inverse_marking_computed_lazily(self):
-        x = rose_point(2)
-        phi = Automorphism([(1, 2), (2, 1, 2)])  # no inverse attached
-        y = act(x, phi)
-        assert y._inverse_marking is None
-        assert y.inverse_marking() is not None and y.check_marking() == ()
+        assert y.inverse_marking() == dict(enumerate(phi.inverse_images, start=1))
+        assert y.check_marking() == ()
 
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
@@ -409,7 +412,7 @@ class TestRandomHelpers:
     @settings(max_examples=30, deadline=None)
     def test_random_automorphism_is_invertible(self, seed, rank):
         phi = random_automorphism(rank, 10, random.Random(seed))
-        assert phi.has_inverse
+        assert compose(phi.inverse_images, phi.images) == identity_images(rank)
         assert all(w for w in phi.images)
 
     @given(st.integers(0, 10 ** 6), st.integers(1, 5))

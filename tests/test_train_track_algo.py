@@ -16,6 +16,7 @@ from outerspace.marked_metric import (
     MarkingError,
     Metric,
     OuterSpacePoint,
+    act,
     random_automorphism,
     rose_point,
 )
@@ -313,7 +314,7 @@ LARGE_ORDERS = {
 
 class TestWordLevelOrder:
     def test_abelianization(self):
-        assert _abelianization(Automorphism.from_text("a -> aab; b -> Ab")) == [[2, -1], [1, 1]]
+        assert _abelianization(Automorphism.from_text("a -> aab; b -> BA")) == [[2, -1], [1, -1]]
         assert _abelianization(Automorphism.from_text(PERMUTED)) == [
             [0, 0, -1], [-1, 0, 0], [0, -1, 0]
         ]
@@ -341,14 +342,17 @@ class TestWordLevelOrder:
         assert (len(composed), len(tested)) == (0, 1)
 
     def test_composes_up_to_the_homology_order(self, monkeypatch):
-        # A has order 6: phi^6 takes five compositions and one test.
+        # A has order 6: phi^6 takes five compositions and one test.  The map
+        # is built first, since building it composes words to invert it.
+        phi = Automorphism.from_text(PERMUTED)
         composed, tested = self.count_word_calls(monkeypatch)
-        assert _word_level_order(Automorphism.from_text(PERMUTED), _ORDER_LENGTH_CAP) == 6
+        assert _word_level_order(phi, _ORDER_LENGTH_CAP) == 6
         assert (len(composed), len(tested)) == (5, 1)
 
     def test_infinite_order_on_homology_composes_nothing(self, monkeypatch):
+        phi = Automorphism.from_text(EXPANDING)
         monkeypatch.setattr(words, "compose", None)
-        assert _word_level_order(Automorphism.from_text(EXPANDING), _ORDER_LENGTH_CAP) is None
+        assert _word_level_order(phi, _ORDER_LENGTH_CAP) is None
 
     @staticmethod
     def count_products(monkeypatch):
@@ -502,10 +506,10 @@ class TestFold:
 
     def test_fold_parallel_edges_raises(self):
         theta = Graph([0, 1], {1: (0, 1), 2: (0, 1), 3: (0, 1)})
-        met = Metric({1: 1, 2: 1, 3: 1})
+        met = Metric({1: Fraction(1, 3), 2: Fraction(1, 3), 3: Fraction(1, 3)})
         pt = OuterSpacePoint(
             theta, met, [EdgePath((1, -2)), EdgePath((2, -3))], 0,
-            require_unit_volume=False,
+            inverse_marking={1: (1,), 2: (), 3: (-2,)},
         )
         bad = unchecked(
             GraphMap, pt, pt, {0: 0, 1: 1},
@@ -536,18 +540,16 @@ class TestNormalize:
         g = Graph([0, 5], {1: (0, 0), 2: (0, 5), 3: (5, 0)})
         met = Metric({1: 0.5, 2: 0.25, 3: 0.25})
         dom = OuterSpacePoint(
-            g, met, [EdgePath((1,)), EdgePath((2, 3))], 0, allow_valence_two=True
+            g, met, [EdgePath((1,)), EdgePath((2, 3))], 0, inverse_marking={1: (1,), 2: (2,), 3: ()}
         )
-        cod = OuterSpacePoint(
-            g, met, [EdgePath((1, 2, 3)), EdgePath((2, 3, 1, 2, 3))], 0,
-            allow_valence_two=True,
-        )
+        cod = act(dom, Automorphism.from_text(EXPANDING))
+        assert [p.edges for p in cod.marking] == [(1, 2, 3), (2, 3, 1, 2, 3)]
         m = GraphMap(
             dom, cod, {0: 0, 5: 0},
             {1: EdgePath((1, 2, 3)), 2: EdgePath((2, 3, 1)), 3: EdgePath((2, 3))},
         )
-        # Off the rose the twist is read through the computed inverse marking;
-        # acting by it on the domain gives back the codomain marking exactly.
+        # Off the rose the twist is read through the inverse markings; acting
+        # by it on the domain gives back the codomain marking exactly.
         same = _MapState(m).to_graph_map()
         assert [p.edges for p in same.codomain.marking] == [(1, 2, 3), (2, 3, 1, 2, 3)]
         assert same.edge_image == m.edge_image
@@ -873,14 +875,16 @@ class TestOneState:
     def test_rose_state_matches_the_start_map(self, stored_inverse):
         phi = random_automorphism(4, 20, random.Random(7))
         if not stored_inverse:
-            phi = Automorphism(phi.images)
+            # The inverse computed by folding is the one the draw tracked.
+            computed = Automorphism(phi.images)
+            assert computed.inverse_images == phi.inverse_images
+            phi = computed
         st = _MapState.rose(phi)
         ref = _MapState(self_map_from_automorphism(rose_point(phi.rank), phi))
         assert vars(st).keys() == vars(ref).keys()
         for field, value in vars(ref).items():
             assert getattr(st, field) == value, field
         assert st.twist.inverse_images == ref.twist.inverse_images
-        assert st.twist.has_inverse
 
 
 # -- the marking check on a certificate ---------------------------------------------
