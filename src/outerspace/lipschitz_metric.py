@@ -350,7 +350,7 @@ def min_displacement_on_simplex(
     g: Graph,
     edge_image: Mapping[int, EdgePath],
     floor: float,
-    start: Union[Metric, SimplexMinReport, None] = None,
+    start: Optional[SimplexMinReport] = None,
 ) -> SimplexMinReport:
     """Minimize the maximal candidate stretch of a fixed topological self-map
     over unit-volume metrics with every edge length at least the floor.
@@ -375,34 +375,26 @@ def min_displacement_on_simplex(
     when t >= 0 (l_k is optimal), when the two bounds meet, or when a step
     no longer lowers lam.
 
-    The iteration starts at l_0 = `start` when given (a metric on the edges
-    of g), else at the map's own Perron–Frobenius lengths (`pf_lengths`), at
-    which no candidate stretches by more than the spectral radius of its
-    transition matrix.  Either is scaled to unit volume and lifted onto the
-    floored simplex, where lengths at or below the floor go to the floor,
-    and the lam returned is at most lam_0.  A start at the minimizer, such
-    as a train track's PF metric or the floor vertex that a -> a, b -> ab's
-    PF lengths (0, 1) lift to, is usually confirmed by the first LP step; a
-    start near it, such as the minimizer for a larger floor, saves the
-    steps that approach it.  `start` may also be the report of an earlier
-    minimization of the same map, as in a floor sweep: its constraint rows
-    and last LP basis are reused, so a sweep builds its rows once.  The
-    start is then its minimizer, or that minimizer with its pinned edges
+    The iteration starts at l_0, the map's own Perron–Frobenius lengths
+    (`pf_lengths`), at which no candidate stretches by more than the
+    spectral radius of its transition matrix.  `start` is the report of an
+    earlier minimization of the same map, as in a floor sweep: its
+    constraint rows and last LP basis are reused, so a sweep builds its rows
+    once, and l_0 is its minimizer, or that minimizer with its pinned edges
     lifted to this floor (a zero length lifts to the floor) when that
-    stretches less, so lam_0 is never above the lifted minimizer's.
+    stretches less.  Either start is scaled to unit volume and lifted onto
+    the floored simplex, where lengths at or below the floor go to the
+    floor, and the lam returned is at most lam_0.  A start at the minimizer,
+    such as a train track's PF lengths or the floor vertex that a -> a,
+    b -> ab's PF lengths (0, 1) lift to, is usually confirmed by the first
+    LP step; the minimizer for a larger floor saves the steps that
+    approach it.
     """
     ids = g.edge_ids
     n = len(ids)
     if not 0 < floor < 1 / n:
         raise ValueError(f"floor must lie strictly between 0 and 1/{n}")
-    rows: Optional[_RowSet] = None
-    basis = None
-    pinned: Tuple[int, ...] = ()
-    if isinstance(start, SimplexMinReport):
-        rows, basis, pinned, start = start.rows, start.basis, start.pinned, start.metric
-    if start is not None and start.edge_ids != ids:
-        raise ValueError(f"start metric has edges {start.edge_ids}, graph has {ids}")
-    if rows is None:
+    if start is None:
         counts = _constraint_rows(g, edge_image)
         if not counts:
             raise StretchIntegrityError("self-map stretches no candidate loop")
@@ -412,8 +404,13 @@ def min_displacement_on_simplex(
             np.array([r[0] for r in counts], dtype=float),
             np.array([r[1] for r in counts], dtype=float),
         )
-    elif rows.graph != g or rows.edge_image != edge_image:
-        raise ValueError("start report minimized another map")
+        basis, pinned = None, ()
+        lengths = pf_lengths(g, edge_image)
+    else:
+        rows, basis, pinned = start.rows, start.basis, start.pinned
+        if rows.graph != g or rows.edge_image != edge_image:
+            raise ValueError("start report minimized another map")
+        lengths = np.array([float(start.metric.length(e)) for e in ids])
     Bm, Cm = rows.B, rows.C
     b_ub = np.zeros(len(Bm))
     # Vertices of the floored simplex: one edge long, every other at the floor.
@@ -431,10 +428,6 @@ def min_displacement_on_simplex(
         excess = np.maximum(lengths / lengths.sum() - floor, 0.0)
         return floor + (1.0 - n * floor) * excess / excess.sum()
 
-    if start is None:
-        lengths = pf_lengths(g, edge_image)
-    else:
-        lengths = np.array([float(start.length(e)) for e in ids])
     ell = lift(lengths)
     lam = max_ratio(ell)
     if pinned:
@@ -523,8 +516,8 @@ def classify(phi: Automorphism) -> Classification:
     rate lambda at the PF metric has lo > 1: the PF metric's displacement is
     at most hi, and a legal loop, whose iterates grow like lambda^k, bounds
     the displacement below by lambda >= lo everywhere.  No LP, floor or
-    tolerance decides it; the floored minimization from the PF point is
-    evidence only.  Reduction certificate -> parabolic suspect, with the
+    tolerance decides it; the floored minimization from the map's PF
+    lengths, which are the certificate's metric, is evidence only.  Reduction certificate -> parabolic suspect, with the
     invariant chain and a floor sweep showing the boundary-pinned minima;
     the first floor starts at the map's PF lengths, and each later floor
     from the previous floor's report: at its minimizer, so the sweep lambda
@@ -543,7 +536,7 @@ def classify(phi: Automorphism) -> Classification:
         if not lo > 1:
             reason = f"train track found but its growth bracket [{float(lo)!r}, {float(hi)!r}]"
             return Inconclusive(reason + " is not above 1", cert)
-        rep = min_displacement_on_simplex(g, m.edge_image, floor=_CLASSIFY_FLOOR, start=cert.metric)
+        rep = min_displacement_on_simplex(g, m.edge_image, floor=_CLASSIFY_FLOOR, )
         return Hyperbolic(cert.lam, cert, loop=loop, bracket=(lo, hi), simplex=rep)
     if isinstance(cert, ReductionCertificate):
         chain: List[FrozenSet[int]] = [cert.subset]

@@ -147,8 +147,6 @@ class Automorphism:
         if self.rank < 1:
             raise ValueError("need at least one generator image")
         for i, w in enumerate(imgs):
-            if not w:
-                raise NotBasisError(f"image of generator {i + 1} is the empty word")
             if any(abs(x) > self.rank for x in w):
                 raise ValueError(f"image of generator {i + 1} uses letters beyond rank {self.rank}")
         self.images = imgs

@@ -7,11 +7,14 @@ order) or folds an illegal turn and repeats.  The whole search runs on one
 mutable surgery state, started directly from phi's images on the rose, that
 keeps the graph, the edge images, the domain marking, its inverse marking
 and the metric synchronized; ``normalize``, ``fold`` and the forest collapse
-rewrite it in place.  Each move updates the inverse marking exactly (a
-Stallings fold has an exact effect on it), so nothing is ever inverted from
-scratch.  No start map is built and a round builds no ``GraphMap``: only a
-returned certificate's map is built, with every point and marking check, so
-a bad round shows up at the end rather than where it happened.
+rewrite it in place.  Every move that replaces edges by paths does it in one
+substitute-and-reduce pass over the edge images and marking loops that cross
+a replaced edge; every path is reduced when a move starts, so no other path
+can cancel.  Each move updates the inverse marking exactly (a Stallings fold
+has an exact effect on it), so nothing is ever inverted from scratch.  No
+start map is built and a round builds no ``GraphMap``: only a returned
+certificate's map is built, with every point and marking check, so a bad
+round shows up at the end rather than where it happened.
 """
 
 from __future__ import annotations
@@ -228,6 +231,20 @@ def finite_order_check(m: GraphMap) -> Optional[int]:
 # -- mutable surgery state -----------------------------------------------------
 
 
+class _Substitution(dict):
+    """Letter table of an edge substitution for words.apply_table: sub[e]
+    for e, its inverse for -e, and every other letter for itself."""
+
+    def __init__(self, sub: Mapping[int, Sequence[int]]):
+        super().__init__()
+        for e, p in sub.items():
+            self[e] = tuple(p)
+            self[-e] = words.invert_word(p)
+
+    def __missing__(self, d: int) -> Word:
+        return (d,)
+
+
 class _MapState:
     """Graph, edge images, domain marking and its inverse, and metric under
     joint rewriting.
@@ -235,50 +252,33 @@ class _MapState:
     Moves rewrite paths by edge substitution and free reduction, which commute
     with composing marking loops, so the codomain's marking stays the domain's
     precomposed with `twist` (phi from the rose, with its inverse); a
-    certificate's map builds it.  `inv` is the domain's inverse marking
-    (edge -> word in the generators), and every move updates it exactly, so
-    a certificate's domain and codomain are checked by substitution alone.
+    certificate's map builds it.  Every edge image and marking loop is
+    reduced between moves.  `rewrite_all` is the one substitution: it
+    reduces what it rewrites in the same pass.  A slide extends images and
+    reduces just those, and a merge at a valence-two vertex replaces each
+    pair -c1 c2 by a new edge, which cancels nothing.  `inv` is the domain's
+    inverse marking (edge -> word in the generators), and every move updates
+    it exactly, so a certificate's domain and codomain are checked by
+    substitution alone.
     One state is rewritten for the whole run; the edge-keyed dicts stay in
     edge order, because a new edge always takes the largest id.
     """
 
-    def __init__(self, m: GraphMap):
-        if not m.is_self_map:
-            raise ValueError("graph surgery needs a self-map")
-        g = m.domain.graph
-        self.endpoints: Dict[int, Tuple[int, int]] = {e: g.endpoints(e) for e in g.edge_ids}
-        self.vertices = set(g.vertices)
-        self.images: Dict[int, Sequence[int]] = {e: m.edge_image[e].edges for e in g.edge_ids}
-        self.vertex_image: Dict[int, int] = dict(m.vertex_image)
-        self.dom_marking = [p.edges for p in m.domain.marking]
-        self.inv: Dict[int, Word] = m.domain.inverse_marking()
-        self.twist = Automorphism(
-            [m.domain.inverse_marking_word(p.edges) for p in m.codomain.marking],
-            inverse=[m.codomain.inverse_marking_word(p.edges) for p in m.domain.marking],
-        )
-        self.lengths = {e: m.domain.metric.length(e) for e in g.edge_ids}
-        self.basepoint = m.domain.basepoint
-        self.next_vertex = max(self.vertices) + 1
-        self.next_edge = max(self.endpoints) + 1
-
-    @classmethod
-    def rose(cls, phi: Automorphism) -> "_MapState":
+    def __init__(self, phi: Automorphism):
         """The state of phi's self-map of the uniform rose with the identity
         marking, built from phi's images, with phi as its twist."""
         ids = range(1, phi.rank + 1)
-        st = object.__new__(cls)
-        st.endpoints = {e: (0, 0) for e in ids}
-        st.vertices = {0}
-        st.images = dict(zip(ids, phi.images))
-        st.vertex_image = {0: 0}
-        st.dom_marking = [(e,) for e in ids]
-        st.inv = {e: (e,) for e in ids}
-        st.twist = phi
-        st.lengths = {e: Fraction(1, phi.rank) for e in ids}
-        st.basepoint = 0
-        st.next_vertex = 1
-        st.next_edge = phi.rank + 1
-        return st
+        self.endpoints: Dict[int, Tuple[int, int]] = {e: (0, 0) for e in ids}
+        self.vertices = {0}
+        self.images: Dict[int, Sequence[int]] = dict(zip(ids, phi.images))
+        self.vertex_image: Dict[int, int] = {0: 0}
+        self.dom_marking: List[Sequence[int]] = [(e,) for e in ids]
+        self.inv: Dict[int, Word] = {e: (e,) for e in ids}
+        self.twist = phi
+        self.lengths = {e: Fraction(1, phi.rank) for e in ids}
+        self.basepoint = 0
+        self.next_vertex = 1
+        self.next_edge = phi.rank + 1
 
     def finish(self) -> None:
         """End a move as a round trip through a GraphMap did: an edge must be
@@ -321,31 +321,22 @@ class _MapState:
             raise DegenerateImageError(f"direction {d} has a point image")
         return img[0] if d > 0 else -img[-1]
 
-    def _rewrite(self, path: Sequence[int], sub: Dict[int, List[int]]) -> List[int]:
-        out: List[int] = []
-        for d in path:
-            rep = sub.get(abs(d))
-            if rep is None:
-                out.append(d)
-            elif d > 0:
-                out.extend(rep)
-            else:
-                out.extend(-x for x in reversed(rep))
-        return out
-
-    def rewrite_all(self, sub: Dict[int, List[int]]) -> None:
-        """Substitute in the edge images and marking loops that cross a key of sub."""
-        keys = {d for e in sub for d in (e, -e)}
+    def rewrite_all(self, sub: Mapping[int, Sequence[int]]) -> _Substitution:
+        """Substitute the reduced path sub[e] for each key edge e, and freely
+        reduce, in one pass over each edge image and marking loop that
+        crosses a key; returns the letter table it used."""
+        table = _Substitution(sub)
+        keys = table.keys()
         for e, p in self.images.items():
             if not keys.isdisjoint(p):
-                self.images[e] = self._rewrite(p, sub)
-        self.dom_marking = [p if keys.isdisjoint(p) else self._rewrite(p, sub)
+                self.images[e] = words.apply_table(table, p)
+        self.dom_marking = [p if keys.isdisjoint(p) else words.apply_table(table, p)
                             for p in self.dom_marking]
+        return table
 
-    def tighten_all(self) -> None:
-        for e in self.images:
-            self.images[e] = words.reduce_word(self.images[e])
-        self.dom_marking = [words.reduce_word(p) for p in self.dom_marking]
+    def drop_edge(self, e: int) -> Tuple[Sequence[int], Tuple[int, int], object, Word]:
+        """Remove edge e: its image, endpoints, length and inverse-marking word."""
+        return self.images.pop(e), self.endpoints.pop(e), self.lengths.pop(e), self.inv.pop(e)
 
     def inv_of(self, d: int) -> Word:
         w = self.inv[abs(d)]
@@ -379,9 +370,7 @@ class _MapState:
         """Split edge e at the given positions of its image path; new edge ids.
 
         The first piece carries e's inverse-marking word, the others none."""
-        image = self.images.pop(e)
-        u, v = self.endpoints.pop(e)
-        length = self.lengths.pop(e)
+        image, (u, v), length, word = self.drop_edge(e)
         k = len(cuts) + 1
         parts = list(range(self.next_edge, self.next_edge + k))
         self.next_edge += k
@@ -389,15 +378,13 @@ class _MapState:
         self.next_vertex += len(cuts)
         self.vertices.update(mids)
         chain = [u] + mids + [v]
-        word = self.inv.pop(e)
         for i, p in enumerate(parts):
             self.endpoints[p] = (chain[i], chain[i + 1])
             self.lengths[p] = length / k
             self.inv[p] = word if i == 0 else ()
-        sub = {e: parts}
-        self.rewrite_all(sub)
-        new_image = self._rewrite(image, sub)
-        offsets = [len(self._rewrite(image[:c], sub)) for c in cuts]
+        table = self.rewrite_all({e: parts})
+        new_image = words.apply_table(table, image)
+        offsets = [len(words.apply_table(table, image[:c])) for c in cuts]
         bounds = [0] + offsets + [len(new_image)]
         for i, p in enumerate(parts):
             self.images[p] = new_image[bounds[i] : bounds[i + 1]]
@@ -413,15 +400,11 @@ class _MapState:
             raise InvalidMapError("cannot identify directions with different images")
         w_keep, w_drop = self.term(keep_d), self.term(drop_d)
         e_drop = abs(drop_d)
-        rep = [keep_d] if drop_d > 0 else [-keep_d]
+        rep = (keep_d,) if drop_d > 0 else (-keep_d,)
         c = words.concat(self.inv_of(-keep_d), self.inv_of(drop_d))
-        del self.images[e_drop]
-        del self.endpoints[e_drop]
-        del self.lengths[e_drop]
-        del self.inv[e_drop]
+        self.drop_edge(e_drop)
         self.rewrite_all({e_drop: rep})
         self._merge_vertex(w_drop, w_keep, c)
-        self.tighten_all()
 
     def collapse_edges(self, edge_set: Sequence[int]) -> None:
         """Contract a forest of edges (images of survivors lose those letters)."""
@@ -433,13 +416,9 @@ class _MapState:
             if v == self.basepoint or (u != self.basepoint and v < u):
                 keep, drop, d = v, u, -e
             c = self.inv_of(d)
-            del self.endpoints[e]
-            del self.images[e]
-            del self.lengths[e]
-            del self.inv[e]
-            self.rewrite_all({e: []})
+            self.drop_edge(e)
+            self.rewrite_all({e: ()})
             self._merge_vertex(drop, keep, c)
-        self.tighten_all()
 
     def trim_hairs(self) -> None:
         """Retract valence<=1 vertices other than the basepoint."""
@@ -466,16 +445,12 @@ class _MapState:
             e = next(e for e, (a, b) in self.endpoints.items() if v in (a, b))
             a, b = self.endpoints[e]
             other = b if a == v else a
-            del self.endpoints[e]
-            del self.images[e]
-            del self.lengths[e]
-            del self.inv[e]
-            self.rewrite_all({e: []})
+            self.drop_edge(e)
+            self.rewrite_all({e: ()})
             self.vertex_image = {
                 u: (other if w == v else w) for u, w in self.vertex_image.items() if u != v
             }
             self.vertices.discard(v)
-            self.tighten_all()
 
     def _rebase_off_hair(self) -> None:
         """Move a valence-1 basepoint to its attachment, conjugating the marking.
@@ -504,10 +479,9 @@ class _MapState:
             self.vertex_image[u] = target
             for e, (a, b) in sorted(self.endpoints.items()):
                 if a == u:
-                    self.images[e] = [-along] + list(self.images[e])
+                    self.images[e] = words.concat((-along,), self.images[e])
                 if b == u:
-                    self.images[e] = list(self.images[e]) + [along]
-        self.tighten_all()
+                    self.images[e] = words.concat(self.images[e], (along,))
 
     def _count_spectral_radius(self) -> float:
         return spectral_radius(_crossing_counts(self.graph(), self.images).rows)
@@ -552,17 +526,14 @@ class _MapState:
 
     def _merge_valence_two(self, v: int, c1: int, c2: int) -> None:
         """Replace the two-edge chain through v by a single edge."""
-        new_image = self.image_of(-c1) + self.image_of(c2)
+        new_image = words.concat(self.image_of(-c1), self.image_of(c2))
         new_inv = words.concat(self.inv_of(-c1), self.inv_of(c2))
         E = self.next_edge
         self.next_edge += 1
         u, w = self.term(c1), self.term(c2)
         length = self.lengths[abs(c1)] + self.lengths[abs(c2)]
-        for e in (abs(c1), abs(c2)):
-            del self.endpoints[e]
-            del self.images[e]
-            del self.lengths[e]
-            del self.inv[e]
+        self.drop_edge(abs(c1))
+        self.drop_edge(abs(c2))
         self.endpoints[E] = (u, w)
         self.lengths[E] = length
         self.inv[E] = new_inv
@@ -591,7 +562,6 @@ class _MapState:
         self.images[E] = chain_rewrite(new_image)
         self.vertices.discard(v)
         self.vertex_image.pop(v, None)
-        self.tighten_all()
 
     def to_graph_map(self) -> GraphMap:
         """The state as a GraphMap, with every point and marking check.
@@ -857,7 +827,7 @@ def find_train_track(phi: Automorphism, max_iters: int = 10**4) -> Certificate:
     if phi.rank < 2:
         raise ValueError("rank must be at least 2")
     trace: List[str] = []
-    st = _MapState.rose(phi)
+    st = _MapState(phi)
     k = _word_level_order(phi, _ORDER_LENGTH_CAP)
     if k is not None:
         trace.append(_round_line(0, phi.rank, 1.0, 0, f"finite_order({k})"))

@@ -44,6 +44,28 @@ def skip_order_precheck(mp: pytest.MonkeyPatch) -> None:
     mp.setattr(train_track_algo, "_word_level_order", lambda phi, length_cap: None)
 
 
+def state_of(m: GraphMap) -> train_track_algo._MapState:
+    """The fold loop's surgery state of a self-map, which need not be on the
+    rose; its twist is read through the two inverse markings."""
+    twist = Automorphism(
+        [m.domain.inverse_marking_word(p.edges) for p in m.codomain.marking],
+        inverse=[m.codomain.inverse_marking_word(p.edges) for p in m.domain.marking],
+    )
+    st = train_track_algo._MapState(twist)
+    g = m.domain.graph
+    st.endpoints = {e: g.endpoints(e) for e in g.edge_ids}
+    st.vertices = set(g.vertices)
+    st.images = {e: m.edge_image[e].edges for e in g.edge_ids}
+    st.vertex_image = dict(m.vertex_image)
+    st.dom_marking = [p.edges for p in m.domain.marking]
+    st.inv = m.domain.inverse_marking()
+    st.lengths = {e: m.domain.metric.length(e) for e in g.edge_ids}
+    st.basepoint = m.domain.basepoint
+    st.next_vertex = max(st.vertices) + 1
+    st.next_edge = max(st.endpoints) + 1
+    return st
+
+
 def connected_core_graphs(max_edges: int) -> List[Graph]:
     """Every connected graph with all valences >= 2 and at most `max_edges`
     edges, one representative per isomorphism class (loops and parallel

@@ -494,6 +494,7 @@ RANK10 = "a->ab; b->c; c->d; d->e; e->f; f->g; g->h; h->i; i->j; j->a"
     ("random_survey.py", ["--samples", "0"]),
     ("random_survey.py", ["--rank", "1"]),
     ("random_survey.py", ["--steps", "-3"]),
+    ("displacement_sweep.py", ["--map", "a->aA; b->b"]),
 ])
 def test_scripts_refuse_unusable_arguments(script, argv):
     # Each was a traceback, a ZeroDivisionError, an empty table or a survey
@@ -511,5 +512,13 @@ def test_scripts_refuse_unusable_arguments(script, argv):
 def test_non_basis_map_is_an_integrity_error(capsys, command):
     # As on traintrack: the map's inverse is computed when it is parsed.
     code, out, err = run_cli(capsys, command, "--map", "a->aa; b->b")
+    assert code == EXIT_INTEGRITY and out == ""
+    assert "not a homotopy equivalence" in err
+
+
+@pytest.mark.parametrize("command", ["traintrack", "classify", "minimize"])
+def test_empty_image_map_is_an_integrity_error(capsys, command):
+    # a->aA has the empty word as an image: no basis, so the same exit 4.
+    code, out, err = run_cli(capsys, command, "--map", "a->aA; b->b")
     assert code == EXIT_INTEGRITY and out == ""
     assert "not a homotopy equivalence" in err

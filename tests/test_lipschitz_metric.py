@@ -732,18 +732,9 @@ class TestMinDisplacement:
             checked += 1
         assert checked >= 20
 
-    def test_start_metric_on_other_edges_is_rejected(self):
-        m = rose_self_map(EXPANDING)
-        for lengths in ({1: 0.5}, {1: 0.25, 2: 0.25, 3: 0.5}, {1: 0.5, 3: 0.5}):
-            with pytest.raises(ValueError):
-                min_displacement_on_simplex(
-                    m.domain.graph, m.edge_image, 1e-6, start=Metric(lengths)
-                )
-
     def test_warm_start_matches_cold_start(self):
-        # Rank-3 train tracks start at their PF metric; reductions run the
-        # classify sweep, each floor after the first starting at the
-        # previous floor's minimizer.
+        # Rank-3 train tracks and reductions run the classify sweep, each
+        # floor after the first starting from the previous floor's report.
         rng = random.Random(5)
         kinds = {"train_track": 0, "reducible": 0}
         for _ in range(30):
@@ -752,16 +743,8 @@ class TestMinDisplacement:
                 continue
             kinds[cert.status] += 1
             m = cert.graph_map
-            if cert.status == "train_track":
-                runs = [(1e-6, cert.metric)]
-            else:
-                runs, start = [], None
-                for floor in (1e-2, 1e-3, 1e-4):
-                    runs.append((floor, start))
-                    start = min_displacement_on_simplex(
-                        m.domain.graph, m.edge_image, floor, start=start
-                    ).metric
-            for floor, start in runs:
+            start = None
+            for floor in (1e-2, 1e-3, 1e-4):
                 warm = min_displacement_on_simplex(
                     m.domain.graph, m.edge_image, floor, start=start
                 )
@@ -777,6 +760,7 @@ class TestMinDisplacement:
                 assert abs(warm.lam - cold.lam) <= max(1e-9 * cold.lam, gap)
                 assert warm.lam <= cold.lam * (1 + 1e-9)
                 assert min(warm.metric.length(e) for e in m.domain.graph.edge_ids) >= floor
+                start = warm
         assert kinds["train_track"] >= 5 and kinds["reducible"] >= 5
 
     def test_start_report_reuses_its_rows(self, row_builds):
@@ -784,9 +768,9 @@ class TestMinDisplacement:
         g = m.domain.graph
         rep = min_displacement_on_simplex(g, m.edge_image, 1e-2)
         from_report = min_displacement_on_simplex(g, m.edge_image, 1e-3, start=rep)
-        from_metric = min_displacement_on_simplex(g, m.edge_image, 1e-3, start=rep.metric)
-        assert len(row_builds) == 2  # the first minimization and the metric start
-        assert from_report.lam == pytest.approx(from_metric.lam, rel=1e-12)
+        cold = min_displacement_on_simplex(g, m.edge_image, 1e-3)
+        assert len(row_builds) == 2  # the first minimization and the cold one
+        assert from_report.lam == pytest.approx(cold.lam, rel=1e-12)
         assert from_report.lower <= from_report.lam
 
     def test_sweep_starts_pinned_edges_at_the_new_floor(self, lp_calls):
@@ -806,7 +790,7 @@ class TestMinDisplacement:
         rank2 = rose_self_map(EXPANDING)
         rank3 = rose_self_map(Automorphism.from_text(FLOOR_VERTEX_TRAIN_TRACKS[0]))
         rep = min_displacement_on_simplex(rank2.domain.graph, rank2.edge_image, 1e-2)
-        with pytest.raises(ValueError, match="start metric has edges"):
+        with pytest.raises(ValueError, match="another map"):
             min_displacement_on_simplex(rank3.domain.graph, rank3.edge_image, 1e-3, start=rep)
         other = rose_self_map(REDUCIBLE)  # same graph, another map
         with pytest.raises(ValueError, match="another map"):

@@ -121,8 +121,13 @@ class TestAutomorphismParsing:
             Automorphism.from_text("e5->a")
 
     def test_empty_image_rejected(self):
+        # An empty image is refused as any other non-basis is: by inverting
+        # the images, or by the check of a supplied inverse.
+        for images in ([(1, 2), ()], [(1, -1), (2,)]):
+            with pytest.raises(MarkingError, match="not a homotopy equivalence"):
+                Automorphism(images)
         with pytest.raises(NotBasisError):
-            Automorphism([(1, 2), ()])
+            Automorphism([(1, 2), ()], inverse=[(1, -2), (2,)])
 
     def test_supplied_inverse_verified(self):
         phi = Automorphism([(1, 2), (2, 1, 2)], inverse=[(1, 1, -2), (2, -1)])

@@ -6,6 +6,9 @@ counts as used where it appears as a name, an attribute, an imported name,
 or a string constant that is exactly that name (a quoted annotation, or the
 benchmark tracer's lookup of a function by module and attribute name).  Being
 by name, it misses a dead definition whose name some other code uses.
+A class's constructor is a definition of its own, "Class.__init__", used
+only where code outside the class calls the class by name, so a class that
+only tests build, or that only its own methods build, is flagged.
 Parameters are checked per call instead: a call by the function's name (a
 class's name for its __init__) passes a parameter by keyword, by position, or
 through * or **.
@@ -94,31 +97,42 @@ def _units(tree: ast.Module) -> Iterable[Tuple[Tuple[str, ...], ast.AST]]:
             yield (stmt.name, getattr(member, "name", "")), member
 
 
+def _called(node: ast.AST) -> Set[str]:
+    """Names that the calls in node call: f(...) and x.f(...) both call f."""
+    return {getattr(sub.func, "id", None) or getattr(sub.func, "attr", None)
+            for sub in ast.walk(node) if isinstance(sub, ast.Call)}
+
+
 def _uncalled() -> Set[Tuple[str, str]]:
     """(module, name) of each library definition that no code outside tests
-    uses: top-level functions and classes, and public methods as
-    "Class.method"."""
-    uses: List[Tuple[str, Tuple[str, ...], Set[str]]] = []
+    uses: top-level functions and classes, class constructors as
+    "Class.__init__", and public methods as "Class.method"."""
+    uses: List[Tuple[str, Tuple[str, ...], Set[str], Set[str]]] = []
     library_defs = []
     for path in _sources(CALLERS):
         tree = _parse(path)
         for owner, node in _units(tree):
-            uses.append((path.stem, owner, _names([node], attributes=True)))
+            uses.append((path.stem, owner, _names([node], attributes=True), _called(node)))
         if path.parent != LIBRARY:
             continue
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 library_defs.append((path.stem, (stmt.name,)))
             if isinstance(stmt, ast.ClassDef):
+                library_defs.append((path.stem, (stmt.name, "__init__")))
                 library_defs.extend(
                     (path.stem, (stmt.name, m.name)) for m in stmt.body
                     if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
                 )
 
     def used(module: str, owner: Tuple[str, ...]) -> bool:
-        # A use inside the definition itself does not count.
+        # A use inside the definition itself does not count, nor a call of a
+        # class inside that class.
+        if owner[-1] == "__init__":
+            return any(owner[0] in called and not (m == module and o[0] == owner[0])
+                       for m, o, _, called in uses)
         return any(owner[-1] in names and not (m == module and o[: len(owner)] == owner)
-                   for m, o, names in uses)
+                   for m, o, names, _ in uses)
 
     return {(module, ".".join(owner)) for module, owner in library_defs
             if not used(module, owner)}

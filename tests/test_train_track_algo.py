@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import cycle_permutation, skip_order_precheck, unchecked
+from helpers import cycle_permutation, skip_order_precheck, state_of, unchecked
+from test_certificate_pins import CASES as PINNED_CASES, certificate as pinned_certificate
 from outerspace import train_track_algo, words
 from outerspace.graph_core import EdgePath, Graph, is_forest
 from outerspace.marked_metric import (
@@ -30,7 +31,6 @@ from outerspace.train_track_algo import (
     ReductionCertificate,
     TrainTrackCertificate,
     TransitionMatrix,
-    _MapState,
     closed_class,
     find_train_track,
     finite_order_check,
@@ -59,13 +59,13 @@ def rose_self_map(text: str) -> GraphMap:
 
 
 def folded(m: GraphMap, t) -> GraphMap:
-    state = _MapState(m)
+    state = state_of(m)
     fold(state, t)
     return state.to_graph_map()
 
 
 def normalized(m: GraphMap) -> GraphMap:
-    state = _MapState(m)
+    state = state_of(m)
     normalize(state)
     return state.to_graph_map()
 
@@ -472,9 +472,9 @@ class TestFold:
     def test_fold_validations(self):
         m = rose_self_map(EXPANDING)
         with pytest.raises(ValueError):
-            fold(_MapState(m), (1, 1))  # degenerate
+            fold(state_of(m), (1, 1))  # degenerate
         with pytest.raises(ValueError):
-            fold(_MapState(m), (-1, 2))  # legal turn, derivatives differ
+            fold(state_of(m), (-1, 2))  # legal turn, derivatives differ
 
     def test_fold_triangular_map(self):
         m = rose_self_map(REDUCIBLE)
@@ -516,7 +516,7 @@ class TestFold:
             {1: EdgePath((1,)), 2: EdgePath((2,)), 3: EdgePath((2,))},
         )
         with pytest.raises(RankCollapseError):
-            fold(_MapState(bad), (2, 3))
+            fold(state_of(bad), (2, 3))
 
     def test_fold_preserves_marking_compatibility(self):
         # The folded state's GraphMap validates markings on construction, so
@@ -550,7 +550,7 @@ class TestNormalize:
         )
         # Off the rose the twist is read through the inverse markings; acting
         # by it on the domain gives back the codomain marking exactly.
-        same = _MapState(m).to_graph_map()
+        same = state_of(m).to_graph_map()
         assert [p.edges for p in same.codomain.marking] == [(1, 2, 3), (2, 3, 1, 2, 3)]
         assert same.edge_image == m.edge_image
         n = normalized(m)
@@ -846,6 +846,37 @@ class TestOneState:
             cert = find_train_track(phi, max_iters=300)
         assert steps or isinstance(cert, FiniteOrderCertificate)
 
+    def test_every_move_leaves_every_path_reduced(self, monkeypatch):
+        # Each move reduces only the paths it rewrites.  That is enough:
+        # every path is reduced when a move starts, subdividing into
+        # positive chains cancels nothing, and neither does replacing
+        # -c1 c2 by a new edge.
+        moves = dict.fromkeys(["fold", "normalize", "subdivide", "identify", "collapse_edges",
+                               "trim_hairs", "_slide_images_off", "_merge_valence_two"], 0)
+
+        def reduced(name, owner):
+            move = getattr(owner, name)
+
+            def run(state, *args):
+                out = move(state, *args)
+                for p in [*state.images.values(), *state.dom_marking]:
+                    assert tuple(p) == words.reduce_word(p), name
+                moves[name] += 1
+                return out
+
+            monkeypatch.setattr(owner, name, run)
+
+        for name in moves:
+            reduced(name, train_track_algo if name in ("fold", "normalize") else
+                    train_track_algo._MapState)
+        rng = random.Random(11)
+        for rank in (3, 4, 5):
+            for _ in range(30):
+                find_train_track(random_automorphism(rank, 12, rng))
+        for name in sorted(PINNED_CASES):
+            pinned_certificate(name)
+        assert all(moves.values()), moves
+
     @pytest.mark.parametrize(
         "text, skip_precheck, built",
         [
@@ -879,12 +910,42 @@ class TestOneState:
             computed = Automorphism(phi.images)
             assert computed.inverse_images == phi.inverse_images
             phi = computed
-        st = _MapState.rose(phi)
-        ref = _MapState(self_map_from_automorphism(rose_point(phi.rank), phi))
+        st = train_track_algo._MapState(phi)
+        ref = state_of(self_map_from_automorphism(rose_point(phi.rank), phi))
         assert vars(st).keys() == vars(ref).keys()
         for field, value in vars(ref).items():
             assert getattr(st, field) == value, field
         assert st.twist.inverse_images == ref.twist.inverse_images
+
+
+LETTERS = [d for e in range(1, 5) for d in (e, -e)]
+REDUCED_WORDS = st.lists(st.sampled_from(LETTERS), max_size=8).map(words.reduce_word)
+
+
+@given(
+    st.lists(REDUCED_WORDS, min_size=1, max_size=5),
+    st.lists(REDUCED_WORDS, max_size=3),
+    st.dictionaries(st.integers(min_value=1, max_value=4), REDUCED_WORDS, max_size=2),
+)
+@settings(max_examples=200, deadline=None)
+def test_rewrite_all_is_substitution_then_reduction(images, loops, sub):
+    state = train_track_algo._MapState(Automorphism.from_text(EXPANDING))
+    state.images = dict(enumerate(images, start=1))
+    state.dom_marking = list(loops)
+
+    def naive(p):
+        out = []
+        for d in p:
+            if abs(d) not in sub:
+                out.append(d)
+            else:
+                out.extend(sub[d] if d > 0 else words.invert_word(sub[-d]))
+        return words.reduce_word(out)
+
+    want = {e: naive(p) for e, p in state.images.items()}, [naive(p) for p in loops]
+    state.rewrite_all(sub)
+    assert ({e: tuple(p) for e, p in state.images.items()},
+            [tuple(p) for p in state.dom_marking]) == want
 
 
 # -- the marking check on a certificate ---------------------------------------------
