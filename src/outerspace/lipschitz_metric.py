@@ -38,8 +38,9 @@ from .train_track_algo import (
     TrainTrackCertificate,
     closed_class,
     find_train_track,
+    _crossing_counts,
     growth_bracket,
-    pf_lengths,
+    pf_eigen,
     transition_matrix,
 )
 
@@ -376,15 +377,16 @@ def min_displacement_on_simplex(
     no longer lowers lam.
 
     The iteration starts at l_0, the map's own Perron–Frobenius lengths
-    (`pf_lengths`), at which no candidate stretches by more than the
-    spectral radius of its transition matrix.  `start` is the report of an
-    earlier minimization of the same map, as in a floor sweep: its
-    constraint rows and last LP basis are reused, so a sweep builds its rows
-    once, and l_0 is its minimizer, or that minimizer with its pinned edges
-    lifted to this floor (a zero length lifts to the floor) when that
-    stretches less.  Either start is scaled to unit volume and lifted onto
-    the floored simplex, where lengths at or below the floor go to the
-    floor, and the lam returned is at most lam_0.  A start at the minimizer,
+    (`pf_eigen`), at which no candidate stretches by more than the spectral
+    radius rho of its transition matrix M: a loop's image crosses each edge
+    at most M times its own crossing counts, and M^T v = rho v.  `start` is
+    the report of an earlier minimization of the same map, as in a floor
+    sweep: its constraint rows and last LP basis are reused, so a sweep
+    builds its rows once, and l_0 is its minimizer, or that minimizer with
+    its pinned edges lifted to this floor (a zero length lifts to the floor)
+    when that stretches less.  Either start is scaled to unit volume and
+    lifted onto the floored simplex, where lengths at or below the floor go
+    to the floor, and the lam returned is at most lam_0.  A start at the minimizer,
     such as a train track's PF lengths or the floor vertex that a -> a,
     b -> ab's PF lengths (0, 1) lift to, is usually confirmed by the first
     LP step; the minimizer for a larger floor saves the steps that
@@ -405,7 +407,8 @@ def min_displacement_on_simplex(
             np.array([r[1] for r in counts], dtype=float),
         )
         basis, pinned = None, ()
-        lengths = pf_lengths(g, edge_image)
+        M = _crossing_counts(g, {e: p.edges for e, p in edge_image.items()})
+        lengths = np.array(pf_eigen(M)[1])
     else:
         rows, basis, pinned = start.rows, start.basis, start.pinned
         if rows.graph != g or rows.edge_image != edge_image:
@@ -536,7 +539,7 @@ def classify(phi: Automorphism) -> Classification:
         if not lo > 1:
             reason = f"train track found but its growth bracket [{float(lo)!r}, {float(hi)!r}]"
             return Inconclusive(reason + " is not above 1", cert)
-        rep = min_displacement_on_simplex(g, m.edge_image, floor=_CLASSIFY_FLOOR, )
+        rep = min_displacement_on_simplex(g, m.edge_image, floor=_CLASSIFY_FLOOR)
         return Hyperbolic(cert.lam, cert, loop=loop, bracket=(lo, hi), simplex=rep)
     if isinstance(cert, ReductionCertificate):
         chain: List[FrozenSet[int]] = [cert.subset]

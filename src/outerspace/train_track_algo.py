@@ -7,14 +7,16 @@ order) or folds an illegal turn and repeats.  The whole search runs on one
 mutable surgery state, started directly from phi's images on the rose, that
 keeps the graph, the edge images, the domain marking, its inverse marking
 and the metric synchronized; ``normalize``, ``fold`` and the forest collapse
-rewrite it in place.  Every move that replaces edges by paths does it in one
+rewrite it in place.  Every move that replaces edges by paths, the merge of
+the two edges at a valence-two vertex included, does it in one
 substitute-and-reduce pass over the edge images and marking loops that cross
 a replaced edge; every path is reduced when a move starts, so no other path
-can cancel.  Each move updates the inverse marking exactly (a Stallings fold
-has an exact effect on it), so nothing is ever inverted from scratch.  No
-start map is built and a round builds no ``GraphMap``: only a returned
-certificate's map is built, with every point and marking check, so a bad
-round shows up at the end rather than where it happened.
+can cancel.  Every spectral radius and PF vector comes from one dense
+eigen-solve, ``pf_eigen``.  Each move updates the inverse marking exactly
+(a Stallings fold has an exact effect on it), so nothing is ever inverted
+from scratch.  No start map is built and a round builds no ``GraphMap``:
+only a returned certificate's map is built, with every point and marking
+check, so a bad round shows up at the end rather than where it happened.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ class TransitionMatrix:
 
     edge_ids: Tuple[int, ...]
     rows: Tuple[Tuple[int, ...], ...]
-    graph: Optional[Graph] = None
+    graph: Graph
 
     def index(self, e: int) -> int:
         return self.edge_ids.index(e)
@@ -119,56 +121,28 @@ def closed_class(M: TransitionMatrix) -> Optional[FrozenSet[int]]:
     if not closures:
         return None
     ordered = sorted(closures, key=lambda s: tuple(sorted(s)))
-    if M.graph is not None:
-        non_forest = [s for s in ordered if not is_forest(M.graph, s)]
-        if non_forest:
-            return non_forest[0]
-    return ordered[0]
-
-
-def _pf_vector(A: np.ndarray) -> np.ndarray:
-    """Sum-normalized left eigenvector of a nonnegative matrix for its
-    spectral radius, made nonnegative, by one dense eigen-solve.
-
-    The spectral radius of a nonnegative matrix is an eigenvalue of largest
-    real part, so periodic matrices need no special case.  It has a
-    nonnegative eigenvector, positive and unique up to scale when the matrix
-    is irreducible; when its eigenspace has more than one dimension the
-    solver may return a mixed-sign vector, whose absolute values need not be
-    an eigenvector.
-    """
-    vals, vecs = np.linalg.eig(A.T)
-    v = np.abs(vecs[:, np.argmax(vals.real)].real)
-    v /= v.sum()
-    return v
+    return next((s for s in ordered if not is_forest(M.graph, s)), ordered[0])
 
 
 def pf_eigen(M: TransitionMatrix) -> Tuple[float, Tuple[float, ...]]:
-    """Dominant eigenvalue and left eigenvector (edge lengths), sum-normalized,
-    of an irreducible matrix, by the eigen-solve pf_lengths also uses.
+    """Spectral radius rho of a nonnegative matrix and its left eigenvector
+    (edge lengths), made nonnegative and sum-normalized, by the library's one
+    dense eigen-solve.
 
-    Lambda is measured at the returned vector v as sum(M^T v) / sum(v), a
-    weighted mean of the edge slopes (M^T v)_j / v_j, so it lies in
-    growth_bracket's exact [lo, hi] at v up to the rounding of one sum.
+    rho is an eigenvalue of largest real part, so periodic matrices need no
+    special case.  It has a nonnegative eigenvector, positive and unique up
+    to scale when the matrix is irreducible; when its eigenspace has more
+    than one dimension the solver may return a mixed-sign vector, whose
+    absolute values need not be an eigenvector.  Zero columns (edges with a
+    point image) are allowed.
     """
     A = np.array(M.rows, dtype=float)
     if A.size == 0:
         raise ValueError("empty matrix")
-    if not A.any(axis=0).all():
-        raise ArithmeticError("transition matrix has a zero column")
-    v = _pf_vector(A)
-    return float((A.T @ v).sum() / v.sum()), tuple(v.tolist())
-
-
-def pf_lengths(g: Graph, edge_image: Mapping[int, EdgePath]) -> np.ndarray:
-    """Perron–Frobenius edge lengths of a self-map of g, in g.edge_ids order:
-    the nonnegative left eigenvector, summing to 1, of its transition matrix
-    for the spectral radius rho.  Entries may be 0 when the matrix is
-    reducible.  When they are an eigenvector, no loop is stretched by more
-    than rho there: a loop's image crosses each edge at most M times its own
-    crossing counts, and M^T v = rho v."""
-    M = _crossing_counts(g, {e: p.edges for e, p in edge_image.items()})
-    return _pf_vector(np.array(M.rows, dtype=float))
+    vals, vecs = np.linalg.eig(A.T)
+    i = np.argmax(vals.real)
+    v = np.abs(vecs[:, i].real)
+    return float(vals[i].real), tuple((v / v.sum()).tolist())
 
 
 def growth_bracket(M: TransitionMatrix, metric: Metric) -> Tuple[Fraction, Fraction]:
@@ -180,11 +154,6 @@ def growth_bracket(M: TransitionMatrix, metric: Metric) -> Tuple[Fraction, Fract
     v = [int(f * scale) for f in fracs]  # integer arithmetic from here on
     slopes = [Fraction(sum(r[j] * vi for r, vi in zip(M.rows, v)), vj) for j, vj in enumerate(v)]
     return min(slopes), max(slopes)
-
-
-def spectral_radius(rows: Sequence[Sequence[int]]) -> float:
-    """Largest modulus of an eigenvalue of a square matrix, in floating point."""
-    return float(np.max(np.abs(np.linalg.eigvals(np.array(rows, dtype=float)))))
 
 
 # -- train track test ----------------------------------------------------------
@@ -254,12 +223,11 @@ class _MapState:
     precomposed with `twist` (phi from the rose, with its inverse); a
     certificate's map builds it.  Every edge image and marking loop is
     reduced between moves.  `rewrite_all` is the one substitution: it
-    reduces what it rewrites in the same pass.  A slide extends images and
-    reduces just those, and a merge at a valence-two vertex replaces each
-    pair -c1 c2 by a new edge, which cancels nothing.  `inv` is the domain's
-    inverse marking (edge -> word in the generators), and every move updates
-    it exactly, so a certificate's domain and codomain are checked by
-    substitution alone.
+    reduces what it rewrites in the same pass, and every move but the slide
+    goes through it, the merge at a valence-two vertex too.  A slide extends
+    images and reduces just those.  `inv` is the domain's inverse marking
+    (edge -> word in the generators), and every move updates it exactly, so
+    a certificate's domain and codomain are checked by substitution alone.
     One state is rewritten for the whole run; the edge-keyed dicts stay in
     edge order, because a new edge always takes the largest id.
     """
@@ -447,10 +415,7 @@ class _MapState:
             other = b if a == v else a
             self.drop_edge(e)
             self.rewrite_all({e: ()})
-            self.vertex_image = {
-                u: (other if w == v else w) for u, w in self.vertex_image.items() if u != v
-            }
-            self.vertices.discard(v)
+            self._merge_vertex(v, other, ())
 
     def _rebase_off_hair(self) -> None:
         """Move a valence-1 basepoint to its attachment, conjugating the marking.
@@ -483,9 +448,6 @@ class _MapState:
                 if b == u:
                     self.images[e] = words.concat(self.images[e], (along,))
 
-    def _count_spectral_radius(self) -> float:
-        return spectral_radius(_crossing_counts(self.graph(), self.images).rows)
-
     def unsubdivide_pass(self) -> bool:
         """Merge the chain at one valence-2 vertex other than the basepoint;
         True if merged.  Vertex images blocking the merge are slid off first,
@@ -509,15 +471,9 @@ class _MapState:
                 for idx, along in enumerate((c1, c2)):
                     trial = self.copy()
                     trial._slide_images_off(v, along)
-                    try:
-                        trial._merge_valence_two(v, c1, c2)
-                    except InvalidMapError:
-                        continue
-                    trials.append((trial._count_spectral_radius(), idx, trial))
-                if not trials:
-                    raise InvalidMapError(
-                        "valence-two vertex cannot be merged in either direction"
-                    )
+                    trial._merge_valence_two(v, c1, c2)
+                    rho, _ = pf_eigen(_crossing_counts(trial.graph(), trial.images))
+                    trials.append((rho, idx, trial))
                 self.__dict__.update(min(trials)[2].__dict__)
             else:
                 self._merge_valence_two(v, c1, c2)
@@ -525,41 +481,25 @@ class _MapState:
         return False
 
     def _merge_valence_two(self, v: int, c1: int, c2: int) -> None:
-        """Replace the two-edge chain through v by a single edge."""
-        new_image = words.concat(self.image_of(-c1), self.image_of(c2))
-        new_inv = words.concat(self.inv_of(-c1), self.inv_of(c2))
+        """Replace the two-edge chain through v by a single edge E, by the
+        substitution c1 -> (), c2 -> E.  v is neither the basepoint nor a
+        vertex image, so every path crosses it as -c1 c2 or -c2 c1, which
+        become E and -E."""
+        if v == self.basepoint or v in self.vertex_image.values():
+            raise InvalidMapError("valence-two vertex is the basepoint or a vertex image")
         E = self.next_edge
         self.next_edge += 1
+        new_image = self.image_of(-c1) + self.image_of(c2)
+        new_inv = words.concat(self.inv_of(-c1), self.inv_of(c2))
         u, w = self.term(c1), self.term(c2)
         length = self.lengths[abs(c1)] + self.lengths[abs(c2)]
         self.drop_edge(abs(c1))
         self.drop_edge(abs(c2))
+        table = self.rewrite_all({abs(c1): (), abs(c2): (E if c2 > 0 else -E,)})
         self.endpoints[E] = (u, w)
         self.lengths[E] = length
         self.inv[E] = new_inv
-
-        def chain_rewrite(path: Sequence[int]) -> List[int]:
-            out: List[int] = []
-            i = 0
-            while i < len(path):
-                d = path[i]
-                if d == -c1 and i + 1 < len(path) and path[i + 1] == c2:
-                    out.append(E)
-                    i += 2
-                elif d == -c2 and i + 1 < len(path) and path[i + 1] == c1:
-                    out.append(-E)
-                    i += 2
-                elif abs(d) in (abs(c1), abs(c2)):
-                    raise InvalidMapError("path ends inside an unsubdivided chain")
-                else:
-                    out.append(d)
-                    i += 1
-            return out
-
-        for e in self.images:
-            self.images[e] = chain_rewrite(self.images[e])
-        self.dom_marking = [chain_rewrite(p) for p in self.dom_marking]
-        self.images[E] = chain_rewrite(new_image)
+        self.images[E] = words.apply_table(table, new_image)
         self.vertices.discard(v)
         self.vertex_image.pop(v, None)
 
@@ -857,7 +797,7 @@ def find_train_track(phi: Automorphism, max_iters: int = 10**4) -> Certificate:
             return FiniteOrderCertificate(order=k, graph_map=cert_map, trace=tuple(trace))
         cls = closed_class(M)
         if cls is not None:
-            rho = spectral_radius(M.rows)
+            rho, _ = pf_eigen(M)
             if is_forest(g, cls):
                 trace.append(
                     _round_line(rnd, g.num_edges, rho, pot, f"collapse_forest({sorted(cls)})")
@@ -872,7 +812,12 @@ def find_train_track(phi: Automorphism, max_iters: int = 10**4) -> Certificate:
             return ReductionCertificate(
                 subset=cls, graph_map=st.to_graph_map(), matrix=M, trace=tuple(trace)
             )
-        lam, ell = pf_eigen(M)
+        _, ell = pf_eigen(M)
+        # lambda is measured at the PF vector v as sum(M^T v) / sum(v), a
+        # weighted mean of the edge slopes (M^T v)_j / v_j, so it lies in
+        # growth_bracket's exact [lo, hi] at v up to the rounding of one sum.
+        v = np.array(ell)
+        lam = float((np.array(M.rows, dtype=float).T @ v).sum() / v.sum())
         # Folds never raise the stretch factor, but the valence-two slide of a
         # blocked vertex image is a homotopy onto a smaller graph and may; a
         # long run without any strict improvement means the moves are cycling.

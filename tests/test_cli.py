@@ -9,10 +9,12 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import outerspace
-from helpers import assert_bracketing_trace, distance
+from helpers import assert_bracketing_trace, distance, exceeds_spectral_radius
+from test_certificate_pins import CASES as PINNED_CASES, certificate as pinned_certificate
 from outerspace import lipschitz_metric
 from outerspace.cli import (
     EXIT_CAP,
@@ -27,6 +29,10 @@ from outerspace.graph_core import Graph
 from outerspace.marked_metric import Automorphism, Metric, act, graph_point, rose_point
 
 GOLDEN_SQ = (3 + math.sqrt(5)) / 2
+# Rank-4 map 39 of the fold-survey list at seed 3: a reduction whose
+# transition matrix has spectral radius exactly 1, and whose fold loop
+# chooses between two slides of spectral radius 1.
+R4_39 = "a->AbC; b->DA; c->A; d->Ac"
 
 
 def run_cli(capsys, *argv):
@@ -108,6 +114,26 @@ class TestTraintrackCommand:
         bottom = [[rows[idx[r]][idx[c]] for c in ("c", "d")] for r in ("c", "d")]
         assert top == [[1, 1], [1, 2]]
         assert bottom == [[1, 1], [1, 2]]
+
+    def test_reducible_lambda_is_the_spectral_radius(self, capsys):
+        code, report = run_json(capsys, "traintrack", "--map", R4_39)
+        assert code == EXIT_OK
+        assert report["status"] == "reducible"
+        lam, tol = Fraction(report["lambda"]), Fraction(1, 10**9)
+        assert exceeds_spectral_radius(report["matrix"], lam + tol)
+        assert not exceeds_spectral_radius(report["matrix"], lam - tol)
+
+    def test_runs_without_eigvals(self, capsys, monkeypatch):
+        # pf_eigen's one eig call is the library's only eigen-solve.
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg.eigvals called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        for name in PINNED_CASES:
+            pinned_certificate(name)
+        code, report = run_json(capsys, "traintrack", "--map", R4_39)
+        assert code == EXIT_OK
+        assert report["status"] == "reducible"
 
     def test_parse_error_exit(self, capsys):
         code, out, err = run_cli(capsys, "traintrack", "--map", "a->ab; b-> q!")
