@@ -11,8 +11,8 @@ of every rank have one codec, ``words.format_word`` and ``words.parse_word``
 writes point files and the edge names and edge words of reports.
 
 Exit codes: 0 success, 2 unparsable input or a flag argparse refuses (a
-missing one, or ``--max-iters`` below 1), 3 an iteration cap was reached,
-4 marking or stretch integrity failure.
+missing one, or ``--max-iters`` below 1), 3 the fold loop reached its
+iteration cap or stalled, 4 marking, stretch or fold-loop integrity failure.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .marked_metric import (
 )
 from .train_track_algo import (
     FiniteOrderCertificate,
+    InvalidMapError,
     NonTerminationCertificate,
     ReductionCertificate,
     TrainTrackCertificate,
@@ -464,7 +465,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_PARSE
     try:
         return args.run(args)
-    except (MarkingError, StretchIntegrityError, GameSolveError, GraphError, PathError) as exc:
+    except (MarkingError, StretchIntegrityError, GameSolveError, GraphError, PathError,
+            InvalidMapError) as exc:
         sys.stderr.write(f"integrity error: {exc}\n")
         return EXIT_INTEGRITY
     except (CliInputError, AutomorphismParseError, NotBasisError, ValueError) as exc:

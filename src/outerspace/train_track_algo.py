@@ -17,6 +17,9 @@ eigen-solve, ``pf_eigen``.  Each move updates the inverse marking exactly
 from scratch.  No start map is built and a round builds no ``GraphMap``:
 only a returned certificate's map is built, with every point and marking
 check, so a bad round shows up at the end rather than where it happened.
+A state that represents no automorphism raises ``InvalidMapError`` out of
+``find_train_track``; a finite order is computed once, on homology, by
+``finite_order_check``.
 """
 
 from __future__ import annotations
@@ -55,10 +58,6 @@ _STALL_CAP = 25
 # Relative improvement of the stretch factor that resets the stall count.
 REL_TOL = 1e-9
 _ORDER_LENGTH_CAP = 20_000
-
-
-class RankCollapseError(RuntimeError):
-    """A fold would identify parallel edges and lower the first Betti number."""
 
 
 class InvalidMapError(RuntimeError):
@@ -166,35 +165,6 @@ def _first_illegal_image_turn(st: _MapState, s: TrainTrackStructure) -> Optional
             if not s.is_legal_turn(t):
                 return t
     return None
-
-
-def finite_order_check(m: GraphMap) -> Optional[int]:
-    """Smallest k with the k-th power the identity permutation of directions,
-    None when the single-edge images are not a permutation."""
-    g = m.domain.graph
-    pi = {}
-    for e in g.edge_ids:
-        p = m.edge_image[e].edges
-        if len(p) != 1:
-            raise ValueError("finite-order check needs single-edge images")
-        pi[e], pi[-e] = p[0], -p[0]
-    if sorted(pi.values(), key=direction_key) != sorted(pi, key=direction_key):
-        return None  # not a permutation, so no power is the identity
-    order = 1
-    seen = set()
-    for d in pi:
-        if d in seen:
-            continue
-        length = 0
-        cur = d
-        while True:
-            cur = pi[cur]
-            length += 1
-            seen.add(cur)
-            if cur == d:
-                break
-        order = order * length // math.gcd(order, length)
-    return order
 
 
 # -- mutable surgery state -----------------------------------------------------
@@ -312,9 +282,8 @@ class _MapState:
 
     def _merge_vertex(self, drop: int, keep: int, c: Word) -> None:
         """Merge vertex drop into keep; c is the word of a path from keep to
-        drop, which edges at drop absorb so every loop keeps its word."""
-        if drop == keep:
-            return
+        drop, which edges at drop absorb so every loop keeps its word.
+        Callers pass two distinct vertices, and drop is not the basepoint."""
         c_inv = words.invert_word(c)
         for e, (u, v) in self.endpoints.items():
             if u == drop or v == drop:
@@ -329,8 +298,6 @@ class _MapState:
             v: (keep if w == drop else w) for v, w in self.vertex_image.items() if v != drop
         }
         self.vertices.discard(drop)
-        if self.basepoint == drop:  # callers keep the basepoint; defensive
-            self.basepoint = keep
 
     # -- surgery moves -----------------------------------------------------
 
@@ -362,10 +329,8 @@ class _MapState:
 
     def identify(self, keep_d: int, drop_d: int) -> None:
         """Identify two directions at one vertex whose whole images agree;
-        `fold` has checked that they end at distinct vertices and that
-        drop_d does not end at the basepoint."""
-        if self.image_of(keep_d) != self.image_of(drop_d):
-            raise InvalidMapError("cannot identify directions with different images")
+        `fold` has subdivided them equal and checked that they end at
+        distinct vertices and that drop_d does not end at the basepoint."""
         w_keep, w_drop = self.term(keep_d), self.term(drop_d)
         e_drop = abs(drop_d)
         rep = (keep_d,) if drop_d > 0 else (-keep_d,)
@@ -378,8 +343,6 @@ class _MapState:
         """Contract a forest of edges (images of survivors lose those letters)."""
         for e in sorted(edge_set):
             u, v = self.endpoints[e]
-            if u == v:
-                raise InvalidMapError("cannot collapse a loop edge")
             keep, drop, d = u, v, e
             if v == self.basepoint or (u != self.basepoint and v < u):
                 keep, drop, d = v, u, -e
@@ -389,27 +352,22 @@ class _MapState:
             self._merge_vertex(drop, keep, c)
 
     def trim_hairs(self) -> None:
-        """Retract valence<=1 vertices other than the basepoint."""
+        """Retract valence-1 vertices other than the basepoint; a move never
+        leaves a vertex with no edges."""
         while True:
             valence = {v: 0 for v in self.vertices}
             for u, v in self.endpoints.values():
                 valence[u] += 1
                 valence[v] += 1
             leaves = [
-                v for v in sorted(self.vertices) if v != self.basepoint and valence[v] <= 1
+                v for v in sorted(self.vertices) if v != self.basepoint and valence[v] == 1
             ]
             if not leaves:
-                if valence.get(self.basepoint, 0) == 1 and len(self.vertices) > 1:
+                if valence[self.basepoint] == 1 and len(self.vertices) > 1:
                     self._rebase_off_hair()
                     continue
                 return
             v = leaves[0]
-            if valence[v] == 0:
-                if v in self.vertex_image.values():
-                    raise InvalidMapError("isolated vertex is an image target")
-                self.vertices.discard(v)
-                self.vertex_image.pop(v, None)
-                continue
             e = next(e for e, (a, b) in self.endpoints.items() if v in (a, b))
             a, b = self.endpoints[e]
             other = b if a == v else a
@@ -463,9 +421,8 @@ class _MapState:
                     dirs.append(-e)
             if len(dirs) != 2:
                 continue
+            # Two distinct edges: a connected graph of rank >= 2 has no isolated circle.
             c1, c2 = sorted(dirs, key=direction_key)
-            if abs(c1) == abs(c2):
-                continue  # isolated circle, nothing to merge into
             if v in self.vertex_image.values():
                 trials = []
                 for idx, along in enumerate((c1, c2)):
@@ -554,11 +511,10 @@ def fold(st: _MapState, t: Tuple[int, int]) -> None:
     A, B = st.image_of(d1), st.image_of(d2)
     if abs(d1) == abs(d2):
         # Loop edge folded onto itself: reducedness forces the shared prefix
-        # and the mirrored suffix to be disjoint thirds, so cut twice.
+        # and the mirrored suffix to be disjoint thirds, so cut twice.  Equal
+        # derivatives force a reduced image of 3 or more letters, so L >= 1.
         k = len(A)
         L = min(_common_prefix_len(A, B), (k - 1) // 2)
-        if L < 1:
-            raise InvalidMapError("self-fold with no usable shared prefix")
         parts = st.subdivide(abs(d1), [L, k - L])
         f1, f2 = parts[0], -parts[2]
     else:
@@ -578,7 +534,7 @@ def fold(st: _MapState, t: Tuple[int, int]) -> None:
         else:
             f2 = d2
     if st.term(f1) == st.term(f2):
-        raise RankCollapseError(
+        raise InvalidMapError(
             "folding these directions would identify parallel edges and drop the rank"
         )
     if st.term(f2) == st.basepoint:
@@ -667,8 +623,12 @@ def _abelianization(phi: Automorphism) -> List[List[int]]:
     return mat
 
 
-def _homology_order(phi: Automorphism) -> Optional[int]:
-    """Order of the abelianization A if it is finite, else None.
+def finite_order_check(phi: Automorphism) -> Optional[int]:
+    """Order of the abelianization A of phi if it is finite, else None.
+
+    It is the library's one order computation: when phi has finite order in
+    Out(F_n), that order is A's (Baumslag and Taylor, 1968), so both the
+    word-level pre-check and the fold loop's graph automorphisms read it here.
 
     The kernel of GL(n, Z) -> GL(n, Z/3) is torsion-free (Minkowski), so if
     A has finite order, the first k with A^k = I mod 3 is that order.  A
@@ -705,14 +665,12 @@ def _word_level_order(phi: Automorphism, length_cap: int) -> Optional[int]:
     """Order of phi in Out(F_n) when it is finite and its powers up to that
     order stay within length_cap letters in total, else None.
 
-    The kernel of Out(F_n) -> GL(n, Z/3) is torsion-free (Baumslag and
-    Taylor, 1968), so a finite order of phi in Out(F_n) is exactly the order
-    d of its abelianization A.  A map of infinite order on homology is
-    rejected from the integer powers of A alone (see _homology_order) and
-    composes no words.  Otherwise words are composed only up to phi^d, with
-    the length cap checked before each composition, and only phi^d is tested.
+    The order d of phi's abelianization (finite_order_check) is the only
+    candidate, so a map of infinite order on homology composes no words.
+    Otherwise words are composed only up to phi^d, with the length cap
+    checked before each composition, and only phi^d is tested.
     """
-    d = _homology_order(phi)
+    d = finite_order_check(phi)
     if d is None:
         return None
     acc = phi.images
@@ -760,9 +718,10 @@ def find_train_track(phi: Automorphism, max_iters: int = 10**4) -> Certificate:
     candidate (Baumslag–Taylor), so maps of infinite order on homology go
     straight to the fold loop, and otherwise one power of phi is tested.
     Only the total length of the composed words is capped.  In the loop, a
-    round whose edge images are single edges is a graph automorphism; its
-    order is certified before any reduction test, which catches a
-    finite-order map whose powers trip that length cap.
+    round whose edge images are single edges is a graph automorphism, of
+    the order of A again, certified before any reduction test; the loop
+    reaches one only when the pre-check's length cap trips.  A move that
+    leaves no automorphism raises InvalidMapError.
     """
     if phi.rank < 2:
         raise ValueError("rank must be at least 2")
@@ -775,26 +734,20 @@ def find_train_track(phi: Automorphism, max_iters: int = 10**4) -> Certificate:
     best_lam: Optional[float] = None
     stalled = 0
     for rnd in range(max_iters):
-        try:
-            normalize(st)
-        except (InvalidMapError, RankCollapseError) as exc:
-            trace.append(f"round={rnd} error={exc}")
-            return NonTerminationCertificate(reason=str(exc), trace=tuple(trace))
+        normalize(st)
         g = st.graph()
         M = _crossing_counts(g, st.images)
         deriv = {d: st.derivative(d) for d in g.directions()}
         s = gates_from_derivative(g, deriv)
         pot = _gate_potential(s, g)
-        # Single-edge images make the map a graph automorphism, of finite
-        # order whatever its cycles.  Its permutation matrix is reducible
-        # when it has several cycles, so this comes before the reduction test.
+        # Single-edge images make the map a graph automorphism, so phi has
+        # finite order, that of its abelianization (Baumslag–Taylor).  Its
+        # permutation matrix is reducible when it has several cycles, so this
+        # comes before the reduction test.
         if all(len(p) == 1 for p in st.images.values()):
-            cert_map = st.to_graph_map()
-            k = finite_order_check(cert_map)
-            if k is None:
-                raise InvalidMapError("single-edge images that are not a permutation")
+            k = finite_order_check(phi)
             trace.append(_round_line(rnd, g.num_edges, 1.0, pot, f"finite_order({k})"))
-            return FiniteOrderCertificate(order=k, graph_map=cert_map, trace=tuple(trace))
+            return FiniteOrderCertificate(order=k, graph_map=st.to_graph_map(), trace=tuple(trace))
         cls = closed_class(M)
         if cls is not None:
             rho, _ = pf_eigen(M)
@@ -805,9 +758,6 @@ def find_train_track(phi: Automorphism, max_iters: int = 10**4) -> Certificate:
                 st.collapse_edges(sorted(cls))
                 st.finish()
                 continue
-            for e in sorted(cls):  # integrity of the certificate
-                if any(abs(d) not in cls for d in st.images[e]):
-                    raise InvalidMapError("invariant class is not actually invariant")
             trace.append(_round_line(rnd, g.num_edges, rho, pot, f"reduction({sorted(cls)})"))
             return ReductionCertificate(
                 subset=cls, graph_map=st.to_graph_map(), matrix=M, trace=tuple(trace)
@@ -857,9 +807,5 @@ def find_train_track(phi: Automorphism, max_iters: int = 10**4) -> Certificate:
             )
         t = _descend_to_one_step(deriv, *bad)
         trace.append(_round_line(rnd, g.num_edges, lam, pot, f"fold({t[0]},{t[1]})"))
-        try:
-            fold(st, t)
-        except (InvalidMapError, RankCollapseError) as exc:
-            trace.append(f"round={rnd} error={exc}")
-            return NonTerminationCertificate(reason=str(exc), trace=tuple(trace))
+        fold(st, t)
     return NonTerminationCertificate(reason="iteration cap reached", trace=tuple(trace))

@@ -830,6 +830,34 @@ class TestClassify:
             assert result.order == order
             assert result.certificate.status == "finite_order"
 
+    @pytest.mark.parametrize("steps", [3, 6, 10, 20, 40])
+    def test_rank_two_matches_the_closed_form(self, steps):
+        # Out(F2) -> GL(2, Z) is an isomorphism (Nielsen), so the trace t and
+        # determinant d of the abelianization A decide the class.  For d = -1,
+        # A has finite order (2) iff t = 0, else it is hyperbolic.  For d = 1,
+        # A = I, -I or |t| < 2 has finite order, |t| > 2 is hyperbolic, and
+        # the rest are powers of a Dehn twist up to -I, so parabolic.  The
+        # finite orders are those of A; lambda is its spectral radius.
+        orders = {(2, 1): 1, (-2, 1): 2, (0, -1): 2, (0, 1): 4, (1, 1): 6, (-1, 1): 3}
+        rng = random.Random(steps)
+        for _ in range(100):
+            phi = random_automorphism(2, steps, rng)
+            (a, b), (c, d) = [[sum((x > 0) - (x < 0) for x in w if abs(x) == i) for w in phi.images]
+                              for i in (1, 2)]
+            t, det = a + d, a * d - b * c
+            plus_minus_identity = b == c == 0 and a == d
+            finite = t == 0 if det == -1 else plus_minus_identity or abs(t) < 2
+            result = classify(phi)
+            if finite:
+                assert isinstance(result, Elliptic), phi
+                assert result.order == orders[t, det]
+            elif det == -1 or abs(t) > 2:
+                assert isinstance(result, Hyperbolic), phi
+                assert result.lam == pytest.approx((abs(t) + math.sqrt(t * t - 4 * det)) / 2,
+                                                   rel=1e-9)
+            else:
+                assert isinstance(result, ParabolicSuspect), phi
+
     def test_expanding_input(self):
         result = classify(EXPANDING)
         assert isinstance(result, Hyperbolic)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import cycle_permutation, skip_order_precheck, state_of, unchecked
 from test_certificate_pins import CASES as PINNED_CASES, certificate as pinned_certificate
-from outerspace import train_track_algo, words
+from outerspace import cli, train_track_algo, words
 from outerspace.graph_core import EdgePath, Graph, is_forest
 from outerspace.marked_metric import (
     Automorphism,
@@ -22,12 +22,12 @@ from outerspace.marked_metric import (
     rose_point,
 )
 from outerspace.graph_map import GraphMap, gates_iterated, is_legal, self_map_from_automorphism
+from outerspace.lipschitz_metric import classify
 from outerspace.train_track_algo import (
     _ORDER_LENGTH_CAP,
     FiniteOrderCertificate,
     InvalidMapError,
     NonTerminationCertificate,
-    RankCollapseError,
     ReductionCertificate,
     TrainTrackCertificate,
     TransitionMatrix,
@@ -40,7 +40,6 @@ from outerspace.train_track_algo import (
     pf_eigen,
     transition_matrix,
     _abelianization,
-    _homology_order,
     _word_level_order,
 )
 
@@ -287,6 +286,14 @@ def trace_capped_order(phi: Automorphism, cap: int):
     return None
 
 
+def power_images(phi: Automorphism, k: int) -> tuple:
+    """Images of phi^k, k >= 1, by words.compose."""
+    acc = phi.images
+    for _ in range(k - 1):
+        acc = words.compose(phi.images, acc)
+    return acc
+
+
 def conjugate(phi: Automorphism, psi: Automorphism) -> Automorphism:
     """psi phi psi^-1, of the same order as phi."""
     psi_inv = words.invert_images(psi.images)
@@ -372,7 +379,7 @@ class TestWordLevelOrder:
         # A = [[1, 1], [0, 1]] has trace 2 = rank but is not I, so it has
         # infinite order: no power is computed.
         products = self.count_products(monkeypatch)
-        assert _homology_order(Automorphism.from_text("a -> ab; b -> b")) is None
+        assert finite_order_check(Automorphism.from_text("a -> ab; b -> b")) is None
         assert products == []
 
     @pytest.mark.parametrize("rank", range(2, 9))
@@ -398,12 +405,12 @@ class TestWordLevelOrder:
         products = self.count_products(monkeypatch)
         for phi in maps:
             products.clear()
-            k = _homology_order(phi)
+            k = finite_order_check(phi)
             assert k == trace_capped_order(phi, ORACLE_CAP)
             # Order k takes k - 1 products; each map of infinite order here
             # is rejected within 11.
             assert len(products) <= (k - 1 if k else 11)
-        assert _homology_order(perm) == (2 * rank if rank % 2 else rank)
+        assert finite_order_check(perm) == (2 * rank if rank % 2 else rank)
         assert trace_capped_order(twisted, ORACLE_CAP) is None
 
     @pytest.mark.parametrize("rank", [2, 3, 4, 5])
@@ -430,7 +437,7 @@ class TestWordLevelOrder:
         phi = conjugate(signed_permutation(cycles), random_automorphism(
             sum(n for n, _ in cycles), rng.choice((3, 8, 20)), rng))
         k = LARGE_ORDERS[cycles]
-        assert _homology_order(phi) == trace_capped_order(phi, ORACLE_CAP) == k > 60
+        assert finite_order_check(phi) == trace_capped_order(phi, ORACLE_CAP) == k > 60
         assert _word_level_order(phi, _ORDER_LENGTH_CAP) == k
 
 
@@ -454,20 +461,37 @@ class TestIsTrainTrack:
 
 class TestFiniteOrderCheck:
     def test_generator_swap_has_order_two(self):
-        m = rose_self_map("a -> b; b -> a")
-        assert finite_order_check(m) == 2
+        assert finite_order_check(Automorphism.from_text("a -> b; b -> a")) == 2
 
     def test_cyclic_with_reversals_has_order_six(self):
-        assert finite_order_check(rose_self_map(PERMUTED)) == 6
+        assert finite_order_check(Automorphism.from_text(PERMUTED)) == 6
 
-    def test_non_permutation_has_no_order(self):
-        x = rose_point(2)
-        m = unchecked(GraphMap, x, x, {0: 0}, {1: EdgePath((1,)), 2: EdgePath((1,))})
-        assert finite_order_check(m) is None
-
-    def test_multi_edge_images_rejected(self):
-        with pytest.raises(ValueError):
-            finite_order_check(rose_self_map(EXPANDING))
+    @pytest.mark.parametrize("rank", range(2, 9))
+    def test_in_loop_order_is_the_order_in_out(self, rank, monkeypatch):
+        # Conjugated signed permutations, folded with the pre-check off: the
+        # order of every graph automorphism the loop certifies is checked
+        # against word powers, phi^k inner and phi^(k/p) not, for each prime
+        # p dividing k.
+        skip_order_precheck(monkeypatch)
+        rng = random.Random(300 + rank)
+        found = 0
+        for _ in range(12):
+            cycles, left = [], rank
+            while left:
+                n = rng.randint(1, left)
+                cycles.append((n, rng.random() < 0.5))
+                left -= n
+            phi = conjugate(signed_permutation(cycles), random_automorphism(rank, 4, rng))
+            cert = find_train_track(phi)
+            if not isinstance(cert, FiniteOrderCertificate):
+                continue
+            found += 1
+            k = cert.order
+            assert words.is_conjugate_identity(power_images(phi, k))
+            primes = [p for p in range(2, k + 1) if k % p == 0 and all(p % q for q in range(2, p))]
+            for p in primes:
+                assert not words.is_conjugate_identity(power_images(phi, k // p))
+        assert found
 
 
 # -- fold ---------------------------------------------------------------------
@@ -520,7 +544,7 @@ class TestFold:
             GraphMap, pt, pt, {0: 0, 1: 1},
             {1: EdgePath((1,)), 2: EdgePath((2,)), 3: EdgePath((2,))},
         )
-        with pytest.raises(RankCollapseError):
+        with pytest.raises(InvalidMapError, match="parallel edges"):
             fold(state_of(bad), (2, 3))
 
     def test_fold_preserves_marking_compatibility(self):
@@ -573,8 +597,7 @@ class TestNormalize:
 
 # Full fold-loop traces, one per move kind, as the loop wrote them before its
 # trace lines went through one formatter: (map, whether the word-level order
-# pre-check is skipped, trace).  No known input makes fold fail, so the error
-# case stubs fold.
+# pre-check is skipped, trace).
 PINNED_TRACES = {
     "finite_order_precheck": (
         "a->B; b->C; c->A", False,
@@ -640,13 +663,6 @@ PINNED_TRACES = {
             "round=26 edges=3 lambda=1.46557123188 potential=- move=stalled",
         ),
     ),
-    "error": (
-        "a->AbA; b->bA", False,
-        (
-            "round=0 edges=2 lambda=2.61803398875 potential=1 move=fold(-1,-2)",
-            "round=0 error=fold refused",
-        ),
-    ),
 }
 
 
@@ -675,15 +691,27 @@ class TestFindTrainTrack:
     @pytest.mark.parametrize("kind", sorted(PINNED_TRACES))
     def test_trace_lines_pinned(self, kind, monkeypatch):
         text, skip_precheck, expected = PINNED_TRACES[kind]
-        if kind == "error":
-            def refuse(m, t):
-                raise RankCollapseError("fold refused")
-
-            monkeypatch.setattr(train_track_algo, "fold", refuse)
         if skip_precheck:
             skip_order_precheck(monkeypatch)
         cert = find_train_track(Automorphism.from_text(text))
         assert cert.trace == expected
+
+    def test_fold_fault_propagates(self, monkeypatch, capsys):
+        # A fault inside the fold loop is a bug, not non-termination: it
+        # leaves find_train_track and classify as InvalidMapError, and the
+        # CLI reports it as an integrity failure (exit 4).
+        def refuse(st, t):
+            raise InvalidMapError("fold refused")
+
+        monkeypatch.setattr(train_track_algo, "fold", refuse)
+        text = "a->AbA; b->bA"
+        with pytest.raises(InvalidMapError, match="fold refused"):
+            find_train_track(Automorphism.from_text(text))
+        with pytest.raises(InvalidMapError, match="fold refused"):
+            classify(Automorphism.from_text(text))
+        for command in ("traintrack", "classify"):
+            assert cli.main([command, "--map", text]) == cli.EXIT_INTEGRITY == 4
+            assert capsys.readouterr().err == "integrity error: fold refused\n"
 
     @pytest.mark.parametrize("rank", [3, 4, 5])
     def test_train_tracks_have_two_gates_at_every_vertex(self, rank):
@@ -742,10 +770,7 @@ class TestFindTrainTrack:
         cert = find_train_track(phi)
         assert isinstance(cert, FiniteOrderCertificate)
         assert cert.order == 6
-        acc = phi.images
-        for _ in range(5):
-            acc = words.compose(phi.images, acc)
-        assert words.is_conjugate_identity(acc)
+        assert words.is_conjugate_identity(power_images(phi, 6))
 
     def test_reducible_map(self):
         cert = find_train_track(Automorphism.from_text(REDUCIBLE))
