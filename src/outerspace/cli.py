@@ -56,7 +56,6 @@ from .train_track_algo import (
     ReductionCertificate,
     TrainTrackCertificate,
     find_train_track,
-    pf_eigen,
 )
 
 EXIT_OK = 0
@@ -226,7 +225,7 @@ def _traintrack_report(cert) -> Tuple[Dict[str, object], int]:
             "subgraph": sorted(words.format_word((e,)) for e in cert.subset),
             "matrix": [list(r) for r in cert.matrix.rows],
             "edge_order": [words.format_word((e,)) for e in cert.matrix.edge_ids],
-            "lambda": _f12(pf_eigen(cert.matrix)[0]),
+            "lambda": _f12(cert.rho),
             "metric": _metric_json(cert.graph_map.domain.metric),
             "edge_images": _edge_images_json(cert.graph_map),
             "trace": list(cert.trace),

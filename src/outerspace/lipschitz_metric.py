@@ -36,10 +36,10 @@ from .train_track_algo import (
     FiniteOrderCertificate,
     ReductionCertificate,
     TrainTrackCertificate,
-    closed_class,
     find_train_track,
     _crossing_counts,
     growth_bracket,
+    invariant_chain,
     pf_eigen,
     transition_matrix,
 )
@@ -542,12 +542,6 @@ def classify(phi: Automorphism) -> Classification:
         rep = min_displacement_on_simplex(g, m.edge_image, floor=_CLASSIFY_FLOOR)
         return Hyperbolic(cert.lam, cert, loop=loop, bracket=(lo, hi), simplex=rep)
     if isinstance(cert, ReductionCertificate):
-        chain: List[FrozenSet[int]] = [cert.subset]
-        while True:
-            sub = closed_class(cert.matrix.submatrix(chain[-1]))
-            if sub is None or not sub < chain[-1]:
-                break
-            chain.append(sub)
         m = cert.graph_map
         sweep = []
         start = None
@@ -555,7 +549,5 @@ def classify(phi: Automorphism) -> Classification:
             rep = min_displacement_on_simplex(m.domain.graph, m.edge_image, floor, start=start)
             sweep.append((rep.floor, rep.lam, rep.boundary_flag))
             start = rep
-        return ParabolicSuspect(
-            invariant_chain=tuple(chain), sweep=tuple(sweep), certificate=cert
-        )
+        return ParabolicSuspect(invariant_chain(cert.matrix), tuple(sweep), certificate=cert)
     return Inconclusive(reason=cert.reason, certificate=cert)

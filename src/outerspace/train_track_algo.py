@@ -11,15 +11,16 @@ rewrite it in place.  Every move that replaces edges by paths, the merge of
 the two edges at a valence-two vertex included, does it in one
 substitute-and-reduce pass over the edge images and marking loops that cross
 a replaced edge; every path is reduced when a move starts, so no other path
-can cancel.  Every spectral radius and PF vector comes from one dense
-eigen-solve, ``pf_eigen``.  Each move updates the inverse marking exactly
-(a Stallings fold has an exact effect on it), so nothing is ever inverted
-from scratch.  No start map is built and a round builds no ``GraphMap``:
-only a returned certificate's map is built, with every point and marking
-check, so a bad round shows up at the end rather than where it happened.
-A state that represents no automorphism raises ``InvalidMapError`` out of
-``find_train_track``; a finite order is computed once, on homology, by
-``finite_order_check``.
+can cancel.  A transition matrix's strata come from one pass,
+``TransitionMatrix.closures``, and every spectral radius (over the strata)
+and PF vector from one dense eigen-solve, ``pf_eigen``.  Each move updates
+the inverse marking exactly (a Stallings fold has an exact effect on it), so
+nothing is ever inverted from scratch.  No start map is built and a round
+builds no ``GraphMap``: only a returned certificate's map is built, with
+every point and marking check, so a bad round shows up at the end rather
+than where it happened.  A state that represents no automorphism raises
+``InvalidMapError`` out of ``find_train_track``; a finite order is computed
+once, on homology, by ``finite_order_check``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import ClassVar, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -75,14 +77,23 @@ class TransitionMatrix:
     rows: Tuple[Tuple[int, ...], ...]
     graph: Graph
 
-    def index(self, e: int) -> int:
-        return self.edge_ids.index(e)
-
-    def submatrix(self, subset) -> "TransitionMatrix":
-        ids = tuple(sorted(subset))
-        pos = [self.index(e) for e in ids]
-        rows = tuple(tuple(self.rows[i][j] for j in pos) for i in pos)
-        return TransitionMatrix(ids, rows, self.graph)
+    @cached_property
+    def closures(self) -> Tuple[FrozenSet[int], ...]:
+        """The closure of each edge, in edge order, under the arcs j -> i
+        where the image of edge j crosses edge i, by Warshall's algorithm on
+        bitmasks: the library's one strata pass.  Two edges share a closure
+        iff they lie in one strong component, a stratum (a diagonal block of
+        the Frobenius normal form); a closure is a stratum and those below."""
+        ids, n = self.edge_ids, len(self.edge_ids)
+        reach = [sum(1 << i for i, x in enumerate(col) if x) | 1 << j
+                 for j, col in enumerate(zip(*self.rows))]
+        for k in range(n):  # bit i of reach[j]: edge j reaches edge i
+            for j in range(n):
+                if reach[j] >> k & 1:
+                    reach[j] |= reach[k]
+        if reach.count((1 << n) - 1) == n:  # irreducible: one closure, built once
+            return (frozenset(ids),) * n
+        return tuple(frozenset(e for i, e in enumerate(ids) if r >> i & 1) for r in reach)
 
 
 def transition_matrix(m: GraphMap) -> TransitionMatrix:
@@ -96,31 +107,30 @@ def _crossing_counts(g: Graph, images: Mapping[int, Sequence[int]]) -> Transitio
     return TransitionMatrix(ids, tuple(zip(*columns)), g)
 
 
-def closed_class(M: TransitionMatrix) -> Optional[FrozenSet[int]]:
-    """A proper invariant edge class (images of class edges stay in the class).
+def invariant_chain(M: TransitionMatrix) -> Tuple[FrozenSet[int], ...]:
+    """M's nested invariant edge classes: each is the preferred closure inside
+    the one before, the lexicographically least proper one that is not a
+    forest, else the least proper one.  Empty iff M is irreducible."""
+    proper = sorted(set(M.closures) - {frozenset(M.edge_ids)}, key=lambda s: tuple(sorted(s)))
+    chain = []
+    while proper:
+        chain.append(next((s for s in proper if not is_forest(M.graph, s)), proper[0]))
+        proper = [s for s in proper if s < chain[-1]]
+    return tuple(chain)
 
-    Preference order: lexicographically least proper class that is not a
-    forest, else the least proper class; absent iff the matrix is irreducible.
-    """
-    n = len(M.edge_ids)
-    # arcs j -> i; an invariant class is closed under reachability, and the
-    # closure of one edge is that of its whole strong component.
-    succ = [[i for i in range(n) if M.rows[i][j] > 0] for j in range(n)]
-    closures = set()
-    for v in range(n):
-        seen = {v}
-        stack = [v]
-        while stack:
-            for k in succ[stack.pop()]:
-                if k not in seen:
-                    seen.add(k)
-                    stack.append(k)
-        if len(seen) < n:
-            closures.add(frozenset(M.edge_ids[i] for i in seen))
-    if not closures:
-        return None
-    ordered = sorted(closures, key=lambda s: tuple(sorted(s)))
-    return next((s for s in ordered if not is_forest(M.graph, s)), ordered[0])
+
+def closed_class(M: TransitionMatrix) -> Optional[FrozenSet[int]]:
+    """The first class of invariant_chain(M), or None iff M is irreducible."""
+    return next(iter(invariant_chain(M)), None)
+
+
+def spectral_radius(M: TransitionMatrix) -> float:
+    """rho(M), the largest PF eigenvalue over M's strata, each simple in its
+    block: pf_eigen of M with every arc j -> i between two strata (j not in
+    the closure of i) set to 0, so an irreducible M reaches it unchanged."""
+    rows = tuple(tuple(x if e in cl else 0 for e, x in zip(M.edge_ids, r))
+                 for cl, r in zip(M.closures, M.rows))
+    return pf_eigen(TransitionMatrix(M.edge_ids, rows, M.graph))[0]
 
 
 def pf_eigen(M: TransitionMatrix) -> Tuple[float, Tuple[float, ...]]:
@@ -132,8 +142,8 @@ def pf_eigen(M: TransitionMatrix) -> Tuple[float, Tuple[float, ...]]:
     special case.  It has a nonnegative eigenvector, positive and unique up
     to scale when the matrix is irreducible; when its eigenspace has more
     than one dimension the solver may return a mixed-sign vector, whose
-    absolute values need not be an eigenvector.  Zero columns (edges with a
-    point image) are allowed.
+    absolute values need not be an eigenvector.  A reducible matrix's rho is
+    read on its strata, by spectral_radius.  Zero columns are allowed.
     """
     A = np.array(M.rows, dtype=float)
     if A.size == 0:
@@ -429,7 +439,7 @@ class _MapState:
                     trial = self.copy()
                     trial._slide_images_off(v, along)
                     trial._merge_valence_two(v, c1, c2)
-                    rho, _ = pf_eigen(_crossing_counts(trial.graph(), trial.images))
+                    rho = spectral_radius(_crossing_counts(trial.graph(), trial.images))
                     trials.append((rho, idx, trial))
                 self.__dict__.update(min(trials)[2].__dict__)
             else:
@@ -582,6 +592,7 @@ class ReductionCertificate:
     subset: FrozenSet[int]
     graph_map: GraphMap
     matrix: TransitionMatrix
+    rho: float  # spectral_radius(matrix)
     trace: Tuple[str, ...]
     status: ClassVar[str] = "reducible"
 
@@ -750,18 +761,16 @@ def find_train_track(phi: Automorphism, max_iters: int = 10**4) -> Certificate:
             return FiniteOrderCertificate(order=k, graph_map=st.to_graph_map(), trace=tuple(trace))
         cls = closed_class(M)
         if cls is not None:
-            rho, _ = pf_eigen(M)
-            if is_forest(g, cls):
-                trace.append(
-                    _round_line(rnd, g.num_edges, rho, pot, f"collapse_forest({sorted(cls)})")
+            rho = spectral_radius(M)
+            move = "collapse_forest" if is_forest(g, cls) else "reduction"
+            trace.append(_round_line(rnd, g.num_edges, rho, pot, f"{move}({sorted(cls)})"))
+            if move == "reduction":
+                return ReductionCertificate(
+                    subset=cls, graph_map=st.to_graph_map(), matrix=M, rho=rho, trace=tuple(trace)
                 )
-                st.collapse_edges(sorted(cls))
-                st.finish()
-                continue
-            trace.append(_round_line(rnd, g.num_edges, rho, pot, f"reduction({sorted(cls)})"))
-            return ReductionCertificate(
-                subset=cls, graph_map=st.to_graph_map(), matrix=M, trace=tuple(trace)
-            )
+            st.collapse_edges(sorted(cls))
+            st.finish()
+            continue
         _, ell = pf_eigen(M)
         # lambda is measured at the PF vector v as sum(M^T v) / sum(v), a
         # weighted mean of the edge slopes (M^T v)_j / v_j, so it lies in

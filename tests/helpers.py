@@ -1,6 +1,8 @@
 """Shared test utilities: small-graph enumeration, loop-ratio oracles, the
-bracketing check of a displacement minimizer's trace, and ways to build what
-the library's constructors and pre-checks would refuse or settle early.
+bracketing check of a displacement minimizer's trace, the exact spectral
+radius test, a transition matrix's diagonal blocks and the reference
+invariant chain, and ways to build what the library's constructors and
+pre-checks would refuse or settle early.
 
 These are deliberately independent of the library's candidate machinery so
 they can serve as oracles for it: the loop enumeration below is a plain
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 from outerspace import train_track_algo, words
-from outerspace.graph_core import EdgePath, Graph, direction_key
+from outerspace.graph_core import EdgePath, Graph, direction_key, is_forest
 from outerspace.graph_map import GraphMap, difference_of_markings
 from outerspace.lipschitz_metric import sigma
 from outerspace.marked_metric import Automorphism, MarkingError, Metric, OuterSpacePoint
@@ -298,3 +300,54 @@ def exceeds_spectral_radius(rows: Sequence[Sequence[int]], t: Fraction) -> bool:
                 for j in range(k, n):
                     A[i][j] -= f * A[k][j]
     return True
+
+
+def diagonal_blocks(M: train_track_algo.TransitionMatrix) -> Dict[Tuple[int, ...], tuple]:
+    """Each stratum of M, the edges that share one closure, with its
+    diagonal block of M."""
+    strata: Dict[frozenset, List[int]] = {}
+    for e, closure in zip(M.edge_ids, M.closures):
+        strata.setdefault(closure, []).append(e)
+    return {tuple(s): submatrix(M, s).rows for s in strata.values()}
+
+
+def submatrix(M: train_track_algo.TransitionMatrix, subset) -> train_track_algo.TransitionMatrix:
+    """The rows and columns of M that belong to the edges of subset."""
+    ids = tuple(sorted(subset))
+    pos = [M.edge_ids.index(e) for e in ids]
+    rows = tuple(tuple(M.rows[i][j] for j in pos) for i in pos)
+    return train_track_algo.TransitionMatrix(ids, rows, M.graph)
+
+
+def reference_closed_class(M: train_track_algo.TransitionMatrix):
+    """The preferred proper invariant class, by a reachability closure from
+    every edge: the lexicographically least proper closure that is not a
+    forest, else the least proper one; None iff M is irreducible."""
+    n = len(M.edge_ids)
+    succ = [[i for i in range(n) if M.rows[i][j] > 0] for j in range(n)]
+    closures = set()
+    for v in range(n):
+        seen = {v}
+        stack = [v]
+        while stack:
+            for k in succ[stack.pop()]:
+                if k not in seen:
+                    seen.add(k)
+                    stack.append(k)
+        if len(seen) < n:
+            closures.add(frozenset(M.edge_ids[i] for i in seen))
+    if not closures:
+        return None
+    ordered = sorted(closures, key=lambda s: tuple(sorted(s)))
+    return next((s for s in ordered if not is_forest(M.graph, s)), ordered[0])
+
+
+def reference_invariant_chain(M: train_track_algo.TransitionMatrix) -> tuple:
+    """The nested invariant classes of M: the preferred class of M, then that
+    of its submatrix on the class, and so on down to an irreducible one."""
+    chain = []
+    sub = reference_closed_class(M)
+    while sub is not None:
+        chain.append(sub)
+        sub = reference_closed_class(submatrix(M, sub))
+    return tuple(chain)

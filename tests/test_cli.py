@@ -123,8 +123,22 @@ class TestTraintrackCommand:
         assert exceeds_spectral_radius(report["matrix"], lam + tol)
         assert not exceeds_spectral_radius(report["matrix"], lam - tol)
 
+    @pytest.mark.parametrize("text, lam", [
+        ("a->D; b->bD; c->f; d->A; e->EbD; f->ce", 1.0),  # a repeated eigenvalue 1
+        ("a->ab; b->bab; c->cad; d->dcad", 2.61803398875),  # two golden blocks
+    ])
+    def test_reducible_lambda_is_solved_on_the_strata(self, capsys, text, lam):
+        # A whole-matrix eig read 1.00004327159 and 2.61803401132 here.
+        code, report = run_json(capsys, "traintrack", "--map", text)
+        assert code == EXIT_OK
+        assert report["status"] == "reducible"
+        assert report["lambda"] == lam
+        assert f" lambda={lam:.12g} " in report["trace"][-1]
+
     def test_runs_without_eigvals(self, capsys, monkeypatch):
-        # pf_eigen's one eig call is the library's only eigen-solve.
+        # pf_eigen's eig call is the library's only eigen-solve: the fold
+        # loop reads every spectral radius through it, over the strata, and
+        # the report reads the reduction certificate's rho.
         def refuse(*args, **kwargs):
             raise AssertionError("numpy.linalg.eigvals called")
 

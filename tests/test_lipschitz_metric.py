@@ -19,6 +19,7 @@ from helpers import (
     cycle_permutation,
     distance,
     exceeds_spectral_radius,
+    reference_invariant_chain,
     unchecked,
     with_metric,
 )
@@ -57,6 +58,7 @@ from outerspace.marked_metric import (
     rose_point,
 )
 from outerspace.train_track_algo import (
+    ReductionCertificate,
     TrainTrackCertificate,
     find_train_track,
     pf_eigen,
@@ -1008,6 +1010,23 @@ class TestClassify:
         lams = [lam for _, lam, _ in result.sweep]
         assert [floor for floor, _, _ in result.sweep] == [10.0**-k for k in range(2, 7)]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(lams, lams[1:]))
+
+    @pytest.mark.parametrize("rank", [3, 4, 5])
+    def test_invariant_chain_matches_the_reference(self, rank):
+        # Every parabolic_suspect among 40 draws of random_automorphism(rank,
+        # 12, Random(rank)): the chain read from the certificate matrix's
+        # closures is the reference's, which takes closures per edge on ever
+        # smaller submatrices.
+        rng = random.Random(rank)
+        suspects = 0
+        for _ in range(40):
+            phi = random_automorphism(rank, 12, rng)
+            if isinstance(find_train_track(phi), ReductionCertificate):
+                result = classify(phi)
+                assert isinstance(result, ParabolicSuspect)
+                assert result.invariant_chain == reference_invariant_chain(result.certificate.matrix)
+                suspects += 1
+        assert suspects > 0
 
     def test_reducible_exponential_input(self):
         result = classify(RANK4_REDUCIBLE)
