@@ -8,9 +8,9 @@ stabilize immediately; maps whose infimum lives at the simplex boundary show
 a strictly decreasing stretch with the boundary flag pinned on.  The floors
 are the powers 10**-k down to 10**-MIN_FLOOR_EXP that lie below 1/rank, the
 largest floor the minimizer admits, so a rank-10 ladder starts at 1e-2.  The
-first floor starts at the map's Perron–Frobenius lengths; each later floor starts
-from the previous floor's report: at its minimizer, so the stretch never
-rises, and with its constraint rows, so they are built once.
+whole ladder is one minimization: the first floor starts at the map's
+Perron–Frobenius lengths, and each later floor at the previous floor's
+minimizer, so the stretch never rises.
 
 Example:
     python3 scripts/displacement_sweep.py --map "a->ab; b->bab; c->cad; d->dcad"
@@ -47,15 +47,10 @@ def main(argv=None) -> int:
     print(f"map: {args.map}   (rank {phi.rank})")
     print(f"{'floor':>10}  {'lambda':>18}  {'log lambda':>12}  boundary")
     prev = None
-    start = None
-    for floor in floors:
-        # The previous floor's minimizer is admissible for this smaller floor,
-        # and its report carries the map's rows and last LP basis.
-        rep = min_displacement_on_simplex(m.domain.graph, m.edge_image, floor, start=start)
-        start = rep
+    for rep in min_displacement_on_simplex(m.domain.graph, m.edge_image, floors):
         drift = "" if prev is None else f"  (drop {prev - rep.lam:+.3e})"
         print(
-            f"{floor:>10.0e}  {rep.lam:>18.12f}  {math.log(rep.lam):>12.8f}  "
+            f"{rep.floor:>10.0e}  {rep.lam:>18.12f}  {math.log(rep.lam):>12.8f}  "
             f"{str(rep.boundary_flag):<5}{drift}"
         )
         prev = rep.lam

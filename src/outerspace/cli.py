@@ -396,7 +396,7 @@ def cmd_candidates(args: argparse.Namespace) -> int:
 def cmd_minimize(args: argparse.Namespace) -> int:
     phi = Automorphism.from_text(args.map)
     m = self_map_from_automorphism(rose_point(phi.rank), phi)
-    rep = min_displacement_on_simplex(m.domain.graph, m.edge_image, args.floor)
+    (rep,) = min_displacement_on_simplex(m.domain.graph, m.edge_image, (args.floor,))
     _emit(_simplex_json(rep), args.text)
     return EXIT_OK
 

@@ -14,9 +14,9 @@ program: a legal loop and an exact bracket of its growth rate certify it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, FrozenSet, List, Mapping, Optional, Tuple, Union
+from typing import ClassVar, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -113,17 +113,6 @@ def sigma(x: OuterSpacePoint, y: OuterSpacePoint, m: GraphMap) -> DistanceReport
 # -- displacement minimization over a floored simplex -----------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class _RowSet:
-    """The constraint rows of a self-map as float arrays, with the map they
-    belong to: B holds the image counts and C the loop counts."""
-
-    graph: Graph
-    edge_image: Mapping[int, EdgePath]
-    B: np.ndarray
-    C: np.ndarray
-
-
 @dataclass(frozen=True)
 class SimplexMinReport:
     metric: Metric
@@ -132,9 +121,6 @@ class SimplexMinReport:
     floor: float
     trace: Tuple[Tuple[float, float], ...]  # (lower, upper) after each LP step
     pinned: Tuple[int, ...]  # edges of `metric` at the floor
-    # What a later minimization of the same map reuses when it starts here.
-    rows: _RowSet = field(compare=False, repr=False)
-    basis: Optional[np.ndarray] = field(compare=False, repr=False)  # of the last LP
 
     @property
     def boundary_flag(self) -> bool:
@@ -348,13 +334,11 @@ _GAP = 1e-12  # relative gap between the bounds at which the minimum is settled
 
 
 def min_displacement_on_simplex(
-    g: Graph,
-    edge_image: Mapping[int, EdgePath],
-    floor: float,
-    start: Optional[SimplexMinReport] = None,
-) -> SimplexMinReport:
+    g: Graph, edge_image: Mapping[int, EdgePath], floors: Sequence[float]
+) -> List[SimplexMinReport]:
     """Minimize the maximal candidate stretch of a fixed topological self-map
-    over unit-volume metrics with every edge length at least the floor.
+    over unit-volume metrics with every edge length at least the floor, at
+    each floor of `floors` in turn; one report per floor, in order.
 
     The objective max_i B_i.l / C_i.l is a min-max linear fractional program,
     solved by the Dinkelbach-type method of Crouzeix, Ferland and Schaible
@@ -376,98 +360,92 @@ def min_displacement_on_simplex(
     when t >= 0 (l_k is optimal), when the two bounds meet, or when a step
     no longer lowers lam.
 
-    The iteration starts at l_0, the map's own Perron–Frobenius lengths
-    (`pf_eigen`), at which no candidate stretches by more than the spectral
-    radius rho of its transition matrix M: a loop's image crosses each edge
-    at most M times its own crossing counts, and M^T v = rho v.  `start` is
-    the report of an earlier minimization of the same map, as in a floor
-    sweep: its constraint rows and last LP basis are reused, so a sweep
-    builds its rows once, and l_0 is its minimizer, or that minimizer with
-    its pinned edges lifted to this floor (a zero length lifts to the floor)
-    when that stretches less.  Either start is scaled to unit volume and
-    lifted onto the floored simplex, where lengths at or below the floor go
-    to the floor, and the lam returned is at most lam_0.  A start at the minimizer,
-    such as a train track's PF lengths or the floor vertex that a -> a,
-    b -> ab's PF lengths (0, 1) lift to, is usually confirmed by the first
-    LP step; the minimizer for a larger floor saves the steps that
-    approach it.
+    The constraint rows are built once for all the floors.  The first floor
+    starts at l_0, the map's own Perron–Frobenius lengths (`pf_eigen`), at
+    which no candidate stretches by more than the spectral radius rho of its
+    transition matrix M: a loop's image crosses each edge at most M times its
+    own crossing counts, and M^T v = rho v.  Each later floor starts from the
+    previous floor's last LP basis and at its minimizer, or at that
+    minimizer with its pinned edges moved to this floor (a zero length lifts
+    to the floor) when that stretches less.  Either start is scaled to unit
+    volume and lifted onto the floored simplex, where lengths at or below the
+    floor go to the floor, and the lam returned is at most lam_0.  A start at
+    the minimizer, such as a train track's PF lengths or the floor vertex
+    that a -> a, b -> ab's PF lengths (0, 1) lift to, is usually confirmed by
+    the first LP step; the minimizer for a larger floor saves the steps that
+    approach it, and a smaller floor still admits it, so a decreasing ladder
+    of floors gives a lam that cannot rise (beyond rounding).
     """
     ids = g.edge_ids
     n = len(ids)
-    if not 0 < floor < 1 / n:
-        raise ValueError(f"floor must lie strictly between 0 and 1/{n}")
-    if start is None:
-        counts = _constraint_rows(g, edge_image)
-        if not counts:
-            raise StretchIntegrityError("self-map stretches no candidate loop")
-        rows = _RowSet(
-            g,
-            edge_image,
-            np.array([r[0] for r in counts], dtype=float),
-            np.array([r[1] for r in counts], dtype=float),
-        )
-        basis, pinned = None, ()
-        M = _crossing_counts(g, {e: p.edges for e, p in edge_image.items()})
-        lengths = np.array(pf_eigen(M)[1])
-    else:
-        rows, basis, pinned = start.rows, start.basis, start.pinned
-        if rows.graph != g or rows.edge_image != edge_image:
-            raise ValueError("start report minimized another map")
-        lengths = np.array([float(start.metric.length(e)) for e in ids])
-    Bm, Cm = rows.B, rows.C
+    for floor in floors:
+        if not 0 < floor < 1 / n:
+            raise ValueError(f"floor must lie strictly between 0 and 1/{n}")
+    counts = _constraint_rows(g, edge_image)
+    if not counts:
+        raise StretchIntegrityError("self-map stretches no candidate loop")
+    Bm = np.array([r[0] for r in counts], dtype=float)
+    Cm = np.array([r[1] for r in counts], dtype=float)
     b_ub = np.zeros(len(Bm))
-    # Vertices of the floored simplex: one edge long, every other at the floor.
-    vertices = floor + (1.0 - n * floor) * np.eye(n)
 
     def max_ratio(ell: np.ndarray) -> float:
         return float(np.max((Bm @ ell) / (Cm @ ell)))
 
-    def mediant_bound(y: np.ndarray) -> float:
-        return float(np.min((vertices @ (y @ Bm)) / (vertices @ (y @ Cm))))
-
-    def lift(lengths: np.ndarray) -> np.ndarray:
+    def lift(lengths: np.ndarray, floor: float) -> np.ndarray:
         """The start on the floored simplex: its excess over the floor,
         scaled to the volume left above the floor."""
         excess = np.maximum(lengths / lengths.sum() - floor, 0.0)
         return floor + (1.0 - n * floor) * excess / excess.sum()
 
-    ell = lift(lengths)
-    lam = max_ratio(ell)
-    if pinned:
-        # The earlier minimizer with its pinned edges moved to this floor,
-        # where a floor-pinned minimum moves to; kept only if it stretches
-        # less.
-        lengths[[ids.index(e) for e in pinned]] = 0.0
-        moved = lift(lengths)
-        moved_lam = max_ratio(moved)
-        if moved_lam < lam:
-            ell, lam = moved, moved_lam
-    lower = min(lam, mediant_bound(np.ones(len(Bm))))
-    trace: List[Tuple[float, float]] = []
-    for _ in range(_MAX_STEPS):
-        scale = Cm @ ell
-        res = linprog((Bm - lam * Cm) / scale[:, None], b_ub=b_ub, floor=floor, basis=basis)
-        basis = res.basis
-        lower = max(lower, mediant_bound(res.y / scale))
-        step_lam = max_ratio(res.x)
-        improved = step_lam < lam
-        if improved:
-            ell, lam = res.x, step_lam
-        lower = min(lower, lam)  # only rounding can lift a true bound above lam
-        trace.append((lower, lam))
-        if res.fun >= 0 or lam - lower <= _GAP * lam or not improved:
-            break
-    tol = max(1e-7, 1e-3 * floor)
-    return SimplexMinReport(
-        metric=Metric({e: float(ell[i]) for i, e in enumerate(ids)}),
-        lam=lam,
-        lower=lower,
-        floor=floor,
-        trace=tuple(trace),
-        pinned=tuple(e for i, e in enumerate(ids) if ell[i] <= floor + tol),
-        rows=rows,
-        basis=basis,
-    )
+    M = _crossing_counts(g, {e: p.edges for e, p in edge_image.items()})
+    lengths = np.array(pf_eigen(M)[1])
+    basis, pinned = None, ()
+    reports = []
+    for floor in floors:
+        # Vertices of the floored simplex: one edge long, every other at the floor.
+        vertices = floor + (1.0 - n * floor) * np.eye(n)
+
+        def mediant_bound(y: np.ndarray) -> float:
+            return float(np.min((vertices @ (y @ Bm)) / (vertices @ (y @ Cm))))
+
+        ell = lift(lengths, floor)
+        lam = max_ratio(ell)
+        if pinned:
+            # The previous minimizer with its pinned edges moved to this
+            # floor, where a floor-pinned minimum moves to; kept only if it
+            # stretches less.
+            lengths[[ids.index(e) for e in pinned]] = 0.0
+            moved = lift(lengths, floor)
+            moved_lam = max_ratio(moved)
+            if moved_lam < lam:
+                ell, lam = moved, moved_lam
+        lower = min(lam, mediant_bound(np.ones(len(Bm))))
+        trace: List[Tuple[float, float]] = []
+        for _ in range(_MAX_STEPS):
+            scale = Cm @ ell
+            res = linprog((Bm - lam * Cm) / scale[:, None], b_ub=b_ub, floor=floor, basis=basis)
+            basis = res.basis
+            lower = max(lower, mediant_bound(res.y / scale))
+            step_lam = max_ratio(res.x)
+            improved = step_lam < lam
+            if improved:
+                ell, lam = res.x, step_lam
+            lower = min(lower, lam)  # only rounding can lift a true bound above lam
+            trace.append((lower, lam))
+            if res.fun >= 0 or lam - lower <= _GAP * lam or not improved:
+                break
+        tol = max(1e-7, 1e-3 * floor)
+        pinned = tuple(e for i, e in enumerate(ids) if ell[i] <= floor + tol)
+        reports.append(SimplexMinReport(
+            metric=Metric({e: float(ell[i]) for i, e in enumerate(ids)}),
+            lam=lam,
+            lower=lower,
+            floor=floor,
+            trace=tuple(trace),
+            pinned=pinned,
+        ))
+        lengths = ell.copy()  # the next floor zeroes the pinned edges in place
+    return reports
 
 
 # -- trichotomy classifier ----------------------------------------------------------
@@ -521,12 +499,11 @@ def classify(phi: Automorphism) -> Classification:
     the displacement below by lambda >= lo everywhere.  No LP, floor or
     tolerance decides it; the floored minimization from the map's PF
     lengths, which are the certificate's metric, is evidence only.  Reduction certificate -> parabolic suspect, with the
-    invariant chain and a floor sweep showing the boundary-pinned minima;
-    the first floor starts at the map's PF lengths, and each later floor
-    from the previous floor's report: at its minimizer, so the sweep lambda
-    cannot rise (beyond rounding), and with its constraint rows and last LP
-    basis, so the sweep builds its rows once.  Anything else is
-    inconclusive.
+    invariant chain and a floor sweep showing the boundary-pinned minima,
+    one minimization over the ladder of floors: the first floor starts at
+    the map's PF lengths, and each later floor at the previous floor's
+    minimizer, so the sweep lambda cannot rise (beyond rounding).  Anything
+    else is inconclusive.
     """
     cert = find_train_track(phi)
     if isinstance(cert, FiniteOrderCertificate):
@@ -539,15 +516,11 @@ def classify(phi: Automorphism) -> Classification:
         if not lo > 1:
             reason = f"train track found but its growth bracket [{float(lo)!r}, {float(hi)!r}]"
             return Inconclusive(reason + " is not above 1", cert)
-        rep = min_displacement_on_simplex(g, m.edge_image, floor=_CLASSIFY_FLOOR)
+        (rep,) = min_displacement_on_simplex(g, m.edge_image, (_CLASSIFY_FLOOR,))
         return Hyperbolic(cert.lam, cert, loop=loop, bracket=(lo, hi), simplex=rep)
     if isinstance(cert, ReductionCertificate):
         m = cert.graph_map
-        sweep = []
-        start = None
-        for floor in _SWEEP_FLOORS:
-            rep = min_displacement_on_simplex(m.domain.graph, m.edge_image, floor, start=start)
-            sweep.append((rep.floor, rep.lam, rep.boundary_flag))
-            start = rep
-        return ParabolicSuspect(invariant_chain(cert.matrix), tuple(sweep), certificate=cert)
+        reports = min_displacement_on_simplex(m.domain.graph, m.edge_image, _SWEEP_FLOORS)
+        sweep = tuple((rep.floor, rep.lam, rep.boundary_flag) for rep in reports)
+        return ParabolicSuspect(invariant_chain(cert.matrix), sweep, certificate=cert)
     return Inconclusive(reason=cert.reason, certificate=cert)

@@ -506,20 +506,15 @@ def rose_graph(rank: int) -> Graph:
 
 
 def rose_point(rank: int, lengths: Optional[Sequence] = None) -> OuterSpacePoint:
-    """The rose with the identity marking; uniform metric by default."""
+    """The rose with the identity marking (graph_point's marking on the
+    rose); uniform metric by default."""
     if rank < 1:
         raise ValueError("rank must be at least 1")
     if lengths is None:
         metric = Metric({i: Fraction(1, rank) for i in range(1, rank + 1)})
     else:
         metric = Metric({i: v for i, v in enumerate(lengths, start=1)})
-    return OuterSpacePoint(
-        rose_graph(rank),
-        metric,
-        [EdgePath((i,)) for i in range(1, rank + 1)],
-        basepoint=0,
-        inverse_marking={i: (i,) for i in range(1, rank + 1)},
-    )
+    return graph_point(rose_graph(rank), metric)
 
 
 def graph_point(graph: Graph, metric: Metric) -> OuterSpacePoint:

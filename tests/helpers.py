@@ -1,8 +1,8 @@
-"""Shared test utilities: small-graph enumeration, loop-ratio oracles, the
-bracketing check of a displacement minimizer's trace, the exact spectral
-radius test, a transition matrix's diagonal blocks and the reference
-invariant chain, and ways to build what the library's constructors and
-pre-checks would refuse or settle early.
+"""Shared test utilities: small-graph enumeration, loop-ratio oracles, a
+one-floor call of the displacement minimizer and the bracketing check of its
+trace, the exact spectral radius test, a transition matrix's diagonal blocks
+and the reference invariant chain, and ways to build what the library's
+constructors and pre-checks would refuse or settle early.
 
 These are deliberately independent of the library's candidate machinery so
 they can serve as oracles for it: the loop enumeration below is a plain
@@ -22,7 +22,7 @@ import pytest
 from outerspace import train_track_algo, words
 from outerspace.graph_core import EdgePath, Graph, direction_key, is_forest
 from outerspace.graph_map import GraphMap, difference_of_markings
-from outerspace.lipschitz_metric import sigma
+from outerspace.lipschitz_metric import SimplexMinReport, min_displacement_on_simplex, sigma
 from outerspace.marked_metric import Automorphism, MarkingError, Metric, OuterSpacePoint
 
 
@@ -30,6 +30,13 @@ def distance(x: OuterSpacePoint, y: OuterSpacePoint) -> float:
     """The stretch distance log sigma(x, y) of the difference of markings;
     asymmetric."""
     return sigma(x, y, difference_of_markings(x, y)).log_sigma
+
+
+def minimize_at(g: Graph, edge_image, floor: float) -> SimplexMinReport:
+    """The displacement minimizer's report at one floor, started from the
+    map's PF lengths."""
+    (rep,) = min_displacement_on_simplex(g, edge_image, (floor,))
+    return rep
 
 
 def unchecked(cls, *args, **kwargs):

@@ -22,6 +22,7 @@ from helpers import (
     exact_max_ratio,
     identity_map_between,
     immersed_loop_vectors,
+    minimize_at,
     spanning_tree_point,
     with_metric,
 )
@@ -35,7 +36,6 @@ from outerspace.graph_map import (
 from outerspace.lipschitz_metric import (
     Hyperbolic,
     classify,
-    min_displacement_on_simplex,
     sigma,
 )
 from outerspace.marked_metric import (
@@ -120,7 +120,7 @@ def test_criterion_4_unrealized_infimum_trend():
     )
     start = time.perf_counter()
     reports = [
-        min_displacement_on_simplex(m.domain.graph, m.edge_image, floor)
+        minimize_at(m.domain.graph, m.edge_image, floor)
         for floor in (1e-2, 1e-3, 1e-4)
     ]
     elapsed = time.perf_counter() - start
@@ -136,7 +136,7 @@ def test_criterion_5_interior_minimum_matches_growth_rate():
     m = self_map_from_automorphism(
         rose_point(2), Automorphism.from_text(EXPANDING_TEXT)
     )
-    rep = min_displacement_on_simplex(m.domain.graph, m.edge_image, 1e-6)
+    rep = minimize_at(m.domain.graph, m.edge_image, 1e-6)
     assert abs(rep.lam - GOLDEN_SQ) <= 1e-6
     assert rep.boundary_flag is False
 

@@ -19,6 +19,7 @@ from helpers import (
     cycle_permutation,
     distance,
     exceeds_spectral_radius,
+    minimize_at,
     reference_invariant_chain,
     unchecked,
     with_metric,
@@ -613,7 +614,7 @@ class TestStepLP:
 class TestMinDisplacement:
     def test_interior_optimum(self):
         m = rose_self_map(EXPANDING)
-        rep = min_displacement_on_simplex(m.domain.graph, m.edge_image, 1e-6)
+        rep = minimize_at(m.domain.graph, m.edge_image, 1e-6)
         assert abs(rep.lam - GOLDEN_SQ) <= 1e-6
         assert rep.boundary_flag is False
         assert rep.floor == 1e-6
@@ -625,7 +626,7 @@ class TestMinDisplacement:
         # Petal b stretches by 1/b and wins, so the minimum sits at a = floor.
         m = rose_self_map(REDUCIBLE)
         for floor in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-            rep = min_displacement_on_simplex(m.domain.graph, m.edge_image, floor)
+            rep = minimize_at(m.domain.graph, m.edge_image, floor)
             exact = 1.0 / (1.0 - floor)
             assert rep.lam == pytest.approx(exact, rel=1e-12)
             assert rep.lower <= exact * (1 + 1e-12)
@@ -637,7 +638,7 @@ class TestMinDisplacement:
     def test_golden_rose_lp_calls(self, lp_calls):
         # A cold start is at the PF lengths, the minimizer; one LP confirms it.
         m = rose_self_map(EXPANDING)
-        rep = min_displacement_on_simplex(m.domain.graph, m.edge_image, 1e-6)
+        rep = minimize_at(m.domain.graph, m.edge_image, 1e-6)
         assert len(lp_calls) == len(rep.trace) == 1
         assert rep.lower == pytest.approx(GOLDEN_SQ, rel=1e-12)
         assert rep.lower <= rep.lam
@@ -648,7 +649,7 @@ class TestMinDisplacement:
         m = rose_self_map(REDUCIBLE)
         for floor in (1e-2, 1e-4, 1e-6):
             lp_calls.clear()
-            rep = min_displacement_on_simplex(m.domain.graph, m.edge_image, floor)
+            rep = minimize_at(m.domain.graph, m.edge_image, floor)
             assert len(lp_calls) == len(rep.trace) <= 2
             assert rep.lam == pytest.approx(1.0 / (1.0 - floor), rel=1e-12)
             assert rep.pinned == (1,)
@@ -661,7 +662,7 @@ class TestMinDisplacement:
         assert pf.min() >= 0 and pf.sum() == pytest.approx(1.0, abs=1e-12)
         for floor in (1e-2, 1e-4, 1e-6):
             assert pf.min() < floor  # zero, or a rounding of zero
-            rep = min_displacement_on_simplex(g, m.edge_image, floor)
+            rep = minimize_at(g, m.edge_image, floor)
             lengths = [rep.metric.length(e) for e in g.edge_ids]
             assert min(lengths) >= floor
             assert sum(lengths) == pytest.approx(1.0, abs=1e-12)
@@ -669,7 +670,7 @@ class TestMinDisplacement:
     def test_floored_family_is_monotone(self):
         m = rose_self_map(REDUCIBLE)
         lams = [
-            min_displacement_on_simplex(m.domain.graph, m.edge_image, f).lam
+            minimize_at(m.domain.graph, m.edge_image, f).lam
             for f in (1e-2, 1e-3, 1e-4)
         ]
         assert lams[0] > lams[1] > lams[2] >= 1.0
@@ -678,7 +679,7 @@ class TestMinDisplacement:
         m = rose_self_map(RANK4_REDUCIBLE)
         start = time.monotonic()
         reports = [
-            min_displacement_on_simplex(m.domain.graph, m.edge_image, 10.0**-k)
+            minimize_at(m.domain.graph, m.edge_image, 10.0**-k)
             for k in range(2, 7)
         ]
         elapsed = time.monotonic() - start
@@ -697,21 +698,21 @@ class TestMinDisplacement:
         # those digits stalls the iteration with the bounds apart.
         m = rose_self_map(phi)
         for k in range(2, 7):
-            rep = min_displacement_on_simplex(m.domain.graph, m.edge_image, 10.0**-k)
+            rep = minimize_at(m.domain.graph, m.edge_image, 10.0**-k)
             assert rep.lam - rep.lower <= 1e-9 * rep.lam
 
     def test_floor_domain_is_checked(self):
         m = rose_self_map(EXPANDING)
         for bad in (0.0, -0.1, 0.5, 0.7):
             with pytest.raises(ValueError):
-                min_displacement_on_simplex(m.domain.graph, m.edge_image, bad)
+                minimize_at(m.domain.graph, m.edge_image, bad)
 
     def test_minimum_not_below_growth_rate_of_unreduced_images(self):
         cert = find_train_track(UNREDUCED_IMAGES)
         assert isinstance(cert, TrainTrackCertificate)
         assert cert.lam == pytest.approx(UNREDUCED_IMAGES_LAM, abs=1e-5)
         m = cert.graph_map
-        rep = min_displacement_on_simplex(m.domain.graph, m.edge_image, 1e-6)
+        rep = minimize_at(m.domain.graph, m.edge_image, 1e-6)
         assert rep.lam >= cert.lam * (1 - 1e-9)
 
     def test_train_track_minimum_not_below_growth_rate(self, lp_calls):
@@ -723,7 +724,7 @@ class TestMinDisplacement:
                 continue
             m = cert.graph_map
             lp_calls.clear()
-            rep = min_displacement_on_simplex(m.domain.graph, m.edge_image, 1e-6)
+            rep = minimize_at(m.domain.graph, m.edge_image, 1e-6)
             assert rep.lam >= cert.lam * (1 - 1e-9)
             assert rep.lower <= cert.lam * (1 + 1e-9)
             lengths = [rep.metric.length(e) for e in m.domain.graph.edge_ids]
@@ -736,7 +737,8 @@ class TestMinDisplacement:
 
     def test_warm_start_matches_cold_start(self):
         # Rank-3 train tracks and reductions run the classify sweep, each
-        # floor after the first starting from the previous floor's report.
+        # floor after the first starting from the previous floor's minimizer
+        # and last LP basis; a one-floor call starts at the PF lengths.
         rng = random.Random(5)
         kinds = {"train_track": 0, "reducible": 0}
         for _ in range(30):
@@ -745,63 +747,48 @@ class TestMinDisplacement:
                 continue
             kinds[cert.status] += 1
             m = cert.graph_map
-            start = None
-            for floor in (1e-2, 1e-3, 1e-4):
-                warm = min_displacement_on_simplex(
-                    m.domain.graph, m.edge_image, floor, start=start
-                )
-                cold = min_displacement_on_simplex(m.domain.graph, m.edge_image, floor)
+            floors = (1e-2, 1e-3, 1e-4)
+            ladder = min_displacement_on_simplex(m.domain.graph, m.edge_image, floors)
+            assert [warm.floor for warm in ladder] == list(floors)
+            for warm in ladder:
+                cold = minimize_at(m.domain.graph, m.edge_image, warm.floor)
                 assert warm.lower <= warm.lam and cold.lower <= cold.lam
                 # Each lam bounds the minimum from above and each lower from
-                # below.  A run may stop short of 1e-9 when an LP step no
-                # longer lowers lam (cold on draw 3, floor 1e-4: 3.6e-9 above
-                # warm, 3.9e-9 above the exact 1/(1 - floor)), so the two
-                # agree within 1e-9 or within the larger certified gap.
+                # below; the two runs agree within 1e-12 (1.2e-13 at most
+                # here: reduction draw 3, floor 1e-3).
                 assert warm.lam >= cold.lower and cold.lam >= warm.lower
-                gap = max(warm.lam - warm.lower, cold.lam - cold.lower)
-                assert abs(warm.lam - cold.lam) <= max(1e-9 * cold.lam, gap)
-                assert warm.lam <= cold.lam * (1 + 1e-9)
-                assert min(warm.metric.length(e) for e in m.domain.graph.edge_ids) >= floor
-                start = warm
+                assert abs(warm.lam - cold.lam) <= 1e-12 * cold.lam
+                assert min(warm.metric.length(e) for e in m.domain.graph.edge_ids) >= warm.floor
         assert kinds["train_track"] >= 5 and kinds["reducible"] >= 5
 
-    def test_start_report_reuses_its_rows(self, row_builds):
+    def test_ladder_builds_its_rows_once(self, row_builds):
         m = rose_self_map(RANK4_REDUCIBLE)
         g = m.domain.graph
-        rep = min_displacement_on_simplex(g, m.edge_image, 1e-2)
-        from_report = min_displacement_on_simplex(g, m.edge_image, 1e-3, start=rep)
-        cold = min_displacement_on_simplex(g, m.edge_image, 1e-3)
-        assert len(row_builds) == 2  # the first minimization and the cold one
-        assert from_report.lam == pytest.approx(cold.lam, rel=1e-12)
-        assert from_report.lower <= from_report.lam
+        ladder = min_displacement_on_simplex(g, m.edge_image, (1e-2, 1e-3, 1e-4))
+        assert len(row_builds) == 1
+        cold = minimize_at(g, m.edge_image, 1e-3)
+        assert ladder[1].lam == pytest.approx(cold.lam, rel=1e-12)
+        assert all(rep.lower <= rep.lam for rep in ladder)
 
     def test_sweep_starts_pinned_edges_at_the_new_floor(self, lp_calls):
         # The minimizer of a -> a, b -> ab pins edge a to the floor.  Moved
         # to the next floor, it is that floor's minimizer, so from the
-        # second floor on one LP confirms each start.
+        # second floor on one LP confirms each start; the first floor's
+        # start, the PF lengths (0, 1), lifts to its minimizer.
         m = rose_self_map(REDUCIBLE)
-        rep = None
-        for floor in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-            lp_calls.clear()
-            rep = min_displacement_on_simplex(m.domain.graph, m.edge_image, floor, start=rep)
-            assert len(lp_calls) == len(rep.trace) == 1
+        floors = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+        ladder = min_displacement_on_simplex(m.domain.graph, m.edge_image, floors)
+        assert len(lp_calls) == len(floors)
+        for floor, rep in zip(floors, ladder):
+            assert rep.floor == floor
+            assert len(rep.trace) == 1
             assert rep.lam == pytest.approx(1.0 / (1.0 - floor), rel=1e-12)
             assert rep.pinned == (1,)
 
-    def test_start_report_of_another_map_is_rejected(self):
-        rank2 = rose_self_map(EXPANDING)
-        rank3 = rose_self_map(Automorphism.from_text(FLOOR_VERTEX_TRAIN_TRACKS[0]))
-        rep = min_displacement_on_simplex(rank2.domain.graph, rank2.edge_image, 1e-2)
-        with pytest.raises(ValueError, match="another map"):
-            min_displacement_on_simplex(rank3.domain.graph, rank3.edge_image, 1e-3, start=rep)
-        other = rose_self_map(REDUCIBLE)  # same graph, another map
-        with pytest.raises(ValueError, match="another map"):
-            min_displacement_on_simplex(other.domain.graph, other.edge_image, 1e-3, start=rep)
-
     def test_repeat_runs_agree(self):
         m = rose_self_map(RANK4_REDUCIBLE)
-        first = min_displacement_on_simplex(m.domain.graph, m.edge_image, 1e-4)
-        second = min_displacement_on_simplex(m.domain.graph, m.edge_image, 1e-4)
+        first = minimize_at(m.domain.graph, m.edge_image, 1e-4)
+        second = minimize_at(m.domain.graph, m.edge_image, 1e-4)
         assert first == second
 
 

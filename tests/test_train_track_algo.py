@@ -243,7 +243,7 @@ class TestPerronFrobenius:
         # seed 4, whose slide trial weighs two states of rho exactly 1.  rho
         # over the strata is within 1e-9 of the exact value, decided by the
         # M-matrix test, and on an irreducible matrix it is pf_eigen's, bit
-        # for bit.
+        # for bit, which is also what the strata mask (a no-op there) gives.
         built = {}
         crossing_counts = train_track_algo._crossing_counts
 
@@ -268,6 +268,10 @@ class TestPerronFrobenius:
             if closed_class(M) is None:
                 irreducible += 1
                 assert rho == pf_eigen(M)[0]
+                masked = tuple(tuple(x if e in cl else 0 for e, x in zip(M.edge_ids, r))
+                               for cl, r in zip(M.closures, M.rows))
+                assert masked == M.rows
+                assert rho == pf_eigen(TransitionMatrix(M.edge_ids, masked, M.graph))[0]
         assert 0 < irreducible < len(built)
 
     def test_lambda_lies_in_the_bracket_of_its_own_vector(self):
