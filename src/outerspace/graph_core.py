@@ -30,7 +30,7 @@ class Graph:
     surgery may be disconnected.  Marked points enforce connectivity themselves.
     """
 
-    __slots__ = ("_vertices", "_endpoints", "_init", "_term", "_dirs", "_hash", "_connected")
+    __slots__ = ("_vertices", "_endpoints", "_init", "_term", "_dirs", "_hash", "_components")
 
     def __init__(self, vertices: Iterable[int], endpoints: Dict[int, Tuple[int, int]]):
         self._vertices = tuple(sorted(set(vertices)))
@@ -46,15 +46,17 @@ class Graph:
         self._endpoints = eps
         self._init: Dict[int, int] = {}  # direction -> initial vertex
         self._term: Dict[int, int] = {}  # direction -> terminal vertex
+        # Edges come in increasing id and +e before -e, so each vertex's
+        # directions are appended in direction_key order.
         dirs: Dict[int, list] = {v: [] for v in self._vertices}
         for e, (u, v) in eps.items():
             self._init[e] = self._term[-e] = u
             self._term[e] = self._init[-e] = v
             dirs[u].append(e)
             dirs[v].append(-e)
-        self._dirs = {v: tuple(sorted(ds, key=direction_key)) for v, ds in dirs.items()}
+        self._dirs = {v: tuple(ds) for v, ds in dirs.items()}
         self._hash = hash((self._vertices, tuple(sorted(eps.items()))))
-        self._connected: Optional[bool] = None
+        self._components: Optional[int] = None
 
     @property
     def vertices(self) -> Tuple[int, ...]:
@@ -79,7 +81,8 @@ class Graph:
         return self._term[d]
 
     def directions_at(self, v: int) -> Tuple[int, ...]:
-        """Directions based at v; a loop edge contributes both +e and -e."""
+        """Directions based at v in direction_key order; a loop edge
+        contributes both +e and -e."""
         return self._dirs[v]
 
     def directions(self) -> Tuple[int, ...]:
@@ -95,13 +98,15 @@ class Graph:
         return all(len(ds) >= 2 for ds in self._dirs.values())
 
     def is_connected(self) -> bool:
-        if self._connected is None:  # a Graph never changes: count once
-            self._connected = _component_count(self._vertices, self._endpoints.values()) <= 1
-        return self._connected
+        return self._count_components() <= 1
 
     def first_betti(self) -> int:
-        comps = _component_count(self._vertices, self._endpoints.values())
-        return len(self._endpoints) - len(self._vertices) + comps
+        return len(self._endpoints) - len(self._vertices) + self._count_components()
+
+    def _count_components(self) -> int:
+        if self._components is None:  # a Graph never changes: count once
+            self._components = _component_count(self._vertices, self._endpoints.values())
+        return self._components
 
     def __eq__(self, other) -> bool:
         return (

@@ -62,7 +62,7 @@ class GraphMap:
         self.vertex_image = dict(vertex_image)
         h = codomain.graph
         self.edge_image = {e: tighten(h, p) for e, p in edge_image.items()}
-        self.direction_image = direction_images(self.edge_image)
+        self.direction_image = words.letter_table({e: p.edges for e, p in self.edge_image.items()})
         self.is_self_map = domain.graph == codomain.graph
         self._validate()
 
@@ -96,10 +96,8 @@ class GraphMap:
         tightened image, so the conjugator, and when none exists the
         MarkingError, are those of mapping each loop and tightening it.
         """
-        t = {}
-        for e, p in self.edge_image.items():
-            t[e] = self.codomain.inverse_marking_word(p.edges)
-            t[-e] = words.invert_word(t[e])
+        word_of = self.codomain.inverse_marking_word
+        t = words.letter_table({e: word_of(p.edges) for e, p in self.edge_image.items()})
         vs = [words.apply_table(t, p.edges) for p in self.domain.marking]
         g = words.common_conjugator(vs)
         if g is None:
@@ -124,15 +122,6 @@ class GraphMap:
     def __repr__(self) -> str:
         ims = {e: p.edges for e, p in sorted(self.edge_image.items())}
         return f"GraphMap(self_map={self.is_self_map}, images={ims})"
-
-
-def direction_images(edge_image: Mapping[int, EdgePath]) -> Dict[int, Tuple[int, ...]]:
-    """Image word of every direction: +e reads e's image, -e its inverse."""
-    table = {}
-    for e, p in edge_image.items():
-        table[e] = p.edges
-        table[-e] = words.invert_word(p.edges)
-    return table
 
 
 # -- gates -------------------------------------------------------------------
@@ -255,10 +244,7 @@ def find_legal_loop(s: TrainTrackStructure) -> EdgePath:
         v = graph.term(walk[-1])
         incoming_gate = s.gate_of(-walk[-1])
         # v has a second gate, so some direction at v leaves legally.
-        nxt = next(
-            d for d in sorted(graph.directions_at(v), key=direction_key)
-            if s.gate_of(d) != incoming_gate
-        )
+        nxt = next(d for d in graph.directions_at(v) if s.gate_of(d) != incoming_gate)
         if nxt in seen:
             return EdgePath(tuple(walk[seen[nxt]:]), closed=True)
         seen[nxt] = len(walk)

@@ -30,7 +30,7 @@ from .marked_metric import (
     candidates,
     _candidate_words,
 )
-from .graph_map import GraphMap, direction_images, find_legal_loop
+from .graph_map import GraphMap, find_legal_loop
 from .train_track_algo import (
     Certificate,
     FiniteOrderCertificate,
@@ -133,7 +133,7 @@ def _constraint_rows(
     """Deduplicated (image-count, count) rows over all candidate loops; their
     maximal ratio is the stretch of the map at every metric."""
     ids = g.edge_ids
-    table = direction_images(edge_image)
+    table = words.letter_table({e: p.edges for e, p in edge_image.items()})
     rows = []
     seen = set()
     for c in _candidate_words(g):

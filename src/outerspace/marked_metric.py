@@ -312,11 +312,8 @@ class OuterSpacePoint:
         """
         table = self._marking_table
         if table is None:
-            table = {}
-            for k, p in enumerate(self.marking, start=1):
-                table[k] = p.edges
-                table[-k] = words.invert_word(p.edges)
-            self._marking_table = table
+            loops = {k: p.edges for k, p in enumerate(self.marking, start=1)}
+            table = self._marking_table = words.letter_table(loops)
         return tuple(chain.from_iterable(map(table.__getitem__, w)))
 
     def inverse_marking(self) -> Dict[int, Word]:
@@ -326,9 +323,7 @@ class OuterSpacePoint:
         """Word in the generators carried by an edge sequence."""
         table = self._inverse_table
         if table is None:
-            table = self.inverse_marking()
-            table.update([(-e, words.invert_word(w)) for e, w in table.items()])
-            self._inverse_table = table
+            table = self._inverse_table = words.letter_table(self._inverse_marking)
         # Table words are reduced, so only their junctions can cancel.
         return words.apply_table(table, edges)
 

@@ -11,11 +11,13 @@ rewrite it in place.  Every move that replaces edges by paths, the merge of
 the two edges at a valence-two vertex included, does it in one
 substitute-and-reduce pass over the edge images and marking loops that cross
 a replaced edge; every path is reduced when a move starts, so no other path
-can cancel.  A transition matrix's strata come from one pass,
-``TransitionMatrix.closures``, and every spectral radius (over the strata)
-and PF vector from one dense eigen-solve, ``pf_eigen``.  Each move updates
-the inverse marking exactly (a Stallings fold has an exact effect on it), so
-nothing is ever inverted from scratch.  No start map is built and a round
+can cancel.  The pass reads a ``words.letter_table`` that lists every edge
+of the graph, so a path that crosses an edge outside it raises.  A
+transition matrix's strata come from one pass, ``TransitionMatrix.closures``,
+and every spectral radius (over the strata) and PF vector from one dense
+eigen-solve, ``pf_eigen``.  Each move updates the inverse marking exactly
+(a Stallings fold has an exact effect on it), so nothing is ever inverted
+from scratch.  No start map is built and a round
 builds no ``GraphMap``: only a returned certificate's map is built, with
 every point and marking check, so a bad round shows up at the end rather
 than where it happened.  A state that represents no automorphism raises
@@ -183,20 +185,6 @@ def _first_illegal_image_turn(st: _MapState, s: TrainTrackStructure) -> Optional
 # -- mutable surgery state -----------------------------------------------------
 
 
-class _Substitution(dict):
-    """Letter table of an edge substitution for words.apply_table: sub[e]
-    for e, its inverse for -e, and every other letter for itself."""
-
-    def __init__(self, sub: Mapping[int, Sequence[int]]):
-        super().__init__()
-        for e, p in sub.items():
-            self[e] = tuple(p)
-            self[-e] = words.invert_word(p)
-
-    def __missing__(self, d: int) -> Word:
-        return (d,)
-
-
 class _MapState:
     """Graph, edge images, domain marking and its inverse, and metric under
     joint rewriting.
@@ -206,11 +194,12 @@ class _MapState:
     precomposed with `twist` (phi from the rose, with its inverse); a
     certificate's map builds it.  Every edge image and marking loop is
     reduced between moves.  `rewrite_all` is the one substitution: it
-    reduces what it rewrites in the same pass, and every move but the slide
-    goes through it, the merge at a valence-two vertex too.  A slide extends
-    images and reduces just those.  `inv` is the domain's inverse marking
-    (edge -> word in the generators), and every move updates it exactly, so
-    a certificate's domain and codomain are checked by substitution alone.
+    reduces what it rewrites in the same pass, its letter table lists every
+    edge of the graph, and every move but the slide goes through it, the
+    merge at a valence-two vertex too.  A slide extends images and reduces
+    just those.  `inv` is the domain's inverse marking (edge -> word in the
+    generators), and every move updates it exactly, so a certificate's
+    domain and codomain are checked by substitution alone.
     One state is rewritten for the whole run; the edge-keyed dicts stay in
     edge order, because a new edge always takes the largest id.
     """
@@ -272,12 +261,15 @@ class _MapState:
             raise DegenerateImageError(f"direction {d} has a point image")
         return img[0] if d > 0 else -img[-1]
 
-    def rewrite_all(self, sub: Mapping[int, Sequence[int]]) -> _Substitution:
+    def rewrite_all(self, sub: Mapping[int, Sequence[int]]) -> dict:
         """Substitute the reduced path sub[e] for each key edge e, and freely
         reduce, in one pass over each edge image and marking loop that
-        crosses a key; returns the letter table it used."""
-        table = _Substitution(sub)
-        keys = table.keys()
+        crosses a key; returns the letter table it used.  The table lists
+        every edge of the graph, each other edge standing for itself, so a
+        rewritten path that crosses an edge outside the graph raises
+        KeyError."""
+        table = words.letter_table({**{e: (e,) for e in self.endpoints}, **sub})
+        keys = {d for e in sub for d in (e, -e)}
         for e, p in self.images.items():
             if not keys.isdisjoint(p):
                 self.images[e] = words.apply_table(table, p)
@@ -473,8 +465,9 @@ class _MapState:
         self.vertices.discard(v)
         self.vertex_image.pop(v, None)
 
-    def to_graph_map(self) -> GraphMap:
-        """The state as a GraphMap, with every point and marking check.
+    def to_graph_map(self, g: Graph) -> GraphMap:
+        """The state as a GraphMap on its graph g, with every point and
+        marking check.
 
         The domain checks that `inv` inverts its marking up to one
         conjugation, which with rank(G) = n proves the marking a homotopy
@@ -482,7 +475,7 @@ class _MapState:
         marking is `inv` followed by the twist's inverse, a substitution.
         """
         domain = OuterSpacePoint(
-            self.graph(),
+            g,
             Metric(self.lengths),
             [EdgePath(tuple(p)) for p in self.dom_marking],
             self.basepoint,
@@ -744,7 +737,9 @@ def find_train_track(phi: Automorphism, max_iters: int = 10**4) -> Certificate:
     k = _word_level_order(phi, _ORDER_LENGTH_CAP)
     if k is not None:
         trace.append(_round_line(0, phi.rank, 1.0, 0, f"finite_order({k})"))
-        return FiniteOrderCertificate(order=k, graph_map=st.to_graph_map(), trace=tuple(trace))
+        return FiniteOrderCertificate(
+            order=k, graph_map=st.to_graph_map(st.graph()), trace=tuple(trace)
+        )
     best_lam: Optional[float] = None
     stalled = 0
     for rnd in range(max_iters):
@@ -761,7 +756,7 @@ def find_train_track(phi: Automorphism, max_iters: int = 10**4) -> Certificate:
         if all(len(p) == 1 for p in st.images.values()):
             k = finite_order_check(phi)
             trace.append(_round_line(rnd, g.num_edges, 1.0, pot, f"finite_order({k})"))
-            return FiniteOrderCertificate(order=k, graph_map=st.to_graph_map(), trace=tuple(trace))
+            return FiniteOrderCertificate(order=k, graph_map=st.to_graph_map(g), trace=tuple(trace))
         cls = closed_class(M)
         if cls is not None:
             rho = spectral_radius(M)
@@ -769,7 +764,7 @@ def find_train_track(phi: Automorphism, max_iters: int = 10**4) -> Certificate:
             trace.append(_round_line(rnd, g.num_edges, rho, pot, f"{move}({sorted(cls)})"))
             if move == "reduction":
                 return ReductionCertificate(
-                    subset=cls, graph_map=st.to_graph_map(), matrix=M, rho=rho, trace=tuple(trace)
+                    subset=cls, graph_map=st.to_graph_map(g), matrix=M, rho=rho, trace=tuple(trace)
                 )
             st.collapse_edges(sorted(cls))
             st.finish()
@@ -809,7 +804,7 @@ def find_train_track(phi: Automorphism, max_iters: int = 10**4) -> Certificate:
             # least 3 times; one of those crossings is interior, so a legal
             # turn sits at each end of e.
             trace.append(_round_line(rnd, g.num_edges, lam, pot, "train_track"))
-            cert_map = st.to_graph_map()
+            cert_map = st.to_graph_map(g)
             return TrainTrackCertificate(
                 graph_map=cert_map,
                 structure=s,

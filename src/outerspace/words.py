@@ -6,7 +6,10 @@ downstream (markings, automorphisms, inverse markings) reduces to a handful
 of exact operations on these tuples, kept here free of any graph structure.
 An edge path is a word in the same sense, with signed edge ids as letters,
 so cyclic reduction of loops and of their images uses the functions here;
-graph_core.tighten reduces a path in the pass that checks it.
+graph_core.tighten reduces a path in the pass that checks it.  Every
+substitution of words for letters (a composition, a marking, an inverse
+marking, a map's edge images, a fold move) reads one signed-letter table
+built by letter_table, which lists exactly the letters it substitutes.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import re
 from itertools import chain
 from operator import neg
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 Word = tuple  # tuple of nonzero ints
 
@@ -67,12 +70,14 @@ def letter_counts(letters: Sequence[int], w: Iterable[int]) -> tuple:
     return tuple(tally[k] for k in letters)
 
 
-def _letter_images(images: Sequence[Word]) -> dict:
-    """Reduced image of every signed letter, each image inverted once."""
+def letter_table(images: Mapping[int, Sequence[int]]) -> dict:
+    """The signed letter table of a substitution, for apply_table: images[k]
+    for each key k, and its inverse for -k.  Every other letter is missing,
+    so a word that uses one raises KeyError in apply_table."""
     table = {}
-    for k, img in enumerate(images, start=1):
-        table[k] = reduce_word(img)
-        table[-k] = invert_word(table[k])
+    for k, w in images.items():
+        table[k] = tuple(w)
+        table[-k] = invert_word(w)
     return table
 
 
@@ -109,7 +114,7 @@ def identity_images(rank: int) -> tuple:
 
 def compose(outer: Sequence[Word], inner: Sequence[Word]) -> tuple:
     """Images of the composite map w -> outer(inner(w))."""
-    table = _letter_images(outer)
+    table = letter_table({k: reduce_word(w) for k, w in enumerate(outer, start=1)})
     return tuple(apply_table(table, w) for w in inner)
 
 

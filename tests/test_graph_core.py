@@ -123,6 +123,14 @@ class TestGraphBasics:
         assert g.valence(0) == 3
         assert g.directions() == (1, -1, 2, -2, 3, -3)
 
+    def test_directions_at_follow_direction_key_from_any_edge_order(self):
+        # Edge ids given out of order, with a loop at each vertex.
+        g = Graph([1, 0], {5: (1, 0), 2: (0, 0), 4: (1, 1), 1: (0, 1)})
+        assert g.directions_at(0) == (1, 2, -2, -5)
+        assert g.directions_at(1) == (-1, 4, -4, 5)
+        for v in g.vertices:
+            assert list(g.directions_at(v)) == sorted(g.directions_at(v), key=direction_key)
+
     def test_equality_and_hash(self):
         g1 = theta()
         g2 = Graph((1, 0), {3: (0, 1), 1: (0, 1), 2: (0, 1)})
@@ -145,6 +153,14 @@ class TestGraphBasics:
         assert rose(3).first_betti() == 3
         assert theta().first_betti() == 2
         assert Graph([0, 1], {1: (0, 1)}).first_betti() == 0
+
+    def test_disconnected_graph_counts_each_component(self):
+        # A rose of rank 1, a rose of rank 2 and an isolated vertex.
+        for first in ("is_connected", "first_betti"):
+            g = Graph([0, 1, 2], {1: (0, 0), 2: (1, 1), 3: (1, 1)})
+            getattr(g, first)()  # the count is cached by whichever asks first
+            assert not g.is_connected()
+            assert g.first_betti() == 3 - 3 + 3
 
     def test_turns(self):
         assert turn(-2, 1) == (1, -2)

@@ -70,13 +70,13 @@ def rose_self_map(text: str) -> GraphMap:
 def folded(m: GraphMap, t) -> GraphMap:
     state = state_of(m)
     fold(state, t)
-    return state.to_graph_map()
+    return state.to_graph_map(state.graph())
 
 
 def normalized(m: GraphMap) -> GraphMap:
     state = state_of(m)
     normalize(state)
-    return state.to_graph_map()
+    return state.to_graph_map(state.graph())
 
 
 def on_rose(ids, rows) -> TransitionMatrix:
@@ -645,7 +645,8 @@ class TestNormalize:
         )
         # Off the rose the twist is read through the inverse markings; acting
         # by it on the domain gives back the codomain marking exactly.
-        same = state_of(m).to_graph_map()
+        state = state_of(m)
+        same = state.to_graph_map(state.graph())
         assert [p.edges for p in same.codomain.marking] == [(1, 2, 3), (2, 3, 1, 2, 3)]
         assert same.edge_image == m.edge_image
         n = normalized(m)
@@ -926,7 +927,7 @@ class TestOneState:
             def run(state, *args):
                 step(state, *args)
                 steps.append(step.__name__)
-                m = state.to_graph_map()
+                m = state.to_graph_map(state.graph())
                 assert m.domain.graph.first_betti() == rank
                 for p in list(state.images.values()) + state.dom_marking:
                     assert tuple(p) == words.reduce_word(p)
@@ -1045,7 +1046,8 @@ REDUCED_WORDS = st.lists(st.sampled_from(LETTERS), max_size=8).map(words.reduce_
 )
 @settings(max_examples=200, deadline=None)
 def test_rewrite_all_is_substitution_then_reduction(images, loops, sub):
-    state = train_track_algo._MapState(Automorphism.from_text(EXPANDING))
+    # Rank 4, so every drawn letter is an edge of the state's graph.
+    state = train_track_algo._MapState(Automorphism.from_text(RANK4_REDUCIBLE))
     state.images = dict(enumerate(images, start=1))
     state.dom_marking = list(loops)
 
@@ -1062,6 +1064,13 @@ def test_rewrite_all_is_substitution_then_reduction(images, loops, sub):
     state.rewrite_all(sub)
     assert ({e: tuple(p) for e, p in state.images.items()},
             [tuple(p) for p in state.dom_marking]) == want
+
+
+def test_rewrite_all_refuses_a_letter_outside_the_graph():
+    state = train_track_algo._MapState(Automorphism.from_text(EXPANDING))
+    state.images[1] = (1, 5)  # edge 5 is not in the rose
+    with pytest.raises(KeyError):
+        state.rewrite_all({1: (2,)})
 
 
 # -- the marking check on a certificate ---------------------------------------------
@@ -1085,14 +1094,14 @@ class TestMarkingCheck:
         find_train_track(Automorphism.from_text("a->CdbcaC; b->bc; c->dbc; d->aC"))
         st = states[-1]
         assert len(st.vertices) > 1
-        st.to_graph_map()
+        st.to_graph_map(st.graph())
         return st
 
     def test_corrupted_inverse_marking(self, state):
         e = abs(state.dom_marking[0][0])
         state.inv[e] = words.concat(state.inv[e], (1,))
         with pytest.raises(MarkingError):
-            state.to_graph_map()
+            state.to_graph_map(state.graph())
 
     def test_corrupted_edge_image(self, state):
         e = min(state.images)
@@ -1108,9 +1117,9 @@ class TestMarkingCheck:
         loop = words.concat(words.invert_word(paths[w]), state.dom_marking[0], paths[w])
         state.images[e] = words.concat(image, loop)
         with pytest.raises(MarkingError):
-            state.to_graph_map()
+            state.to_graph_map(state.graph())
 
     def test_corrupted_marking_loop(self, state):
         state.dom_marking[0] = words.concat(state.dom_marking[0], state.dom_marking[1])
         with pytest.raises(MarkingError):
-            state.to_graph_map()
+            state.to_graph_map(state.graph())

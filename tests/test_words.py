@@ -14,6 +14,7 @@ from outerspace.words import (
     invert_images,
     invert_word,
     is_conjugate_identity,
+    letter_table,
     parse_word,
     reduce_word,
 )
@@ -110,6 +111,23 @@ def test_substitute_and_compose_match_rescan_oracle(images, inner):
     for w in inner:
         assert compose(images, (w,))[0] == oracle(w)
     assert compose(images, inner) == tuple(oracle(w) for w in inner)
+
+
+def test_letter_table_lists_both_signs():
+    table = letter_table({1: [1, 2], 3: (), 4: (-2, 4)})
+    assert table == {1: (1, 2), -1: (-2, -1), 3: (), -3: (), 4: (-2, 4), -4: (-4, 2)}
+    assert all(type(w) is tuple for w in table.values())  # list input too
+    assert letter_table({}) == {}
+
+
+@given(st.dictionaries(st.integers(min_value=1, max_value=5), words_st, max_size=5))
+def test_letter_table_inverts_each_image(images):
+    table = letter_table(images)
+    assert set(table) == {d for k in images for d in (k, -k)}
+    for k, w in images.items():
+        assert table[k] == tuple(w)
+        assert table[-k] == invert_word(table[k])
+        assert concat(table[k], table[-k]) == ()
 
 
 def test_common_conjugator():
