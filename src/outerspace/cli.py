@@ -106,15 +106,24 @@ def point_to_json(x: OuterSpacePoint) -> Dict[str, object]:
     }
 
 
-def _parse_length(value) -> object:
+def _parse_length(value, key: str) -> object:
+    """A JSON number, or a string that Fraction reads; a boolean is refused."""
     if isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise CliInputError(f"invalid length {value!r}: {exc}") from exc
-    if isinstance(value, (int, float)):
-        return Fraction(value) if isinstance(value, int) else float(value)
-    raise CliInputError(f"invalid length {value!r}")
+            raise CliInputError(f"lengths entry of {key!r} is invalid: {value!r} ({exc})") from exc
+    if type(value) in (int, float):
+        return Fraction(value) if type(value) is int else value
+    raise CliInputError(f"lengths entry of {key!r} must be a number, got {value!r}")
+
+
+def _edge_key(key: str, field: str) -> int:
+    """An edge id spelled as point_to_json writes an object key: ASCII digits
+    with no sign, space, separator or leading zero."""
+    if not (key.isascii() and key.isdigit()) or key != str(int(key)):
+        raise CliInputError(f"{field} key must be a decimal edge id, got {key!r}")
+    return int(key)
 
 
 def _json_int(value, field: str) -> int:
@@ -135,7 +144,7 @@ def point_from_json(data: Mapping[str, object]) -> OuterSpacePoint:
             for rec in data["edges"]
         }
         graph = Graph(vertices, endpoints)
-        lengths = {int(e): _parse_length(v) for e, v in data["lengths"].items()}
+        lengths = {_edge_key(e, "lengths"): _parse_length(v, e) for e, v in data["lengths"].items()}
         marking_obj = data["marking"]
         loops = []
         for i in range(len(marking_obj)):
@@ -145,7 +154,8 @@ def point_from_json(data: Mapping[str, object]) -> OuterSpacePoint:
             loop = tuple(_json_int(d, f"marking entry of {key!r}") for d in marking_obj[key])
             loops.append(EdgePath(loop, closed=True))
         inverse = {
-            int(e): words.parse_word(w) for e, w in data["inverse_marking"].items()
+            _edge_key(e, "inverse_marking"): words.parse_word(w)
+            for e, w in data["inverse_marking"].items()
         }
         basepoint = _json_int(data.get("basepoint", min(vertices)), "basepoint")
     except CliInputError:

@@ -3,15 +3,16 @@
 A GraphMap sends vertices to vertices and edges to reduced edge paths and is
 required to commute with the markings up to free homotopy.  Stretch-factor
 and train-track computations only ever interrogate these combinatorial data
-together with the two metrics.  A train track structure partitions all the
-directions of a graph into gates, by the eventual coincidence of a self-map's
-derivative iterates; legality of paths and legal loops are read from it.
+together with the two metrics.  A train track structure labels the
+directions of a graph, two at a vertex sharing a gate iff their labels are
+equal; a self-map's gates are the labelling by a high iterate of its
+derivative.  Legality of paths and legal loops are read from the gates.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, FrozenSet, Mapping, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Hashable, List, Mapping, Sequence, Tuple, Union
 
 from . import words
 from .graph_core import (
@@ -47,7 +48,7 @@ class GraphMap:
     """
 
     __slots__ = (
-        "domain", "codomain", "vertex_image", "edge_image", "direction_image", "is_self_map",
+        "domain", "codomain", "vertex_image", "edge_image", "direction_image",
     )
 
     def __init__(
@@ -63,7 +64,6 @@ class GraphMap:
         h = codomain.graph
         self.edge_image = {e: tighten(h, p) for e, p in edge_image.items()}
         self.direction_image = words.letter_table({e: p.edges for e, p in self.edge_image.items()})
-        self.is_self_map = domain.graph == codomain.graph
         self._validate()
 
     def _validate(self) -> None:
@@ -110,107 +110,97 @@ class GraphMap:
         image = chain.from_iterable(map(self.direction_image.__getitem__, p.edges))
         return tighten(self.codomain.graph, EdgePath(tuple(image), p.closed))
 
-    def derivative(self, d: int) -> int:
-        image = self.direction_image[d]
-        if not image:
-            raise DegenerateImageError(f"direction {d} has a point image")
-        return image[0]
-
-    def derivative_map(self) -> Dict[int, int]:
-        return {d: self.derivative(d) for d in self.domain.graph.directions()}
-
     def __repr__(self) -> str:
         ims = {e: p.edges for e, p in sorted(self.edge_image.items())}
-        return f"GraphMap(self_map={self.is_self_map}, images={ims})"
+        return f"GraphMap(self_map={self.domain.graph == self.codomain.graph}, images={ims})"
 
 
 # -- gates -------------------------------------------------------------------
 
 
 class TrainTrackStructure:
-    """Partition of the directions of a graph into gates."""
+    """Gates by one label per direction of the graph: two directions at a
+    vertex share a gate iff their labels are equal, so two labellings of one
+    partition compare equal and print alike.  A vertex's gates are listed by
+    least direction, each in directions_at (direction_key) order."""
 
-    __slots__ = ("graph", "vertex_gates", "_gate_of")
+    __slots__ = ("graph", "label")
 
-    def __init__(self, graph: Graph, vertex_gates: Mapping[int, Sequence[FrozenSet[int]]]):
+    def __init__(self, graph: Graph, label: Mapping[int, Hashable]):
         self.graph = graph
-        norm: Dict[int, Tuple[FrozenSet[int], ...]] = {}
-        self._gate_of: Dict[int, Tuple[int, int]] = {}
-        for v in sorted(vertex_gates):
-            gates = sorted(
-                (frozenset(block) for block in vertex_gates[v] if block),
-                key=lambda b: min(direction_key(d) for d in b),
-            )
-            norm[v] = tuple(gates)
-            for i, block in enumerate(gates):
-                for d in block:
-                    if d in self._gate_of:
-                        raise ValueError(f"direction {d} appears in two gates")
-                    self._gate_of[d] = (v, i)
-        self.vertex_gates = norm
+        self.label = dict(label)
+
+    def _gates(self, v: int) -> List[List[int]]:
+        blocks: Dict[Hashable, List[int]] = {}
+        for d in self.graph.directions_at(v):
+            blocks.setdefault(self.label[d], []).append(d)
+        return list(blocks.values())
 
     @property
     def vertices(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.vertex_gates))
+        return tuple(sorted({self.graph.init(d) for d in self.label}))
+
+    @property
+    def vertex_gates(self) -> Dict[int, Tuple[FrozenSet[int], ...]]:
+        return {v: self.gates_at(v) for v in self.vertices}
 
     def gates_at(self, v: int) -> Tuple[FrozenSet[int], ...]:
-        return self.vertex_gates.get(v, ())
+        return tuple(map(frozenset, self._gates(v)))
 
     def num_gates(self, v: int) -> int:
-        return len(self.vertex_gates.get(v, ()))
+        return len(self._gates(v))
 
-    def gate_of(self, d: int) -> Tuple[int, int]:
-        if d not in self._gate_of:
+    def gate_of(self, d: int) -> Tuple[int, Hashable]:
+        if d not in self.label:
             raise ValueError(f"direction {d} is outside the structure")
-        return self._gate_of[d]
+        return self.graph.init(d), self.label[d]
 
     def is_legal_turn(self, t: Tuple[int, int]) -> bool:
+        # Both directions of a turn start at one vertex.
         a, b = t
-        if a == b:
-            return False
-        return self.gate_of(a) != self.gate_of(b)
+        return a != b and self.label[a] != self.label[b]
 
     def one_gate_vertices(self) -> Tuple[int, ...]:
-        return tuple(v for v in sorted(self.vertex_gates) if len(self.vertex_gates[v]) < 2)
+        return tuple(v for v in self.vertices if self.num_gates(v) < 2)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TrainTrackStructure) and self.vertex_gates == other.vertex_gates
 
     def __repr__(self) -> str:
-        return f"TrainTrackStructure({ {v: [sorted(b, key=direction_key) for b in gs] for v, gs in self.vertex_gates.items()} })"
+        return f"TrainTrackStructure({ {v: self._gates(v) for v in self.vertices} })"
 
 
 def gates_iterated(m: GraphMap) -> TrainTrackStructure:
     """Gates by eventual coincidence of derivative iterates (self-maps)."""
-    if not m.is_self_map:
+    g = m.domain.graph
+    if g != m.codomain.graph:
         raise ValueError("iterated gates need a self-map")
-    return gates_from_derivative(m.domain.graph, m.derivative_map())
+    point = next((d for d, image in m.direction_image.items() if not image), None)
+    if point is not None:
+        raise DegenerateImageError(f"direction {point} has a point image")
+    return gates_from_derivative(g, {d: image[0] for d, image in m.direction_image.items()})
 
 
 def gates_from_derivative(g: Graph, deriv: Mapping[int, int]) -> TrainTrackStructure:
-    """Gates of a self-map of g given by its derivative on directions.
+    """Gates of a self-map of g given by its derivative on directions: the
+    labelling of each direction by its image under one iterate.
 
     Two directions at a vertex lie in one gate iff some iterate of the
     derivative map identifies them; since merged trajectories never split,
-    checking the |directions|-th iterate decides all pairs at once.  That
+    the |directions|-th iterate identifies all such pairs at once.  That
     iterate is taken by repeated squaring of the derivative map.
     """
     directions = g.directions()
-    state = None  # deriv to the power of the bits read so far
+    iterate = {d: d for d in directions}  # deriv to the power of the bits read so far
     square = deriv
     k = len(directions)
-    while True:
+    while k:
         if k & 1:
-            state = square if state is None else {d: square[state[d]] for d in directions}
+            iterate = {d: square[iterate[d]] for d in directions}
         k >>= 1
-        if not k:
-            break
-        square = {d: square[square[d]] for d in directions}
-    per_vertex: Dict[int, Dict[int, set]] = {}
-    for e in g.edge_ids:
-        for d in (e, -e):
-            per_vertex.setdefault(g.init(d), {}).setdefault(state[d], set()).add(d)
-    return TrainTrackStructure(g, {v: tuple(groups.values()) for v, groups in per_vertex.items()})
+        if k:
+            square = {d: square[square[d]] for d in directions}
+    return TrainTrackStructure(g, iterate)
 
 
 def is_legal(p: EdgePath, s: TrainTrackStructure) -> bool:

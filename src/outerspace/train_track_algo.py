@@ -129,10 +129,7 @@ def closed_class(M: TransitionMatrix) -> Optional[FrozenSet[int]]:
 def spectral_radius(M: TransitionMatrix) -> float:
     """rho(M), the largest PF eigenvalue over M's strata, each simple in its
     block: pf_eigen of M with every arc j -> i between two strata (j not in
-    the closure of i) set to 0.  An irreducible M, whose one closure is every
-    edge, has no such arc and goes to pf_eigen as it is."""
-    if all(len(cl) == len(M.edge_ids) for cl in M.closures):
-        return pf_eigen(M)[0]
+    the closure of i) set to 0.  An irreducible M has no such arc."""
     rows = tuple(tuple(x if e in cl else 0 for e, x in zip(M.edge_ids, r))
                  for cl, r in zip(M.closures, M.rows))
     return pf_eigen(TransitionMatrix(M.edge_ids, rows, M.graph))[0]

@@ -1,8 +1,9 @@
-"""Shared test utilities: small-graph enumeration, loop-ratio oracles, a
-one-floor call of the displacement minimizer and the bracketing check of its
-trace, the exact spectral radius test, a transition matrix's diagonal blocks
-and the reference invariant chain, and ways to build what the library's
-constructors and pre-checks would refuse or settle early.
+"""Shared test utilities: the train tracks of a fixed set of seeded draws,
+small-graph enumeration, loop-ratio oracles, a one-floor call of the
+displacement minimizer and the bracketing check of its trace, the exact
+spectral radius test, a transition matrix's diagonal blocks and the reference
+invariant chain, and ways to build what the library's constructors and
+pre-checks would refuse or settle early.
 
 These are deliberately independent of the library's candidate machinery so
 they can serve as oracles for it: the loop enumeration below is a plain
@@ -11,7 +12,9 @@ breadth-first walk over crossing-count vectors, not a candidate search.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import random
 from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Sequence, Set, Tuple
@@ -23,7 +26,28 @@ from outerspace import train_track_algo, words
 from outerspace.graph_core import EdgePath, Graph, direction_key, is_forest
 from outerspace.graph_map import GraphMap, difference_of_markings
 from outerspace.lipschitz_metric import SimplexMinReport, min_displacement_on_simplex, sigma
-from outerspace.marked_metric import Automorphism, MarkingError, Metric, OuterSpacePoint
+from outerspace.marked_metric import (
+    Automorphism,
+    MarkingError,
+    Metric,
+    OuterSpacePoint,
+    random_automorphism,
+)
+
+
+@functools.lru_cache(maxsize=None)
+def train_track_draws() -> Tuple[Tuple[Automorphism, train_track_algo.TrainTrackCertificate], ...]:
+    """(phi, certificate) of the 45 train tracks among 40 draws each of
+    random_automorphism(r, 12, Random(11)), r = 3, 4, 5, in draw order."""
+    out = []
+    for rank in (3, 4, 5):
+        rng = random.Random(11)
+        for _ in range(40):
+            phi = random_automorphism(rank, 12, rng)
+            cert = train_track_algo.find_train_track(phi)
+            if isinstance(cert, train_track_algo.TrainTrackCertificate):
+                out.append((phi, cert))
+    return tuple(out)
 
 
 def distance(x: OuterSpacePoint, y: OuterSpacePoint) -> float:

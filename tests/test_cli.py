@@ -403,6 +403,45 @@ class TestCandidatesCommand:
         assert code == EXIT_PARSE
         assert f"{named} must be an integer" in err
 
+    def test_edge_keys_are_read_as_point_to_json_writes_them(self, capsys, tmp_path):
+        # Read with int(), this rose was the one of quarter_point and exited 0.
+        x = point_to_json(rose_point(2, lengths=(Fraction(1, 4), Fraction(3, 4))))
+        x["lengths"] = {"1": "1/4", "+2": "3/4"}
+        x["inverse_marking"] = {"01": "a", " 2": "b"}
+        path = tmp_path / "keys.json"
+        path.write_text(json.dumps(x))
+        code, out, err = run_cli(capsys, "candidates", "--point", str(path))
+        assert (code, out) == (EXIT_PARSE, "")
+        assert "lengths key must be a decimal edge id, got '+2'" in err
+
+    @pytest.mark.parametrize("field", ["lengths", "inverse_marking"])
+    @pytest.mark.parametrize("key", ["+2", " 2", "2 ", "02", "0_2", "\u0662", "-2", "2.0", ""])
+    def test_each_edge_key_field_is_named(self, capsys, tmp_path, quarter_point, field, key):
+        data = json.loads((tmp_path / "x.json").read_text())
+        data[field][key] = data[field].pop("2")
+        (tmp_path / "x.json").write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "candidates", "--point", quarter_point)
+        assert code == EXIT_PARSE
+        assert f"{field} key must be a decimal edge id, got {key!r}" in err
+
+    def test_one_edge_spelled_twice_is_refused(self, capsys, tmp_path, quarter_point):
+        # Read with int(), the last spelling won: edge 1 had length 1/4.
+        data = json.loads((tmp_path / "x.json").read_text())
+        data["lengths"] = {"1": "1/2", "2": "3/4", "01": "1/4"}
+        (tmp_path / "x.json").write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "candidates", "--point", quarter_point)
+        assert code == EXIT_PARSE
+        assert "lengths key must be a decimal edge id, got '01'" in err
+
+    @pytest.mark.parametrize("value", [True, False, None, [1]])
+    def test_length_must_be_a_number(self, capsys, tmp_path, quarter_point, value):
+        data = json.loads((tmp_path / "x.json").read_text())
+        data["lengths"]["2"] = value
+        (tmp_path / "x.json").write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "candidates", "--point", quarter_point)
+        assert code == EXIT_PARSE
+        assert f"lengths entry of '2' must be a number, got {value!r}" in err
+
     def test_lengths_must_sum_to_one(self, capsys, tmp_path, quarter_point):
         data = json.loads((tmp_path / "x.json").read_text())
         data["lengths"] = {"1": "1/4", "2": "1/4"}

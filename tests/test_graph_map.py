@@ -1,4 +1,4 @@
-"""Graph maps: edge slopes, derivatives, gates, legal loops."""
+"""Graph maps: edge slopes, first letters of direction images, gates, legal loops."""
 
 import math
 import random
@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import marking_conjugator_by_loops, unchecked, with_metric
+from helpers import marking_conjugator_by_loops, train_track_draws, unchecked, with_metric
 from outerspace.graph_core import EdgePath, Graph, PathError
 from outerspace.graph_map import (
     DegenerateImageError,
@@ -30,6 +30,7 @@ from outerspace.marked_metric import (
     loop_length,
     random_automorphism,
     random_unit_metric,
+    rose_graph,
     rose_point,
 )
 from outerspace.train_track_algo import find_train_track, growth_bracket, transition_matrix
@@ -73,7 +74,10 @@ def theta_point():
 class TestConstruction:
     def test_self_map_flag_and_images(self):
         m = fig2_map()
-        assert m.is_self_map
+        assert repr(m).startswith("GraphMap(self_map=True, ")
+        assert repr(difference_of_markings(theta_point(), rose_point(2))).startswith(
+            "GraphMap(self_map=False, "
+        )
         assert m.edge_image[1].edges == (1, 2)
         assert m.edge_image[2].edges == (2, 1, 2)
 
@@ -130,27 +134,30 @@ class TestSlopesAndTension:
 
 
 class TestDerivativeAndGates:
+    # The derivative sends a direction to the first letter of its image.
+
     def test_fig2_derivatives(self):
-        m = fig2_map()
-        assert m.derivative(1) == 1
-        assert m.derivative(2) == 2
-        assert m.derivative(-1) == -2
-        assert m.derivative(-2) == -2
+        first = {d: image[0] for d, image in fig2_map().direction_image.items()}
+        assert first == {1: 1, 2: 2, -1: -2, -2: -2}
 
     def test_fig1_derivative(self):
-        m = fig1_map()
-        assert m.derivative(1) == -2
+        assert fig1_map().direction_image[1][0] == -2
 
     def test_derivative_of_reversal_is_last_edge_reversed(self):
         for m in (fig2_map(), fig1_map(), growth_map()):
             for e in m.domain.graph.edge_ids:
                 image = m.edge_image[e]
-                assert m.derivative(-e) == -image.edges[-1]
+                assert m.direction_image[-e][0] == -image.edges[-1]
 
     def test_degenerate_direction_errors(self):
-        m = difference_of_markings(theta_point(), rose_point(2))
+        # Collapsing the theta graph's tree edge 2 to a point, and running
+        # edges 1 and 3 back along it, is a self-map homotopic to the identity.
+        x = theta_point()
+        collapse = GraphMap(x, x, {0: 0, 1: 0}, {1: (1, -2), 2: (), 3: (3, -2)})
         with pytest.raises(DegenerateImageError):
-            m.derivative(1)
+            gates_iterated(collapse)
+        with pytest.raises(ValueError, match="need a self-map"):
+            gates_iterated(difference_of_markings(theta_point(), rose_point(2)))
 
     def test_fig2_gates(self):
         s = gates_iterated(fig2_map())
@@ -170,6 +177,23 @@ class TestDerivativeAndGates:
     def test_identity_gates_singletons(self):
         s = gates_iterated(identity_map(rose_point(2)))
         assert s.num_gates(0) == 4
+
+    def test_labellings_of_one_partition_are_one_structure(self):
+        g = rose_graph(2)
+        s = TrainTrackStructure(g, {1: 0, -1: 1, 2: 2, -2: 1})
+        t = TrainTrackStructure(g, {1: "b", -1: (), 2: 7, -2: ()})
+        assert s == t and repr(s) == repr(t) == "TrainTrackStructure({0: [[1], [-1, -2], [2]]})"
+        assert s.gates_at(0) == t.gates_at(0) == (frozenset({1}), frozenset({-1, -2}), frozenset({2}))
+        assert s != TrainTrackStructure(g, {1: 0, -1: 0, 2: 2, -2: 1})
+
+    def test_iterated_gates_of_a_certificate_are_its_structure(self):
+        # The fold loop labels directions by its surgery state's derivative;
+        # gates_iterated reads the certificate map's direction images.
+        draws = train_track_draws()
+        assert len(draws) == 45
+        for _, cert in draws:
+            s = gates_iterated(cert.graph_map)
+            assert s == cert.structure and repr(s) == repr(cert.structure)
 
 
 class TestLegality:
@@ -248,7 +272,7 @@ class TestFindLegalLoop:
 
     def test_gate_deficit_signalled(self):
         x = rose_point(2)
-        s = TrainTrackStructure(x.graph, {0: [{1, -1, 2, -2}]})
+        s = TrainTrackStructure(x.graph, {1: 0, -1: 0, 2: 0, -2: 0})
         with pytest.raises(GateDeficitError):
             find_legal_loop(s)
 
@@ -327,10 +351,7 @@ class TestGatesByPowering:
         state = dict(deriv)
         for _ in range(len(directions) - 1):
             state = {d: deriv[state[d]] for d in directions}
-        per_vertex = {}
-        for d in directions:
-            per_vertex.setdefault(g.init(d), {}).setdefault(state[d], set()).add(d)
-        return TrainTrackStructure(g, {v: tuple(b.values()) for v, b in per_vertex.items()})
+        return TrainTrackStructure(g, state)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_step_by_step_iteration(self, seed):

@@ -21,6 +21,7 @@ from helpers import (
     exceeds_spectral_radius,
     minimize_at,
     reference_invariant_chain,
+    train_track_draws,
     unchecked,
     with_metric,
 )
@@ -62,6 +63,7 @@ from outerspace.train_track_algo import (
     ReductionCertificate,
     TrainTrackCertificate,
     find_train_track,
+    growth_bracket,
     pf_eigen,
     transition_matrix,
 )
@@ -336,6 +338,23 @@ class TestDistance:
         )
 
 
+def _graph(edges):
+    return Graph(sorted({v for e in edges for v in e}), dict(enumerate(edges, start=1)))
+
+
+# Rank -> graphs: the benchmark's distance-table graph family
+# (perfbench/workloads.py) at ranks 3 and 4, the rose at rank 5.
+DISPLACED_GRAPHS = {
+    3: (rose_graph(3), _graph([(0, 1), (0, 1), (0, 1), (0, 0)]),
+        _graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+        _graph([(0, 0), (0, 1), (1, 2), (1, 2), (1, 2)])),
+    4: (_graph([(a, b) for a in (0, 1, 2) for b in (3, 4, 5)]),
+        _graph([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]),
+        rose_graph(4)),
+    5: (rose_graph(5),),
+}
+
+
 class TestDisplacement:
     """Stretch from x to its translate x.phi, by the difference of markings."""
 
@@ -344,20 +363,35 @@ class TestDisplacement:
         # displacement sigma(x, x.phi), read from the Francaviglia-Martino
         # candidates of a difference of markings and not from the fold
         # loop's map, is the growth rate lambda of the certificate.
+        draws = train_track_draws()
+        assert len(draws) == 45  # of the 120 draws
+        for phi, cert in draws:
+            x = cert.graph_map.domain
+            y = act(x, phi)
+            rep = sigma(x, y, difference_of_markings(x, y))
+            assert rep.sigma == pytest.approx(cert.lam, rel=1e-12, abs=0)
+
+    def test_displacement_is_nowhere_below_the_growth_rate(self):
+        # The paper's inequality: sigma(z, z.phi) >= lambda at every point z.
+        # It is checked exactly against growth_bracket's lower bound lo <=
+        # lambda at the certificate's point, (a) at seeded points of other
+        # graphs of phi's rank, and (b) at the certificate's own point with
+        # its PF lengths rounded to denominators up to 10**6.
+        rng = random.Random(5)
         checked = 0
-        for rank in (3, 4, 5):
-            rng = random.Random(11)
-            for _ in range(40):
-                phi = random_automorphism(rank, 12, rng)
-                cert = find_train_track(phi)
-                if not isinstance(cert, TrainTrackCertificate):
-                    continue
-                x = cert.graph_map.domain
-                y = act(x, phi)
-                rep = sigma(x, y, difference_of_markings(x, y))
-                assert rep.sigma == pytest.approx(cert.lam, rel=1e-12, abs=0)
+        for phi, cert in train_track_draws():
+            x = cert.graph_map.domain
+            lo, _ = growth_bracket(transition_matrix(cert.graph_map), x.metric)
+            points = [graph_point(g, random_unit_metric(g.edge_ids, rng))
+                      for g in DISPLACED_GRAPHS[phi.rank] for _ in range(3)]
+            rounded = {e: Fraction(x.metric.length(e)).limit_denominator(10**6) for e in x.graph.edge_ids}
+            volume = sum(rounded.values())
+            points.append(with_metric(x, Metric({e: r / volume for e, r in rounded.items()})))
+            for z in points:
+                s = self.displacement(z, phi).sigma
+                assert isinstance(s, Fraction) and s >= lo
                 checked += 1
-        assert checked >= 40  # 45 of the 120 draws are train tracks
+        assert checked == 3 * (24 * 4 + 13 * 3 + 8) + 45
 
     @staticmethod
     def displacement(x, phi):
