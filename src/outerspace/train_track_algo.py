@@ -22,7 +22,7 @@ builds no ``GraphMap``: only a returned certificate's map is built, with
 every point and marking check, so a bad round shows up at the end rather
 than where it happened.  A state that represents no automorphism raises
 ``InvalidMapError`` out of ``find_train_track``; a finite order is computed
-once, on homology, by ``finite_order_check``.
+once, on homology, and tested on the state's own short words.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .marked_metric import (
     Metric,
     OuterSpacePoint,
     act,
+    graph_point,
 )
 from .graph_map import (
     DegenerateImageError,
@@ -61,7 +62,6 @@ from .words import Word
 _STALL_CAP = 25
 # Relative improvement of the stretch factor that resets the stall count.
 REL_TOL = 1e-9
-_ORDER_LENGTH_CAP = 20_000
 
 
 class InvalidMapError(RuntimeError):
@@ -485,6 +485,15 @@ class _MapState:
             {e: EdgePath(tuple(p)) for e, p in self.images.items()},
         )
 
+    def own_basis_images(self) -> Tuple[Word, ...]:
+        """The state's map in its graph's own basis, the loops over the
+        non-tree edges of graph_point's BFS tree; a loop's image, based at the
+        basepoint's image, reads as its conjugate by the tree path back.  It
+        is conjugate to the twist in Out(F_n) through the marking."""
+        x = graph_point(self.graph(), Metric(self.lengths))
+        table = words.letter_table({e: x.inverse_marking_word(p) for e, p in self.images.items()})
+        return tuple(words.apply_table(table, p.edges) for p in x.marking)
+
 
 # -- fold and normalize ---------------------------------------------------------
 
@@ -631,8 +640,8 @@ def finite_order_check(phi: Automorphism) -> Optional[int]:
     """Order of the abelianization A of phi if it is finite, else None.
 
     It is the library's one order computation: when phi has finite order in
-    Out(F_n), that order is A's (Baumslag and Taylor, 1968), so both the
-    word-level pre-check and the fold loop's graph automorphisms read it here.
+    Out(F_n), that order is A's (Baumslag and Taylor, 1968), so every
+    finite-order exit of the fold loop reads it here, once per run.
 
     The kernel of GL(n, Z) -> GL(n, Z/3) is torsion-free (Minkowski), so if
     A has finite order, the first k with A^k = I mod 3 is that order.  A
@@ -665,26 +674,6 @@ def _matmul(A: List[List[int]], B: List[List[int]]) -> List[List[int]]:
     return [[sum(map(operator.mul, row, col)) for col in cols] for row in A]
 
 
-def _word_level_order(phi: Automorphism, length_cap: int) -> Optional[int]:
-    """Order of phi in Out(F_n) when it is finite and its powers up to that
-    order stay within length_cap letters in total, else None.
-
-    The order d of phi's abelianization (finite_order_check) is the only
-    candidate, so a map of infinite order on homology composes no words.
-    Otherwise words are composed only up to phi^d, with the length cap
-    checked before each composition, and only phi^d is tested.
-    """
-    d = finite_order_check(phi)
-    if d is None:
-        return None
-    acc = phi.images
-    for _ in range(d - 1):
-        if sum(len(w) for w in acc) > length_cap:
-            return None
-        acc = words.compose(phi.images, acc)
-    return d if words.is_conjugate_identity(acc) else None
-
-
 def _descend_to_one_step(deriv: Mapping[int, int], d1: int, d2: int) -> Tuple[int, int]:
     """From a pair in one iterated gate down to a pair with equal derivatives."""
     a, b = d1, d2
@@ -708,6 +697,23 @@ def _round_line(rnd: int, edges: int, lam: float, potential, move: str) -> str:
     return f"round={rnd} edges={edges} lambda={_fmt(lam)} potential={potential} move={move}"
 
 
+def _finite_order_exit(st: _MapState, g: Graph, phi: Automorphism, rnd: int, potential,
+                      trace: List[str]) -> Optional[FiniteOrderCertificate]:
+    """The exit state's finite-order certificate, if phi^d is inner for the
+    only candidate order d = finite_order_check(phi) (Baumslag–Taylor): if
+    the d-th power of the state's short own-basis images is."""
+    d = finite_order_check(phi)
+    if d is None:
+        return None
+    base = power = st.own_basis_images()
+    for _ in range(d - 1):
+        power = words.compose(base, power)
+    if not words.is_conjugate_identity(power):
+        return None
+    trace.append(_round_line(rnd, g.num_edges, 1.0, potential, f"finite_order({d})"))
+    return FiniteOrderCertificate(order=d, graph_map=st.to_graph_map(g), trace=tuple(trace))
+
+
 def find_train_track(phi: Automorphism, max_iters: int = 10**4) -> Certificate:
     """Run the fold loop from the rose until a certificate appears.
 
@@ -716,27 +722,15 @@ def find_train_track(phi: Automorphism, max_iters: int = 10**4) -> Certificate:
     certificate (proper invariant non-forest edge class), a finite-order
     certificate, or a non-termination report carrying the round trace.
 
-    Before the first round, a word-level pre-check looks for the smallest
-    k with phi^k inner, with no cap on k.  The order of the abelianization A
-    of phi, decided exactly from its powers mod 3 (Minkowski), is the only
-    candidate (Baumslag–Taylor), so maps of infinite order on homology go
-    straight to the fold loop, and otherwise one power of phi is tested.
-    Only the total length of the composed words is capped.  In the loop, a
-    round whose edge images are single edges is a graph automorphism, of
-    the order of A again, certified before any reduction test; the loop
-    reaches one only when the pre-check's length cap trips.  A move that
-    leaves no automorphism raises InvalidMapError.
+    A finite order is read on the state, never on phi's rose images: a
+    graph automorphism round has one, the reduction, stall and iteration-cap
+    exits test for one first, and a train track has lambda > 1.  A move
+    that leaves no automorphism raises InvalidMapError.
     """
     if phi.rank < 2:
         raise ValueError("rank must be at least 2")
     trace: List[str] = []
     st = _MapState(phi)
-    k = _word_level_order(phi, _ORDER_LENGTH_CAP)
-    if k is not None:
-        trace.append(_round_line(0, phi.rank, 1.0, 0, f"finite_order({k})"))
-        return FiniteOrderCertificate(
-            order=k, graph_map=st.to_graph_map(st.graph()), trace=tuple(trace)
-        )
     best_lam: Optional[float] = None
     stalled = 0
     for rnd in range(max_iters):
@@ -758,6 +752,8 @@ def find_train_track(phi: Automorphism, max_iters: int = 10**4) -> Certificate:
         if cls is not None:
             rho = spectral_radius(M)
             move = "collapse_forest" if is_forest(g, cls) else "reduction"
+            if move == "reduction" and (done := _finite_order_exit(st, g, phi, rnd, pot, trace)):
+                return done
             trace.append(_round_line(rnd, g.num_edges, rho, pot, f"{move}({sorted(cls)})"))
             if move == "reduction":
                 return ReductionCertificate(
@@ -780,6 +776,8 @@ def find_train_track(phi: Automorphism, max_iters: int = 10**4) -> Certificate:
         else:
             stalled += 1
             if stalled > _STALL_CAP:
+                if done := _finite_order_exit(st, g, phi, rnd, pot, trace):
+                    return done
                 trace.append(_round_line(rnd, g.num_edges, lam, "-", "stalled"))
                 return NonTerminationCertificate(
                     reason=f"stretch factor stalled near {_fmt(best_lam)}",
@@ -812,4 +810,5 @@ def find_train_track(phi: Automorphism, max_iters: int = 10**4) -> Certificate:
         t = _descend_to_one_step(deriv, *bad)
         trace.append(_round_line(rnd, g.num_edges, lam, pot, f"fold({t[0]},{t[1]})"))
         fold(st, t)
-    return NonTerminationCertificate(reason="iteration cap reached", trace=tuple(trace))
+    return (_finite_order_exit(st, st.graph(), phi, max_iters, "-", trace)
+            or NonTerminationCertificate(reason="iteration cap reached", trace=tuple(trace)))

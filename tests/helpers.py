@@ -2,8 +2,8 @@
 small-graph enumeration, loop-ratio oracles, a one-floor call of the
 displacement minimizer and the bracketing check of its trace, the exact
 spectral radius test, a transition matrix's diagonal blocks and the reference
-invariant chain, and ways to build what the library's constructors and
-pre-checks would refuse or settle early.
+invariant chain, the reference finite order on a map's own images, and ways
+to build what the library's constructors would refuse.
 
 These are deliberately independent of the library's candidate machinery so
 they can serve as oracles for it: the loop enumeration below is a plain
@@ -71,10 +71,19 @@ def unchecked(cls, *args, **kwargs):
         return cls(*args, **kwargs)
 
 
-def skip_order_precheck(mp: pytest.MonkeyPatch) -> None:
-    """Turn off find_train_track's word-level finite-order pre-check, so a
-    finite order is left to the fold loop's own graph-automorphism test."""
-    mp.setattr(train_track_algo, "_word_level_order", lambda phi, length_cap: None)
+def word_level_order(phi: Automorphism):
+    """Order of phi in Out(F_n) when it is finite, else None, read on phi's
+    own images: the order d of its abelianization (finite_order_check) is
+    the only candidate, and phi^d is composed from the images and tested.
+    The reference for find_train_track's finite-order exits; composing long
+    images is quadratic in their length."""
+    d = train_track_algo.finite_order_check(phi)
+    if d is None:
+        return None
+    acc = phi.images
+    for _ in range(d - 1):
+        acc = words.compose(phi.images, acc)
+    return d if words.is_conjugate_identity(acc) else None
 
 
 def state_of(m: GraphMap) -> train_track_algo._MapState:

@@ -14,50 +14,46 @@ from pathlib import Path
 
 import pytest
 
-from helpers import skip_order_precheck
 from outerspace import train_track_algo
 from outerspace.marked_metric import Automorphism
 from outerspace.train_track_algo import find_train_track
 
 PINS = Path(__file__).with_name("certificate_pins.json")
 
-# name -> (map, whether the word-level order pre-check is skipped, where the
-# map came from)
+# name -> (map, where the map came from)
 CASES = {
     "r3_collapse_slide_reduction": (
-        "a->ABCAA; b->aac; c->ABCAAA", False, "random_automorphism(3, 12, Random(0)) draw 1"),
+        "a->ABCAA; b->aac; c->ABCAAA", "random_automorphism(3, 12, Random(0)) draw 1"),
     "r3_slide_train_track": (
-        "a->cbcA; b->cbcACBcbcAA; c->A", False, "random_automorphism(3, 12, Random(0)) draw 2"),
+        "a->cbcA; b->cbcACBcbcAA; c->A", "random_automorphism(3, 12, Random(0)) draw 2"),
     "r4_collapse_slide_train_track": (
-        "a->AD; b->cdabAD; c->bAB; d->bAD", False, "random_automorphism(4, 12, Random(0)) draw 12"),
+        "a->AD; b->cdabAD; c->bAB; d->bAD", "random_automorphism(4, 12, Random(0)) draw 12"),
     "r4_slide_train_track": (
-        "a->CdbcaC; b->bc; c->dbc; d->aC", False, "random_automorphism(4, 12, Random(0)) draw 8"),
+        "a->CdbcaC; b->bc; c->dbc; d->aC", "random_automorphism(4, 12, Random(0)) draw 8"),
     "r4_reduction": (
-        "a->C; b->BA; c->CD; d->CDaC", False, "random_automorphism(4, 12, Random(0)) draw 0"),
+        "a->C; b->BA; c->CD; d->CDaC", "random_automorphism(4, 12, Random(0)) draw 0"),
     "r4_stalled": (
-        "a->c; b->ab; c->d; d->B", False, "random_automorphism(4, 12, Random(0)) draw 58"),
+        "a->c; b->ab; c->d; d->B", "random_automorphism(4, 12, Random(0)) draw 58"),
     "r5_collapse_slide_train_track": (
-        "a->E; b->bcb; c->eADE; d->DEcb; e->cb", False,
+        "a->E; b->bcb; c->eADE; d->DEcb; e->cb",
         "random_automorphism(5, 12, Random(0)) draw 11"),
     "r5_slide_train_track": (
-        "a->B; b->beadce; c->be; d->bea; e->ad", False,
+        "a->B; b->beadce; c->be; d->bea; e->ad",
         "random_automorphism(5, 12, Random(0)) draw 1"),
     "r5_reduction": (
-        "a->ea; b->b; c->EBde; d->deea; e->debC", False,
+        "a->ea; b->b; c->EBde; d->deea; e->debC",
         "random_automorphism(5, 12, Random(0)) draw 0"),
     "r3_finite_order_in_loop": (
-        "a->Bcbb; b->BBC; c->BAcbbcbb", True,
+        "a->Bcbb; b->BBC; c->BAcbbcbb",
         "a cyclic permutation conjugated by random_automorphism(3, 3, Random(3))"),
     "r4_finite_order_in_loop": (
-        "a->BBC; b->dBC; c->DcbD; d->A", True,
+        "a->BBC; b->dBC; c->DcbD; d->A",
         "a cyclic permutation conjugated by random_automorphism(4, 3, Random(4))"),
-    "r4_finite_order_precheck": (
-        "a->BBC; b->dBC; c->DcbD; d->A", False, "the same map, decided before the loop"),
     "r5_finite_order_in_loop": (
-        "a->B; b->ec; c->abd; d->CEE; e->A", True,
+        "a->B; b->ec; c->abd; d->CEE; e->A",
         "a cyclic permutation conjugated by random_automorphism(5, 3, Random(5))"),
-    "r3_stalled": ("a->ba; b->c; c->A", False, "the stall of test_trace_lines_pinned"),
-    "r2_collapse_forest": ("a->aBA; b->abb", False, "the forest collapse of test_trace_lines_pinned"),
+    "r3_stalled": ("a->ba; b->c; c->A", "the stall of test_trace_lines_pinned"),
+    "r2_collapse_forest": ("a->aBA; b->abb", "the forest collapse of test_trace_lines_pinned"),
 }
 
 
@@ -90,11 +86,7 @@ def describe(cert) -> dict:
 
 
 def certificate(name):
-    text, skip_precheck, _ = CASES[name]
-    with pytest.MonkeyPatch.context() as mp:
-        if skip_precheck:
-            skip_order_precheck(mp)
-        return find_train_track(Automorphism.from_text(text))
+    return find_train_track(Automorphism.from_text(CASES[name][0]))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

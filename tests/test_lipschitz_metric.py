@@ -862,8 +862,8 @@ class TestClassify:
     @pytest.mark.parametrize("steps", [3, 8, 20])
     @pytest.mark.parametrize("cycles, order", [((3, 4, 7), 84), ((3, 5, 7, 1), 105)])
     def test_conjugated_permutation_of_large_order_is_elliptic(self, cycles, order, steps):
-        # The fold loop reduces these conjugates before it reaches a graph
-        # automorphism; the order is found by the pre-check, with no cap.
+        # The fold loop may reduce these conjugates before it reaches a graph
+        # automorphism; the reduction exit finds the order, with no cap.
         perm = cycle_permutation(cycles)
         for seed in range(3):
             psi = random_automorphism(perm.rank, steps, random.Random(seed))

@@ -13,9 +13,9 @@ from helpers import (
     diagonal_blocks,
     exceeds_spectral_radius,
     reference_invariant_chain,
-    skip_order_precheck,
     state_of,
     unchecked,
+    word_level_order,
 )
 from test_certificate_pins import CASES as PINNED_CASES, certificate as pinned_certificate
 from outerspace import cli, train_track_algo, words
@@ -32,7 +32,6 @@ from outerspace.marked_metric import (
 from outerspace.graph_map import GraphMap, gates_iterated, is_legal, self_map_from_automorphism
 from outerspace.lipschitz_metric import classify
 from outerspace.train_track_algo import (
-    _ORDER_LENGTH_CAP,
     FiniteOrderCertificate,
     InvalidMapError,
     NonTerminationCertificate,
@@ -50,7 +49,6 @@ from outerspace.train_track_algo import (
     spectral_radius,
     transition_matrix,
     _abelianization,
-    _word_level_order,
 )
 
 GOLDEN_SQ = (3 + math.sqrt(5)) / 2  # root of x^2 - 3x + 1
@@ -315,11 +313,13 @@ class TestPerronFrobenius:
             assert combo == pytest.approx(lam * ell[j], abs=1e-8 * max(1.0, lam))
 
 
-# -- word-level finite-order pre-check --------------------------------------------
+# -- finite order on words ----------------------------------------------------------
 
 
 def unfiltered_order(phi: Automorphism, cap: int, length_cap: int):
-    """The word loop of the pre-check without the homology filter."""
+    """The least k <= cap with phi^k inner, by composing phi's images, with
+    no homology filter; None once the composed words pass length_cap
+    letters in total, which only powers of infinite order do here."""
     acc = phi.images
     for k in range(1, cap + 1):
         if words.is_conjugate_identity(acc):
@@ -333,6 +333,8 @@ def unfiltered_order(phi: Automorphism, cap: int, length_cap: int):
 # Far above every order the oracles below meet: a signed permutation of at
 # most 16 generators has order at most 210.
 ORACLE_CAP = 500
+# Far above the words of every finite-order power that the oracles compose.
+ORACLE_LENGTH_CAP = 20_000
 
 
 def trace_capped_order(phi: Automorphism, cap: int):
@@ -391,6 +393,10 @@ LARGE_ORDERS = {
 
 
 class TestWordLevelOrder:
+    """The finite order on words: the reference on phi's own images
+    (helpers.word_level_order), and the fold loop's exit test, which reads
+    the exit state's own basis."""
+
     def test_abelianization(self):
         assert _abelianization(Automorphism.from_text("a -> aab; b -> BA")) == [[2, -1], [1, -1]]
         assert _abelianization(Automorphism.from_text(PERMUTED)) == [
@@ -398,7 +404,7 @@ class TestWordLevelOrder:
         ]
 
     def test_permutation_has_order_six(self):
-        assert _word_level_order(Automorphism.from_text(PERMUTED), _ORDER_LENGTH_CAP) == 6
+        assert word_level_order(Automorphism.from_text(PERMUTED)) == 6
 
     @staticmethod
     def count_word_calls(monkeypatch):
@@ -411,26 +417,32 @@ class TestWordLevelOrder:
         return composed, tested
 
     def test_trivial_on_homology_tests_only_phi(self, monkeypatch):
-        # A = I, so a finite order could only be 1: phi itself is tested
-        # once and no word is composed.
+        # A = I, so a finite order could only be 1: at the reduction exit the
+        # state's own-basis map is tested once and no power is composed.  The
+        # one composition is act's, for the certificate's codomain.
         phi = Automorphism.from_text("a -> a; b -> b; c -> cabAB")
         assert _abelianization(phi) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         composed, tested = self.count_word_calls(monkeypatch)
-        assert _word_level_order(phi, _ORDER_LENGTH_CAP) is None
-        assert (len(composed), len(tested)) == (0, 1)
+        assert isinstance(find_train_track(phi), ReductionCertificate)
+        assert (len(composed), len(tested)) == (1, 1)
 
     def test_composes_up_to_the_homology_order(self, monkeypatch):
-        # A has order 6: phi^6 takes five compositions and one test.  The map
-        # is built first, since building it composes words to invert it.
-        phi = Automorphism.from_text(PERMUTED)
+        # A has order 6, and the fold loop stalls: the stall exit composes
+        # the state's own-basis images five times and tests phi^6 once, and
+        # act composes once more.  The map is built first, since building it
+        # composes words to invert it.
+        phi = Automorphism.from_text("a -> B; b -> ba")
         composed, tested = self.count_word_calls(monkeypatch)
-        assert _word_level_order(phi, _ORDER_LENGTH_CAP) == 6
-        assert (len(composed), len(tested)) == (5, 1)
+        cert = find_train_track(phi)
+        assert cert.order == 6 and cert.trace[-1].endswith("potential=0 move=finite_order(6)")
+        assert (len(composed), len(tested)) == (6, 1)
 
     def test_infinite_order_on_homology_composes_nothing(self, monkeypatch):
-        phi = Automorphism.from_text(EXPANDING)
-        monkeypatch.setattr(words, "compose", None)
-        assert _word_level_order(phi, _ORDER_LENGTH_CAP) is None
+        # A is unipotent, so the reduction exit reads no own-basis words.
+        phi = Automorphism.from_text(REDUCIBLE)
+        monkeypatch.setattr(train_track_algo._MapState, "own_basis_images", None)
+        assert isinstance(find_train_track(phi), ReductionCertificate)
+        assert word_level_order(phi) is None
 
     @staticmethod
     def count_products(monkeypatch):
@@ -489,8 +501,8 @@ class TestWordLevelOrder:
         maps += [conjugate(perm, random_automorphism(rank, 4, rng)) for _ in range(3)]
         found = 0
         for phi in maps:
-            k = _word_level_order(phi, _ORDER_LENGTH_CAP)
-            assert k == unfiltered_order(phi, 60, _ORDER_LENGTH_CAP)
+            k = word_level_order(phi)
+            assert k == unfiltered_order(phi, 60, ORACLE_LENGTH_CAP)
             found += k is not None
         assert found >= 3
 
@@ -504,7 +516,110 @@ class TestWordLevelOrder:
             sum(n for n, _ in cycles), rng.choice((3, 8, 20)), rng))
         k = LARGE_ORDERS[cycles]
         assert finite_order_check(phi) == trace_capped_order(phi, ORACLE_CAP) == k > 60
-        assert _word_level_order(phi, _ORDER_LENGTH_CAP) == k
+        assert word_level_order(phi) == k
+
+
+# A conjugate of the order-105 permutation with cycles 3, 5, 7 and 1 whose
+# fold loop finds an invariant subgraph in round 0; a CI smoke step runs it.
+CONJUGATED_105 = (
+    "a->b; b->c; c->a; d->e; e->f; f->g; g->h; h->d; i->j; j->k; k->l; l->m; m->nb; n->oC; "
+    "o->i; p->MBNmlp"
+)
+
+
+def long_conjugate(steps: int) -> Automorphism:
+    """psi sigma psi^-1 for sigma = a->b; b->c; c->a, of order 3, and psi =
+    random_automorphism(3, steps, Random(1)), built with psi's tracked
+    inverse; its images total 1,069 letters at 30 steps, 4,009 at 40 and
+    17,139 at 50."""
+    sigma = Automorphism.from_text("a->b; b->c; c->a")
+    psi = random_automorphism(3, steps, random.Random(1))
+
+    def conj(images):
+        return words.compose(psi.images, words.compose(images, psi.inverse_images))
+
+    return Automorphism(conj(sigma.images), inverse=conj(sigma.inverse_images))
+
+
+class TestFiniteOrderExits:
+    """find_train_track certifies a finite order exactly when the reference
+    on phi's own images (helpers.word_level_order) finds one, of that order."""
+
+    @staticmethod
+    def assert_agrees(phi: Automorphism):
+        cert = find_train_track(phi)
+        k = word_level_order(phi)
+        assert (cert.status == "finite_order") == (k is not None)
+        assert getattr(cert, "order", None) == k
+        return cert
+
+    @pytest.mark.parametrize("rank", [3, 4, 5])
+    def test_homology_finite_draws_agree_with_the_reference(self, rank):
+        rng = random.Random(7)
+        maps = [random_automorphism(rank, 12, rng) for _ in range(100)]
+        finite = [phi for phi in maps if finite_order_check(phi) is not None]
+        assert finite
+        for phi in finite:
+            self.assert_agrees(phi)
+
+    @pytest.mark.parametrize("cycles", sorted(LARGE_ORDERS))
+    def test_conjugated_large_orders_agree_with_the_reference(self, cycles):
+        rank = sum(n for n, _ in cycles)
+        phi = conjugate(signed_permutation(cycles),
+                        random_automorphism(rank, 8, random.Random(rank)))
+        assert self.assert_agrees(phi).order == LARGE_ORDERS[cycles]
+
+    @pytest.mark.parametrize("rank", [3, 4, 5])
+    def test_benchmark_base_samples_agree_with_the_reference(self, rank):
+        # The base sample of the fold-survey workload, the first 60 draws
+        # of random_automorphism(rank, 12, Random(0)); classify-survey's is
+        # a prefix of it at ranks 3 and 4.
+        rng = random.Random(0)
+        for _ in range(60):
+            self.assert_agrees(random_automorphism(rank, 12, rng))
+
+    @pytest.mark.parametrize("text, max_iters, last", [
+        (CONJUGATED_105, 10**4, "round=0 edges=16 lambda=1 potential=22 move=finite_order(105)"),
+        ("a -> B; b -> ba", 10**4, "round=26 edges=2 lambda=1 potential=0 move=finite_order(6)"),
+        ("a -> B; b -> ba", 3, "round=3 edges=2 lambda=1 potential=- move=finite_order(6)"),
+    ], ids=["reduction", "stall", "iteration_cap"])
+    def test_finite_order_at_each_exit(self, monkeypatch, text, max_iters, last):
+        # The certificate holds the exit state's map, and its trace is the
+        # rounds before that exit plus a finite_order line.  With the exit
+        # test off, the same rounds end in the certificate it replaced: a
+        # reduction or stalled line in place of the finite_order line, or
+        # none at the iteration cap.
+        phi = Automorphism.from_text(text)
+        cert = find_train_track(phi, max_iters)
+        assert cert.trace[-1] == last
+        assert f"edges={cert.graph_map.domain.graph.num_edges} " in last
+        rounds = cert.trace[:-1]
+        monkeypatch.setattr(train_track_algo, "finite_order_check", lambda phi: None)
+        other = find_train_track(phi, max_iters)
+        assert other.status in ("reducible", "max_iters")
+        assert other.trace[:len(rounds)] == rounds
+        at_cap = len(rounds) == max_iters
+        assert len(other.trace) == len(rounds) + (not at_cap)
+
+
+class TestLongImages:
+    def test_long_conjugate_is_read_on_the_fold_state(self, monkeypatch):
+        # An order-3 map whose images total 4,009 letters: no composition
+        # inside find_train_track has inner words of more than 1,000
+        # letters, and classify calls it elliptic of order 3.
+        phi = long_conjugate(40)
+        assert sum(map(len, phi.images)) == 4009
+        inner = []
+        compose = words.compose
+        monkeypatch.setattr(
+            words, "compose", lambda outer, w: inner.append(sum(map(len, w))) or compose(outer, w)
+        )
+        cert = find_train_track(phi)
+        assert (cert.status, cert.order) == ("finite_order", 3)
+        assert inner and max(inner) <= 1000
+        monkeypatch.undo()
+        result = classify(phi)
+        assert (result.kind, result.order) == ("elliptic", 3)
 
 
 # -- train track test --------------------------------------------------------
@@ -533,12 +648,10 @@ class TestFiniteOrderCheck:
         assert finite_order_check(Automorphism.from_text(PERMUTED)) == 6
 
     @pytest.mark.parametrize("rank", range(2, 9))
-    def test_in_loop_order_is_the_order_in_out(self, rank, monkeypatch):
-        # Conjugated signed permutations, folded with the pre-check off: the
-        # order of every graph automorphism the loop certifies is checked
-        # against word powers, phi^k inner and phi^(k/p) not, for each prime
-        # p dividing k.
-        skip_order_precheck(monkeypatch)
+    def test_in_loop_order_is_the_order_in_out(self, rank):
+        # Conjugated signed permutations: the order of every finite-order
+        # certificate of the fold loop is checked against word powers, phi^k
+        # inner and phi^(k/p) not, for each prime p dividing k.
         rng = random.Random(300 + rank)
         found = 0
         for _ in range(12):
@@ -663,19 +776,14 @@ class TestNormalize:
 
 
 # Full fold-loop traces, one per move kind, as the loop wrote them before its
-# trace lines went through one formatter: (map, whether the word-level order
-# pre-check is skipped, trace).
+# trace lines went through one formatter: (map, trace).
 PINNED_TRACES = {
-    "finite_order_precheck": (
-        "a->B; b->C; c->A", False,
-        ("round=0 edges=3 lambda=1 potential=0 move=finite_order(6)",),
-    ),
     "finite_order_simplicial": (
-        "a->B; b->C; c->A", True,
+        "a->B; b->C; c->A",
         ("round=0 edges=3 lambda=1 potential=4 move=finite_order(6)",),
     ),
     "collapse_forest": (
-        "a->aBA; b->abb", False,
+        "a->aBA; b->abb",
         (
             "round=0 edges=2 lambda=3 potential=0 move=fold(-1,2)",
             "round=1 edges=3 lambda=2 potential=0 move=fold(-3,6)",
@@ -684,14 +792,14 @@ PINNED_TRACES = {
         ),
     ),
     "reduction": (
-        "a->b; b->BBA", False,
+        "a->b; b->BBA",
         (
             "round=0 edges=2 lambda=2.41421356237 potential=1 move=fold(-1,2)",
             "round=1 edges=2 lambda=1 potential=0 move=reduction([4])",
         ),
     ),
     "fold_then_train_track": (
-        "a->aabab; b->Babab", False,
+        "a->aabab; b->Babab",
         (
             "round=0 edges=2 lambda=5 potential=0 move=fold(-1,2)",
             "round=1 edges=3 lambda=4.35530139761 potential=0 move=fold(-3,4)",
@@ -699,7 +807,7 @@ PINNED_TRACES = {
         ),
     ),
     "stalled": (
-        "a->ba; b->c; c->A", False,
+        "a->ba; b->c; c->A",
         (
             "round=0 edges=3 lambda=1.46557123188 potential=0 move=fold(-1,3)",
             "round=1 edges=3 lambda=1.46557123188 potential=0 move=fold(2,3)",
@@ -756,10 +864,8 @@ class TestFindTrainTrack:
         )
 
     @pytest.mark.parametrize("kind", sorted(PINNED_TRACES))
-    def test_trace_lines_pinned(self, kind, monkeypatch):
-        text, skip_precheck, expected = PINNED_TRACES[kind]
-        if skip_precheck:
-            skip_order_precheck(monkeypatch)
+    def test_trace_lines_pinned(self, kind):
+        text, expected = PINNED_TRACES[kind]
         cert = find_train_track(Automorphism.from_text(text))
         assert cert.trace == expected
 
@@ -796,26 +902,18 @@ class TestFindTrainTrack:
         assert isinstance(cert, FiniteOrderCertificate)
         assert cert.order == 6
 
-    def test_finite_order_found_inside_loop_too(self, monkeypatch):
-        skip_order_precheck(monkeypatch)
+    def test_finite_order_found_inside_loop_too(self):
+        # Found in round 0, as a graph automorphism of the rose.
         cert = find_train_track(Automorphism.from_text(PERMUTED))
         assert isinstance(cert, FiniteOrderCertificate)
-        assert cert.order == 6
+        assert cert.trace == ("round=0 edges=3 lambda=1 potential=4 move=finite_order(6)",)
 
     @pytest.mark.parametrize("cycles, order", [((3, 4, 7), 84), ((3, 5, 7, 1), 105)])
-    def test_graph_automorphism_of_any_order_before_reductions(self, cycles, order, monkeypatch):
+    def test_graph_automorphism_of_any_order_before_reductions(self, cycles, order):
         # A permutation of the generators with several cycles has a reducible
-        # transition matrix.  The word-level pre-check finds its order, which
-        # no cap bounds; without the pre-check, the fold loop certifies it as
-        # a graph automorphism before any reduction test.
+        # transition matrix.  The fold loop certifies it as a graph
+        # automorphism before any reduction test, of an order no cap bounds.
         phi = cycle_permutation(cycles)
-        cert = find_train_track(phi)
-        assert isinstance(cert, FiniteOrderCertificate)
-        assert cert.order == order
-        assert cert.trace == (
-            f"round=0 edges={phi.rank} lambda=1 potential=0 move=finite_order({order})",
-        )
-        skip_order_precheck(monkeypatch)
         cert = find_train_track(phi)
         assert isinstance(cert, FiniteOrderCertificate)
         assert cert.order == order
@@ -831,8 +929,8 @@ class TestFindTrainTrack:
         assert k == order
 
     def test_elliptic_map_with_cancellation(self):
-        # Folding this map cycles forever; the word-level order check is what
-        # certifies it.  Its sixth power is an inner automorphism.
+        # Folding this map cycles until it stalls; the stall exit's test on
+        # the state's own basis certifies it.  Its sixth power is inner.
         phi = Automorphism.from_text("a -> B; b -> ba")
         cert = find_train_track(phi)
         assert isinstance(cert, FiniteOrderCertificate)
@@ -874,8 +972,7 @@ class TestFindTrainTrack:
         with pytest.raises(MarkingError, match="not a homotopy equivalence"):
             find_train_track(Automorphism.from_text("a -> aa; b -> b"))
 
-    def test_iteration_cap_reports_non_termination(self, monkeypatch):
-        skip_order_precheck(monkeypatch)
+    def test_iteration_cap_reports_non_termination(self):
         cert = find_train_track(Automorphism.from_text("a -> aab; b -> A"), max_iters=3)
         if isinstance(cert, NonTerminationCertificate):
             assert cert.trace
@@ -975,26 +1072,25 @@ class TestOneState:
         assert all(moves.values()), moves
 
     @pytest.mark.parametrize(
-        "text, skip_precheck, built",
+        "text, finite, built",
         [
             (EXPANDING, False, 1),
             ("a -> B; b -> babb", False, 1),
             (REDUCIBLE, False, 1),
             ("a->AD; b->cdabAD; c->bAB; d->bAD", False, 1),  # collapses a forest, slides
-            (PERMUTED, False, 1),
-            (PERMUTED, True, 1),
+            (PERMUTED, True, 1),  # a graph automorphism
+            ("a -> B; b -> ba", True, 1),  # finite order at the stall exit
             ("a->ba; b->c; c->A", False, 0),  # stalls
         ],
     )
-    def test_builds_only_the_certificate_map(self, monkeypatch, text, skip_precheck, built):
+    def test_builds_only_the_certificate_map(self, monkeypatch, text, finite, built):
         maps = []
         init = GraphMap.__init__
         monkeypatch.setattr(
             GraphMap, "__init__", lambda self, *a, **k: maps.append(self) or init(self, *a, **k)
         )
-        if skip_precheck:
-            skip_order_precheck(monkeypatch)
         cert = find_train_track(Automorphism.from_text(text))
+        assert isinstance(cert, FiniteOrderCertificate) == finite
         assert len(maps) == built
         if built:
             assert cert.graph_map is maps[-1]
