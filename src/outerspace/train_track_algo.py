@@ -60,6 +60,7 @@ from .graph_map import (
 from .words import Word
 
 _STALL_CAP = 25
+_ORDER_LETTER_BUDGET = 20_000
 # Relative improvement of the stretch factor that resets the stall count.
 REL_TOL = 1e-9
 
@@ -701,12 +702,16 @@ def _finite_order_exit(st: _MapState, g: Graph, phi: Automorphism, rnd: int, pot
                       trace: List[str]) -> Optional[FiniteOrderCertificate]:
     """The exit state's finite-order certificate, if phi^d is inner for the
     only candidate order d = finite_order_check(phi) (Baumslag–Taylor): if
-    the d-th power of the state's short own-basis images is."""
+    the d-th power of the state's short own-basis images is.  Past
+    _ORDER_LETTER_BUDGET letters, a memory bound on powers that may grow like
+    lambda^k, it gives None: the exit's own certificate is true either way."""
     d = finite_order_check(phi)
     if d is None:
         return None
     base = power = st.own_basis_images()
     for _ in range(d - 1):
+        if sum(map(len, power)) > _ORDER_LETTER_BUDGET:
+            return None
         power = words.compose(base, power)
     if not words.is_conjugate_identity(power):
         return None

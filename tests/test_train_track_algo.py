@@ -1,5 +1,6 @@
 """Tests for transition matrices, folds, and the train track search loop."""
 
+import json
 import math
 import random
 import re
@@ -525,6 +526,13 @@ CONJUGATED_105 = (
     "a->b; b->c; c->a; d->e; e->f; f->g; g->h; h->d; i->j; j->k; k->l; l->m; m->nb; n->oC; "
     "o->i; p->MBNmlp"
 )
+# The same permutation followed by ten transvections x -> x[y, z]: order 105
+# on homology, infinite order in Out(F_16), reducible in round 0.
+TRANSVECTED_105 = (
+    "a->b; b->cebEB; c->alhjbJBLbjBJHonON; d->ejnJN; e->f; f->gbhjbJBjBJH; g->hjbJB; h->d; "
+    "i->j; j->k; k->l; l->mgjGJ; m->n; n->o; o->ilmLM; "
+    "p->pkgbhjbJBjBJHKhjbJbjBJHBGmgjGJhjbJBjgJGMbjBJH"
+)
 
 
 def long_conjugate(steps: int) -> Automorphism:
@@ -620,6 +628,26 @@ class TestLongImages:
         monkeypatch.undo()
         result = classify(phi)
         assert (result.kind, result.order) == ("elliptic", 3)
+
+    def test_exit_test_of_an_exponential_map_stops_at_the_letter_budget(self, monkeypatch, capsys):
+        # The order-105 permutation with cycles 3, 5, 7 and 1 followed by ten
+        # commutator transvections: order 105 on homology, but lambda > 1.
+        # Its powers on the round-0 state pass 20 million letters by the
+        # tenth of 104 compositions; the budget stops them after a few, and
+        # the reduction exit's own certificate stands.
+        inner = []
+        compose = words.compose
+        monkeypatch.setattr(
+            words, "compose", lambda outer, w: inner.append(sum(map(len, w))) or compose(outer, w)
+        )
+        assert cli.main(["traintrack", "--map", TRANSVECTED_105]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["status"], out["lambda"]) == ("reducible", 3.94206388189)
+        assert out["trace"] == [
+            "round=0 edges=16 lambda=3.94206388189 potential=14 "
+            "move=reduction([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15])"
+        ]
+        assert 0 < len(inner) < 10 and max(inner) <= train_track_algo._ORDER_LETTER_BUDGET
 
 
 # -- train track test --------------------------------------------------------
