@@ -133,15 +133,26 @@ def _json_int(value, field: str) -> int:
     return value
 
 
+def _listed_once(ids: List[int], field: str) -> List[int]:
+    """ids, unless one is listed twice: a set or dict of them would keep one."""
+    seen = set()
+    for x in ids:
+        if x in seen:
+            raise CliInputError(f"{field} {x} is listed twice")
+        seen.add(x)
+    return ids
+
+
 def point_from_json(data: Mapping[str, object]) -> OuterSpacePoint:
     """The point a point file describes.  Its lengths must sum to 1 (else exit
     2), and it may have no valence-2 vertex (a GraphError, exit 4): a file
     holds a point of Outer space, whose graphs are unsubdivided."""
     try:
-        vertices = tuple(_json_int(v, "vertex") for v in data["vertices"])
+        vertices = _listed_once([_json_int(v, "vertex") for v in data["vertices"]], "vertex")
+        ids = _listed_once([_json_int(rec["id"], "edge id") for rec in data["edges"]], "edge id")
         endpoints = {
-            _json_int(rec["id"], "edge id"): tuple(_json_int(u, "endpoint") for u in rec["endpoints"])
-            for rec in data["edges"]
+            e: tuple(_json_int(u, "endpoint") for u in rec["endpoints"])
+            for e, rec in zip(ids, data["edges"])
         }
         graph = Graph(vertices, endpoints)
         lengths = {_edge_key(e, "lengths"): _parse_length(v, e) for e, v in data["lengths"].items()}

@@ -203,13 +203,19 @@ def is_conjugate_identity(images: Sequence[Word]) -> bool:
 # inverting a basis map by folding
 #
 # Given words y_1..y_n generating F_n, build a wedge of n subdivided loops
-# labelled by the y_i, and fold edges carrying the same letter away from a
-# shared endpoint.  Each fold is a homotopy equivalence whenever the far
-# endpoints differ (otherwise the words were not a basis), so a word in the
-# y-alphabet can be carried along for every surviving edge.  The fully
-# folded graph must be the rose on the ambient generators; reading off the
-# carried words and normalizing away one inner conjugation yields the exact
-# inverse map.
+# labelled by the y_i, each edge carrying a y-word, so that a closed path at
+# the basepoint spells in the y-alphabet the element it spells in the ambient
+# letters.  Fold edges carrying the same letter away from a shared endpoint,
+# from a worklist: attaching an edge end whose letter a vertex already has
+# pushes the pair, and nothing is rescanned.  Vertices merge by union-find,
+# the larger class absorbing the smaller; a merged vertex records the y-word
+# of the detour to it from the vertex it joined, so an edge's word is read
+# through those detours when needed and never rewritten.  Each fold is a
+# homotopy equivalence whenever the far endpoints differ; when they agree,
+# equal words mean the two edges were already one, and different words mean
+# the words were not a basis.  The fully folded graph must be the rose on the
+# ambient generators, and its loops, read at the basepoint, are the exact
+# inverse map; no hanging tree can remain, and no conjugator is left over.
 
 
 def invert_images(images: Sequence[Word]) -> tuple:
@@ -223,95 +229,70 @@ def invert_images(images: Sequence[Word]) -> tuple:
     if any(not w for w in imgs) or any(abs(x) > n for w in imgs for x in w):
         raise NotBasisError("images must be nonempty words in the ambient letters")
 
-    # edge record: [init, term, label>0, h-word]; read init->term spells +label
-    edges: dict = {}
-    next_v = 1
-    next_e = 0
+    edges: list = []  # (init, term, label > 0, y-word): init -> term spells +label
+    adj: list = [{}]  # per class root: signed letter leaving it -> edge
+    size: list = [1]  # per class root: its number of vertices
+    up: dict = {}  # merged vertex -> (vertex it joined, y-word of the detour to it)
+    todo: list = []  # (edge, edge, signed letter) leaving one class
+
+    def attach(z, s, e):
+        other = adj[z].setdefault(s, e)
+        if other != e:
+            todo.append((other, e, s))
+
     for i, w in enumerate(imgs, start=1):
         cur = 0
-        for j, letter in enumerate(w):
-            nxt = 0 if j == len(w) - 1 else next_v
-            if j < len(w) - 1:
-                next_v += 1
+        for j, x in enumerate(w):
+            nxt = 0 if j == len(w) - 1 else len(adj)
+            if nxt:
+                adj.append({})
+                size.append(1)
             h: Word = (i,) if j == 0 else ()
-            if letter > 0:
-                edges[next_e] = [cur, nxt, letter, h]
-            else:
-                edges[next_e] = [nxt, cur, -letter, invert_word(h)]
-            next_e += 1
+            edges.append((cur, nxt, x, h) if x > 0 else (nxt, cur, -x, invert_word(h)))
+            attach(cur, x, len(edges) - 1)
+            attach(nxt, -x, len(edges) - 1)
             cur = nxt
 
-    def find_fold():
-        germs: dict = {}
-        for e in sorted(edges):
-            u, v, lab, _ = edges[e]
-            for key in ((u, lab), (v, -lab)):
-                if key in germs:
-                    return germs[key], e, key
-                germs[key] = e
-        return None
+    def climb(v):
+        """The root of v's class and the y-word of the path from it to v."""
+        ws = []
+        while v in up:
+            v, w = up[v]
+            ws.append(w)
+        return v, concat(*reversed(ws))
 
-    while True:
-        hit = find_fold()
-        if hit is None:
-            break
-        e1, e2, (z, slab) = hit
+    def leave(e, s):
+        """The far root of edge e left along letter s, and the y-word of
+        the edge from the near root to it."""
+        u, v, _, h = edges[e]
+        if s < 0:
+            u, v, h = v, u, invert_word(h)
+        far, pv = climb(v)
+        return far, concat(climb(u)[1], h, invert_word(pv))
 
-        def read(e):
-            u, v, lab, h = edges[e]
-            if slab > 0:  # read from init
-                return v, h
-            return u, invert_word(h)
+    while todo:
+        e1, e2, s = todo.pop()
+        (f1, w1), (f2, w2) = leave(e1, s), leave(e2, s)
+        if f1 == f2:
+            if w1 != w2:
+                raise NotBasisError("fold collapses a loop: images are not a basis")
+            continue
+        if adj[f2].get(-s) == e2:  # e2 is e1 from now on
+            del adj[f2][-s]
+        if size[f1] < size[f2]:
+            f1, f2, w1, w2 = f2, f1, w2, w1
+        # f1 absorbs f2; the detour f1 -> near root -> f2 leads to it
+        up[f2] = (f1, concat(invert_word(w1), w2))
+        size[f1] += size[f2]
+        for t, e in adj[f2].items():
+            attach(f1, t, e)
+        adj[f2] = None
 
-        far1, h1 = read(e1)
-        far2, h2 = read(e2)
-        if far1 == far2:
-            raise NotBasisError("fold collapses a loop: images are not a basis")
-        if far2 == 0 or (far1 != 0 and far2 < far1):
-            far1, far2 = far2, far1
-            h1, h2 = h2, h1
-        # far1 survives; omega carries the detour far1 -> z -> far2
-        omega = concat(invert_word(h1), h2)
-        del edges[e2]
-        for e in edges:
-            u, v, lab, h = edges[e]
-            if u == far2:
-                h = concat(omega, h)
-                u = far1
-            if v == far2:
-                h = concat(h, invert_word(omega))
-                v = far1
-            edges[e] = [u, v, lab, h]
-
-    # prune hanging trees away from the basepoint
-    changed = True
-    while changed:
-        changed = False
-        degree: dict = {}
-        for u, v, _, _ in edges.values():
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-        for e in sorted(edges):
-            u, v, _, _ = edges[e]
-            if (degree.get(u, 0) == 1 and u != 0) or (degree.get(v, 0) == 1 and v != 0):
-                del edges[e]
-                changed = True
-                break
-
-    loops = {}
-    for u, v, lab, h in edges.values():
-        if u != 0 or v != 0 or lab in loops:
-            raise NotBasisError("folded graph is not the standard rose")
-        loops[lab] = h
-    if sorted(loops) != list(range(1, n + 1)):
+    root, p0 = climb(0)
+    if size[root] != len(adj) or len(adj[root]) != 2 * n:
         raise NotBasisError("folded graph is not the standard rose")
-
-    psi = [loops[k] for k in range(1, n + 1)]
-    g = common_conjugator(compose(psi, imgs))
-    if g is None:
-        raise NotBasisError("inverse candidate fails the conjugacy check")
-    gi = invert_word(g)
-    psi = tuple(concat(gi, p, g) for p in psi)
+    # the loops at the root, carried to the basepoint along its detour
+    psi = tuple(concat(invert_word(p0), leave(adj[root][k], k)[1], p0) for k in range(1, n + 1))
     if compose(psi, imgs) != identity_images(n):
         raise NotBasisError("inverse verification failed")
     return psi

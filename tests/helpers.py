@@ -2,8 +2,9 @@
 small-graph enumeration, loop-ratio oracles, a one-floor call of the
 displacement minimizer and the bracketing check of its trace, the exact
 spectral radius test, a transition matrix's diagonal blocks and the reference
-invariant chain, the reference finite order on a map's own images, and ways
-to build what the library's constructors would refuse.
+invariant chain, the reference finite order on a map's own images, the
+reference inverse by rescanning folds, order-3 maps with long images, and
+ways to build what the library's constructors would refuse.
 
 These are deliberately independent of the library's candidate machinery so
 they can serve as oracles for it: the loop enumeration below is a plain
@@ -84,6 +85,128 @@ def word_level_order(phi: Automorphism):
     for _ in range(d - 1):
         acc = words.compose(phi.images, acc)
     return d if words.is_conjugate_identity(acc) else None
+
+
+@functools.lru_cache(maxsize=None)
+def long_conjugate(steps: int) -> Automorphism:
+    """psi sigma psi^-1 for sigma = a->b; b->c; c->a, of order 3, and psi =
+    random_automorphism(3, steps, Random(1)), built with psi's tracked
+    inverse; its images total 1,069 letters at 30 steps, 4,009 at 40 and
+    17,139 at 50."""
+    sigma = Automorphism.from_text("a->b; b->c; c->a")
+    psi = random_automorphism(3, steps, random.Random(1))
+
+    def conj(images):
+        return words.compose(psi.images, words.compose(images, psi.inverse_images))
+
+    return Automorphism(conj(sigma.images), inverse=conj(sigma.inverse_images))
+
+
+def invert_images_by_rescan(images: Sequence[tuple]) -> tuple:
+    """Images of the inverse of the automorphism k -> images[k-1], by the
+    fold that words.invert_images replaced, kept as its reference: after
+    each fold it rescans every edge for the next, and it rewrites the
+    carried word of every edge at the merged vertex.  Then it prunes hanging
+    trees and normalizes away one common conjugator.  Raises
+    words.NotBasisError when the images do not form a basis.
+    """
+    n = len(images)
+    imgs = [words.reduce_word(w) for w in images]
+    if any(not w for w in imgs) or any(abs(x) > n for w in imgs for x in w):
+        raise words.NotBasisError("images must be nonempty words in the ambient letters")
+
+    # edge record: [init, term, label>0, h-word]; read init->term spells +label
+    edges: dict = {}
+    next_v = 1
+    next_e = 0
+    for i, w in enumerate(imgs, start=1):
+        cur = 0
+        for j, letter in enumerate(w):
+            nxt = 0 if j == len(w) - 1 else next_v
+            if j < len(w) - 1:
+                next_v += 1
+            h: tuple = (i,) if j == 0 else ()
+            if letter > 0:
+                edges[next_e] = [cur, nxt, letter, h]
+            else:
+                edges[next_e] = [nxt, cur, -letter, words.invert_word(h)]
+            next_e += 1
+            cur = nxt
+
+    def find_fold():
+        germs: dict = {}
+        for e in sorted(edges):
+            u, v, lab, _ = edges[e]
+            for key in ((u, lab), (v, -lab)):
+                if key in germs:
+                    return germs[key], e, key
+                germs[key] = e
+        return None
+
+    while True:
+        hit = find_fold()
+        if hit is None:
+            break
+        e1, e2, (z, slab) = hit
+
+        def read(e):
+            u, v, lab, h = edges[e]
+            if slab > 0:  # read from init
+                return v, h
+            return u, words.invert_word(h)
+
+        far1, h1 = read(e1)
+        far2, h2 = read(e2)
+        if far1 == far2:
+            raise words.NotBasisError("fold collapses a loop: images are not a basis")
+        if far2 == 0 or (far1 != 0 and far2 < far1):
+            far1, far2 = far2, far1
+            h1, h2 = h2, h1
+        # far1 survives; omega carries the detour far1 -> z -> far2
+        omega = words.concat(words.invert_word(h1), h2)
+        del edges[e2]
+        for e in edges:
+            u, v, lab, h = edges[e]
+            if u == far2:
+                h = words.concat(omega, h)
+                u = far1
+            if v == far2:
+                h = words.concat(h, words.invert_word(omega))
+                v = far1
+            edges[e] = [u, v, lab, h]
+
+    # prune hanging trees away from the basepoint
+    changed = True
+    while changed:
+        changed = False
+        degree: dict = {}
+        for u, v, _, _ in edges.values():
+            degree[u] = degree.get(u, 0) + 1
+            degree[v] = degree.get(v, 0) + 1
+        for e in sorted(edges):
+            u, v, _, _ = edges[e]
+            if (degree.get(u, 0) == 1 and u != 0) or (degree.get(v, 0) == 1 and v != 0):
+                del edges[e]
+                changed = True
+                break
+
+    loops = {}
+    for u, v, lab, h in edges.values():
+        if u != 0 or v != 0 or lab in loops:
+            raise words.NotBasisError("folded graph is not the standard rose")
+        loops[lab] = h
+    if sorted(loops) != list(range(1, n + 1)):
+        raise words.NotBasisError("folded graph is not the standard rose")
+
+    psi = [loops[k] for k in range(1, n + 1)]
+    g = words.common_conjugator(words.compose(psi, imgs))
+    if g is None:
+        raise words.NotBasisError("inverse candidate fails the conjugacy check")
+    gi = words.invert_word(g)
+    psi = tuple(words.concat(gi, p, g) for p in psi)
+    if words.compose(psi, imgs) != words.identity_images(n):
+        raise words.NotBasisError("inverse verification failed")
+    return psi
 
 
 def state_of(m: GraphMap) -> train_track_algo._MapState:

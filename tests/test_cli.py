@@ -433,6 +433,26 @@ class TestCandidatesCommand:
         assert code == EXIT_PARSE
         assert "lengths key must be a decimal edge id, got '01'" in err
 
+    @pytest.mark.parametrize("vertices, edges, named", [
+        # Read into a dict, the second record of edge 1 replaced the first,
+        # and this file was the rank-2 rose and exited 0.
+        ([0], [[0, 0], [0, 0], [0, 0]], "edge id 1"),
+        # The dropped record held vertex 7's only edge: this exited 4, "point
+        # graphs must be connected".
+        ([0, 7], [[0, 7], [0, 0], [0, 0]], "edge id 1"),
+        # Read into a set, the rose's vertex was kept once and this exited 0.
+        ([0, 0], [[0, 0], [0, 0]], "vertex 0"),
+    ], ids=["edge", "edge_of_a_vertex", "vertex"])
+    def test_repeated_id_is_refused(self, capsys, tmp_path, quarter_point, vertices, edges, named):
+        data = json.loads((tmp_path / "x.json").read_text())
+        data["vertices"] = vertices
+        ids = [1] + list(range(1, len(edges)))
+        data["edges"] = [{"id": e, "endpoints": ends} for e, ends in zip(ids, edges)]
+        (tmp_path / "x.json").write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "candidates", "--point", quarter_point)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert f"{named} is listed twice" in err
+
     @pytest.mark.parametrize("value", [True, False, None, [1]])
     def test_length_must_be_a_number(self, capsys, tmp_path, quarter_point, value):
         data = json.loads((tmp_path / "x.json").read_text())

@@ -13,6 +13,7 @@ from helpers import (
     cycle_permutation,
     diagonal_blocks,
     exceeds_spectral_radius,
+    long_conjugate,
     reference_invariant_chain,
     state_of,
     unchecked,
@@ -533,20 +534,6 @@ TRANSVECTED_105 = (
     "i->j; j->k; k->l; l->mgjGJ; m->n; n->o; o->ilmLM; "
     "p->pkgbhjbJBjBJHKhjbJbjBJHBGmgjGJhjbJBjgJGMbjBJH"
 )
-
-
-def long_conjugate(steps: int) -> Automorphism:
-    """psi sigma psi^-1 for sigma = a->b; b->c; c->a, of order 3, and psi =
-    random_automorphism(3, steps, Random(1)), built with psi's tracked
-    inverse; its images total 1,069 letters at 30 steps, 4,009 at 40 and
-    17,139 at 50."""
-    sigma = Automorphism.from_text("a->b; b->c; c->a")
-    psi = random_automorphism(3, steps, random.Random(1))
-
-    def conj(images):
-        return words.compose(psi.images, words.compose(images, psi.inverse_images))
-
-    return Automorphism(conj(sigma.images), inverse=conj(sigma.inverse_images))
 
 
 class TestFiniteOrderExits:

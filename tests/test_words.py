@@ -3,6 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import invert_images_by_rescan, long_conjugate
+from outerspace import words
+from outerspace.marked_metric import random_automorphism
 from outerspace.words import (
     NotBasisError,
     common_conjugator,
@@ -193,8 +196,7 @@ def test_invert_images_on_random_compositions(rank, steps, seed):
         for k in range(1, rank + 1):
             assert compose(psi, (images[k - 1],))[0] == (k,)
             assert compose(images, (psi[k - 1],))[0] == (k,)
-        # psi agrees with the tracked inverse up to conjugation
-        assert is_conjugate_identity(compose(psi, images))
+        assert compose(psi, images) == identity_images(rank)
         assert is_conjugate_identity(
             compose(known_inverse, tuple(invert_images(psi)))
         )
@@ -212,6 +214,50 @@ def test_invert_images_known_pairs():
     for _ in range(4):
         cur = compose(perm, cur)
     assert psi == cur
+
+
+def test_invert_images_matches_the_rescan_reference_on_bases():
+    # 200 seeded draws at ranks 2-8 and 0-80 Nielsen moves, up to 1,034
+    # letters, and two order-3 maps of 1,069 and 4,009 letters: the worklist
+    # fold gives the reference's inverse, which is the tracked one.
+    phis = [random_automorphism(2 + i % 7, i % 81, random.Random(i)) for i in range(200)]
+    for phi in phis + [long_conjugate(30), long_conjugate(40)]:
+        psi = invert_images(phi.images)
+        assert psi == invert_images_by_rescan(phi.images) == phi.inverse_images
+
+
+def test_invert_images_refuses_what_the_rescan_reference_refuses():
+    # 3,000 tuples of words of 0-4 random letters at ranks 2-4, 347 of
+    # them bases.
+    def inverse(f, images):
+        try:
+            return f(images)
+        except NotBasisError:
+            return None
+
+    rng = random.Random(5)
+    bases = 0
+    for _ in range(3000):
+        rank = rng.randrange(2, 5)
+        letters = [x for k in range(1, rank + 1) for x in (k, -k)]
+        images = tuple(tuple(rng.choices(letters, k=rng.randrange(5))) for _ in range(rank))
+        psi = inverse(invert_images, images)
+        assert psi == inverse(invert_images_by_rescan, images)
+        bases += psi is not None
+    assert bases == 347
+
+
+def test_invert_images_folds_a_long_power_without_deep_recursion():
+    # 2,000 folds merge one vertex at a time into the basepoint's class.
+    assert invert_images(((1,) + (2,) * 2000, (2,))) == ((1,) + (-2,) * 2000, (2,))
+
+
+def test_invert_images_composes_once(monkeypatch):
+    # The one composition is the final check that psi inverts the images.
+    calls = []
+    monkeypatch.setattr(words, "compose", lambda outer, inner: calls.append(1) or compose(outer, inner))
+    assert invert_images(((1, 2), (2, 1, 2))) == ((1, 1, -2), (2, -1))
+    assert len(calls) == 1
 
 
 def test_invert_images_rejects_non_bases():
