@@ -2,8 +2,9 @@
 
 Subcommands: ``traintrack``, ``distance``, ``classify``, ``candidates``,
 ``minimize``.  The parsed argparse namespace is the only configuration: each
-subparser names its command function with ``set_defaults`` and the command
-reads its flags from the namespace.  Reports are emitted as canonical JSON
+subparser names its command function with ``set_defaults``, and the command
+reads its flags from the namespace and returns its report and exit code;
+``main`` writes the report.  Reports are emitted as canonical JSON
 (sorted keys, compact separators, floats rounded to 12 significant digits) so
 repeated runs are byte-identical, or as plain text with ``--text``.  Words
 of every rank have one codec, ``words.format_word`` and ``words.parse_word``
@@ -31,7 +32,6 @@ from .lipschitz_metric import (
     Elliptic,
     GameSolveError,
     Hyperbolic,
-    Inconclusive,
     ParabolicSuspect,
     StretchIntegrityError,
     classify,
@@ -53,7 +53,6 @@ from .train_track_algo import (
     FiniteOrderCertificate,
     InvalidMapError,
     NonTerminationCertificate,
-    ReductionCertificate,
     TrainTrackCertificate,
     find_train_track,
 )
@@ -185,10 +184,16 @@ def point_from_json(data: Mapping[str, object]) -> OuterSpacePoint:
     return x
 
 
+def _keyed_once(pairs: List[Tuple[str, object]]) -> Dict[str, object]:
+    """A JSON object, unless a key is written twice: json.load keeps the last."""
+    _listed_once([repr(key) for key, _ in pairs], "key")
+    return dict(pairs)
+
+
 def _load_point(path: str) -> OuterSpacePoint:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_keyed_once)
     except OSError as exc:
         raise CliInputError(f"cannot read point file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -219,46 +224,25 @@ def _edge_images_json(m: GraphMap) -> Dict[str, str]:
 
 
 def _traintrack_report(cert) -> Tuple[Dict[str, object], int]:
+    report: Dict[str, object] = {"status": cert.status, "trace": list(cert.trace)}
+    if isinstance(cert, NonTerminationCertificate):
+        report["reason"] = cert.reason
+        return report, EXIT_CAP
+    report["metric"] = _metric_json(cert.graph_map.domain.metric)
+    report["edge_images"] = _edge_images_json(cert.graph_map)
     if isinstance(cert, TrainTrackCertificate):
-        report = {
-            "status": cert.status,
-            "lambda": _f12(cert.lam),
-            "metric": _metric_json(cert.metric),
-            "gates": _gates_json(cert.structure),
-            "edge_images": _edge_images_json(cert.graph_map),
-            "trace": list(cert.trace),
-        }
-        return report, EXIT_OK
-    if isinstance(cert, FiniteOrderCertificate):
-        report = {
-            "status": cert.status,
-            "order": cert.order,
-            "lambda": 1.0,
-            "metric": _metric_json(cert.graph_map.domain.metric),
-            "gates": [],
-            "edge_images": _edge_images_json(cert.graph_map),
-            "trace": list(cert.trace),
-        }
-        return report, EXIT_OK
-    if isinstance(cert, ReductionCertificate):
-        report = {
-            "status": cert.status,
+        report.update({"lambda": _f12(cert.lam), "gates": _gates_json(cert.structure)})
+    elif isinstance(cert, FiniteOrderCertificate):
+        report.update({"lambda": 1.0, "order": cert.order, "gates": []})
+    else:
+        assert cert.status == "reducible", cert
+        report.update({
+            "lambda": _f12(cert.rho),
             "subgraph": sorted(words.format_word((e,)) for e in cert.subset),
             "matrix": [list(r) for r in cert.matrix.rows],
             "edge_order": [words.format_word((e,)) for e in cert.matrix.edge_ids],
-            "lambda": _f12(cert.rho),
-            "metric": _metric_json(cert.graph_map.domain.metric),
-            "edge_images": _edge_images_json(cert.graph_map),
-            "trace": list(cert.trace),
-        }
-        return report, EXIT_OK
-    assert isinstance(cert, NonTerminationCertificate)
-    report = {
-        "status": cert.status,
-        "reason": cert.reason,
-        "trace": list(cert.trace),
-    }
-    return report, EXIT_CAP
+        })
+    return report, EXIT_OK
 
 
 def _distance_report(x: OuterSpacePoint, y: OuterSpacePoint) -> Dict[str, object]:
@@ -286,49 +270,31 @@ def _simplex_json(rep) -> Dict[str, object]:
 
 
 def _classify_report(result) -> Tuple[Dict[str, object], int]:
+    evidence: Dict[str, object] = {"trace": list(result.certificate.trace)}
+    report: Dict[str, object] = {"kind": result.kind, "evidence": evidence}
     if isinstance(result, Elliptic):
-        report = {
-            "kind": result.kind,
-            "order": result.order,
-            "evidence": {"trace": list(result.certificate.trace)},
-        }
-        return report, EXIT_OK
-    if isinstance(result, Hyperbolic):
-        report = {
-            "kind": result.kind,
-            "lambda": _f12(result.lam),
-            "evidence": {
-                "trace": list(result.certificate.trace),
-                "metric": _metric_json(result.certificate.graph_map.domain.metric),
-                "legal_loop": words.format_word(result.loop.edges),
-                "bracket": [_f12(b) for b in result.bracket],
-                "simplex": _simplex_json(result.simplex),
-            },
-        }
-        return report, EXIT_OK
-    if isinstance(result, ParabolicSuspect):
-        report = {
-            "kind": result.kind,
-            "invariant_chain": [
-                sorted(words.format_word((e,)) for e in subset)
-                for subset in result.invariant_chain
-            ],
-            "evidence": {
-                "trace": list(result.certificate.trace),
-                "sweep": [
-                    {"floor": _f12(f), "lambda": _f12(lam), "boundary_flag": b}
-                    for f, lam, b in result.sweep
-                ],
-            },
-        }
-        return report, EXIT_OK
-    assert isinstance(result, Inconclusive)
-    report = {
-        "kind": result.kind,
-        "reason": result.reason,
-        "evidence": {"trace": list(result.certificate.trace)},
-    }
-    return report, EXIT_CAP
+        report["order"] = result.order
+    elif isinstance(result, Hyperbolic):
+        report["lambda"] = _f12(result.lam)
+        evidence.update({
+            "metric": _metric_json(result.certificate.graph_map.domain.metric),
+            "legal_loop": words.format_word(result.loop.edges),
+            "bracket": [_f12(b) for b in result.bracket],
+            "simplex": _simplex_json(result.simplex),
+        })
+    elif isinstance(result, ParabolicSuspect):
+        report["invariant_chain"] = [
+            sorted(words.format_word((e,)) for e in subset) for subset in result.invariant_chain
+        ]
+        evidence["sweep"] = [
+            {"floor": _f12(f), "lambda": _f12(lam), "boundary_flag": b}
+            for f, lam, b in result.sweep
+        ]
+    else:
+        assert result.kind == "inconclusive", result
+        report["reason"] = result.reason
+        return report, EXIT_CAP
+    return report, EXIT_OK
 
 
 # -- rendering ----------------------------------------------------------------------
@@ -371,55 +337,39 @@ def _emit(report: Dict[str, object], text: bool) -> None:
 # -- command drivers ----------------------------------------------------------------
 
 
-def cmd_traintrack(args: argparse.Namespace) -> int:
-    cert = find_train_track(Automorphism.from_text(args.map), max_iters=args.max_iters)
-    report, code = _traintrack_report(cert)
-    _emit(report, args.text)
-    return code
+def cmd_traintrack(args: argparse.Namespace) -> Tuple[Dict[str, object], int]:
+    phi = Automorphism.from_text(args.map)
+    return _traintrack_report(find_train_track(phi, max_iters=args.max_iters))
 
 
-def cmd_distance(args: argparse.Namespace) -> int:
+def cmd_distance(args: argparse.Namespace) -> Tuple[Dict[str, object], int]:
     x = _load_point(args.point)
     y = _load_point(args.point2)
     if x.rank != y.rank:
         raise MarkingError(f"points have different ranks ({x.rank} vs {y.rank})")
     if args.both:
-        report = {
-            "forward": _distance_report(x, y),
-            "backward": _distance_report(y, x),
-        }
-    else:
-        report = _distance_report(x, y)
-    _emit(report, args.text)
-    return EXIT_OK
+        return {"forward": _distance_report(x, y), "backward": _distance_report(y, x)}, EXIT_OK
+    return _distance_report(x, y), EXIT_OK
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
-    report, code = _classify_report(classify(Automorphism.from_text(args.map)))
-    _emit(report, args.text)
-    return code
+def cmd_classify(args: argparse.Namespace) -> Tuple[Dict[str, object], int]:
+    return _classify_report(classify(Automorphism.from_text(args.map)))
 
 
-def cmd_candidates(args: argparse.Namespace) -> int:
+def cmd_candidates(args: argparse.Namespace) -> Tuple[Dict[str, object], int]:
     x = _load_point(args.point)
-    loops = candidates(x)
-    report = {
-        "count": len(loops),
-        "candidates": [
-            {"loop": list(c.loop.edges), "length": _num(loop_length(x, c.loop))}
-            for c in loops
-        ],
-    }
-    _emit(report, args.text)
-    return EXIT_OK
+    loops = [
+        {"loop": list(c.loop.edges), "length": _num(loop_length(x, c.loop))}
+        for c in candidates(x)
+    ]
+    return {"count": len(loops), "candidates": loops}, EXIT_OK
 
 
-def cmd_minimize(args: argparse.Namespace) -> int:
+def cmd_minimize(args: argparse.Namespace) -> Tuple[Dict[str, object], int]:
     phi = Automorphism.from_text(args.map)
     m = self_map_from_automorphism(rose_point(phi.rank), phi)
     (rep,) = min_displacement_on_simplex(m.domain.graph, m.edge_image, (args.floor,))
-    _emit(_simplex_json(rep), args.text)
-    return EXIT_OK
+    return _simplex_json(rep), EXIT_OK
 
 
 # -- argument parsing ---------------------------------------------------------------
@@ -484,7 +434,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_PARSE
     try:
-        return args.run(args)
+        report, code = args.run(args)
     except (MarkingError, StretchIntegrityError, GameSolveError, GraphError, PathError,
             InvalidMapError) as exc:
         sys.stderr.write(f"integrity error: {exc}\n")
@@ -492,6 +442,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (CliInputError, AutomorphismParseError, NotBasisError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
+    _emit(report, args.text)
+    return code
 
 
 if __name__ == "__main__":

@@ -159,6 +159,10 @@ class Automorphism:
             inv = tuple(words.reduce_word(w) for w in inverse)
             if len(inv) != self.rank:
                 raise ValueError("inverse has wrong rank")
+            for i, w in enumerate(inv):
+                if any(abs(x) > self.rank for x in w):
+                    raise ValueError(
+                        f"inverse image of generator {i + 1} uses letters beyond rank {self.rank}")
             if words.common_conjugator(words.compose(inv, imgs)) is None:
                 raise NotBasisError("supplied inverse does not invert the images up to one conjugation")
         self.inverse_images = inv
@@ -296,6 +300,10 @@ class OuterSpacePoint:
                 raise MarkingError("marking loops must be based at the basepoint")
         if set(self._inverse_marking) != set(g.edge_ids):
             raise ValueError("inverse marking must cover exactly the graph edges")
+        rank = len(self.marking)
+        for e, w in self._inverse_marking.items():
+            if any(abs(x) > rank for x in w):
+                raise MarkingError(f"inverse marking of edge {e} uses a generator beyond rank {rank}")
         self.check_marking()
 
     @property

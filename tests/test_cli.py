@@ -227,6 +227,24 @@ class TestDistanceCommand:
         )
         assert code == EXIT_INTEGRITY
 
+    @pytest.mark.parametrize("order", ["bad_first", "bad_second", "candidates"])
+    def test_inverse_marking_beyond_the_rank_exit(self, capsys, tmp_path, quarter_point, order):
+        # C is one common conjugator of Cac and Cbc, so the marking check
+        # alone accepted this file: candidates exited 0, distance from it
+        # died on KeyError: -3, and distance to it printed sigma 1.
+        data = json.loads((tmp_path / "x.json").read_text())
+        data["inverse_marking"] = {"1": "Cac", "2": "Cbc"}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        argv = {
+            "bad_first": ("distance", "--point", str(bad), "--point2", quarter_point),
+            "bad_second": ("distance", "--point", quarter_point, "--point2", str(bad)),
+            "candidates": ("candidates", "--point", str(bad)),
+        }[order]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_INTEGRITY, "")
+        assert err == "integrity error: inverse marking of edge 1 uses a generator beyond rank 2\n"
+
     @pytest.mark.parametrize("word", ["b1", 5])
     def test_bad_inverse_marking_word_exit(self, capsys, tmp_path, quarter_point, word):
         data = json.loads((tmp_path / "x.json").read_text())
@@ -452,6 +470,19 @@ class TestCandidatesCommand:
         code, out, err = run_cli(capsys, "candidates", "--point", quarter_point)
         assert (code, out) == (EXIT_PARSE, "")
         assert f"{named} is listed twice" in err
+
+    @pytest.mark.parametrize("field, key", [
+        ("lengths", "1"), ("marking", "a"), ("inverse_marking", "1")])
+    def test_repeated_key_is_refused(self, capsys, tmp_path, quarter_point, field, key):
+        # json.load kept the key's last value: each of these files was the
+        # rank-2 rose and exited 0.
+        data = json.loads((tmp_path / "x.json").read_text())
+        text = json.dumps(data[field])[1:]
+        (tmp_path / "x.json").write_text(json.dumps(data).replace(
+            text, f"{json.dumps(key)}: {json.dumps(data[field][key])}, {text}"))
+        code, out, err = run_cli(capsys, "candidates", "--point", quarter_point)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert f"key {key!r} is listed twice" in err
 
     @pytest.mark.parametrize("value", [True, False, None, [1]])
     def test_length_must_be_a_number(self, capsys, tmp_path, quarter_point, value):

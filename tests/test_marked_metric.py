@@ -135,6 +135,13 @@ class TestAutomorphismParsing:
         with pytest.raises(NotBasisError):
             Automorphism([(1, 2), (2, 1, 2)], inverse=[(2,), (1,)])
 
+    def test_supplied_inverse_beyond_the_rank_rejected(self):
+        # C is one common conjugator of these inverse images, so the
+        # conjugation check alone accepted them, and act then built a point
+        # whose inverse marking used generator 3.
+        with pytest.raises(ValueError, match="inverse image of generator 1 uses letters beyond rank 2"):
+            Automorphism(((1,), (2,)), inverse=((3, 1, -3), (3, 2, -3)))
+
     @pytest.mark.parametrize("rank, steps, seed", [(2, 8, 0), (3, 12, 1), (5, 30, 2)])
     def test_inverse_computed_exactly(self, rank, steps, seed):
         # Without a supplied inverse, the images are inverted once, exactly:
@@ -202,6 +209,17 @@ class TestPointConstruction:
                 g, Metric({1: Fraction(1, 2), 2: Fraction(1, 2)}),
                 [EdgePath((1,)), EdgePath((2,))], 0,
                 inverse_marking={1: (1,), 2: (1,)},
+            )
+
+    def test_inverse_marking_beyond_the_rank_rejected(self):
+        # Cac, Cbc carry the rose's loops up to the one conjugator C, so the
+        # marking check alone accepted them.
+        g = Graph([0], {1: (0, 0), 2: (0, 0)})
+        with pytest.raises(MarkingError, match="edge 1 uses a generator beyond rank 2"):
+            OuterSpacePoint(
+                g, Metric({1: Fraction(1, 2), 2: Fraction(1, 2)}),
+                [EdgePath((1,)), EdgePath((2,))], 0,
+                inverse_marking={1: (-3, 1, 3), 2: (-3, 2, 3)},
             )
 
     def test_graph_point_constructor(self):
