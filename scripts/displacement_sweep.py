@@ -47,7 +47,7 @@ def main(argv=None) -> int:
     print(f"map: {args.map}   (rank {phi.rank})")
     print(f"{'floor':>10}  {'lambda':>18}  {'log lambda':>12}  boundary")
     prev = None
-    for rep in min_displacement_on_simplex(m.domain.graph, m.edge_image, floors):
+    for rep in min_displacement_on_simplex(m, floors):
         drift = "" if prev is None else f"  (drop {prev - rep.lam:+.3e})"
         print(
             f"{rep.floor:>10.0e}  {rep.lam:>18.12f}  {math.log(rep.lam):>12.8f}  "

@@ -312,7 +312,13 @@ def _render_text(value, indent: str = "") -> List[str]:
                 lines.append(f"{indent}{k}: {v}")
     elif isinstance(value, list):
         for v in value:
-            if isinstance(v, list) and not any(
+            if isinstance(v, dict):
+                # YAML block style: "- " at the list's indent starts each
+                # object, and its other keys align under its first.
+                first, *rest = _render_text(v, indent + "  ")
+                lines.append(f"{indent}- {first[len(indent) + 2:]}")
+                lines.extend(rest)
+            elif isinstance(v, list) and not any(
                 isinstance(item, (dict, list)) for item in v
             ):
                 lines.append(f"{indent}- [{' '.join(str(item) for item in v)}]")
@@ -368,7 +374,7 @@ def cmd_candidates(args: argparse.Namespace) -> Tuple[Dict[str, object], int]:
 def cmd_minimize(args: argparse.Namespace) -> Tuple[Dict[str, object], int]:
     phi = Automorphism.from_text(args.map)
     m = self_map_from_automorphism(rose_point(phi.rank), phi)
-    (rep,) = min_displacement_on_simplex(m.domain.graph, m.edge_image, (args.floor,))
+    (rep,) = min_displacement_on_simplex(m, (args.floor,))
     return _simplex_json(rep), EXIT_OK
 
 

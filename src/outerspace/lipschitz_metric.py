@@ -16,20 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import ClassVar, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import words
-from .graph_core import EdgePath, Graph
-from .marked_metric import (
-    Automorphism,
-    CandidateLoop,
-    Metric,
-    OuterSpacePoint,
-    candidates,
-    _candidate_words,
-)
+from .graph_core import EdgePath
+from .marked_metric import Automorphism, CandidateLoop, Metric, OuterSpacePoint, candidates
 from .graph_map import GraphMap, find_legal_loop
 from .train_track_algo import (
     Certificate,
@@ -37,7 +30,6 @@ from .train_track_algo import (
     ReductionCertificate,
     TrainTrackCertificate,
     find_train_track,
-    _crossing_counts,
     growth_bracket,
     invariant_chain,
     pf_eigen,
@@ -127,20 +119,19 @@ class SimplexMinReport:
         return bool(self.pinned)
 
 
-def _constraint_rows(
-    g: Graph, edge_image: Mapping[int, EdgePath]
-) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
-    """Deduplicated (image-count, count) rows over all candidate loops; their
-    maximal ratio is the stretch of the map at every metric."""
-    ids = g.edge_ids
-    table = words.letter_table({e: p.edges for e, p in edge_image.items()})
+def _constraint_rows(m: GraphMap) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """Deduplicated (image-count, count) rows over the candidate loops of the
+    self-map's domain; their maximal ratio is the stretch of m at every
+    metric.  A candidate with a nullhomotopic image raises, as in sigma."""
+    ids = m.domain.graph.edge_ids
     rows = []
     seen = set()
-    for c in _candidate_words(g):
+    for c in candidates(m.domain):
         w = c.loop.edges
-        B = words.letter_counts(ids, words.cyclic_image(table, w))
-        if not any(B):
-            continue  # nullhomotopic image constrains nothing
+        image = words.cyclic_image(m.direction_image, w)
+        if not image:
+            raise StretchIntegrityError(f"candidate {w} has a nullhomotopic image")
+        B = words.letter_counts(ids, image)
         C = words.letter_counts(ids, w)
         if (B, C) not in seen:
             seen.add((B, C))
@@ -333,10 +324,8 @@ _MAX_STEPS = 32
 _GAP = 1e-12  # relative gap between the bounds at which the minimum is settled
 
 
-def min_displacement_on_simplex(
-    g: Graph, edge_image: Mapping[int, EdgePath], floors: Sequence[float]
-) -> List[SimplexMinReport]:
-    """Minimize the maximal candidate stretch of a fixed topological self-map
+def min_displacement_on_simplex(m: GraphMap, floors: Sequence[float]) -> List[SimplexMinReport]:
+    """Minimize the maximal candidate stretch of the topological self-map m
     over unit-volume metrics with every edge length at least the floor, at
     each floor of `floors` in turn; one report per floor, in order.
 
@@ -360,11 +349,13 @@ def min_displacement_on_simplex(
     when t >= 0 (l_k is optimal), when the two bounds meet, or when a step
     no longer lowers lam.
 
-    The constraint rows are built once for all the floors.  The first floor
-    starts at l_0, the map's own Perron–Frobenius lengths (`pf_eigen`), at
-    which no candidate stretches by more than the spectral radius rho of its
-    transition matrix M: a loop's image crosses each edge at most M times its
-    own crossing counts, and M^T v = rho v.  Each later floor starts from the
+    The constraint rows are built once for all the floors, from the
+    candidates of m's domain and m's own letter table, `m.direction_image`;
+    a candidate with a nullhomotopic image raises StretchIntegrityError.  The
+    first floor starts at l_0, the Perron–Frobenius lengths (`pf_eigen`) of
+    m's transition matrix M (`transition_matrix`), at which no candidate
+    stretches by more than M's spectral radius rho: a loop's image crosses
+    each edge at most M times its own crossing counts, and M^T v = rho v.  Each later floor starts from the
     previous floor's last LP basis and at its minimizer, or at that
     minimizer with its pinned edges moved to this floor (a zero length lifts
     to the floor) when that stretches less.  Either start is scaled to unit
@@ -376,14 +367,12 @@ def min_displacement_on_simplex(
     approach it, and a smaller floor still admits it, so a decreasing ladder
     of floors gives a lam that cannot rise (beyond rounding).
     """
-    ids = g.edge_ids
+    ids = m.domain.graph.edge_ids
     n = len(ids)
     for floor in floors:
         if not 0 < floor < 1 / n:
             raise ValueError(f"floor must lie strictly between 0 and 1/{n}")
-    counts = _constraint_rows(g, edge_image)
-    if not counts:
-        raise StretchIntegrityError("self-map stretches no candidate loop")
+    counts = _constraint_rows(m)
     Bm = np.array([r[0] for r in counts], dtype=float)
     Cm = np.array([r[1] for r in counts], dtype=float)
     b_ub = np.zeros(len(Bm))
@@ -397,8 +386,7 @@ def min_displacement_on_simplex(
         excess = np.maximum(lengths / lengths.sum() - floor, 0.0)
         return floor + (1.0 - n * floor) * excess / excess.sum()
 
-    M = _crossing_counts(g, {e: p.edges for e, p in edge_image.items()})
-    lengths = np.array(pf_eigen(M)[1])
+    lengths = np.array(pf_eigen(transition_matrix(m))[1])
     basis, pinned = None, ()
     reports = []
     for floor in floors:
@@ -510,17 +498,15 @@ def classify(phi: Automorphism) -> Classification:
         return Elliptic(order=cert.order, certificate=cert)
     if isinstance(cert, TrainTrackCertificate):
         m = cert.graph_map
-        g = m.domain.graph
         loop = find_legal_loop(cert.structure)
         lo, hi = growth_bracket(transition_matrix(m), cert.metric)
         if not lo > 1:
             reason = f"train track found but its growth bracket [{float(lo)!r}, {float(hi)!r}]"
             return Inconclusive(reason + " is not above 1", cert)
-        (rep,) = min_displacement_on_simplex(g, m.edge_image, (_CLASSIFY_FLOOR,))
+        (rep,) = min_displacement_on_simplex(m, (_CLASSIFY_FLOOR,))
         return Hyperbolic(cert.lam, cert, loop=loop, bracket=(lo, hi), simplex=rep)
     if isinstance(cert, ReductionCertificate):
-        m = cert.graph_map
-        reports = min_displacement_on_simplex(m.domain.graph, m.edge_image, _SWEEP_FLOORS)
+        reports = min_displacement_on_simplex(cert.graph_map, _SWEEP_FLOORS)
         sweep = tuple((rep.floor, rep.lam, rep.boundary_flag) for rep in reports)
         return ParabolicSuspect(invariant_chain(cert.matrix), sweep, certificate=cert)
     return Inconclusive(reason=cert.reason, certificate=cert)

@@ -274,7 +274,7 @@ class OuterSpacePoint:
         self.marking = tuple(tighten(graph, p) for p in marking)
         self.basepoint = basepoint
         self._inverse_marking = {e: words.reduce_word(w) for e, w in inverse_marking.items()}
-        self._inverse_table: Optional[Dict[int, Word]] = None
+        self._inverse_table = words.letter_table(self._inverse_marking)
         self._marking_table: Optional[Dict[int, Tuple[int, ...]]] = None
         self._tree: Optional[Dict[int, Tuple[int, ...]]] = None
         self._validate()
@@ -329,11 +329,8 @@ class OuterSpacePoint:
 
     def inverse_marking_word(self, edges: Iterable[int]) -> Word:
         """Word in the generators carried by an edge sequence."""
-        table = self._inverse_table
-        if table is None:
-            table = self._inverse_table = words.letter_table(self._inverse_marking)
         # Table words are reduced, so only their junctions can cancel.
-        return words.apply_table(table, edges)
+        return words.apply_table(self._inverse_table, edges)
 
     def _spanning_tree(self) -> Dict[int, Tuple[int, ...]]:
         """The BFS tree of the graph from the basepoint (see `_bfs_tree`),

@@ -101,7 +101,7 @@ class TransitionMatrix:
 
 def transition_matrix(m: GraphMap) -> TransitionMatrix:
     """Unoriented crossing counts of each edge by each edge image."""
-    return _crossing_counts(m.domain.graph, {e: p.edges for e, p in m.edge_image.items()})
+    return _crossing_counts(m.domain.graph, m.direction_image)
 
 
 def _crossing_counts(g: Graph, images: Mapping[int, Sequence[int]]) -> TransitionMatrix:

@@ -57,10 +57,10 @@ def distance(x: OuterSpacePoint, y: OuterSpacePoint) -> float:
     return sigma(x, y, difference_of_markings(x, y)).log_sigma
 
 
-def minimize_at(g: Graph, edge_image, floor: float) -> SimplexMinReport:
-    """The displacement minimizer's report at one floor, started from the
-    map's PF lengths."""
-    (rep,) = min_displacement_on_simplex(g, edge_image, (floor,))
+def minimize_at(m: GraphMap, floor: float) -> SimplexMinReport:
+    """The displacement minimizer's report on the self-map m at one floor,
+    started from the map's PF lengths."""
+    (rep,) = min_displacement_on_simplex(m, (floor,))
     return rep
 
 

@@ -119,10 +119,7 @@ def test_criterion_4_unrealized_infimum_trend():
         rose_point(4), Automorphism.from_text(RANK4_TEXT)
     )
     start = time.perf_counter()
-    reports = [
-        minimize_at(m.domain.graph, m.edge_image, floor)
-        for floor in (1e-2, 1e-3, 1e-4)
-    ]
+    reports = [minimize_at(m, floor) for floor in (1e-2, 1e-3, 1e-4)]
     elapsed = time.perf_counter() - start
     lams = [rep.lam for rep in reports]
     assert lams[0] > lams[1] > lams[2]
@@ -136,7 +133,7 @@ def test_criterion_5_interior_minimum_matches_growth_rate():
     m = self_map_from_automorphism(
         rose_point(2), Automorphism.from_text(EXPANDING_TEXT)
     )
-    rep = minimize_at(m.domain.graph, m.edge_image, 1e-6)
+    rep = minimize_at(m, 1e-6)
     assert abs(rep.lam - GOLDEN_SQ) <= 1e-6
     assert rep.boundary_flag is False
 

@@ -79,5 +79,43 @@ def test_pins_cover_every_outcome():
     }
 
 
+def object_lists(report: dict, indent: str = ""):
+    """(header line, item marker, length) of each list of objects in a JSON
+    report, in the order --text writes them: the list's key line, then one
+    "- " line per object at the indent below it."""
+    for key, value in sorted(report.items()):
+        if isinstance(value, dict):
+            yield from object_lists(value, indent + "  ")
+        elif isinstance(value, list) and value and all(isinstance(v, dict) for v in value):
+            yield f"{indent}{key}:", f"{indent}  - ", len(value)
+
+
+def test_text_lists_mark_each_object():
+    # A list of k objects reads back as k objects: each starts with "- " at
+    # the list's indent, so objects with the same keys stay apart.
+    pins = json.loads(PINS.read_text())
+    with_lists = set()
+    for name, pin in pins.items():
+        if not name.endswith(" --text"):
+            continue
+        lines = pin["stdout"].splitlines()
+        at = 0
+        for header, marker, k in object_lists(json.loads(pins[name[: -len(" --text")]]["stdout"])):
+            at = lines.index(header, at) + 1
+            depth = len(header) - len(header.lstrip())
+            end = next(
+                (i for i in range(at, len(lines)) if len(lines[i]) - len(lines[i].lstrip()) <= depth),
+                len(lines),
+            )
+            assert sum(line.startswith(marker) for line in lines[at:end]) == k, (name, header)
+            with_lists.add(name)
+    assert with_lists == {
+        "candidates --point {x} --text",
+        "candidates --point {y} --text",
+        "classify --map a->a; b->ab --text",
+        "distance --point {x} --point2 {y} --both --text",
+    }
+
+
 if __name__ == "__main__":
     PINS.write_text(json.dumps(all_cases(), indent=1, sort_keys=True) + "\n")

@@ -176,6 +176,10 @@ class TestSigma:
         crushing = unchecked(GraphMap, x, x, {1: 1}, {1: (1,), 2: (1,)})
         with pytest.raises(StretchIntegrityError):
             sigma(x, x, crushing)
+        # The minimizer's rows hold candidates to the same rule: aB maps to
+        # the trivial loop.
+        with pytest.raises(StretchIntegrityError, match=r"candidate \(1, -2\)"):
+            min_displacement_on_simplex(crushing, (1e-2,))
 
     def test_bounded_stretch_on_random_loops(self):
         # The maximal candidate stretch is the optimal Lipschitz constant, so
@@ -417,16 +421,17 @@ class TestDisplacement:
         assert rep.log_sigma == 0.0
 
 
-def reference_rows(g, edge_image):
+def reference_rows(m: GraphMap):
     """Constraint rows built from each candidate's image as a validated
     closed path in its canonical rotation, then counted edge by edge."""
+    g = m.domain.graph
     ids = g.edge_ids
     rows = []
     for c in _candidate_words(g):
         w = c.loop.edges
         image = []
         for d in w:
-            p = edge_image[abs(d)].edges
+            p = m.edge_image[abs(d)].edges
             image.extend(p if d > 0 else [-t for t in reversed(p)])
         validate_path(g, EdgePath(tuple(image), closed=True))
         loop = canonical_loop(cyclic_reduce(image))
@@ -444,19 +449,19 @@ class TestConstraintRows:
             x = graph_point(g, random_unit_metric(g.edge_ids, rng))
             for _ in range(4):
                 m = self_map_from_automorphism(x, random_automorphism(x.rank, 10, rng))
-                assert _constraint_rows(g, m.edge_image) == reference_rows(g, m.edge_image)
+                assert _constraint_rows(m) == reference_rows(m)
 
     def test_rose_rows_are_fm_candidate_rows(self):
         # Candidates a, b, ab, aB; a -> ab and b -> bab send aB to B.
         m2 = rose_self_map(EXPANDING)
-        assert _constraint_rows(m2.domain.graph, m2.edge_image) == [
+        assert _constraint_rows(m2) == [
             ((1, 1), (1, 0)),
             ((1, 2), (0, 1)),
             ((2, 3), (1, 1)),
             ((0, 1), (1, 1)),
         ]
         m4 = rose_self_map(RANK4_REDUCIBLE)
-        rows = _constraint_rows(m4.domain.graph, m4.edge_image)
+        rows = _constraint_rows(m4)
         assert len(set(rows)) == len(rows) == 12
         assert all(sum(count) <= 2 for _, count in rows)
 
@@ -668,7 +673,7 @@ class TestStepLP:
 class TestMinDisplacement:
     def test_interior_optimum(self):
         m = rose_self_map(EXPANDING)
-        rep = minimize_at(m.domain.graph, m.edge_image, 1e-6)
+        rep = minimize_at(m, 1e-6)
         assert abs(rep.lam - GOLDEN_SQ) <= 1e-6
         assert rep.boundary_flag is False
         assert rep.floor == 1e-6
@@ -680,7 +685,7 @@ class TestMinDisplacement:
         # Petal b stretches by 1/b and wins, so the minimum sits at a = floor.
         m = rose_self_map(REDUCIBLE)
         for floor in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-            rep = minimize_at(m.domain.graph, m.edge_image, floor)
+            rep = minimize_at(m, floor)
             exact = 1.0 / (1.0 - floor)
             assert rep.lam == pytest.approx(exact, rel=1e-12)
             assert rep.lower <= exact * (1 + 1e-12)
@@ -692,7 +697,7 @@ class TestMinDisplacement:
     def test_golden_rose_lp_calls(self, lp_calls):
         # A cold start is at the PF lengths, the minimizer; one LP confirms it.
         m = rose_self_map(EXPANDING)
-        rep = minimize_at(m.domain.graph, m.edge_image, 1e-6)
+        rep = minimize_at(m, 1e-6)
         assert len(lp_calls) == len(rep.trace) == 1
         assert rep.lower == pytest.approx(GOLDEN_SQ, rel=1e-12)
         assert rep.lower <= rep.lam
@@ -703,7 +708,7 @@ class TestMinDisplacement:
         m = rose_self_map(REDUCIBLE)
         for floor in (1e-2, 1e-4, 1e-6):
             lp_calls.clear()
-            rep = minimize_at(m.domain.graph, m.edge_image, floor)
+            rep = minimize_at(m, floor)
             assert len(lp_calls) == len(rep.trace) <= 2
             assert rep.lam == pytest.approx(1.0 / (1.0 - floor), rel=1e-12)
             assert rep.pinned == (1,)
@@ -716,26 +721,20 @@ class TestMinDisplacement:
         assert pf.min() >= 0 and pf.sum() == pytest.approx(1.0, abs=1e-12)
         for floor in (1e-2, 1e-4, 1e-6):
             assert pf.min() < floor  # zero, or a rounding of zero
-            rep = minimize_at(g, m.edge_image, floor)
+            rep = minimize_at(m, floor)
             lengths = [rep.metric.length(e) for e in g.edge_ids]
             assert min(lengths) >= floor
             assert sum(lengths) == pytest.approx(1.0, abs=1e-12)
 
     def test_floored_family_is_monotone(self):
         m = rose_self_map(REDUCIBLE)
-        lams = [
-            minimize_at(m.domain.graph, m.edge_image, f).lam
-            for f in (1e-2, 1e-3, 1e-4)
-        ]
+        lams = [minimize_at(m, f).lam for f in (1e-2, 1e-3, 1e-4)]
         assert lams[0] > lams[1] > lams[2] >= 1.0
 
     def test_reducible_rank_four_sweep(self):
         m = rose_self_map(RANK4_REDUCIBLE)
         start = time.monotonic()
-        reports = [
-            minimize_at(m.domain.graph, m.edge_image, 10.0**-k)
-            for k in range(2, 7)
-        ]
+        reports = [minimize_at(m, 10.0**-k) for k in range(2, 7)]
         elapsed = time.monotonic() - start
         lams = [rep.lam for rep in reports]
         assert all(a > b for a, b in zip(lams, lams[1:]))
@@ -752,21 +751,21 @@ class TestMinDisplacement:
         # those digits stalls the iteration with the bounds apart.
         m = rose_self_map(phi)
         for k in range(2, 7):
-            rep = minimize_at(m.domain.graph, m.edge_image, 10.0**-k)
+            rep = minimize_at(m, 10.0**-k)
             assert rep.lam - rep.lower <= 1e-9 * rep.lam
 
     def test_floor_domain_is_checked(self):
         m = rose_self_map(EXPANDING)
         for bad in (0.0, -0.1, 0.5, 0.7):
             with pytest.raises(ValueError):
-                minimize_at(m.domain.graph, m.edge_image, bad)
+                minimize_at(m, bad)
 
     def test_minimum_not_below_growth_rate_of_unreduced_images(self):
         cert = find_train_track(UNREDUCED_IMAGES)
         assert isinstance(cert, TrainTrackCertificate)
         assert cert.lam == pytest.approx(UNREDUCED_IMAGES_LAM, abs=1e-5)
         m = cert.graph_map
-        rep = minimize_at(m.domain.graph, m.edge_image, 1e-6)
+        rep = minimize_at(m, 1e-6)
         assert rep.lam >= cert.lam * (1 - 1e-9)
 
     def test_train_track_minimum_not_below_growth_rate(self, lp_calls):
@@ -778,7 +777,7 @@ class TestMinDisplacement:
                 continue
             m = cert.graph_map
             lp_calls.clear()
-            rep = minimize_at(m.domain.graph, m.edge_image, 1e-6)
+            rep = minimize_at(m, 1e-6)
             assert rep.lam >= cert.lam * (1 - 1e-9)
             assert rep.lower <= cert.lam * (1 + 1e-9)
             lengths = [rep.metric.length(e) for e in m.domain.graph.edge_ids]
@@ -802,10 +801,10 @@ class TestMinDisplacement:
             kinds[cert.status] += 1
             m = cert.graph_map
             floors = (1e-2, 1e-3, 1e-4)
-            ladder = min_displacement_on_simplex(m.domain.graph, m.edge_image, floors)
+            ladder = min_displacement_on_simplex(m, floors)
             assert [warm.floor for warm in ladder] == list(floors)
             for warm in ladder:
-                cold = minimize_at(m.domain.graph, m.edge_image, warm.floor)
+                cold = minimize_at(m, warm.floor)
                 assert warm.lower <= warm.lam and cold.lower <= cold.lam
                 # Each lam bounds the minimum from above and each lower from
                 # below; the two runs agree within 1e-12 (1.2e-13 at most
@@ -817,10 +816,9 @@ class TestMinDisplacement:
 
     def test_ladder_builds_its_rows_once(self, row_builds):
         m = rose_self_map(RANK4_REDUCIBLE)
-        g = m.domain.graph
-        ladder = min_displacement_on_simplex(g, m.edge_image, (1e-2, 1e-3, 1e-4))
+        ladder = min_displacement_on_simplex(m, (1e-2, 1e-3, 1e-4))
         assert len(row_builds) == 1
-        cold = minimize_at(g, m.edge_image, 1e-3)
+        cold = minimize_at(m, 1e-3)
         assert ladder[1].lam == pytest.approx(cold.lam, rel=1e-12)
         assert all(rep.lower <= rep.lam for rep in ladder)
 
@@ -831,7 +829,7 @@ class TestMinDisplacement:
         # start, the PF lengths (0, 1), lifts to its minimizer.
         m = rose_self_map(REDUCIBLE)
         floors = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-        ladder = min_displacement_on_simplex(m.domain.graph, m.edge_image, floors)
+        ladder = min_displacement_on_simplex(m, floors)
         assert len(lp_calls) == len(floors)
         for floor, rep in zip(floors, ladder):
             assert rep.floor == floor
@@ -841,8 +839,8 @@ class TestMinDisplacement:
 
     def test_repeat_runs_agree(self):
         m = rose_self_map(RANK4_REDUCIBLE)
-        first = minimize_at(m.domain.graph, m.edge_image, 1e-4)
-        second = minimize_at(m.domain.graph, m.edge_image, 1e-4)
+        first = minimize_at(m, 1e-4)
+        second = minimize_at(m, 1e-4)
         assert first == second
 
 
