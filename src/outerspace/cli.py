@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import reprlib
 import sys
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -111,10 +112,11 @@ def _parse_length(value, key: str) -> object:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise CliInputError(f"lengths entry of {key!r} is invalid: {value!r} ({exc})") from exc
+            raise CliInputError(
+                f"lengths entry of {key!r} is invalid: {reprlib.repr(value)} ({exc})") from exc
     if type(value) in (int, float):
         return Fraction(value) if type(value) is int else value
-    raise CliInputError(f"lengths entry of {key!r} must be a number, got {value!r}")
+    raise CliInputError(f"lengths entry of {key!r} must be a number, got {reprlib.repr(value)}")
 
 
 def _edge_key(key: str, field: str) -> int:
@@ -128,7 +130,18 @@ def _edge_key(key: str, field: str) -> int:
 def _json_int(value, field: str) -> int:
     """A JSON integer; a float or a boolean, which int() would truncate, is refused."""
     if type(value) is not int:
-        raise CliInputError(f"{field} must be an integer, got {value!r}")
+        raise CliInputError(f"{field} must be an integer, got {reprlib.repr(value)}")
+    return value
+
+
+_JSON_KINDS = {list: "a list", dict: "an object", str: "a string"}
+
+
+def _json_as(value, kind: type, field: str):
+    """value, if it is a JSON list, object or string as kind says; else an
+    input error that names the field."""
+    if not isinstance(value, kind):
+        raise CliInputError(f"{field} must be {_JSON_KINDS[kind]}, got {reprlib.repr(value)}")
     return value
 
 
@@ -147,30 +160,39 @@ def point_from_json(data: Mapping[str, object]) -> OuterSpacePoint:
     2), and it may have no valence-2 vertex (a GraphError, exit 4): a file
     holds a point of Outer space, whose graphs are unsubdivided."""
     try:
-        vertices = _listed_once([_json_int(v, "vertex") for v in data["vertices"]], "vertex")
-        ids = _listed_once([_json_int(rec["id"], "edge id") for rec in data["edges"]], "edge id")
-        endpoints = {
-            e: tuple(_json_int(u, "endpoint") for u in rec["endpoints"])
-            for e, rec in zip(ids, data["edges"])
-        }
+        _json_as(data, dict, "point file")
+        vertices = _listed_once([_json_int(v, "vertex")
+                                 for v in _json_as(data["vertices"], list, "vertices")], "vertex")
+        records = [_json_as(rec, dict, "edge record")
+                   for rec in _json_as(data["edges"], list, "edges")]
+        ids = _listed_once([_json_int(rec["id"], "edge id") for rec in records], "edge id")
+        endpoints = {}
+        for e, rec in zip(ids, records):
+            ends = _json_as(rec["endpoints"], list, f"endpoints of edge {e}")
+            if len(ends) != 2:
+                raise CliInputError(f"endpoints of edge {e} must be 2 vertices, got {len(ends)}")
+            endpoints[e] = tuple(_json_int(u, "endpoint") for u in ends)
         graph = Graph(vertices, endpoints)
-        lengths = {_edge_key(e, "lengths"): _parse_length(v, e) for e, v in data["lengths"].items()}
-        marking_obj = data["marking"]
+        lengths = {_edge_key(e, "lengths"): _parse_length(v, e)
+                   for e, v in _json_as(data["lengths"], dict, "lengths").items()}
+        marking_obj = _json_as(data["marking"], dict, "marking")
         loops = []
         for i in range(len(marking_obj)):
             key = words.format_word((i + 1,))
             if key not in marking_obj:
                 raise CliInputError(f"marking is missing generator {key!r}")
-            loop = tuple(_json_int(d, f"marking entry of {key!r}") for d in marking_obj[key])
+            entries = _json_as(marking_obj[key], list, f"marking loop of {key!r}")
+            loop = tuple(_json_int(d, f"marking entry of {key!r}") for d in entries)
             loops.append(EdgePath(loop, closed=True))
         inverse = {
-            _edge_key(e, "inverse_marking"): words.parse_word(w)
-            for e, w in data["inverse_marking"].items()
+            _edge_key(e, "inverse_marking"):
+                words.parse_word(_json_as(w, str, f"inverse_marking entry of {e!r}"))
+            for e, w in _json_as(data["inverse_marking"], dict, "inverse_marking").items()
         }
-        basepoint = _json_int(data.get("basepoint", min(vertices)), "basepoint")
-    except CliInputError:
-        raise
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+        basepoint = _json_int(data.get("basepoint", min(vertices, default=None)), "basepoint")
+    except KeyError as exc:
+        raise CliInputError(f"malformed point file: missing field {exc}") from exc
+    except ValueError as exc:
         raise CliInputError(f"malformed point file: {exc}") from exc
     x = OuterSpacePoint(
         graph=graph,
@@ -318,16 +340,10 @@ def _render_text(value, indent: str = "") -> List[str]:
                 first, *rest = _render_text(v, indent + "  ")
                 lines.append(f"{indent}- {first[len(indent) + 2:]}")
                 lines.extend(rest)
-            elif isinstance(v, list) and not any(
-                isinstance(item, (dict, list)) for item in v
-            ):
+            elif isinstance(v, list):  # no report nests containers in it
                 lines.append(f"{indent}- [{' '.join(str(item) for item in v)}]")
-            elif isinstance(v, (dict, list)):
-                lines.extend(_render_text(v, indent + "  "))
             else:
                 lines.append(f"{indent}- {v}")
-    else:
-        lines.append(f"{indent}{value}")
     return lines
 
 

@@ -139,12 +139,6 @@ class EdgePath:
     edges: Tuple[int, ...]
     closed: bool = False
 
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def __bool__(self) -> bool:
-        return bool(self.edges)
-
 
 _NOWHERE = object()  # where a walk stands before its first edge: no vertex
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from typing import (
-    Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+    Collection, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
 )
 
 from . import words
@@ -52,6 +52,12 @@ def _is_rational(x) -> bool:
     return isinstance(x, (Fraction, int))
 
 
+def _brief(x) -> str:
+    """str(x) for a message, its middle cut out past 30 characters."""
+    s = str(x)
+    return s if len(s) <= 30 else f"{s[:13]}...{s[-14:]}"
+
+
 class Metric:
     """Positive edge lengths; exact fractions are kept exact."""
 
@@ -66,7 +72,7 @@ class Metric:
             if not (_is_rational(v) or isinstance(v, float)):
                 raise ValueError(f"length of edge {e} has unsupported type {type(v)}")
             if v <= 0:
-                raise ValueError(f"length of edge {e} must be positive, got {v}")
+                raise ValueError(f"length of edge {e} must be positive, got {_brief(v)}")
             vals[e] = v
         self._lengths = vals
         self._rational = all(_is_rational(v) for v in vals.values())
@@ -290,7 +296,7 @@ class OuterSpacePoint:
         if self.metric.edge_ids != g.edge_ids:
             raise ValueError("metric edges do not match graph edges")
         if not self.metric.is_unit():
-            raise ValueError(f"metric volume {self.metric.volume} is not 1")
+            raise ValueError(f"metric volume {_brief(self.metric.volume)} is not 1")
         if len(self.marking) != g.first_betti():
             raise MarkingError(
                 f"marking has {len(self.marking)} generators but the graph has rank {g.first_betti()}"
@@ -505,13 +511,18 @@ def rose_graph(rank: int) -> Graph:
     return Graph([0], {i: (0, 0) for i in range(1, rank + 1)})
 
 
+def uniform_metric(edge_ids: Collection[int]) -> Metric:
+    """Length exactly 1/n on each of n edges, where graph automorphisms are isometries."""
+    return Metric({e: Fraction(1, len(edge_ids)) for e in edge_ids})
+
+
 def rose_point(rank: int, lengths: Optional[Sequence] = None) -> OuterSpacePoint:
     """The rose with the identity marking (graph_point's marking on the
     rose); uniform metric by default."""
     if rank < 1:
         raise ValueError("rank must be at least 1")
     if lengths is None:
-        metric = Metric({i: Fraction(1, rank) for i in range(1, rank + 1)})
+        metric = uniform_metric(range(1, rank + 1))
     else:
         metric = Metric({i: v for i, v in enumerate(lengths, start=1)})
     return graph_point(rose_graph(rank), metric)

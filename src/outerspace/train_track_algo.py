@@ -5,8 +5,8 @@ normalizes the current self-map, inspects its transition matrix, and either
 certifies the outcome (train track structure, invariant subgraph, finite
 order) or folds an illegal turn and repeats.  The whole search runs on one
 mutable surgery state, started directly from phi's images on the rose, that
-keeps the graph, the edge images, the domain marking, its inverse marking
-and the metric synchronized; ``normalize``, ``fold`` and the forest collapse
+keeps the graph, the edge images, the domain marking and its inverse marking
+synchronized, and no metric; ``normalize``, ``fold`` and the forest collapse
 rewrite it in place.  Every move that replaces edges by paths, the merge of
 the two edges at a valence-two vertex included, does it in one
 substitute-and-reduce pass over the edge images and marking loops that cross
@@ -50,6 +50,7 @@ from .marked_metric import (
     OuterSpacePoint,
     act,
     graph_point,
+    uniform_metric,
 )
 from .graph_map import (
     DegenerateImageError,
@@ -184,8 +185,7 @@ def _first_illegal_image_turn(st: _MapState, s: TrainTrackStructure) -> Optional
 
 
 class _MapState:
-    """Graph, edge images, domain marking and its inverse, and metric under
-    joint rewriting.
+    """Graph, edge images, domain marking and its inverse under joint rewriting.
 
     Moves rewrite paths by edge substitution and free reduction, which commute
     with composing marking loops, so the codomain's marking stays the domain's
@@ -203,8 +203,8 @@ class _MapState:
     """
 
     def __init__(self, phi: Automorphism):
-        """The state of phi's self-map of the uniform rose with the identity
-        marking, built from phi's images, with phi as its twist."""
+        """The state of phi's self-map of the rose with the identity marking,
+        built from phi's images, with phi as its twist."""
         ids = range(1, phi.rank + 1)
         self.endpoints: Dict[int, Tuple[int, int]] = {e: (0, 0) for e in ids}
         self.vertices = {0}
@@ -213,19 +213,15 @@ class _MapState:
         self.dom_marking: List[Sequence[int]] = [(e,) for e in ids]
         self.inv: Dict[int, Word] = {e: (e,) for e in ids}
         self.twist = phi
-        self.lengths = {e: Fraction(1, phi.rank) for e in ids}
         self.basepoint = 0
         self.next_vertex = 1
         self.next_edge = phi.rank + 1
 
     def finish(self) -> None:
         """End a move as a round trip through a GraphMap did: an edge must be
-        left, lengths are scaled to unit volume, and new ids restart past the
-        largest ones left."""
+        left, and new ids restart past the largest ones left."""
         if not self.endpoints:
             raise InvalidMapError("graph has no edges left")
-        vol = sum(self.lengths.values())
-        self.lengths = {e: length / vol for e, length in self.lengths.items()}
         self.next_vertex = max(self.vertices) + 1
         self.next_edge = max(self.endpoints) + 1
 
@@ -275,9 +271,9 @@ class _MapState:
                             for p in self.dom_marking]
         return table
 
-    def drop_edge(self, e: int) -> Tuple[Sequence[int], Tuple[int, int], object, Word]:
-        """Remove edge e: its image, endpoints, length and inverse-marking word."""
-        return self.images.pop(e), self.endpoints.pop(e), self.lengths.pop(e), self.inv.pop(e)
+    def drop_edge(self, e: int) -> Tuple[Sequence[int], Tuple[int, int], Word]:
+        """Remove edge e: its image, endpoints and inverse-marking word."""
+        return self.images.pop(e), self.endpoints.pop(e), self.inv.pop(e)
 
     def inv_of(self, d: int) -> Word:
         w = self.inv[abs(d)]
@@ -308,7 +304,7 @@ class _MapState:
         """Split edge e at the given positions of its image path; new edge ids.
 
         The first piece carries e's inverse-marking word, the others none."""
-        image, (u, v), length, word = self.drop_edge(e)
+        image, (u, v), word = self.drop_edge(e)
         k = len(cuts) + 1
         parts = list(range(self.next_edge, self.next_edge + k))
         self.next_edge += k
@@ -318,7 +314,6 @@ class _MapState:
         chain = [u] + mids + [v]
         for i, p in enumerate(parts):
             self.endpoints[p] = (chain[i], chain[i + 1])
-            self.lengths[p] = length / k
             self.inv[p] = word if i == 0 else ()
         table = self.rewrite_all({e: parts})
         new_image = words.apply_table(table, image)
@@ -452,20 +447,18 @@ class _MapState:
         new_image = self.image_of(-c1) + self.image_of(c2)
         new_inv = words.concat(self.inv_of(-c1), self.inv_of(c2))
         u, w = self.term(c1), self.term(c2)
-        length = self.lengths[abs(c1)] + self.lengths[abs(c2)]
         self.drop_edge(abs(c1))
         self.drop_edge(abs(c2))
         table = self.rewrite_all({abs(c1): (), abs(c2): (E if c2 > 0 else -E,)})
         self.endpoints[E] = (u, w)
-        self.lengths[E] = length
         self.inv[E] = new_inv
         self.images[E] = words.apply_table(table, new_image)
         self.vertices.discard(v)
         self.vertex_image.pop(v, None)
 
-    def to_graph_map(self, g: Graph) -> GraphMap:
-        """The state as a GraphMap on its graph g, with every point and
-        marking check.
+    def to_graph_map(self, g: Graph, metric: Metric) -> GraphMap:
+        """The state as a GraphMap on its graph g at the given metric, with
+        every point and marking check.
 
         The domain checks that `inv` inverts its marking up to one
         conjugation, which with rank(G) = n proves the marking a homotopy
@@ -474,7 +467,7 @@ class _MapState:
         """
         domain = OuterSpacePoint(
             g,
-            Metric(self.lengths),
+            metric,
             [EdgePath(tuple(p)) for p in self.dom_marking],
             self.basepoint,
             inverse_marking=self.inv,
@@ -491,7 +484,7 @@ class _MapState:
         non-tree edges of graph_point's BFS tree; a loop's image, based at the
         basepoint's image, reads as its conjugate by the tree path back.  It
         is conjugate to the twist in Out(F_n) through the marking."""
-        x = graph_point(self.graph(), Metric(self.lengths))
+        x = graph_point(self.graph(), uniform_metric(self.endpoints))
         table = words.letter_table({e: x.inverse_marking_word(p) for e, p in self.images.items()})
         return tuple(words.apply_table(table, p.edges) for p in x.marking)
 
@@ -716,16 +709,17 @@ def _finite_order_exit(st: _MapState, g: Graph, phi: Automorphism, rnd: int, pot
     if not words.is_conjugate_identity(power):
         return None
     trace.append(_round_line(rnd, g.num_edges, 1.0, potential, f"finite_order({d})"))
-    return FiniteOrderCertificate(order=d, graph_map=st.to_graph_map(g), trace=tuple(trace))
+    return FiniteOrderCertificate(d, st.to_graph_map(g, uniform_metric(g.edge_ids)), tuple(trace))
 
 
 def find_train_track(phi: Automorphism, max_iters: int = 10**4) -> Certificate:
     """Run the fold loop from the rose until a certificate appears.
 
-    Outcomes: a train track certificate (metric realizing the stretch factor
-    and a gate structure making every crossed turn legal), a reduction
-    certificate (proper invariant non-forest edge class), a finite-order
-    certificate, or a non-termination report carrying the round trace.
+    Outcomes: a train track certificate (PF metric realizing the stretch
+    factor and a gate structure making every crossed turn legal), a
+    reduction certificate (proper invariant non-forest edge class) or a
+    finite-order certificate, both at the uniform metric, or a
+    non-termination report carrying the round trace.
 
     A finite order is read on the state, never on phi's rose images: a
     graph automorphism round has one, the reduction, stall and iteration-cap
@@ -752,7 +746,8 @@ def find_train_track(phi: Automorphism, max_iters: int = 10**4) -> Certificate:
         if all(len(p) == 1 for p in st.images.values()):
             k = finite_order_check(phi)
             trace.append(_round_line(rnd, g.num_edges, 1.0, pot, f"finite_order({k})"))
-            return FiniteOrderCertificate(order=k, graph_map=st.to_graph_map(g), trace=tuple(trace))
+            return FiniteOrderCertificate(
+                k, st.to_graph_map(g, uniform_metric(g.edge_ids)), tuple(trace))
         cls = closed_class(M)
         if cls is not None:
             rho = spectral_radius(M)
@@ -762,8 +757,8 @@ def find_train_track(phi: Automorphism, max_iters: int = 10**4) -> Certificate:
             trace.append(_round_line(rnd, g.num_edges, rho, pot, f"{move}({sorted(cls)})"))
             if move == "reduction":
                 return ReductionCertificate(
-                    subset=cls, graph_map=st.to_graph_map(g), matrix=M, rho=rho, trace=tuple(trace)
-                )
+                    subset=cls, graph_map=st.to_graph_map(g, uniform_metric(g.edge_ids)),
+                    matrix=M, rho=rho, trace=tuple(trace))
             st.collapse_edges(sorted(cls))
             st.finish()
             continue
@@ -788,7 +783,6 @@ def find_train_track(phi: Automorphism, max_iters: int = 10**4) -> Certificate:
                     reason=f"stretch factor stalled near {_fmt(best_lam)}",
                     trace=tuple(trace),
                 )
-        st.lengths = dict(zip(M.edge_ids, ell))
         bad = _first_illegal_image_turn(st, s)
         if bad is None:
             # Legal edge images make a train track map: every vertex has two
@@ -804,7 +798,7 @@ def find_train_track(phi: Automorphism, max_iters: int = 10**4) -> Certificate:
             # least 3 times; one of those crossings is interior, so a legal
             # turn sits at each end of e.
             trace.append(_round_line(rnd, g.num_edges, lam, pot, "train_track"))
-            cert_map = st.to_graph_map(g)
+            cert_map = st.to_graph_map(g, Metric(dict(zip(M.edge_ids, ell))))
             return TrainTrackCertificate(
                 graph_map=cert_map,
                 structure=s,

@@ -33,6 +33,7 @@ from outerspace.marked_metric import (
     Metric,
     OuterSpacePoint,
     random_automorphism,
+    uniform_metric,
 )
 
 
@@ -224,11 +225,16 @@ def state_of(m: GraphMap) -> train_track_algo._MapState:
     st.vertex_image = dict(m.vertex_image)
     st.dom_marking = [p.edges for p in m.domain.marking]
     st.inv = m.domain.inverse_marking()
-    st.lengths = {e: m.domain.metric.length(e) for e in g.edge_ids}
     st.basepoint = m.domain.basepoint
     st.next_vertex = max(st.vertices) + 1
     st.next_edge = max(st.endpoints) + 1
     return st
+
+
+def state_map(st: train_track_algo._MapState) -> GraphMap:
+    """A fold state's map at the uniform metric, with every point and marking check."""
+    g = st.graph()
+    return st.to_graph_map(g, uniform_metric(g.edge_ids))
 
 
 def connected_core_graphs(max_edges: int) -> List[Graph]:

@@ -421,6 +421,59 @@ class TestCandidatesCommand:
         assert code == EXIT_PARSE
         assert f"{named} must be an integer" in err
 
+    @pytest.mark.parametrize("field, value, message", [
+        # Each of these printed Python's own wording after "malformed point
+        # file: ", such as 'NoneType' object has no attribute 'items'.
+        ("lengths", None, "lengths must be an object, got None"),
+        ("marking", True, "marking must be an object, got True"),
+        ("edges", 5, "edges must be a list, got 5"),
+        ("vertices", None, "vertices must be a list, got None"),
+        ("inverse_marking", [1], "inverse_marking must be an object, got [1]"),
+        ("marking", {"a": 3, "b": [2]}, "marking loop of 'a' must be a list, got 3"),
+        ("inverse_marking", {"1": "a", "2": 5},
+         "inverse_marking entry of '2' must be a string, got 5"),
+        ("edges", [{"id": 1, "endpoints": [0]}, {"id": 2, "endpoints": [0, 0]}],
+         "endpoints of edge 1 must be 2 vertices, got 1"),
+        ("edges", [5, {"id": 2, "endpoints": [0, 0]}], "edge record must be an object, got 5"),
+        # Volume 1, but one length is negative: this printed all 402 characters of it.
+        ("lengths", {"1": str(Fraction(1, 2) + 10**400), "2": str(Fraction(1, 2) - 10**400)},
+         "length of edge 2 must be positive, got -199999999999...999999999999/2"),
+    ], ids=["lengths", "marking", "edges", "vertices", "inverse_marking", "marking_loop",
+            "inverse_marking_word", "endpoints", "edge_record", "long_length"])
+    def test_each_malformed_field_is_named(self, capsys, tmp_path, quarter_point, field, value,
+                                           message):
+        data = json.loads((tmp_path / "x.json").read_text())
+        data[field] = value
+        (tmp_path / "x.json").write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "candidates", "--point", quarter_point)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"error: {message}\n"
+        assert len(err) < 100
+
+    @pytest.mark.parametrize("edit, code, message", [
+        (lambda data: {**data, "basepoint": 5}, EXIT_INTEGRITY, "basepoint 5 is not a vertex"),
+        (lambda data: {**data, "lengths": {"1": "1"}}, EXIT_PARSE,
+         "metric edges do not match graph edges"),
+        (lambda data: {**data, "inverse_marking": {"1": "a"}}, EXIT_PARSE,
+         "inverse marking must cover exactly the graph edges"),
+        (lambda data: {**data, "marking": {"a": [1], "c": [2]}}, EXIT_PARSE,
+         "marking is missing generator 'b'"),
+        # The theta graph's marking loops run from vertex 0, not from vertex 1.
+        (lambda data: {**point_to_json(graph_point(
+            Graph([0, 1], {1: (0, 1), 2: (0, 1), 3: (0, 1)}),
+            Metric({1: Fraction(1, 4), 2: Fraction(1, 4), 3: Fraction(1, 2)}))), "basepoint": 1},
+         EXIT_INTEGRITY, "marking loops must be based at the basepoint"),
+        (lambda data: json.dumps(data)[:-1], EXIT_PARSE, "is not valid JSON"),
+        (lambda data: [data], EXIT_PARSE, "point file must be an object, got [{"),
+    ], ids=["basepoint", "metric_edges", "inverse_marking_edges", "missing_generator",
+            "marking_basepoint", "not_json", "not_an_object"])
+    def test_each_point_check_refuses(self, capsys, tmp_path, quarter_point, edit, code, message):
+        data = edit(json.loads((tmp_path / "x.json").read_text()))
+        (tmp_path / "x.json").write_text(data if isinstance(data, str) else json.dumps(data))
+        got, out, err = run_cli(capsys, "candidates", "--point", quarter_point)
+        assert (got, out) == (code, "")
+        assert message in err
+
     def test_edge_keys_are_read_as_point_to_json_writes_them(self, capsys, tmp_path):
         # Read with int(), this rose was the one of quarter_point and exited 0.
         x = point_to_json(rose_point(2, lengths=(Fraction(1, 4), Fraction(3, 4))))

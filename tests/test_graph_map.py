@@ -93,6 +93,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             GraphMap(x, x, {0: 0, 9: 0}, {1: EdgePath((1,)), 2: EdgePath((2,))})
 
+    def test_vertex_images_are_checked(self):
+        x = rose_point(2)
+        with pytest.raises(ValueError, match="vertex 0 maps to unknown vertex 9"):
+            GraphMap(x, x, {0: 9}, {1: EdgePath((1,)), 2: EdgePath((2,))})
+        t = theta_point()
+        images = {1: EdgePath((1,)), 2: EdgePath((2,)), 3: EdgePath((3,))}
+        with pytest.raises(ValueError, match="image of edge 1 does not join the vertex images"):
+            GraphMap(t, t, {0: 0, 1: 0}, images)
+        with pytest.raises(ValueError, match="edge 1 has a point image but its endpoints map apart"):
+            GraphMap(t, t, {0: 0, 1: 1}, {**images, 1: EdgePath(())})
+
     def test_marking_compatibility_enforced(self):
         x = rose_point(2)
         # swapping the petals does not commute with the identity marking on both sides

@@ -73,6 +73,16 @@ class TestMetric:
         with pytest.raises(ValueError):
             Metric({1: -0.5})
 
+    def test_unsupported_length_type(self):
+        with pytest.raises(ValueError, match="length of edge 1 has unsupported type <class 'str'>"):
+            Metric({1: "1/2"})
+
+    def test_nonpositive_length_message_is_short(self):
+        with pytest.raises(ValueError) as info:
+            Metric({1: Fraction(1, 2) + 10**400, 2: Fraction(1, 2) - 10**400})
+        assert str(info.value) == (
+            "length of edge 2 must be positive, got -199999999999...999999999999/2")
+
     def test_volume_and_normalize(self):
         m = Metric({1: Fraction(1, 3), 2: Fraction(1, 6)})
         assert m.volume == Fraction(1, 2)
