@@ -13,7 +13,8 @@ writes point files and the edge names and edge words of reports.
 
 Exit codes: 0 success, 2 unparsable input or a flag argparse refuses (a
 missing one, or ``--max-iters`` below 1), 3 the fold loop reached its
-iteration cap or stalled, 4 marking, stretch or fold-loop integrity failure.
+iteration cap or repeated a state, 4 marking, stretch or fold-loop integrity
+failure.
 """
 
 from __future__ import annotations
@@ -106,8 +107,33 @@ def point_to_json(x: OuterSpacePoint) -> Dict[str, object]:
     }
 
 
+class _LongInteger:
+    """A JSON integer with more digits than int() converts
+    (sys.get_int_max_str_digits); the field that reads it refuses it by name."""
+
+    def __init__(self, text: str):
+        self.digits = len(text.lstrip("-"))
+
+    def __repr__(self) -> str:
+        return f"an integer of {self.digits} digits"
+
+    def refuse(self, field: str) -> CliInputError:
+        return CliInputError(
+            f"{field} has {self.digits} digits, more than {sys.get_int_max_str_digits()}")
+
+
+def _json_integer(text: str):
+    """json.load's parse_int: the int, or a _LongInteger past the digit limit."""
+    try:
+        return int(text)
+    except ValueError:
+        return _LongInteger(text)
+
+
 def _parse_length(value, key: str) -> object:
     """A JSON number, or a string that Fraction reads; a boolean is refused."""
+    if isinstance(value, _LongInteger):
+        raise value.refuse(f"lengths entry of {key!r}")
     if isinstance(value, str):
         try:
             return Fraction(value)
@@ -122,13 +148,15 @@ def _parse_length(value, key: str) -> object:
 def _edge_key(key: str, field: str) -> int:
     """An edge id spelled as point_to_json writes an object key: ASCII digits
     with no sign, space, separator or leading zero."""
-    if not (key.isascii() and key.isdigit()) or key != str(int(key)):
-        raise CliInputError(f"{field} key must be a decimal edge id, got {key!r}")
-    return int(key)
+    if not (key.isascii() and key.isdigit()) or (key[0] == "0" and key != "0"):
+        raise CliInputError(f"{field} key must be a decimal edge id, got {reprlib.repr(key)}")
+    return _json_int(_json_integer(key), f"{field} key")
 
 
 def _json_int(value, field: str) -> int:
     """A JSON integer; a float or a boolean, which int() would truncate, is refused."""
+    if isinstance(value, _LongInteger):
+        raise value.refuse(field)
     if type(value) is not int:
         raise CliInputError(f"{field} must be an integer, got {reprlib.repr(value)}")
     return value
@@ -157,8 +185,9 @@ def _listed_once(ids: List[int], field: str) -> List[int]:
 
 def point_from_json(data: Mapping[str, object]) -> OuterSpacePoint:
     """The point a point file describes.  Its lengths must sum to 1 (else exit
-    2), and it may have no valence-2 vertex (a GraphError, exit 4): a file
-    holds a point of Outer space, whose graphs are unsubdivided."""
+    2), a vertex it names (an endpoint or the basepoint) must be listed (else
+    exit 2), and it may have no valence-2 vertex (a GraphError, exit 4): a
+    file holds a point of Outer space, whose graphs are unsubdivided."""
     try:
         _json_as(data, dict, "point file")
         vertices = _listed_once([_json_int(v, "vertex")
@@ -190,6 +219,8 @@ def point_from_json(data: Mapping[str, object]) -> OuterSpacePoint:
             for e, w in _json_as(data["inverse_marking"], dict, "inverse_marking").items()
         }
         basepoint = _json_int(data.get("basepoint", min(vertices, default=None)), "basepoint")
+        if basepoint not in graph.vertices:
+            raise CliInputError(f"basepoint {basepoint} is not a vertex")
     except KeyError as exc:
         raise CliInputError(f"malformed point file: missing field {exc}") from exc
     except ValueError as exc:
@@ -215,7 +246,7 @@ def _keyed_once(pairs: List[Tuple[str, object]]) -> Dict[str, object]:
 def _load_point(path: str) -> OuterSpacePoint:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, object_pairs_hook=_keyed_once)
+            data = json.load(fh, object_pairs_hook=_keyed_once, parse_int=_json_integer)
     except OSError as exc:
         raise CliInputError(f"cannot read point file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -23,6 +23,12 @@ every point and marking check, so a bad round shows up at the end rather
 than where it happened.  A state that represents no automorphism raises
 ``InvalidMapError`` out of ``find_train_track``; a finite order is computed
 once, on homology, and tested on the state's own short words.
+
+Besides ``max_iters``, the loop ends only on a certificate or on a repeated
+state, which proves a cycle: moves read ids only through their order (sorted
+scans, ``direction_key``, ``v < u`` in ``collapse_edges``, slide trials on
+matrices in id order) and a new id is the largest, so if rounds s < r have
+equal ``_MapState.key``s, rounds r, r+1, ... repeat rounds s, s+1, ... forever.
 """
 
 from __future__ import annotations
@@ -60,10 +66,7 @@ from .graph_map import (
 )
 from .words import Word
 
-_STALL_CAP = 25
 _ORDER_LETTER_BUDGET = 20_000
-# Relative improvement of the stretch factor that resets the stall count.
-REL_TOL = 1e-9
 
 
 class InvalidMapError(RuntimeError):
@@ -234,6 +237,16 @@ class _MapState:
 
     def graph(self) -> Graph:
         return Graph(sorted(self.vertices), dict(self.endpoints))
+
+    def key(self) -> tuple:
+        """The basepoint, endpoints, edge images and vertex images, with edges
+        renamed 1..E and vertices 0..V-1 in id order."""
+        e_no = {d: i if d > 0 else -i for i, e in enumerate(self.endpoints, 1) for d in (e, -e)}
+        v_no = {v: i for i, v in enumerate(sorted(self.vertices))}
+        return (v_no[self.basepoint],
+                tuple((v_no[u], v_no[v]) for u, v in self.endpoints.values()),
+                tuple(tuple(map(e_no.__getitem__, p)) for p in self.images.values()),
+                tuple(v_no[self.vertex_image[v]] for v in v_no))
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -411,12 +424,7 @@ class _MapState:
         for v in sorted(self.vertices):
             if v == self.basepoint:
                 continue
-            dirs = []
-            for e, (a, b) in self.endpoints.items():
-                if a == v:
-                    dirs.append(e)
-                if b == v:
-                    dirs.append(-e)
+            dirs = [d for e in self.endpoints for d in (e, -e) if self.init(d) == v]
             if len(dirs) != 2:
                 continue
             # Two distinct edges: a connected graph of rank >= 2 has no isolated circle.
@@ -682,13 +690,9 @@ def _gate_potential(s: TrainTrackStructure, g: Graph) -> int:
     return sum(max(0, s.num_gates(v) - 2) for v in g.vertices)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def _round_line(rnd: int, edges: int, lam: float, potential, move: str) -> str:
     """One trace line of the fold loop; potential is an int or "-"."""
-    return f"round={rnd} edges={edges} lambda={_fmt(lam)} potential={potential} move={move}"
+    return f"round={rnd} edges={edges} lambda={lam:.12g} potential={potential} move={move}"
 
 
 def _finite_order_exit(st: _MapState, g: Graph, phi: Automorphism, rnd: int, potential,
@@ -719,19 +723,19 @@ def find_train_track(phi: Automorphism, max_iters: int = 10**4) -> Certificate:
     factor and a gate structure making every crossed turn legal), a
     reduction certificate (proper invariant non-forest edge class) or a
     finite-order certificate, both at the uniform metric, or a
-    non-termination report carrying the round trace.
+    non-termination report carrying the round trace, at the iteration cap
+    or at a repeated state, which proves a cycle (see the module docstring).
 
     A finite order is read on the state, never on phi's rose images: a
-    graph automorphism round has one, the reduction, stall and iteration-cap
-    exits test for one first, and a train track has lambda > 1.  A move
-    that leaves no automorphism raises InvalidMapError.
+    graph automorphism round has one, the reduction, repeat and
+    iteration-cap exits test for one first, and a train track has
+    lambda > 1.  A move that leaves no automorphism raises InvalidMapError.
     """
     if phi.rank < 2:
         raise ValueError("rank must be at least 2")
     trace: List[str] = []
     st = _MapState(phi)
-    best_lam: Optional[float] = None
-    stalled = 0
+    saved, saved_rnd = None, 0
     for rnd in range(max_iters):
         normalize(st)
         g = st.graph()
@@ -768,21 +772,6 @@ def find_train_track(phi: Automorphism, max_iters: int = 10**4) -> Certificate:
         # growth_bracket's exact [lo, hi] at v up to the rounding of one sum.
         v = np.array(ell)
         lam = float((np.array(M.rows, dtype=float).T @ v).sum() / v.sum())
-        # Folds never raise the stretch factor, but the valence-two slide of a
-        # blocked vertex image is a homotopy onto a smaller graph and may; a
-        # long run without any strict improvement means the moves are cycling.
-        if best_lam is None or lam < best_lam * (1 - REL_TOL):
-            best_lam, stalled = lam, 0
-        else:
-            stalled += 1
-            if stalled > _STALL_CAP:
-                if done := _finite_order_exit(st, g, phi, rnd, pot, trace):
-                    return done
-                trace.append(_round_line(rnd, g.num_edges, lam, "-", "stalled"))
-                return NonTerminationCertificate(
-                    reason=f"stretch factor stalled near {_fmt(best_lam)}",
-                    trace=tuple(trace),
-                )
         bad = _first_illegal_image_turn(st, s)
         if bad is None:
             # Legal edge images make a train track map: every vertex has two
@@ -806,6 +795,17 @@ def find_train_track(phi: Automorphism, max_iters: int = 10**4) -> Certificate:
                 metric=cert_map.domain.metric,
                 trace=tuple(trace),
             )
+        # Brent's cycle test: one saved key, re-saved as the fold rounds double.
+        key = st.key()
+        if key == saved:
+            if done := _finite_order_exit(st, g, phi, rnd, pot, trace):
+                return done
+            trace.append(_round_line(rnd, g.num_edges, lam, pot, f"repeat({saved_rnd})"))
+            return NonTerminationCertificate(
+                f"state of round {saved_rnd} repeats at round {rnd} (period {rnd - saved_rnd})",
+                tuple(trace))
+        if rnd >= 2 * saved_rnd:
+            saved, saved_rnd = key, rnd
         t = _descend_to_one_step(deriv, *bad)
         trace.append(_round_line(rnd, g.num_edges, lam, pot, f"fold({t[0]},{t[1]})"))
         fold(st, t)

@@ -3,9 +3,9 @@
 Each case is a map (most of them draws of ``random_automorphism`` at ranks
 3-5) whose fold loop takes a path worth keeping exact: a forest collapse, a
 blocked valence-two slide (the trial branch of ``unsubdivide_pass``), a
-reduction, a finite order found inside the loop, and stalls.  The expected
-fields live in ``certificate_pins.json``; after a deliberate change of
-results, regenerate them with
+reduction, a finite order found inside the loop, and repeated states.  The
+expected fields live in ``certificate_pins.json``; after a deliberate change
+of results, regenerate them with
 ``PYTHONPATH=src python tests/test_certificate_pins.py``.
 """
 
@@ -52,7 +52,7 @@ CASES = {
     "r5_finite_order_in_loop": (
         "a->B; b->ec; c->abd; d->CEE; e->A",
         "a cyclic permutation conjugated by random_automorphism(5, 3, Random(5))"),
-    "r3_stalled": ("a->ba; b->c; c->A", "the stall of test_trace_lines_pinned"),
+    "r3_stalled": ("a->ba; b->c; c->A", "the repeat of test_trace_lines_pinned"),
     "r2_collapse_forest": ("a->aBA; b->abb", "the forest collapse of test_trace_lines_pinned"),
 }
 
@@ -110,7 +110,7 @@ def test_cases_reach_their_paths(monkeypatch):
     assert "collapse_forest" in moves["r4_collapse_slide_train_track"]
     assert pins["r3_collapse_slide_reduction"]["status"] == "reducible"
     assert pins["r3_finite_order_in_loop"]["trace"][-1].endswith("finite_order(6)")
-    assert pins["r4_stalled"]["trace"][-1].endswith("move=stalled")
+    assert pins["r4_stalled"]["trace"][-1].endswith("move=repeat(8)")
 
 
 if __name__ == "__main__":

@@ -361,7 +361,7 @@ class TestClassifyCommand:
         code, report = run_json(capsys, "classify", "--map", "a->ba; b->c; c->A")
         assert code == EXIT_CAP
         assert report["kind"] == "inconclusive"
-        assert report["reason"].startswith("stretch factor stalled")
+        assert report["reason"] == "state of round 8 repeats at round 14 (period 6)"
         assert list(report["evidence"]) == ["trace"]
 
     def test_parabolic_suspect(self, capsys):
@@ -451,7 +451,7 @@ class TestCandidatesCommand:
         assert len(err) < 100
 
     @pytest.mark.parametrize("edit, code, message", [
-        (lambda data: {**data, "basepoint": 5}, EXIT_INTEGRITY, "basepoint 5 is not a vertex"),
+        (lambda data: {**data, "basepoint": 5}, EXIT_PARSE, "basepoint 5 is not a vertex"),
         (lambda data: {**data, "lengths": {"1": "1"}}, EXIT_PARSE,
          "metric edges do not match graph edges"),
         (lambda data: {**data, "inverse_marking": {"1": "a"}}, EXIT_PARSE,

@@ -4,8 +4,8 @@ Each case runs ``cli.main`` and compares its exit code and the bytes it
 writes to stdout with ``cli_pins.json``, as canonical JSON and with
 ``--text``.  The maps give every traintrack status and every classify kind:
 a train track (hyperbolic), a finite-order map (elliptic), a reduction
-(parabolic suspect) and a stalled fold loop (max_iters, inconclusive, exit
-3).  The points are README's rose pair, lengths (1/4, 3/4) and (1/2, 1/2).
+(parabolic suspect) and a fold loop that repeats a state (max_iters,
+inconclusive, exit 3).  The points are README's rose pair, lengths (1/4, 3/4) and (1/2, 1/2).
 After a deliberate change of reports, regenerate the pins with
 ``PYTHONPATH=src python tests/test_cli_pins.py``.
 """

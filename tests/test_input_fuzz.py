@@ -126,14 +126,15 @@ def map_text(rng: random.Random) -> str:
     return sep.join(clauses) + rng.choice(("", ";", " "))
 
 
-def run(argv) -> int:
+def run(argv) -> tuple:
+    """The exit code and stderr of one command."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     assert code in EXIT_CODES, (argv, code)
     assert "Traceback" not in err.getvalue(), argv
     assert out.getvalue() or err.getvalue(), argv  # a report or a message
-    return code
+    return code, err.getvalue()
 
 
 def test_mutated_point_files(tmp_path):
@@ -148,7 +149,7 @@ def test_mutated_point_files(tmp_path):
         path = tmp_path / f"fuzz{i}.json"
         path.write_text(mutate_point(bases[name], rng))
         other = str(tmp_path / f"{partner[name]}.json")
-        code = run(["candidates", "--point", str(path)])
+        code, _ = run(["candidates", "--point", str(path)])
         codes.add(code)
         run(["distance", "--point", str(path), "--point2", other])
         run(["distance", "--point", other, "--point2", str(path), "--both"])
@@ -164,8 +165,54 @@ def test_generated_maps():
     codes = set()
     for _ in range(40):
         text = map_text(rng)
-        code = run(["traintrack", "--map", text, "--max-iters", "30"])
+        code, _ = run(["traintrack", "--map", text, "--max-iters", "30"])
         codes.add(code)
         run(["classify", "--map", text])
         run(["minimize", "--map", text])
     assert codes >= {cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_INTEGRITY}
+
+
+LONG = "1" * 5000  # past Python's limit of 4300 digits for int()
+
+
+def test_long_integers_are_named(tmp_path):
+    # Each of these printed Python's own wording ("Exceeds the limit (4300
+    # digits) for integer string conversion ..."), from json.load or from
+    # int() on an object key.
+    text = json.dumps(base_points()["x"])
+    path = tmp_path / "long.json"
+    for old, new, message in [
+        ('"basepoint": 0', f'"basepoint": {LONG}', "basepoint has 5000 digits"),
+        ('"vertices": [0]', f'"vertices": [0, -{LONG}]', "vertex has 5000 digits"),
+        ('"id": 1,', f'"id": {LONG},', "edge id has 5000 digits"),
+        ('"endpoints": [0, 0]', f'"endpoints": [0, {LONG}]', "endpoint has 5000 digits"),
+        ('"a": [1]', f'"a": [{LONG}]', "marking entry of 'a' has 5000 digits"),
+        ('"1": "1/4"', f'"1": {LONG}', "lengths entry of '1' has 5000 digits"),
+        ('"1": "1/4"', f'"{LONG}": "1/4"', "lengths key has 5000 digits"),
+        ('"1": "a"', f'"{LONG}": "a"', "inverse_marking key has 5000 digits"),
+        ('"a": [1]', f'"a": {LONG}', "marking loop of 'a' must be a list, got an integer of 5000"),
+    ]:
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        code, err = run(["candidates", "--point", str(path)])
+        assert code == cli.EXIT_PARSE and err.startswith(f"error: {message}"), (new[:20], err)
+        assert len(err) < 100
+
+
+def test_a_missing_vertex_is_an_input_error(tmp_path):
+    # A vertex that the file names but does not list is an input error
+    # (exit 2), as an edge endpoint and as the basepoint alike; the
+    # basepoint exited 4.
+    data = base_points()["theta_x"]
+    path = tmp_path / "missing.json"
+    for field, edit, message in [
+        ("basepoint", lambda d: d.update(basepoint=7), "basepoint 7 is not a vertex"),
+        ("endpoint", lambda d: d["edges"][0].update(endpoints=[0, 7]), "not among vertices"),
+    ]:
+        edited = json.loads(json.dumps(data))
+        edit(edited)
+        path.write_text(json.dumps(edited))
+        for argv in (["candidates", "--point", str(path)],
+                     ["distance", "--point", str(path), "--point2", str(path)]):
+            code, err = run(argv)
+            assert code == cli.EXIT_PARSE and message in err, (field, err)

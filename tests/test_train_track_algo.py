@@ -430,10 +430,10 @@ class TestWordLevelOrder:
         assert (len(composed), len(tested)) == (1, 1)
 
     def test_composes_up_to_the_homology_order(self, monkeypatch):
-        # A has order 6, and the fold loop stalls: the stall exit composes
-        # the state's own-basis images five times and tests phi^6 once, and
-        # act composes once more.  The map is built first, since building it
-        # composes words to invert it.
+        # A has order 6, and the fold loop repeats a state: the repeat exit
+        # composes the state's own-basis images five times and tests phi^6
+        # once, and act composes once more.  The map is built first, since
+        # building it composes words to invert it.
         phi = Automorphism.from_text("a -> B; b -> ba")
         composed, tested = self.count_word_calls(monkeypatch)
         cert = find_train_track(phi)
@@ -576,14 +576,14 @@ class TestFiniteOrderExits:
 
     @pytest.mark.parametrize("text, max_iters, last", [
         (CONJUGATED_105, 10**4, "round=0 edges=16 lambda=1 potential=22 move=finite_order(105)"),
-        ("a -> B; b -> ba", 10**4, "round=26 edges=2 lambda=1 potential=0 move=finite_order(6)"),
+        ("a -> B; b -> ba", 10**4, "round=8 edges=2 lambda=1 potential=0 move=finite_order(6)"),
         ("a -> B; b -> ba", 3, "round=3 edges=2 lambda=1 potential=- move=finite_order(6)"),
     ], ids=["reduction", "stall", "iteration_cap"])
     def test_finite_order_at_each_exit(self, monkeypatch, text, max_iters, last):
         # The certificate holds the exit state's map, and its trace is the
         # rounds before that exit plus a finite_order line.  With the exit
         # test off, the same rounds end in the certificate it replaced: a
-        # reduction or stalled line in place of the finite_order line, or
+        # reduction or repeat line in place of the finite_order line, or
         # none at the iteration cap.
         phi = Automorphism.from_text(text)
         cert = find_train_track(phi, max_iters)
@@ -857,19 +857,7 @@ PINNED_TRACES = {
             "round=11 edges=3 lambda=1.46557123188 potential=0 move=fold(-17,-19)",
             "round=12 edges=3 lambda=1.46557123188 potential=0 move=fold(-19,20)",
             "round=13 edges=3 lambda=1.46557123188 potential=0 move=fold(20,21)",
-            "round=14 edges=3 lambda=1.46557123188 potential=0 move=fold(21,22)",
-            "round=15 edges=3 lambda=1.46557123188 potential=0 move=fold(22,-24)",
-            "round=16 edges=3 lambda=1.46557123188 potential=0 move=fold(-24,-26)",
-            "round=17 edges=3 lambda=1.46557123188 potential=0 move=fold(-26,-28)",
-            "round=18 edges=3 lambda=1.46557123188 potential=0 move=fold(-28,29)",
-            "round=19 edges=3 lambda=1.46557123188 potential=0 move=fold(29,30)",
-            "round=20 edges=3 lambda=1.46557123188 potential=0 move=fold(30,31)",
-            "round=21 edges=3 lambda=1.46557123188 potential=0 move=fold(31,-33)",
-            "round=22 edges=3 lambda=1.46557123188 potential=0 move=fold(-33,-35)",
-            "round=23 edges=3 lambda=1.46557123188 potential=0 move=fold(-35,-37)",
-            "round=24 edges=3 lambda=1.46557123188 potential=0 move=fold(-37,38)",
-            "round=25 edges=3 lambda=1.46557123188 potential=0 move=fold(38,39)",
-            "round=26 edges=3 lambda=1.46557123188 potential=- move=stalled",
+            "round=14 edges=3 lambda=1.46557123188 potential=0 move=repeat(8)",
         ),
     ),
 }
@@ -963,8 +951,8 @@ class TestFindTrainTrack:
         assert k == order
 
     def test_elliptic_map_with_cancellation(self):
-        # Folding this map cycles until it stalls; the stall exit's test on
-        # the state's own basis certifies it.  Its sixth power is inner.
+        # Folding this map cycles until a state repeats; the repeat exit's
+        # test on the state's own basis certifies it.  Its sixth power is inner.
         phi = Automorphism.from_text("a -> B; b -> ba")
         cert = find_train_track(phi)
         assert isinstance(cert, FiniteOrderCertificate)
@@ -1037,6 +1025,70 @@ class TestFindTrainTrack:
             assert words.is_conjugate_identity(acc)
         else:
             assert isinstance(cert, NonTerminationCertificate)
+
+
+def draw(rank: int, steps: int, seed: int, index: int) -> Automorphism:
+    """Draw `index`, counted from 0, of random_automorphism(rank, steps, Random(seed))."""
+    rng = random.Random(seed)
+    for _ in range(index):
+        random_automorphism(rank, steps, rng)
+    return random_automorphism(rank, steps, rng)
+
+
+# (rank, seed, draw) of random_automorphism(rank, 12, Random(seed)) -> (s, r):
+# the state of round s repeats at round r.  The first five are the fold
+# loop's true cycles, r3#24 being a->ba; b->c; c->A; r4#58 of seed 0 is
+# fold-survey's one max_iters input.
+REPEATS = {
+    (3, 1, 24): (8, 14),
+    (3, 1, 64): (8, 14),
+    (4, 1, 59): (32, 40),
+    (4, 1, 71): (8, 16),
+    (4, 7, 65): (8, 16),
+    (4, 0, 58): (8, 16),
+}
+REPEAT_IDS = [f"r{rank}#{index}@{seed}" for rank, seed, index in sorted(REPEATS)]
+
+
+class TestRepeatExit:
+    @pytest.mark.parametrize("case", sorted(REPEATS), ids=REPEAT_IDS)
+    def test_cycles_end_at_a_repeat(self, case):
+        s, r = REPEATS[case]
+        rank, seed, index = case
+        cert = find_train_track(draw(rank, 12, seed, index))
+        assert cert.status == "max_iters"
+        assert cert.reason == f"state of round {s} repeats at round {r} (period {r - s})"
+        assert len(cert.trace) == r + 1 and cert.trace[-1].startswith(f"round={r} ")
+        assert cert.trace[-1].endswith(f"move=repeat({s})")
+
+    @pytest.mark.parametrize("case", sorted(REPEATS), ids=REPEAT_IDS)
+    def test_equal_keys_repeat_forever(self, monkeypatch, case):
+        # The premise of the exit: the moves read ids only through their
+        # order, so the rounds after two equal keys repeat with their period.
+        # With the exit off, the loop runs 3 more periods to the cap, and the
+        # keys of its fold rounds stay periodic from round s on.
+        s, r = REPEATS[case]
+        keys = []
+        key = train_track_algo._MapState.key
+        monkeypatch.setattr(train_track_algo._MapState, "key",
+                            lambda st: keys.append(key(st)) or object())
+        rank, seed, index = case
+        p, cap = r - s, r + 3 * (r - s)
+        cert = find_train_track(draw(rank, 12, seed, index), max_iters=cap)
+        assert cert.reason == "iteration cap reached" and len(cert.trace) == cap
+        # Only fold rounds take a key; a forest collapse may sit between them.
+        folds = [t for t, line in enumerate(cert.trace) if "move=fold(" in line]
+        at = dict(zip(folds, keys, strict=True))
+        assert at[s] not in [at.get(t) for t in range(s + 1, r)]  # p is the least period
+        for t in range(s, cap - p):
+            assert at.get(t) == at.get(t + p)
+
+    def test_rank_64_draw_2_is_a_train_track(self):
+        # A lambda plateau from round 30 to round 56 is no cycle: the folds
+        # go on and end in a train track at round 134.
+        cert = find_train_track(draw(64, 320, 0, 2))
+        assert cert.status == "train_track" and len(cert.trace) == 135
+        assert f"{cert.lam:.10g}" == "10.38229073"
 
 
 # -- one surgery state across rounds ------------------------------------------------
@@ -1113,8 +1165,8 @@ class TestOneState:
             (REDUCIBLE, False, 1),
             ("a->AD; b->cdabAD; c->bAB; d->bAD", False, 1),  # collapses a forest, slides
             (PERMUTED, True, 1),  # a graph automorphism
-            ("a -> B; b -> ba", True, 1),  # finite order at the stall exit
-            ("a->ba; b->c; c->A", False, 0),  # stalls
+            ("a -> B; b -> ba", True, 1),  # finite order at the repeat exit
+            ("a->ba; b->c; c->A", False, 0),  # repeats a state
         ],
     )
     def test_builds_only_the_certificate_map(self, monkeypatch, text, finite, built):
