@@ -378,7 +378,7 @@ def _render_text(value, indent: str = "") -> List[str]:
     return lines
 
 
-def _emit(report: Dict[str, object], text: bool) -> None:
+def _emit(report: object, text: bool) -> None:
     if text:
         sys.stdout.write("\n".join(_render_text(report)) + "\n")
     else:
@@ -418,11 +418,11 @@ def cmd_candidates(args: argparse.Namespace) -> Tuple[Dict[str, object], int]:
     return {"count": len(loops), "candidates": loops}, EXIT_OK
 
 
-def cmd_minimize(args: argparse.Namespace) -> Tuple[Dict[str, object], int]:
+def cmd_minimize(args: argparse.Namespace) -> Tuple[object, int]:
     phi = Automorphism.from_text(args.map)
     m = self_map_from_automorphism(rose_point(phi.rank), phi)
-    (rep,) = min_displacement_on_simplex(m, (args.floor,))
-    return _simplex_json(rep), EXIT_OK
+    reports = [_simplex_json(rep) for rep in min_displacement_on_simplex(m, args.floor)]
+    return (reports if len(reports) > 1 else reports[0]), EXIT_OK
 
 
 # -- argument parsing ---------------------------------------------------------------
@@ -475,7 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minimize", parents=[common], help="minimize displacement over floored metrics")
     p.set_defaults(run=cmd_minimize)
     p.add_argument("--map", required=True)
-    p.add_argument("--floor", type=float, default=1e-6)
+    p.add_argument("--floor", type=float, nargs="+", default=[1e-6],
+                   help="one floor, or a ladder of floors (a list of reports)")
 
     return parser
 

@@ -33,6 +33,7 @@ GOLDEN_SQ = (3 + math.sqrt(5)) / 2
 # transition matrix has spectral radius exactly 1, and whose fold loop
 # chooses between two slides of spectral radius 1.
 R4_39 = "a->AbC; b->DA; c->A; d->Ac"
+RANK10 = "a->ab; b->c; c->d; d->e; e->f; f->g; g->h; h->i; i->j; j->a"
 
 
 def run_cli(capsys, *argv):
@@ -613,6 +614,31 @@ class TestMinimizeCommand:
         )
         assert code == EXIT_PARSE
 
+    def test_floor_ladder(self, capsys):
+        # Several floors are one minimization with one report per floor, in
+        # order.  The rank-4 reduction's minimizer stays pinned to the floor
+        # while lambda keeps falling: its infimum is on no floor.
+        floors = [f"1e-{k}" for k in range(1, 7)]
+        code, reports = run_json(
+            capsys, "minimize", "--map", "a->ab; b->bab; c->cad; d->dcad", "--floor", *floors
+        )
+        assert code == EXIT_OK
+        assert [rep["floor"] for rep in reports] == [float(f) for f in floors]
+        assert all(rep["boundary_flag"] is True and rep["pinned"] for rep in reports)
+        lams = [rep["lambda"] for rep in reports]
+        assert lams == sorted(lams, reverse=True)
+
+    def test_floor_needs_a_value(self, capsys):
+        code, out, err = run_cli(capsys, "minimize", "--map", "a->ab; b->bab", "--floor")
+        assert code == EXIT_PARSE and out == ""
+
+    def test_ladder_floor_not_below_one_over_rank_exit(self, capsys):
+        # Every floor must lie below 1/rank; 1e-1 does not at rank 10, so
+        # nothing is printed, not even the report for 1e-2.
+        code, out, err = run_cli(capsys, "minimize", "--map", RANK10, "--floor", "1e-1", "1e-2")
+        assert code == EXIT_PARSE and out == ""
+        assert "1/10" in err
+
 
 class TestArgumentHandling:
     def test_unknown_command(self, capsys):
@@ -666,23 +692,15 @@ def test_unsolved_lp_step_is_an_integrity_failure(capsys, monkeypatch):
     assert "no column can enter" in err
 
 
-RANK10 = "a->ab; b->c; c->d; d->e; e->f; f->g; g->h; h->i; i->j; j->a"
-
-
 @pytest.mark.parametrize("script, argv", [
-    ("displacement_sweep.py", ["--min-floor-exp", "0"]),
-    ("displacement_sweep.py", ["--map", RANK10, "--min-floor-exp", "1"]),
-    ("displacement_sweep.py", ["--map", "a->q!"]),
-    ("displacement_sweep.py", ["--map", "a->aa; b->b"]),
     ("random_survey.py", ["--samples", "0"]),
     ("random_survey.py", ["--rank", "1"]),
     ("random_survey.py", ["--steps", "-3"]),
-    ("displacement_sweep.py", ["--map", "a->aA; b->b"]),
 ])
 def test_scripts_refuse_unusable_arguments(script, argv):
-    # Each was a traceback, a ZeroDivisionError, an empty table or a survey
-    # of identity maps before argparse checked it; now it is a usage error
-    # with exit code 2.
+    # Each was a traceback, a ZeroDivisionError or a survey of identity
+    # maps before argparse checked it; now it is a usage error with exit
+    # code 2.
     src = os.path.dirname(os.path.dirname(outerspace.__file__))
     path = os.path.join(os.path.dirname(src), "scripts", script)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

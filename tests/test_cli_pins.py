@@ -5,7 +5,8 @@ writes to stdout with ``cli_pins.json``, as canonical JSON and with
 ``--text``.  The maps give every traintrack status and every classify kind:
 a train track (hyperbolic), a finite-order map (elliptic), a reduction
 (parabolic suspect) and a fold loop that repeats a state (max_iters,
-inconclusive, exit 3).  The points are README's rose pair, lengths (1/4, 3/4) and (1/2, 1/2).
+inconclusive, exit 3); ``minimize`` runs one floor and a ladder of two.
+The points are README's rose pair, lengths (1/4, 3/4) and (1/2, 1/2).
 After a deliberate change of reports, regenerate the pins with
 ``PYTHONPATH=src python tests/test_cli_pins.py``.
 """
@@ -29,6 +30,7 @@ COMMANDS = (
     *(["traintrack", "--map", m] for m in MAPS),
     *(["classify", "--map", m] for m in MAPS),
     ["minimize", "--map", "a->ab; b->bab", "--floor", "1e-4"],
+    ["minimize", "--map", "a->a; b->ab", "--floor", "1e-2", "1e-3"],
     ["distance", "--point", "{x}", "--point2", "{y}", "--both"],
     ["candidates", "--point", "{x}"],
     ["candidates", "--point", "{y}"],
@@ -77,12 +79,20 @@ def test_pins_cover_every_outcome():
         ("train_track", 0), ("finite_order", 0), ("reducible", 0), ("max_iters", 3),
         ("hyperbolic", 0), ("elliptic", 0), ("parabolic_suspect", 0), ("inconclusive", 3),
     }
+    # minimize prints one report for one floor and a list of them for a ladder.
+    assert json.loads(pins["minimize --map a->ab; b->bab --floor 1e-4"]["stdout"])["floor"] == 1e-4
+    ladder = json.loads(pins["minimize --map a->a; b->ab --floor 1e-2 1e-3"]["stdout"])
+    assert [rep["floor"] for rep in ladder] == [1e-2, 1e-3]
 
 
-def object_lists(report: dict, indent: str = ""):
+def object_lists(report, indent: str = ""):
     """(header line, item marker, length) of each list of objects in a JSON
-    report, in the order --text writes them: the list's key line, then one
-    "- " line per object at the indent below it."""
+    report, in the order --text writes them: the list's key line (None for a
+    report that is a list), then one "- " line per object at the indent below
+    it."""
+    if isinstance(report, list):
+        yield None, "- ", len(report)
+        return
     for key, value in sorted(report.items()):
         if isinstance(value, dict):
             yield from object_lists(value, indent + "  ")
@@ -101,8 +111,11 @@ def test_text_lists_mark_each_object():
         lines = pin["stdout"].splitlines()
         at = 0
         for header, marker, k in object_lists(json.loads(pins[name[: -len(" --text")]]["stdout"])):
-            at = lines.index(header, at) + 1
-            depth = len(header) - len(header.lstrip())
+            if header is None:
+                at, depth = 0, -1
+            else:
+                at = lines.index(header, at) + 1
+                depth = len(header) - len(header.lstrip())
             end = next(
                 (i for i in range(at, len(lines)) if len(lines[i]) - len(lines[i].lstrip()) <= depth),
                 len(lines),
@@ -114,6 +127,7 @@ def test_text_lists_mark_each_object():
         "candidates --point {y} --text",
         "classify --map a->a; b->ab --text",
         "distance --point {x} --point2 {y} --both --text",
+        "minimize --map a->a; b->ab --floor 1e-2 1e-3 --text",
     }
 
 

@@ -754,6 +754,16 @@ class TestMinDisplacement:
             rep = minimize_at(m, 10.0**-k)
             assert rep.lam - rep.lower <= 1e-9 * rep.lam
 
+    @pytest.mark.xfail(strict=True, reason="a warm floor stops when a step no longer lowers lam")
+    def test_certified_gap_on_a_reduction_ladder(self):
+        # The reduction certificate of RANK4_REDUCIBLE, down the warm
+        # ladder 1e-2 ... 1e-6: floor 1e-5 stops after 5 steps with the
+        # bounds 1.13e-8 apart (relative; 1.08e-9 at 1e-6), while a cold run
+        # at 1e-5 alone closes the gap to 6.9e-12.
+        m = classify(RANK4_REDUCIBLE).certificate.graph_map
+        for rep in min_displacement_on_simplex(m, tuple(10.0**-k for k in range(2, 7))):
+            assert rep.lam - rep.lower <= 1e-9 * rep.lam
+
     def test_floor_domain_is_checked(self):
         m = rose_self_map(EXPANDING)
         for bad in (0.0, -0.1, 0.5, 0.7):

@@ -3,26 +3,28 @@
 Two sources of reports: the minimizations `classify` runs on the base sample
 of the ``classify-survey`` benchmark workload (the first 34 rank-3 and 6
 rank-4 draws of ``random_automorphism(r, 12, Random(0))``, not relabelled),
-a train track's floor-1e-6 report and a reduction's floor sweep; and the
-default rank-4 ladder of ``scripts/displacement_sweep.py``.  Each report
+a train track's floor-1e-6 report and a reduction's floor sweep; and
+``outerspace minimize`` on a rank-4 map with floors 1e-1 ... 1e-6.  Each report
 keeps its floor, lambda, lower bound, pinned edges, metric lengths and trace
 length; floats are pinned by ``float.hex``.  The expected fields live in
 ``minimizer_pins.json``; after a deliberate change of results, regenerate
 them with ``PYTHONPATH=src python tests/test_minimizer_pins.py``.
 """
 
-import importlib.util
+import contextlib
+import io
 import json
 from pathlib import Path
 from random import Random
 
 import pytest
 
-from outerspace import lipschitz_metric
+from outerspace import cli, lipschitz_metric
 from outerspace.marked_metric import random_automorphism
 
 PINS = Path(__file__).with_name("minimizer_pins.json")
-SWEEP_SCRIPT = Path(__file__).parents[1] / "scripts" / "displacement_sweep.py"
+LADDER = ["minimize", "--map", "a->ab; b->bab; c->cad; d->dcad",
+          "--floor", *(f"1e-{k}" for k in range(1, 7))]
 SAMPLE = {3: 34, 4: 6}  # rank -> number of draws
 
 
@@ -68,13 +70,9 @@ def classify_cases() -> dict:
 
 
 def sweep_case() -> dict:
-    spec = importlib.util.spec_from_file_location("displacement_sweep", SWEEP_SCRIPT)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    with pytest.MonkeyPatch.context() as mp:
-        reports = recorded(mp, script)
-        mp.setattr("builtins.print", lambda *a, **k: None)
-        assert script.main([]) == 0
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
+        reports = recorded(mp, cli)
+        assert cli.main(LADDER) == 0
     return {"sweep default": {"kind": "sweep", "reports": [describe(r) for r in reports]}}
 
 
