@@ -362,37 +362,15 @@ class _MapState:
             self.rewrite_all({e: ()})
             self._merge_vertex(drop, keep, c)
 
-    def trim_hairs(self) -> None:
-        """Retract valence-1 vertices other than the basepoint; a move never
-        leaves a vertex with no edges."""
-        while True:
-            valence = {v: 0 for v in self.vertices}
-            for u, v in self.endpoints.values():
-                valence[u] += 1
-                valence[v] += 1
-            leaves = [
-                v for v in sorted(self.vertices) if v != self.basepoint and valence[v] == 1
-            ]
-            if not leaves:
-                if valence[self.basepoint] == 1 and len(self.vertices) > 1:
-                    self._rebase_off_hair()
-                    continue
-                return
-            v = leaves[0]
-            e = next(e for e, (a, b) in self.endpoints.items() if v in (a, b))
-            a, b = self.endpoints[e]
-            other = b if a == v else a
-            self.drop_edge(e)
-            self.rewrite_all({e: ()})
-            self._merge_vertex(v, other, ())
-
     def _rebase_off_hair(self) -> None:
-        """Move a valence-1 basepoint to its attachment, conjugating the marking.
+        """Move a valence-1 basepoint to its attachment, conjugating the
+        marking, and collapse the hair.
 
         Every reduced loop based at a leaf starts along the hair and returns
         along it, so stripping the first and last letters rebases the loop.
         The inverse marking stays: every loop's word is conjugated by the
         hair's word, and the marking check allows one common conjugator.
+        The leaf has no other edge, so collapsing the hair changes no word.
         """
         v = self.basepoint
         e = next(e for e, (a, b) in self.endpoints.items() if v in (a, b))
@@ -403,6 +381,7 @@ class _MapState:
                 raise InvalidMapError("marking loop is not based at the leaf")
             self.dom_marking[i] = loop[1:-1]
         self.basepoint = b if a == v else a
+        self.collapse_edges([e])
 
     def _slide_images_off(self, v: int, along: int) -> None:
         """Homotope the map so no vertex image lands on v, sliding along the
@@ -554,7 +533,10 @@ def fold(st: _MapState, t: Tuple[int, int]) -> None:
     if st.term(f2) == st.basepoint:
         f1, f2 = f2, f1
     st.identify(f1, f2)
-    st.trim_hairs()
+    # identify lowers only the fold vertex's valence, 3 or more after
+    # normalize unless it is the basepoint, so only the basepoint can be a leaf.
+    if sum((u == st.basepoint) + (v == st.basepoint) for u, v in st.endpoints.values()) == 1:
+        st._rebase_off_hair()
     st.finish()
 
 
@@ -569,9 +551,9 @@ def normalize(st: _MapState) -> None:
                 )
             st.collapse_edges(degenerate)
             continue
-        # No hairs to trim: only a fold leaves one, and `fold` trims its own;
-        # collapsing a forest and merging at a valence-2 vertex keep every
-        # valence at 2 or more.
+        # No hairs: only a fold leaves one, at the basepoint, and `fold`
+        # collapses it; collapsing a forest and merging at a valence-2
+        # vertex keep every valence at 2 or more.
         if st.unsubdivide_pass():
             continue
         break

@@ -3,9 +3,10 @@
 Each case is a map (most of them draws of ``random_automorphism`` at ranks
 3-5) whose fold loop takes a path worth keeping exact: a forest collapse, a
 blocked valence-two slide (the trial branch of ``unsubdivide_pass``), a
-reduction, a finite order found inside the loop, and repeated states.  The
-expected fields live in ``certificate_pins.json``; after a deliberate change
-of results, regenerate them with
+reduction, a train track after two folds, a finite order found inside the
+loop, and repeated states.  The expected fields live in
+``certificate_pins.json``; after a deliberate change of results, regenerate
+them with
 ``PYTHONPATH=src python tests/test_certificate_pins.py``.
 """
 
@@ -52,8 +53,10 @@ CASES = {
     "r5_finite_order_in_loop": (
         "a->B; b->ec; c->abd; d->CEE; e->A",
         "a cyclic permutation conjugated by random_automorphism(5, 3, Random(5))"),
-    "r3_stalled": ("a->ba; b->c; c->A", "the repeat of test_trace_lines_pinned"),
-    "r2_collapse_forest": ("a->aBA; b->abb", "the forest collapse of test_trace_lines_pinned"),
+    "r3_stalled": ("a->ba; b->c; c->A", "a short map whose fold loop repeats a state"),
+    "r2_collapse_forest": ("a->aBA; b->abb", "a short map whose folds leave a point-image forest"),
+    "r2_reduction": ("a->b; b->BBA", "a short map that one fold makes reducible"),
+    "r2_fold_train_track": ("a->aabab; b->Babab", "a short map that two folds make a train track"),
 }
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -34,6 +35,9 @@ GOLDEN_SQ = (3 + math.sqrt(5)) / 2
 # chooses between two slides of spectral radius 1.
 R4_39 = "a->AbC; b->DA; c->A; d->Ac"
 RANK10 = "a->ab; b->c; c->d; d->e; e->f; f->g; g->h; h->i; i->j; j->a"
+# Reducible maps whose whole-matrix eigen-solve misses the spectral radius: a
+# repeated eigenvalue 1 (rank 6), and two golden diagonal blocks (rank 4).
+STRATA_MAPS = ("a->D; b->bD; c->f; d->A; e->EbD; f->ce", "a->ab; b->bab; c->cad; d->dcad")
 
 
 def run_cli(capsys, *argv):
@@ -116,18 +120,16 @@ class TestTraintrackCommand:
         assert top == [[1, 1], [1, 2]]
         assert bottom == [[1, 1], [1, 2]]
 
-    def test_reducible_lambda_is_the_spectral_radius(self, capsys):
-        code, report = run_json(capsys, "traintrack", "--map", R4_39)
+    @pytest.mark.parametrize("text", [R4_39, *STRATA_MAPS])
+    def test_reducible_lambda_is_the_spectral_radius(self, capsys, text):
+        code, report = run_json(capsys, "traintrack", "--map", text)
         assert code == EXIT_OK
         assert report["status"] == "reducible"
         lam, tol = Fraction(report["lambda"]), Fraction(1, 10**9)
         assert exceeds_spectral_radius(report["matrix"], lam + tol)
         assert not exceeds_spectral_radius(report["matrix"], lam - tol)
 
-    @pytest.mark.parametrize("text, lam", [
-        ("a->D; b->bD; c->f; d->A; e->EbD; f->ce", 1.0),  # a repeated eigenvalue 1
-        ("a->ab; b->bab; c->cad; d->dcad", 2.61803398875),  # two golden blocks
-    ])
+    @pytest.mark.parametrize("text, lam", zip(STRATA_MAPS, (1.0, 2.61803398875)))
     def test_reducible_lambda_is_solved_on_the_strata(self, capsys, text, lam):
         # A whole-matrix eig read 1.00004327159 and 2.61803401132 here.
         code, report = run_json(capsys, "traintrack", "--map", text)
@@ -575,14 +577,16 @@ class TestCandidatesCommand:
 
 
 class TestMinimizeCommand:
-    def test_floored_minimum(self, capsys):
-        code, report = run_json(
-            capsys, "minimize", "--map", "a->a; b->ab", "--floor", "1e-3"
-        )
+    @pytest.mark.parametrize("floor", ["1e-3", "1e-6"])
+    def test_floored_minimum(self, capsys, floor):
+        # The PF lengths (0, 1) lift to the floored minimizer, with edge a
+        # pinned, settled by the first LP step or the second.
+        code, report = run_json(capsys, "minimize", "--map", "a->a; b->ab", "--floor", floor)
         assert code == EXIT_OK
-        assert report["lambda"] == pytest.approx(1.0 / (1.0 - 1e-3), abs=1e-6)
+        assert report["lambda"] == pytest.approx(1.0 / (1.0 - float(floor)), abs=1e-11)
         assert report["boundary_flag"] is True
         assert report["pinned"] == ["a"]
+        assert len(report["trace"]) <= 2
         assert_bracketing_trace(report["trace"], lipschitz_metric._MAX_STEPS)
 
     def test_interior_minimum(self, capsys):
@@ -638,6 +642,9 @@ class TestMinimizeCommand:
         code, out, err = run_cli(capsys, "minimize", "--map", RANK10, "--floor", "1e-1", "1e-2")
         assert code == EXIT_PARSE and out == ""
         assert "1/10" in err
+        # 1e-2 alone is below 1/10, and one floor prints one report.
+        code, report = run_json(capsys, "minimize", "--map", RANK10, "--floor", "1e-2")
+        assert code == EXIT_OK and report["floor"] == 1e-2
 
 
 class TestArgumentHandling:
@@ -692,6 +699,13 @@ def test_unsolved_lp_step_is_an_integrity_failure(capsys, monkeypatch):
     assert "no column can enter" in err
 
 
+def run_script(script, *argv):
+    src = os.path.dirname(os.path.dirname(outerspace.__file__))
+    path = os.path.join(os.path.dirname(src), "scripts", script)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, path, *argv], capture_output=True, text=True, env=env)
+
+
 @pytest.mark.parametrize("script, argv", [
     ("random_survey.py", ["--samples", "0"]),
     ("random_survey.py", ["--rank", "1"]),
@@ -701,12 +715,17 @@ def test_scripts_refuse_unusable_arguments(script, argv):
     # Each was a traceback, a ZeroDivisionError or a survey of identity
     # maps before argparse checked it; now it is a usage error with exit
     # code 2.
-    src = os.path.dirname(os.path.dirname(outerspace.__file__))
-    path = os.path.join(os.path.dirname(src), "scripts", script)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, path, *argv], capture_output=True, text=True, env=env)
+    out = run_script(script, *argv)
     assert out.returncode == EXIT_PARSE, out.stderr
     assert out.stdout == "" and "usage:" in out.stderr
+
+
+def test_survey_tallies_sum_to_the_samples():
+    out = run_script("random_survey.py", "--rank", "3", "--samples", "20", "--seed", "7")
+    assert out.returncode == EXIT_OK, out.stderr
+    tally = [int(m.group(1)) for line in out.stdout.splitlines()
+             for m in [re.match(r"\s+\w+Certificate\s+(\d+)\s", line)] if m]
+    assert len(tally) == 4 and sum(tally) == 20, out.stdout
 
 
 @pytest.mark.parametrize("command", ["classify", "minimize"])

@@ -1,12 +1,12 @@
 """Malformed command-line input: every command answers with an exit code.
 
-Point files are mutated from README's rose pair and the theta graph with a
-loop of the CI smoke test; maps are drawn from the clause grammar at ranks
-2 and 3, as automorphisms that mostly reach the fold loop, and some clauses
-are then dropped, repeated or garbled.  Each input runs through ``cli.main``,
-which must return 0, 2, 3 or 4, raise nothing and write no traceback.  A
-point file that a command accepts reads back through ``point_to_json``
-unchanged.  The draws come from one fixed seed.
+Point files are mutated from the points of the pinned CLI reports (README's
+rose pair and a theta graph with a loop); maps are drawn from the clause
+grammar at ranks 2 and 3, as automorphisms that mostly reach the fold loop,
+and some clauses are then dropped, repeated or garbled.  Each input runs
+through ``cli.main``, which must return 0, 2, 3 or 4, raise nothing and
+write no traceback.  A point file that a command accepts reads back through
+``point_to_json`` unchanged.  The draws come from one fixed seed.
 """
 
 import contextlib
@@ -15,17 +15,9 @@ import json
 import random
 from fractions import Fraction
 
+from test_cli_pins import POINTS
 from outerspace import cli
-from outerspace.graph_core import Graph
-from outerspace.marked_metric import (
-    Automorphism,
-    Metric,
-    act,
-    format_map_text,
-    graph_point,
-    random_automorphism,
-    rose_point,
-)
+from outerspace.marked_metric import format_map_text, random_automorphism
 
 EXIT_CODES = {cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_CAP, cli.EXIT_INTEGRITY}
 FIELDS = ("vertices", "edges", "basepoint", "lengths", "marking", "inverse_marking")
@@ -37,16 +29,8 @@ ODD_WORDS = ("", "d", "Z", "e27", "aA", "a.b", "?", "a b", "E3")
 
 
 def base_points() -> dict:
-    """README's rose pair and the CI's theta-loop pair, as point files."""
-    theta_loop = Graph([0, 1], {1: (0, 1), 2: (0, 1), 3: (0, 1), 4: (0, 0)})
-    theta_x = graph_point(theta_loop, Metric({e: Fraction(1, 4) for e in theta_loop.edge_ids}))
-    points = {
-        "x": rose_point(2, lengths=(Fraction(1, 4), Fraction(3, 4))),
-        "y": rose_point(2, lengths=(Fraction(1, 2), Fraction(1, 2))),
-        "theta_x": theta_x,
-        "theta_y": act(theta_x, Automorphism.from_text("a->ab; b->bc; c->cab")),
-    }
-    return {name: cli.point_to_json(x) for name, x in points.items()}
+    """The points of the pinned CLI reports, as point files."""
+    return {name: cli.point_to_json(x) for name, x in POINTS.items()}
 
 
 def dumps_pairs(value, repeat=None) -> str:

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -523,7 +524,7 @@ class TestWordLevelOrder:
 
 
 # A conjugate of the order-105 permutation with cycles 3, 5, 7 and 1 whose
-# fold loop finds an invariant subgraph in round 0; a CI smoke step runs it.
+# fold loop finds an invariant subgraph in round 0.
 CONJUGATED_105 = (
     "a->b; b->c; c->a; d->e; e->f; f->g; g->h; h->d; i->j; j->k; k->l; l->m; m->nb; n->oC; "
     "o->i; p->MBNmlp"
@@ -581,14 +582,17 @@ class TestFiniteOrderExits:
     ], ids=["reduction", "stall", "iteration_cap"])
     def test_finite_order_at_each_exit(self, monkeypatch, text, max_iters, last):
         # The certificate holds the exit state's map, and its trace is the
-        # rounds before that exit plus a finite_order line.  With the exit
-        # test off, the same rounds end in the certificate it replaced: a
-        # reduction or repeat line in place of the finite_order line, or
-        # none at the iteration cap.
+        # rounds before that exit plus a finite_order line; classify reads
+        # it as elliptic of that order.  With the exit test off, the same
+        # rounds end in the certificate it replaced: a reduction or repeat
+        # line in place of the finite_order line, or none at the iteration
+        # cap.
         phi = Automorphism.from_text(text)
         cert = find_train_track(phi, max_iters)
         assert cert.trace[-1] == last
         assert f"edges={cert.graph_map.domain.graph.num_edges} " in last
+        result = classify(phi)
+        assert (result.kind, result.order) == ("elliptic", cert.order)
         rounds = cert.trace[:-1]
         monkeypatch.setattr(train_track_algo, "finite_order_check", lambda phi: None)
         other = find_train_track(phi, max_iters)
@@ -620,12 +624,13 @@ class TestFiniteOrderExits:
 
 
 class TestLongImages:
-    def test_long_conjugate_is_read_on_the_fold_state(self, monkeypatch):
-        # An order-3 map whose images total 4,009 letters: no composition
-        # inside find_train_track has inner words of more than 1,000
-        # letters, and classify calls it elliptic of order 3.
-        phi = long_conjugate(40)
-        assert sum(map(len, phi.images)) == 4009
+    @pytest.mark.parametrize("steps, letters", [(30, 1069), (40, 4009)])
+    def test_long_conjugate_is_read_on_the_fold_state(self, monkeypatch, steps, letters):
+        # Order-3 maps whose images total 1,069 and 4,009 letters: no
+        # composition inside find_train_track has inner words of more than
+        # 1,000 letters, and classify calls them elliptic of order 3.
+        phi = long_conjugate(steps)
+        assert sum(map(len, phi.images)) == letters
         inner = []
         compose = words.compose
         monkeypatch.setattr(
@@ -809,60 +814,6 @@ class TestNormalize:
 # -- the search loop ---------------------------------------------------------------
 
 
-# Full fold-loop traces, one per move kind, as the loop wrote them before its
-# trace lines went through one formatter: (map, trace).
-PINNED_TRACES = {
-    "finite_order_simplicial": (
-        "a->B; b->C; c->A",
-        ("round=0 edges=3 lambda=1 potential=4 move=finite_order(6)",),
-    ),
-    "collapse_forest": (
-        "a->aBA; b->abb",
-        (
-            "round=0 edges=2 lambda=3 potential=0 move=fold(-1,2)",
-            "round=1 edges=3 lambda=2 potential=0 move=fold(-3,6)",
-            "round=2 edges=3 lambda=1 potential=1 move=collapse_forest([7])",
-            "round=3 edges=2 lambda=1 potential=1 move=reduction([10])",
-        ),
-    ),
-    "reduction": (
-        "a->b; b->BBA",
-        (
-            "round=0 edges=2 lambda=2.41421356237 potential=1 move=fold(-1,2)",
-            "round=1 edges=2 lambda=1 potential=0 move=reduction([4])",
-        ),
-    ),
-    "fold_then_train_track": (
-        "a->aabab; b->Babab",
-        (
-            "round=0 edges=2 lambda=5 potential=0 move=fold(-1,2)",
-            "round=1 edges=3 lambda=4.35530139761 potential=0 move=fold(-3,4)",
-            "round=2 edges=3 lambda=4.2360679775 potential=1 move=train_track",
-        ),
-    ),
-    "stalled": (
-        "a->ba; b->c; c->A",
-        (
-            "round=0 edges=3 lambda=1.46557123188 potential=0 move=fold(-1,3)",
-            "round=1 edges=3 lambda=1.46557123188 potential=0 move=fold(2,3)",
-            "round=2 edges=3 lambda=1.46557123188 potential=0 move=fold(2,4)",
-            "round=3 edges=3 lambda=1.46557123188 potential=0 move=fold(4,-6)",
-            "round=4 edges=3 lambda=1.46557123188 potential=0 move=fold(-6,-8)",
-            "round=5 edges=3 lambda=1.46557123188 potential=0 move=fold(-8,-10)",
-            "round=6 edges=3 lambda=1.46557123188 potential=0 move=fold(-10,11)",
-            "round=7 edges=3 lambda=1.46557123188 potential=0 move=fold(11,12)",
-            "round=8 edges=3 lambda=1.46557123188 potential=0 move=fold(12,13)",
-            "round=9 edges=3 lambda=1.46557123188 potential=0 move=fold(13,-15)",
-            "round=10 edges=3 lambda=1.46557123188 potential=0 move=fold(-15,-17)",
-            "round=11 edges=3 lambda=1.46557123188 potential=0 move=fold(-17,-19)",
-            "round=12 edges=3 lambda=1.46557123188 potential=0 move=fold(-19,20)",
-            "round=13 edges=3 lambda=1.46557123188 potential=0 move=fold(20,21)",
-            "round=14 edges=3 lambda=1.46557123188 potential=0 move=repeat(8)",
-        ),
-    ),
-}
-
-
 class TestFindTrainTrack:
     def test_expanding_map_certificate(self):
         cert = find_train_track(Automorphism.from_text(EXPANDING))
@@ -884,12 +835,6 @@ class TestFindTrainTrack:
             r"round=0 edges=2 lambda=2\.61803398875 potential=1 move=train_track",
             cert.trace[0],
         )
-
-    @pytest.mark.parametrize("kind", sorted(PINNED_TRACES))
-    def test_trace_lines_pinned(self, kind):
-        text, expected = PINNED_TRACES[kind]
-        cert = find_train_track(Automorphism.from_text(text))
-        assert cert.trace == expected
 
     def test_fold_fault_propagates(self, monkeypatch, capsys):
         # A fault inside the fold loop is a bug, not non-termination: it
@@ -1132,7 +1077,7 @@ class TestOneState:
         # positive chains cancels nothing, and neither does replacing
         # -c1 c2 by a new edge.
         moves = dict.fromkeys(["fold", "normalize", "subdivide", "identify", "collapse_edges",
-                               "trim_hairs", "_slide_images_off", "_merge_valence_two"], 0)
+                               "_rebase_off_hair", "_slide_images_off", "_merge_valence_two"], 0)
 
         def reduced(name, owner):
             move = getattr(owner, name)
@@ -1156,6 +1101,28 @@ class TestOneState:
         for name in sorted(PINNED_CASES):
             pinned_certificate(name)
         assert all(moves.values()), moves
+
+    def test_a_fold_leaves_a_leaf_only_at_the_basepoint(self, monkeypatch):
+        # identify lowers only the valence of the fold's own vertex, which
+        # normalize left at 3 or more unless it is the basepoint: only a
+        # valence-2 basepoint can become a leaf, and fold collapses its hair.
+        identify = train_track_algo._MapState.identify
+        rebase = train_track_algo._MapState._rebase_off_hair
+        rebased = []
+
+        def checked(state, *args):
+            identify(state, *args)
+            valence = Counter(v for ends in state.endpoints.values() for v in ends)
+            assert [v for v in state.vertices if valence[v] == 1] in ([], [state.basepoint])
+
+        monkeypatch.setattr(train_track_algo._MapState, "identify", checked)
+        monkeypatch.setattr(train_track_algo._MapState, "_rebase_off_hair",
+                            lambda state: rebased.append(state.basepoint) or rebase(state))
+        rng = random.Random(7)
+        for rank in (3, 4, 5):
+            for _ in range(40):
+                find_train_track(random_automorphism(rank, 12, rng), max_iters=300)
+        assert rebased
 
     @pytest.mark.parametrize(
         "text, finite, built",
