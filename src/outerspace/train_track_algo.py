@@ -17,12 +17,12 @@ transition matrix's strata come from one pass, ``TransitionMatrix.closures``,
 and every spectral radius (over the strata) and PF vector from one dense
 eigen-solve, ``pf_eigen``.  Each move updates the inverse marking exactly
 (a Stallings fold has an exact effect on it), so nothing is ever inverted
-from scratch.  No start map is built and a round
-builds no ``GraphMap``: only a returned certificate's map is built, with
-every point and marking check, so a bad round shows up at the end rather
-than where it happened.  A state that represents no automorphism raises
-``InvalidMapError`` out of ``find_train_track``; a finite order is computed
-once, on homology, and tested on the state's own short words.
+from scratch.  No start map is built and a round builds no ``GraphMap``:
+only a returned certificate's map is built, with every point and marking
+check, so a bad round shows up at the end rather than where it happened.
+A state that represents no automorphism raises ``InvalidMapError``; every
+finite-order certificate is built by ``_finite_order_exit``, which computes
+an order once, on homology, and tests it on the state's own short words.
 
 Besides ``max_iters``, the loop ends only on a certificate or on a repeated
 state, which proves a cycle: moves read ids only through their order (sorted
@@ -221,8 +221,8 @@ class _MapState:
         self.next_edge = phi.rank + 1
 
     def finish(self) -> None:
-        """End a move as a round trip through a GraphMap did: an edge must be
-        left, and new ids restart past the largest ones left."""
+        """End a move: an edge must be left, and new ids restart past the
+        largest ones left, since trace lines and pinned certificates print ids."""
         if not self.endpoints:
             raise InvalidMapError("graph has no edges left")
         self.next_vertex = max(self.vertices) + 1
@@ -679,11 +679,11 @@ def _round_line(rnd: int, edges: int, lam: float, potential, move: str) -> str:
 
 def _finite_order_exit(st: _MapState, g: Graph, phi: Automorphism, rnd: int, potential,
                       trace: List[str]) -> Optional[FiniteOrderCertificate]:
-    """The exit state's finite-order certificate, if phi^d is inner for the
-    only candidate order d = finite_order_check(phi) (Baumslag–Taylor): if
-    the d-th power of the state's short own-basis images is.  Past
-    _ORDER_LETTER_BUDGET letters, a memory bound on powers that may grow like
-    lambda^k, it gives None: the exit's own certificate is true either way."""
+    """The loop's one finite-order certificate, at the exit state, if phi^d
+    is inner for the only candidate order d = finite_order_check(phi)
+    (Baumslag–Taylor): if the d-th power of the state's short own-basis
+    images is.  Past _ORDER_LETTER_BUDGET letters, a memory bound on powers
+    that may grow like lambda^k, it gives None; the other exits still hold."""
     d = finite_order_check(phi)
     if d is None:
         return None
@@ -708,10 +708,10 @@ def find_train_track(phi: Automorphism, max_iters: int = 10**4) -> Certificate:
     non-termination report carrying the round trace, at the iteration cap
     or at a repeated state, which proves a cycle (see the module docstring).
 
-    A finite order is read on the state, never on phi's rose images: a
-    graph automorphism round has one, the reduction, repeat and
-    iteration-cap exits test for one first, and a train track has
-    lambda > 1.  A move that leaves no automorphism raises InvalidMapError.
+    Every finite-order certificate passes one test, _finite_order_exit, on
+    the state, never on phi's rose images: a graph automorphism round must
+    pass it, the reduction, repeat and iteration-cap exits try it first,
+    and a train track has lambda > 1.  A bad move raises InvalidMapError.
     """
     if phi.rank < 2:
         raise ValueError("rank must be at least 2")
@@ -725,21 +725,19 @@ def find_train_track(phi: Automorphism, max_iters: int = 10**4) -> Certificate:
         deriv = {d: st.derivative(d) for d in g.directions()}
         s = gates_from_derivative(g, deriv)
         pot = _gate_potential(s, g)
-        # Single-edge images make the map a graph automorphism, so phi has
-        # finite order, that of its abelianization (Baumslag–Taylor).  Its
-        # permutation matrix is reducible when it has several cycles, so this
-        # comes before the reduction test.
+        # Single-edge images make the map a graph automorphism, of finite
+        # order, so it must pass the exit test.  Its permutation matrix is
+        # reducible when it has several cycles, so this comes first.
         if all(len(p) == 1 for p in st.images.values()):
-            k = finite_order_check(phi)
-            trace.append(_round_line(rnd, g.num_edges, 1.0, pot, f"finite_order({k})"))
-            return FiniteOrderCertificate(
-                k, st.to_graph_map(g, uniform_metric(g.edge_ids)), tuple(trace))
+            if done := _finite_order_exit(st, g, phi, rnd, pot, trace):
+                return done
+            raise InvalidMapError("graph automorphism fails the finite-order test")
         cls = closed_class(M)
         if cls is not None:
-            rho = spectral_radius(M)
             move = "collapse_forest" if is_forest(g, cls) else "reduction"
             if move == "reduction" and (done := _finite_order_exit(st, g, phi, rnd, pot, trace)):
                 return done
+            rho = spectral_radius(M)
             trace.append(_round_line(rnd, g.num_edges, rho, pot, f"{move}({sorted(cls)})"))
             if move == "reduction":
                 return ReductionCertificate(

@@ -1,10 +1,11 @@
 """Shared test utilities: the train tracks of a fixed set of seeded draws,
 small-graph enumeration, loop-ratio oracles, a one-floor call of the
 displacement minimizer and the bracketing check of its trace, the exact
-spectral radius test, a transition matrix's diagonal blocks and the reference
-invariant chain, the reference finite order on a map's own images, the
-reference inverse by rescanning folds, order-3 maps with long images, and
-ways to build what the library's constructors would refuse.
+spectral radius test, the integer characteristic polynomial, a transition
+matrix's diagonal blocks and the reference invariant chain, the reference
+finite order on a map's own images, the reference inverse by rescanning
+folds, order-3 maps with long images, and ways to build what the library's
+constructors would refuse.
 
 These are deliberately independent of the library's candidate machinery so
 they can serve as oracles for it: the loop enumeration below is a plain
@@ -469,6 +470,21 @@ def exceeds_spectral_radius(rows: Sequence[Sequence[int]], t: Fraction) -> bool:
                 for j in range(k, n):
                     A[i][j] -= f * A[k][j]
     return True
+
+
+def characteristic_polynomial(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
+    """The coefficients of det(xI - A) of an integer matrix A, leading first,
+    by Faddeev–LeVerrier: M_k = A M_(k-1) + c_(n-k+1) I from M_0 = 0, and
+    c_(n-k) = -tr(A M_k) / k, each division exact.  Two matrices with equal
+    polynomials have equal eigenvalues, so equal spectral radii."""
+    n = len(rows)
+    coeffs = [1]
+    AM = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        M = [[x + (coeffs[-1] if i == j else 0) for j, x in enumerate(r)] for i, r in enumerate(AM)]
+        AM = [[sum(a * M[t][j] for t, a in enumerate(r)) for j in range(n)] for r in rows]
+        coeffs.append(-sum(AM[i][i] for i in range(n)) // k)
+    return tuple(coeffs)
 
 
 def diagonal_blocks(M: train_track_algo.TransitionMatrix) -> Dict[Tuple[int, ...], tuple]:
