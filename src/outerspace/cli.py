@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import reprlib
 import sys
 from fractions import Fraction
@@ -477,6 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--floor", type=float, nargs="+", default=[1e-6],
                    help="one floor, or a ladder of floors (a list of reports)")
+    # A "-" then a digit or ".digit" is a number, as newer argparse reads it,
+    # so "--floor -1e-3" reaches the range check instead of reading as an option.
+    p._negative_number_matcher = re.compile(r"-\.?\d")
 
     return parser
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import lcm
@@ -35,6 +36,28 @@ from outerspace.marked_metric import (
     OuterSpacePoint,
     random_automorphism,
     uniform_metric,
+)
+
+# The stretch factor of EXPANDING, the root of x^2 - 3x + 1.
+GOLDEN_SQ = (3 + math.sqrt(5)) / 2
+EXPANDING = "a -> ab; b -> bab"
+PERMUTED = "a -> B; b -> C; c -> A"  # order 6, a graph automorphism of the rose
+REDUCIBLE = "a -> a; b -> ab"
+RANK4_REDUCIBLE = "a -> ab; b -> bab; c -> cad; d -> dcad"  # two golden diagonal blocks
+# fold-survey's seed-0 input r4#36, whose fold path turns on an exact tie of
+# two slide trials.
+R4_36 = "a->caDBaD; b->aCbdACbdACa; c->caDBaDaD; d->CbdACbdACa"
+# Rank-4 map 39 of the fold-survey list at seed 3: a reduction whose
+# transition matrix has spectral radius exactly 1, and whose fold loop
+# chooses between two slides of spectral radius 1.
+R4_39 = "a->AbC; b->DA; c->A; d->Ac"
+# The order-105 permutation with cycles 3, 5, 7 and 1 followed by ten
+# transvections x -> x[y, z]: order 105 on homology, infinite order in
+# Out(F_16), reducible in round 0.
+TRANSVECTED_105 = (
+    "a->b; b->cebEB; c->alhjbJBLbjBJHonON; d->ejnJN; e->f; f->gbhjbJBjBJH; g->hjbJB; h->d; "
+    "i->j; j->k; k->l; l->mgjGJ; m->n; n->o; o->ilmLM; "
+    "p->pkgbhjbJBjBJHKhjbJbjBJHBGmgjGJhjbJBjgJGMbjBJH"
 )
 
 

@@ -14,9 +14,12 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from helpers import (
+    EXPANDING,
+    GOLDEN_SQ,
+    PERMUTED,
+    RANK4_REDUCIBLE,
+    REDUCIBLE,
     connected_core_graphs,
     distance,
     exact_max_ratio,
@@ -49,13 +52,6 @@ from outerspace.marked_metric import (
 from outerspace.train_track_algo import TrainTrackCertificate, find_train_track
 from outerspace.words import cyclic_reduce
 
-GOLDEN_SQ = (3 + math.sqrt(5)) / 2
-
-EXPANDING_TEXT = "a->ab; b->bab"
-PERMUTED_TEXT = "a->B; b->C; c->A"
-REDUCIBLE_TEXT = "a->a; b->ab"
-RANK4_TEXT = "a->ab; b->bab; c->cad; d->dcad"
-
 
 def run_traintrack(capsys, spec: str):
     """Run the traintrack subcommand, returning (exit code, stdout, seconds)."""
@@ -72,7 +68,7 @@ def loop_len(metric, path: EdgePath) -> float:
 
 
 def test_criterion_1_expanding_rose_end_to_end(capsys):
-    code, out, elapsed = run_traintrack(capsys, EXPANDING_TEXT)
+    code, out, elapsed = run_traintrack(capsys, EXPANDING)
     report = json.loads(out)
     assert code == EXIT_OK
     assert report["status"] == "train_track"
@@ -80,26 +76,30 @@ def test_criterion_1_expanding_rose_end_to_end(capsys):
     assert abs(report["metric"]["a"] - 0.381966011250105) <= 1e-9
     assert abs(report["metric"]["b"] - 0.618033988749895) <= 1e-9
     assert report["gates"] == [["A", "B"], ["a"], ["b"]]
+    assert report["edge_images"] == {"a": "ab", "b": "bab"} and report["trace"]
     assert elapsed < 1.0
 
 
 def test_criterion_2_order_six_permutation(capsys):
-    code, out, elapsed = run_traintrack(capsys, PERMUTED_TEXT)
+    code, out, elapsed = run_traintrack(capsys, PERMUTED)
     report = json.loads(out)
     assert code == EXIT_OK
     assert report["status"] == "finite_order"
     assert report["order"] == 6
+    assert report["lambda"] == 1.0
     assert elapsed < 1.0
 
 
 def test_criterion_3_reducible_maps_and_blocks(capsys):
-    code, out, _ = run_traintrack(capsys, REDUCIBLE_TEXT)
+    code, out, _ = run_traintrack(capsys, REDUCIBLE)
     report = json.loads(out)
     assert code == EXIT_OK
     assert report["status"] == "reducible"
     assert report["subgraph"] == ["a"]
+    assert report["matrix"] == [[1, 1], [0, 1]]
+    assert report["edge_order"] == ["a", "b"]
 
-    code, out, _ = run_traintrack(capsys, RANK4_TEXT)
+    code, out, _ = run_traintrack(capsys, RANK4_REDUCIBLE)
     report = json.loads(out)
     assert code == EXIT_OK
     assert report["status"] == "reducible"
@@ -116,7 +116,7 @@ def test_criterion_3_reducible_maps_and_blocks(capsys):
 
 def test_criterion_4_unrealized_infimum_trend():
     m = self_map_from_automorphism(
-        rose_point(4), Automorphism.from_text(RANK4_TEXT)
+        rose_point(4), Automorphism.from_text(RANK4_REDUCIBLE)
     )
     start = time.perf_counter()
     reports = [minimize_at(m, floor) for floor in (1e-2, 1e-3, 1e-4)]
@@ -131,7 +131,7 @@ def test_criterion_4_unrealized_infimum_trend():
 
 def test_criterion_5_interior_minimum_matches_growth_rate():
     m = self_map_from_automorphism(
-        rose_point(2), Automorphism.from_text(EXPANDING_TEXT)
+        rose_point(2), Automorphism.from_text(EXPANDING)
     )
     rep = minimize_at(m, 1e-6)
     assert abs(rep.lam - GOLDEN_SQ) <= 1e-6
@@ -207,17 +207,17 @@ def _scaling_law_holds(cert: TrainTrackCertificate) -> None:
 
 
 def test_criterion_8_legal_loops_scale_by_lambda_powers():
-    direct = find_train_track(Automorphism.from_text(EXPANDING_TEXT))
+    direct = find_train_track(Automorphism.from_text(EXPANDING))
     assert isinstance(direct, TrainTrackCertificate)
     _scaling_law_holds(direct)
 
-    result = classify(Automorphism.from_text(EXPANDING_TEXT))
+    result = classify(Automorphism.from_text(EXPANDING))
     assert isinstance(result, Hyperbolic)
     _scaling_law_holds(result.certificate)
 
 
 def test_criterion_9_byte_identical_reports(capsys):
-    for spec in (EXPANDING_TEXT, PERMUTED_TEXT, REDUCIBLE_TEXT, RANK4_TEXT):
+    for spec in (EXPANDING, PERMUTED, REDUCIBLE, RANK4_REDUCIBLE):
         outputs = set()
         for _ in range(3):
             code = main(["traintrack", "--map", spec])

@@ -6,8 +6,7 @@ blocked valence-two slide (the trial branch of ``unsubdivide_pass``), a
 reduction, a train track after two folds, a finite order found inside the
 loop, and repeated states.  The expected fields live in
 ``certificate_pins.json``; after a deliberate change of results, regenerate
-them with
-``PYTHONPATH=src python tests/test_certificate_pins.py``.
+every pin file with ``PYTHONPATH=src python tests/regen.py``.
 """
 
 import json
@@ -92,6 +91,10 @@ def certificate(name):
     return find_train_track(Automorphism.from_text(CASES[name][0]))
 
 
+def pin_text() -> str:
+    return json.dumps({n: describe(certificate(n)) for n in sorted(CASES)}, indent=1) + "\n"
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_certificate_pinned(name):
     assert describe(certificate(name)) == json.loads(PINS.read_text())[name]
@@ -114,7 +117,3 @@ def test_cases_reach_their_paths(monkeypatch):
     assert pins["r3_collapse_slide_reduction"]["status"] == "reducible"
     assert pins["r3_finite_order_in_loop"]["trace"][-1].endswith("finite_order(6)")
     assert pins["r4_stalled"]["trace"][-1].endswith("move=repeat(8)")
-
-
-if __name__ == "__main__":
-    PINS.write_text(json.dumps({n: describe(certificate(n)) for n in sorted(CASES)}, indent=1) + "\n")

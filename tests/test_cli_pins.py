@@ -12,8 +12,8 @@ nothing.  The points are README's rose pair, lengths (1/4, 3/4) and
 under a->ab; b->bc; c->cab.
 CI replays every case through the installed console script with
 ``replay(["outerspace"])``, which writes the same point files.
-After a deliberate change of reports, regenerate the pins with
-``PYTHONPATH=src python tests/test_cli_pins.py``.
+After a deliberate change of reports, regenerate every pin file with
+``PYTHONPATH=src python tests/regen.py``.
 """
 
 import contextlib
@@ -57,7 +57,7 @@ CASES = {" ".join(argv + fmt): argv + fmt for argv in COMMANDS for fmt in ([], [
 
 def run(argv):
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     return {"code": code, "stdout": out.getvalue()}
 
@@ -72,6 +72,10 @@ def all_cases(run=run) -> dict:
             path.write_text(json.dumps(point_to_json(x)))
             points[name] = str(path)
         return {name: run([arg.format(**points) for arg in argv]) for name, argv in CASES.items()}
+
+
+def pin_text() -> str:
+    return json.dumps(all_cases(), indent=1, sort_keys=True) + "\n"
 
 
 def replay(command) -> int:
@@ -171,7 +175,3 @@ def test_text_lists_mark_each_object():
         "distance --point {theta_x} --point2 {theta_y} --both --text",
         "minimize --map a->a; b->ab --floor 1e-2 1e-3 --text",
     }
-
-
-if __name__ == "__main__":
-    PINS.write_text(json.dumps(all_cases(), indent=1, sort_keys=True) + "\n")

@@ -8,7 +8,7 @@ a train track's floor-1e-6 report and a reduction's floor sweep; and
 keeps its floor, lambda, lower bound, pinned edges, metric lengths and trace
 length; floats are pinned by ``float.hex``.  The expected fields live in
 ``minimizer_pins.json``; after a deliberate change of results, regenerate
-them with ``PYTHONPATH=src python tests/test_minimizer_pins.py``.
+every pin file with ``PYTHONPATH=src python tests/regen.py``.
 """
 
 import contextlib
@@ -80,6 +80,10 @@ def all_cases() -> dict:
     return {**classify_cases(), **sweep_case()}
 
 
+def pin_text() -> str:
+    return json.dumps(all_cases(), indent=1) + "\n"
+
+
 def test_minimizer_pinned():
     pins = json.loads(PINS.read_text())
     got = all_cases()
@@ -99,7 +103,3 @@ def test_pins_cover_both_kinds_of_minimization():
     assert counts[("sweep", tuple(10.0**-k for k in range(1, 7)))] == 1
     assert all(floors == () for kind, floors in counts
                if kind not in ("hyperbolic", "parabolic_suspect", "sweep"))
-
-
-if __name__ == "__main__":
-    PINS.write_text(json.dumps(all_cases(), indent=1) + "\n")
