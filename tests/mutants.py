@@ -151,8 +151,10 @@ def child(name: str) -> None:
 
         pytest_collectreport = pytest_runtest_logreport
 
-    pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
-                 str(TESTS)], plugins=[Record()])
+    code = pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
+                        str(TESTS)], plugins=[Record()])
+    if code not in (pytest.ExitCode.OK, pytest.ExitCode.TESTS_FAILED):
+        failed[f"(pytest stopped early: {code!r})"] = None  # the list above is partial
     print(MARK + json.dumps(list(failed)))
 
 

@@ -283,10 +283,6 @@ class TestDistance:
         assert dxz <= dxy + dyz + 1e-9
 
 
-def _graph(edges):
-    return Graph(sorted({v for e in edges for v in e}), dict(enumerate(edges, start=1)))
-
-
 # Rank -> graphs: the benchmark's distance-table graph family
 # (perfbench/workloads.py) at ranks 3 and 4, the rose at rank 5.
 DISPLACED_GRAPHS = {
