@@ -64,6 +64,24 @@ def half_point(tmp_path):
 
 
 class TestTraintrackCommand:
+    def test_expanding_map(self, capsys):
+        code, report = run_json(capsys, "traintrack", "--map", "a->ab; b->bab")
+        assert code == EXIT_OK
+        assert report["status"] == "train_track"
+        assert report["lambda"] == pytest.approx(GOLDEN_SQ, abs=1e-9)
+        assert report["metric"]["a"] == pytest.approx(1 / GOLDEN_SQ, abs=1e-9)
+        assert report["metric"]["b"] == pytest.approx(1 - 1 / GOLDEN_SQ, abs=1e-9)
+        assert report["gates"] == [["A", "B"], ["a"], ["b"]]
+        assert report["edge_images"] == {"a": "ab", "b": "bab"}
+        assert report["trace"]
+
+    def test_finite_order_map(self, capsys):
+        code, report = run_json(capsys, "traintrack", "--map", "a->B; b->C; c->A")
+        assert code == EXIT_OK
+        assert report["status"] == "finite_order"
+        assert report["order"] == 6
+        assert report["lambda"] == 1.0
+
     def test_rank_27_cyclic_permutation(self, capsys):
         # Generators past z are named e27, e28, ... in the map text and in
         # the report's edge names.
@@ -73,6 +91,29 @@ class TestTraintrackCommand:
         assert code == EXIT_OK
         assert report["status"] == "finite_order" and report["order"] == 27
         assert report["edge_images"] == {x: names[(k + 1) % 27] for k, x in enumerate(names)}
+
+    def test_reducible_map(self, capsys):
+        code, report = run_json(capsys, "traintrack", "--map", "a->a; b->ab")
+        assert code == EXIT_OK
+        assert report["status"] == "reducible"
+        assert report["subgraph"] == ["a"]
+        assert report["matrix"] == [[1, 1], [0, 1]]
+        assert report["edge_order"] == ["a", "b"]
+
+    def test_rank_four_reducible_blocks(self, capsys):
+        code, report = run_json(
+            capsys, "traintrack", "--map", "a->ab; b->bab; c->cad; d->dcad"
+        )
+        assert code == EXIT_OK
+        assert report["status"] == "reducible"
+        assert report["subgraph"] == ["a", "b"]
+        order = report["edge_order"]
+        rows = report["matrix"]
+        idx = {name: i for i, name in enumerate(order)}
+        top = [[rows[idx[r]][idx[c]] for c in ("a", "b")] for r in ("a", "b")]
+        bottom = [[rows[idx[r]][idx[c]] for c in ("c", "d")] for r in ("c", "d")]
+        assert top == [[1, 1], [1, 2]]
+        assert bottom == [[1, 1], [1, 2]]
 
     @pytest.mark.parametrize("text", [R4_39, *STRATA_MAPS])
     def test_reducible_lambda_is_the_spectral_radius(self, capsys, text):
@@ -135,6 +176,13 @@ class TestTraintrackCommand:
         code, out, err = run_cli(capsys, "traintrack", "--map", "")
         assert code == EXIT_PARSE
         assert out == ""
+
+    def test_byte_determinism(self, capsys):
+        outputs = set()
+        for _ in range(3):
+            _, out, _ = run_cli(capsys, "traintrack", "--map", "a->ab; b->bab")
+            outputs.add(out)
+        assert len(outputs) == 1
 
 
 class TestDistanceCommand:
@@ -217,6 +265,15 @@ class TestDistanceCommand:
 
 
 class TestPointRoundTrip:
+    def test_serialization_is_lossless(self):
+        x = rose_point(2, lengths=(Fraction(1, 4), Fraction(3, 4)))
+        again = point_from_json(point_to_json(x))
+        assert again.graph.edge_ids == x.graph.edge_ids
+        assert all(
+            again.metric.length(e) == x.metric.length(e) for e in x.graph.edge_ids
+        )
+        assert [p.edges for p in again.marking] == [p.edges for p in x.marking]
+
     def test_rank_three_graph_point_round_trips(self):
         theta_loop = Graph([0, 1], {1: (0, 1), 2: (0, 1), 3: (0, 1), 4: (0, 0)})
         x = graph_point(theta_loop, Metric({1: Fraction(1, 8), 2: Fraction(1, 4),
@@ -260,6 +317,12 @@ class TestPointRoundTrip:
 
 
 class TestClassifyCommand:
+    def test_elliptic(self, capsys):
+        code, report = run_json(capsys, "classify", "--map", "a->B; b->C; c->A")
+        assert code == EXIT_OK
+        assert report["kind"] == "elliptic"
+        assert report["order"] == 6
+
     def test_hyperbolic(self, capsys):
         code, report = run_json(capsys, "classify", "--map", "a->ab; b->bab")
         assert code == EXIT_OK
@@ -521,6 +584,14 @@ class TestMinimizeCommand:
         assert len(report["trace"]) <= 2
         assert_bracketing_trace(report["trace"], lipschitz_metric._MAX_STEPS)
 
+    def test_interior_minimum(self, capsys):
+        code, report = run_json(
+            capsys, "minimize", "--map", "a->ab; b->bab", "--floor", "1e-6"
+        )
+        assert code == EXIT_OK
+        assert report["lambda"] == pytest.approx(GOLDEN_SQ, abs=1e-6)
+        assert report["boundary_flag"] is False
+
     def test_removed_knobs_are_rejected(self, capsys, quarter_point, half_point):
         for argv in (
             ("minimize", "--map", "a->ab; b->bab", "--max-iters", "5"),
@@ -577,6 +648,14 @@ class TestMinimizeCommand:
 class TestArgumentHandling:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == EXIT_PARSE
+
+    def test_text_mode(self, capsys):
+        code, out, err = run_cli(
+            capsys, "traintrack", "--map", "a->ab; b->bab", "--text"
+        )
+        assert code == EXIT_OK
+        assert "status: train_track" in out
+        assert "- [A B]" in out
 
     def test_json_text_exclusive(self, capsys):
         assert main(["traintrack", "--map", "a->ab; b->bab", "--json", "--text"]) == EXIT_PARSE

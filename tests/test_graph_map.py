@@ -178,6 +178,10 @@ class TestDerivativeAndGates:
         with pytest.raises(ValueError, match="need a self-map"):
             gates_iterated(difference_of_markings(theta_point(), rose_point(2)))
 
+    def test_fig2_gates(self):
+        s = gates_iterated(fig2_map())
+        assert s.gates_at(0) == (frozenset({1}), frozenset({-1, -2}), frozenset({2}))
+
     def test_fig1_gates_all_singletons(self):
         s = gates_iterated(fig1_map())
         assert all(len(b) == 1 for gs in s.vertex_gates.values() for b in gs)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from helpers import (
     EXPANDING,
     GOLDEN_SQ,
+    PERMUTED,
     RANK4_REDUCIBLE,
     REDUCIBLE,
     assert_bracketing_trace,
@@ -127,7 +128,43 @@ def rose_self_map(text: str) -> GraphMap:
     return self_map_from_automorphism(rose_point(phi.rank), phi)
 
 
+def identity_map_between(x, y) -> GraphMap:
+    """Simplicial identity between two metrics on the same marked rose."""
+    return GraphMap(
+        x,
+        y,
+        {v: v for v in x.graph.vertices},
+        {e: (e,) for e in x.graph.edge_ids},
+    )
+
+
 class TestSigma:
+    def test_exact_rational_pair(self):
+        x = rose_point(2, lengths=(Fraction(1, 4), Fraction(3, 4)))
+        y = rose_point(2, lengths=(Fraction(1, 2), Fraction(1, 2)))
+        fwd = sigma(x, y, identity_map_between(x, y))
+        assert fwd.sigma == Fraction(2)
+        assert fwd.witness.loop.edges == (1,)
+        assert fwd.log_sigma == pytest.approx(math.log(2), abs=1e-15)
+        back = sigma(y, x, identity_map_between(y, x))
+        assert back.sigma == Fraction(3, 2)
+        assert back.witness.loop.edges == (2,)
+        assert back.log_sigma == pytest.approx(math.log(1.5), abs=1e-15)
+
+    def test_identity_is_one(self):
+        x = rose_point(2, lengths=(Fraction(1, 3), Fraction(2, 3)))
+        rep = sigma(x, x, identity_map_between(x, x))
+        assert rep.sigma == Fraction(1)
+        assert rep.log_sigma == 0.0
+
+    def test_table_covers_every_candidate(self):
+        x = rose_point(2, lengths=(Fraction(1, 4), Fraction(3, 4)))
+        y = rose_point(2, lengths=(Fraction(1, 2), Fraction(1, 2)))
+        rep = sigma(x, y, identity_map_between(x, y))
+        assert len(rep.table) == len(candidates(x))
+        assert all(ratio <= rep.sigma for _, ratio in rep.table)
+        assert any(ratio == rep.sigma for _, ratio in rep.table)
+
     def test_half_half_shift_map(self):
         x = rose_point(2, lengths=(Fraction(1, 2), Fraction(1, 2)))
         m = rose_self_map(REDUCIBLE)
@@ -238,7 +275,7 @@ def test_sigma_witness_is_first_largest_ratio(name, exact):
         assert rep.sigma == ratios[first] and rep.witness == rep.table[first][0]
     x = point(Metric({e: Fraction(1, g.num_edges) for e in g.edge_ids}))
     rep = sigma(x, x, difference_of_markings(x, x))
-    assert {ratio for _, ratio in rep.table} == {1} and rep.log_sigma == 0.0
+    assert {ratio for _, ratio in rep.table} == {1}
     assert rep.witness == candidates(x)[0]
 
 
@@ -267,6 +304,16 @@ def test_warm_sigma_hits_the_candidate_cache():
 
 
 class TestDistance:
+    def test_reference_pair(self):
+        x = rose_point(2, lengths=(Fraction(1, 4), Fraction(3, 4)))
+        y = rose_point(2, lengths=(Fraction(1, 2), Fraction(1, 2)))
+        assert distance(x, y) == pytest.approx(math.log(2), abs=1e-12)
+        assert distance(y, x) == pytest.approx(math.log(1.5), abs=1e-12)
+
+    def test_self_distance_vanishes(self):
+        x = rose_point(3, lengths=(Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)))
+        assert distance(x, x) == 0.0
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_nonnegative_and_triangle(self, seed):
@@ -281,6 +328,19 @@ class TestDistance:
         dxy, dyz, dxz = distance(x, y), distance(y, z), distance(x, z)
         assert dxy >= 0.0 and dyz >= 0.0 and dxz >= 0.0
         assert dxz <= dxy + dyz + 1e-9
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_action_is_isometric(self, seed):
+        rng = random.Random(seed)
+        rank = rng.choice((2, 3))
+        base = rose_point(rank)
+        x = with_metric(base, random_unit_metric(base.graph.edge_ids, rng))
+        y = with_metric(base, random_unit_metric(base.graph.edge_ids, rng))
+        phi = random_automorphism(rank, steps=rng.randrange(1, 6), rng=rng)
+        assert distance(act(x, phi), act(y, phi)) == pytest.approx(
+            distance(x, y), abs=1e-9
+        )
 
 
 # Rank -> graphs: the benchmark's distance-table graph family
@@ -339,14 +399,23 @@ class TestDisplacement:
         y = act(x, phi)
         return sigma(x, y, difference_of_markings(x, y))
 
-    def test_expanding_map_at_barycenter_and_eigenmetric(self):
-        phi = Automorphism.from_text(EXPANDING)
-        rep = self.displacement(rose_point(2), phi)
+    def test_expanding_map_at_its_eigenmetric(self):
+        a = 1.0 / GOLDEN_SQ  # normalized left eigenvector of [[1,1],[1,2]]
+        x = rose_point(2, lengths=(a, 1.0 - a))
+        rep = self.displacement(x, Automorphism.from_text(EXPANDING))
+        assert rep.log_sigma == pytest.approx(math.log(GOLDEN_SQ), abs=1e-12)
+
+    def test_expanding_map_at_barycenter(self):
+        x = rose_point(2)
+        rep = self.displacement(x, Automorphism.from_text(EXPANDING))
         assert rep.sigma == Fraction(3)
         assert rep.witness.loop.edges == (2,)
-        a = 1.0 / GOLDEN_SQ  # normalized left eigenvector of [[1,1],[1,2]]
-        rep = self.displacement(rose_point(2, lengths=(a, 1.0 - a)), phi)
-        assert rep.log_sigma == pytest.approx(math.log(GOLDEN_SQ), abs=1e-12)
+
+    def test_finite_order_map_is_not_displacing(self):
+        x = rose_point(3)
+        rep = self.displacement(x, Automorphism.from_text(PERMUTED))
+        assert rep.sigma == Fraction(1)
+        assert rep.log_sigma == 0.0
 
 
 def reference_rows(m: GraphMap):
@@ -622,6 +691,14 @@ class TestMinDisplacement:
             assert rep.metric.length(1) >= floor
             assert_bracketing_trace(rep.trace, lipschitz_metric._MAX_STEPS)
 
+    def test_golden_rose_lp_calls(self, lp_calls):
+        # A cold start is at the PF lengths, the minimizer; one LP confirms it.
+        m = rose_self_map(EXPANDING)
+        rep = minimize_at(m, 1e-6)
+        assert len(lp_calls) == len(rep.trace) == 1
+        assert rep.lower == pytest.approx(GOLDEN_SQ, rel=1e-12)
+        assert rep.lower <= rep.lam
+
     def test_cold_floor_pinned_minimum_takes_few_steps(self, lp_calls):
         # The PF lengths of a -> a, b -> ab are (0, 1), whose lift is the
         # floored minimizer.
@@ -646,6 +723,11 @@ class TestMinDisplacement:
             assert min(lengths) >= floor
             assert sum(lengths) == pytest.approx(1.0, abs=1e-12)
 
+    def test_floored_family_is_monotone(self):
+        m = rose_self_map(REDUCIBLE)
+        lams = [minimize_at(m, f).lam for f in (1e-2, 1e-3, 1e-4)]
+        assert lams[0] > lams[1] > lams[2] >= 1.0
+
     def test_reducible_rank_four_sweep(self):
         m = rose_self_map(RANK4_REDUCIBLE)
         start = time.monotonic()
@@ -658,7 +740,6 @@ class TestMinDisplacement:
         assert lams[-1] < 2.618036
         assert all(rep.boundary_flag for rep in reports)
         assert elapsed < 10.0
-        assert minimize_at(m, 1e-4) == reports[2]  # a warm rerun repeats the report
 
     @pytest.mark.parametrize("phi", [REDUCIBLE, RANK4_REDUCIBLE])
     def test_certified_gap_at_small_floors(self, phi):
@@ -763,8 +844,26 @@ class TestMinDisplacement:
             assert rep.lam == pytest.approx(1.0 / (1.0 - floor), rel=1e-12)
             assert rep.pinned == (1,)
 
+    def test_repeat_runs_agree(self):
+        m = rose_self_map(RANK4_REDUCIBLE)
+        first = minimize_at(m, 1e-4)
+        second = minimize_at(m, 1e-4)
+        assert first == second
+
 
 class TestClassify:
+    def test_finite_order_input(self):
+        result = classify(Automorphism.from_text(PERMUTED))
+        assert isinstance(result, Elliptic)
+        assert result.kind == "elliptic"
+        assert result.order == 6
+
+    @pytest.mark.parametrize("cycles, order", [((3, 4, 7), 84), ((3, 5, 7, 1), 105)])
+    def test_permutation_of_large_order_is_elliptic(self, cycles, order):
+        result = classify(cycle_permutation(cycles))
+        assert isinstance(result, Elliptic)
+        assert result.order == order
+
     @pytest.mark.parametrize("steps", [3, 8, 20])
     @pytest.mark.parametrize("cycles, order", [((3, 4, 7), 84), ((3, 5, 7, 1), 105)])
     def test_conjugated_permutation_of_large_order_is_elliptic(self, cycles, order, steps):
@@ -806,6 +905,14 @@ class TestClassify:
                                                    rel=1e-9)
             else:
                 assert isinstance(result, ParabolicSuspect), phi
+
+    def test_expanding_input(self):
+        result = classify(Automorphism.from_text(EXPANDING))
+        assert isinstance(result, Hyperbolic)
+        assert result.kind == "hyperbolic"
+        assert abs(result.lam - GOLDEN_SQ) <= 1e-6
+        assert result.simplex.boundary_flag is False
+        assert abs(result.certificate.lam - GOLDEN_SQ) <= 1e-9
 
     def test_train_track_is_settled_by_one_lp(self, lp_calls):
         # The minimization starts at the PF point, which the first LP confirms.
@@ -966,3 +1073,12 @@ class TestClassify:
                 assert result.invariant_chain == reference_invariant_chain(result.certificate.matrix)
                 suspects += 1
         assert suspects > 0
+
+    def test_reducible_exponential_input(self):
+        result = classify(Automorphism.from_text(RANK4_REDUCIBLE))
+        assert isinstance(result, ParabolicSuspect)
+        assert result.invariant_chain == (frozenset({1, 2}),)
+        assert all(boundary for _, _, boundary in result.sweep)
+        lams = [lam for _, lam, _ in result.sweep]
+        assert lams == sorted(lams, reverse=True)
+        assert lams[-1] >= GOLDEN_SQ - 1e-9

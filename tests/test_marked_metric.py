@@ -335,6 +335,20 @@ def _components(g, edge_ids):
 
 
 class TestCandidates:
+    def test_rose2_contains_basic_loops(self):
+        got = {c.loop.edges for c in candidates(rose_point(2))}
+        assert {(1,), (2,), (1, 2), (1, -2)} <= got
+
+    def test_theta_embedded_circles(self):
+        got = {c.loop.edges for c in candidates(theta_point())}
+        once = {w for w in got if len(w) <= 2}
+        assert once == {(1, -2), (1, -3), (2, -3)}
+
+    def test_barbell_contains_handle_loop(self):
+        got = {c.loop.edges for c in candidates(barbell_point())}
+        assert {(1,), (3,), (1, 2, 3, -2)} <= got
+        assert (2,) not in got
+
     @pytest.mark.parametrize("make", [lambda: rose_point(2), theta_point, barbell_point])
     def test_matches_walk_enumeration_oracle(self, make):
         x = make()

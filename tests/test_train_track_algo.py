@@ -98,6 +98,11 @@ def train_track_gates(m: GraphMap):
 
 
 class TestTransitionMatrix:
+    def test_expanding_map_counts(self):
+        M = transition_matrix(rose_self_map(EXPANDING))
+        assert M.edge_ids == (1, 2)
+        assert M.rows == ((1, 1), (1, 2))
+
     def test_permutation_map_counts(self):
         M = transition_matrix(rose_self_map(PERMUTED))
         assert M.rows == ((0, 0, 1), (1, 0, 0), (0, 1, 0))
@@ -116,10 +121,22 @@ class TestTransitionMatrix:
 
 
 class TestIrreducibility:
+    def test_expanding_map_is_irreducible(self):
+        assert closed_class(transition_matrix(rose_self_map(EXPANDING))) is None
+
     def test_cyclic_permutation_is_irreducible(self):
         M = transition_matrix(rose_self_map(PERMUTED))
         assert closed_class(M) is None
         assert_pf_pair(M, *pf_eigen(M), 1.0)
+
+    def test_triangular_map_is_reducible(self):
+        M = transition_matrix(rose_self_map(REDUCIBLE))
+        assert M.rows == ((1, 1), (0, 1))
+        assert closed_class(M) == frozenset({1})
+
+    def test_rank4_invariant_class(self):
+        M = transition_matrix(rose_self_map(RANK4_REDUCIBLE))
+        assert closed_class(M) == frozenset({1, 2})
 
     def test_closed_class_prefers_non_forest(self):
         # Theta graph: edge 1 fixed (a forest class), edges 2,3 swap (a cycle).
@@ -183,6 +200,10 @@ class TestPerronFrobenius:
         lam, ell = pf_eigen(M)
         assert_pf_pair(M, lam, ell, GOLDEN_SQ)
         assert ell[0] == pytest.approx((3 - math.sqrt(5)) / 2, abs=1e-15)
+
+    def test_permutation_matrix(self):
+        M = on_rose((1, 2, 3), ((0, 0, 1), (1, 0, 0), (0, 1, 0)))
+        assert_pf_pair(M, *pf_eigen(M), 1.0)
 
     def test_one_by_one(self):
         assert pf_eigen(on_rose((1,), ((2,),))) == (2.0, (1.0,))
@@ -387,6 +408,9 @@ class TestWordLevelOrder:
         assert _abelianization(Automorphism.from_text(PERMUTED)) == [
             [0, 0, -1], [-1, 0, 0], [0, -1, 0]
         ]
+
+    def test_permutation_has_order_six(self):
+        assert word_level_order(Automorphism.from_text(PERMUTED)) == 6
 
     @staticmethod
     def count_word_calls(monkeypatch):
@@ -673,6 +697,9 @@ class TestFiniteOrderCheck:
     def test_generator_swap_has_order_two(self):
         assert finite_order_check(Automorphism.from_text("a -> b; b -> a")) == 2
 
+    def test_cyclic_with_reversals_has_order_six(self):
+        assert finite_order_check(Automorphism.from_text(PERMUTED)) == 6
+
     @pytest.mark.parametrize("rank", range(2, 9))
     def test_in_loop_order_is_the_order_in_out(self, rank):
         # Conjugated signed permutations: the order of every finite-order
@@ -752,11 +779,24 @@ class TestFold:
         with pytest.raises(InvalidMapError, match="parallel edges"):
             fold(state_of(bad), (2, 3))
 
+    def test_fold_preserves_marking_compatibility(self):
+        # The folded state's GraphMap validates markings on construction, so
+        # a successful fold of a genuine self-map is itself the integrity check.
+        m = rose_self_map(REDUCIBLE)
+        f = folded(m, (1, 2))
+        assert f.check_marking_compatibility() is not None
+
 
 # -- normalize ------------------------------------------------------------------
 
 
 class TestNormalize:
+    def test_rose_map_unchanged(self):
+        m = rose_self_map(EXPANDING)
+        n = normalized(m)
+        assert n.domain.graph == m.domain.graph
+        assert {e: n.edge_image[e].edges for e in (1, 2)} == {1: (1, 2), 2: (2, 1, 2)}
+
     def test_unsubdivides_split_edge(self):
         g = Graph([0, 5], {1: (0, 0), 2: (0, 5), 3: (5, 0)})
         met = Metric({1: 0.5, 2: 0.25, 3: 0.25})
@@ -799,6 +839,14 @@ class TestFindTrainTrack:
             0: (frozenset({1}), frozenset({-1, -2}), frozenset({2}))
         }
 
+    def test_trace_line_format(self):
+        cert = find_train_track(Automorphism.from_text(EXPANDING))
+        assert len(cert.trace) == 1
+        assert re.fullmatch(
+            r"round=0 edges=2 lambda=2\.61803398875 potential=1 move=train_track",
+            cert.trace[0],
+        )
+
     def test_fold_fault_propagates(self, monkeypatch, capsys):
         # A fault inside the fold loop is a bug, not non-termination: it
         # leaves find_train_track and classify as InvalidMapError, and the
@@ -826,6 +874,11 @@ class TestFindTrainTrack:
         assert tracks
         for cert in tracks:
             assert cert.structure.one_gate_vertices() == ()
+
+    def test_finite_order_map(self):
+        cert = find_train_track(Automorphism.from_text(PERMUTED))
+        assert isinstance(cert, FiniteOrderCertificate)
+        assert cert.order == 6
 
     def test_finite_order_found_inside_loop_too(self):
         # Found in round 0, as a graph automorphism of the rose.
@@ -862,6 +915,12 @@ class TestFindTrainTrack:
         assert cert.order == 6
         assert words.is_conjugate_identity(power_images(phi, 6))
 
+    def test_reducible_map(self):
+        cert = find_train_track(Automorphism.from_text(REDUCIBLE))
+        assert isinstance(cert, ReductionCertificate)
+        assert cert.subset == frozenset({1})
+        assert not is_forest(cert.graph_map.domain.graph, cert.subset)
+
     def test_rank4_reducible_map(self):
         cert = find_train_track(Automorphism.from_text(RANK4_REDUCIBLE))
         assert isinstance(cert, ReductionCertificate)
@@ -890,6 +949,11 @@ class TestFindTrainTrack:
     def test_non_basis_images_are_a_marking_error(self):
         with pytest.raises(MarkingError, match="not a homotopy equivalence"):
             find_train_track(Automorphism.from_text("a -> aa; b -> b"))
+
+    def test_iteration_cap_reports_non_termination(self):
+        cert = find_train_track(Automorphism.from_text("a -> aab; b -> A"), max_iters=3)
+        if isinstance(cert, NonTerminationCertificate):
+            assert cert.trace
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=15, deadline=None)
