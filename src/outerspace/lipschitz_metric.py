@@ -499,7 +499,7 @@ def classify(phi: Automorphism) -> Classification:
     if isinstance(cert, TrainTrackCertificate):
         m = cert.graph_map
         loop = find_legal_loop(cert.structure)
-        lo, hi = growth_bracket(transition_matrix(m), cert.metric)
+        lo, hi = growth_bracket(transition_matrix(m), m.domain.metric)
         if not lo > 1:
             reason = f"train track found but its growth bracket [{float(lo)!r}, {float(hi)!r}]"
             return Inconclusive(reason + " is not above 1", cert)

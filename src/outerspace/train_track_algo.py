@@ -26,9 +26,10 @@ an order once, on homology, and tests it on the state's own short words.
 
 Besides ``max_iters``, the loop ends only on a certificate or on a repeated
 state, which proves a cycle: moves read ids only through their order (sorted
-scans, ``direction_key``, ``v < u`` in ``collapse_edges``, slide trials on
-matrices in id order) and a new id is the largest, so if rounds s < r have
-equal ``_MapState.key``s, rounds r, r+1, ... repeat rounds s, s+1, ... forever.
+scans, ``_MapState.incidence``'s directions by edge id, ``v < u`` in
+``collapse_edges``, slide trials on matrices in id order) and a new id is the
+largest live one plus 1, so if rounds s < r have equal ``_MapState.key``s,
+rounds r, r+1, ... repeat rounds s, s+1, ... forever.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from . import words
 from .graph_core import (
     EdgePath,
     Graph,
-    direction_key,
     is_forest,
     turn,
 )
@@ -201,8 +201,11 @@ class _MapState:
     just those.  `inv` is the domain's inverse marking (edge -> word in the
     generators), and every move updates it exactly, so a certificate's
     domain and codomain are checked by substitution alone.
-    One state is rewritten for the whole run; the edge-keyed dicts stay in
-    edge order, because a new edge always takes the largest id.
+    One state is rewritten for the whole run.  Each fact is stored once:
+    the vertices are the keys of `vertex_image`, and a move's new edge or
+    vertex ids start at the largest live id plus 1, read when the move
+    starts; so the edge-keyed dicts stay in edge order.  `incidence` reads
+    every vertex's directions from `endpoints` in one pass.
     """
 
     def __init__(self, phi: Automorphism):
@@ -210,23 +213,19 @@ class _MapState:
         built from phi's images, with phi as its twist."""
         ids = range(1, phi.rank + 1)
         self.endpoints: Dict[int, Tuple[int, int]] = {e: (0, 0) for e in ids}
-        self.vertices = {0}
         self.images: Dict[int, Sequence[int]] = dict(zip(ids, phi.images))
         self.vertex_image: Dict[int, int] = {0: 0}
         self.dom_marking: List[Sequence[int]] = [(e,) for e in ids]
         self.inv: Dict[int, Word] = {e: (e,) for e in ids}
         self.twist = phi
         self.basepoint = 0
-        self.next_vertex = 1
-        self.next_edge = phi.rank + 1
 
     def finish(self) -> None:
-        """End a move: an edge must be left, and new ids restart past the
-        largest ones left, since trace lines and pinned certificates print ids."""
+        """End a move: an edge must be left.  New ids need no upkeep here:
+        a move reads them past the largest live ones, so trace lines and
+        pinned certificates, which print ids, do not depend on dropped ones."""
         if not self.endpoints:
             raise InvalidMapError("graph has no edges left")
-        self.next_vertex = max(self.vertices) + 1
-        self.next_edge = max(self.endpoints) + 1
 
     def copy(self) -> "_MapState":
         """A state whose containers can be rewritten without touching this one."""
@@ -236,19 +235,28 @@ class _MapState:
         return new
 
     def graph(self) -> Graph:
-        return Graph(sorted(self.vertices), dict(self.endpoints))
+        return Graph(self.vertex_image, dict(self.endpoints))
 
     def key(self) -> tuple:
         """The basepoint, endpoints, edge images and vertex images, with edges
         renamed 1..E and vertices 0..V-1 in id order."""
         e_no = {d: i if d > 0 else -i for i, e in enumerate(self.endpoints, 1) for d in (e, -e)}
-        v_no = {v: i for i, v in enumerate(sorted(self.vertices))}
+        v_no = {v: i for i, v in enumerate(sorted(self.vertex_image))}
         return (v_no[self.basepoint],
                 tuple((v_no[u], v_no[v]) for u, v in self.endpoints.values()),
                 tuple(tuple(map(e_no.__getitem__, p)) for p in self.images.values()),
                 tuple(v_no[self.vertex_image[v]] for v in v_no))
 
     # -- bookkeeping -------------------------------------------------------
+
+    def incidence(self) -> Dict[int, List[int]]:
+        """Each vertex's directions in direction_key order, from one pass
+        over the edges in id order."""
+        dirs: Dict[int, List[int]] = {v: [] for v in self.vertex_image}
+        for e, (u, v) in self.endpoints.items():
+            dirs[u].append(e)
+            dirs[v].append(-e)
+        return dirs
 
     def init(self, d: int) -> int:
         u, v = self.endpoints[abs(d)]
@@ -309,21 +317,19 @@ class _MapState:
         self.vertex_image = {
             v: (keep if w == drop else w) for v, w in self.vertex_image.items() if v != drop
         }
-        self.vertices.discard(drop)
 
     # -- surgery moves -----------------------------------------------------
 
     def subdivide(self, e: int, cuts: Sequence[int]) -> List[int]:
         """Split edge e at the given positions of its image path; new edge ids.
 
-        The first piece carries e's inverse-marking word, the others none."""
+        The pieces and the new vertices take ids past the largest live ones,
+        e included.  The first piece carries e's inverse-marking word, the
+        others none."""
+        first_edge, first_vertex = max(self.endpoints) + 1, max(self.vertex_image) + 1
         image, (u, v), word = self.drop_edge(e)
-        k = len(cuts) + 1
-        parts = list(range(self.next_edge, self.next_edge + k))
-        self.next_edge += k
-        mids = list(range(self.next_vertex, self.next_vertex + len(cuts)))
-        self.next_vertex += len(cuts)
-        self.vertices.update(mids)
+        parts = list(range(first_edge, first_edge + len(cuts) + 1))
+        mids = list(range(first_vertex, first_vertex + len(cuts)))
         chain = [u] + mids + [v]
         for i, p in enumerate(parts):
             self.endpoints[p] = (chain[i], chain[i + 1])
@@ -372,42 +378,37 @@ class _MapState:
         hair's word, and the marking check allows one common conjugator.
         The leaf has no other edge, so collapsing the hair changes no word.
         """
-        v = self.basepoint
-        e = next(e for e, (a, b) in self.endpoints.items() if v in (a, b))
-        a, b = self.endpoints[e]
-        h = e if a == v else -e
+        (h,) = self.incidence()[self.basepoint]
         for i, loop in enumerate(self.dom_marking):
             if not (loop and loop[0] == h and loop[-1] == -h):
                 raise InvalidMapError("marking loop is not based at the leaf")
             self.dom_marking[i] = loop[1:-1]
-        self.basepoint = b if a == v else a
-        self.collapse_edges([e])
+        self.basepoint = self.term(h)
+        self.collapse_edges([abs(h)])
 
     def _slide_images_off(self, v: int, along: int) -> None:
         """Homotope the map so no vertex image lands on v, sliding along the
         direction `along` (which starts at v); image paths of edges incident
         to the affected domain vertices are extended accordingly."""
         target = self.term(along)
+        incidence = self.incidence()
         for u in sorted(u for u, w in self.vertex_image.items() if w == v):
             self.vertex_image[u] = target
-            for e, (a, b) in sorted(self.endpoints.items()):
-                if a == u:
-                    self.images[e] = words.concat((-along,), self.images[e])
-                if b == u:
-                    self.images[e] = words.concat(self.images[e], (along,))
+            for d in incidence[u]:
+                if d > 0:
+                    self.images[d] = words.concat((-along,), self.images[d])
+                else:
+                    self.images[-d] = words.concat(self.images[-d], (along,))
 
     def unsubdivide_pass(self) -> bool:
         """Merge the chain at one valence-2 vertex other than the basepoint;
         True if merged.  Vertex images blocking the merge are slid off first,
         along whichever of the two directions gives the smaller stretch."""
-        for v in sorted(self.vertices):
-            if v == self.basepoint:
-                continue
-            dirs = [d for e in self.endpoints for d in (e, -e) if self.init(d) == v]
-            if len(dirs) != 2:
+        for v, dirs in sorted(self.incidence().items()):
+            if v == self.basepoint or len(dirs) != 2:
                 continue
             # Two distinct edges: a connected graph of rank >= 2 has no isolated circle.
-            c1, c2 = sorted(dirs, key=direction_key)
+            c1, c2 = dirs
             if v in self.vertex_image.values():
                 trials = []
                 for idx, along in enumerate((c1, c2)):
@@ -429,8 +430,7 @@ class _MapState:
         become E and -E."""
         if v == self.basepoint or v in self.vertex_image.values():
             raise InvalidMapError("valence-two vertex is the basepoint or a vertex image")
-        E = self.next_edge
-        self.next_edge += 1
+        E = max(self.endpoints) + 1
         new_image = self.image_of(-c1) + self.image_of(c2)
         new_inv = words.concat(self.inv_of(-c1), self.inv_of(c2))
         u, w = self.term(c1), self.term(c2)
@@ -440,7 +440,6 @@ class _MapState:
         self.endpoints[E] = (u, w)
         self.inv[E] = new_inv
         self.images[E] = words.apply_table(table, new_image)
-        self.vertices.discard(v)
         self.vertex_image.pop(v, None)
 
     def to_graph_map(self, g: Graph, metric: Metric) -> GraphMap:
@@ -535,7 +534,7 @@ def fold(st: _MapState, t: Tuple[int, int]) -> None:
     st.identify(f1, f2)
     # identify lowers only the fold vertex's valence, 3 or more after
     # normalize unless it is the basepoint, so only the basepoint can be a leaf.
-    if sum((u == st.basepoint) + (v == st.basepoint) for u, v in st.endpoints.values()) == 1:
+    if len(st.incidence()[st.basepoint]) == 1:
         st._rebase_off_hair()
     st.finish()
 
@@ -568,7 +567,6 @@ class TrainTrackCertificate:
     graph_map: GraphMap
     structure: TrainTrackStructure
     lam: float
-    metric: Metric
     trace: Tuple[str, ...]
     status: ClassVar[str] = "train_track"
 
@@ -677,14 +675,15 @@ def _round_line(rnd: int, edges: int, lam: float, potential, move: str) -> str:
     return f"round={rnd} edges={edges} lambda={lam:.12g} potential={potential} move={move}"
 
 
-def _finite_order_exit(st: _MapState, g: Graph, phi: Automorphism, rnd: int, potential,
+def _finite_order_exit(st: _MapState, g: Graph, rnd: int, potential,
                       trace: List[str]) -> Optional[FiniteOrderCertificate]:
     """The loop's one finite-order certificate, at the exit state, if phi^d
-    is inner for the only candidate order d = finite_order_check(phi)
-    (Baumslag–Taylor): if the d-th power of the state's short own-basis
-    images is.  Past _ORDER_LETTER_BUDGET letters, a memory bound on powers
-    that may grow like lambda^k, it gives None; the other exits still hold."""
-    d = finite_order_check(phi)
+    is inner, phi the state's twist, for the only candidate order
+    d = finite_order_check(phi) (Baumslag–Taylor): if the d-th power of the
+    state's short own-basis images is.  Past _ORDER_LETTER_BUDGET letters, a
+    memory bound on powers that may grow like lambda^k, it gives None; the
+    other exits still hold."""
+    d = finite_order_check(st.twist)
     if d is None:
         return None
     base = power = st.own_basis_images()
@@ -729,13 +728,13 @@ def find_train_track(phi: Automorphism, max_iters: int = 10**4) -> Certificate:
         # order, so it must pass the exit test.  Its permutation matrix is
         # reducible when it has several cycles, so this comes first.
         if all(len(p) == 1 for p in st.images.values()):
-            if done := _finite_order_exit(st, g, phi, rnd, pot, trace):
+            if done := _finite_order_exit(st, g, rnd, pot, trace):
                 return done
             raise InvalidMapError("graph automorphism fails the finite-order test")
         cls = closed_class(M)
         if cls is not None:
             move = "collapse_forest" if is_forest(g, cls) else "reduction"
-            if move == "reduction" and (done := _finite_order_exit(st, g, phi, rnd, pot, trace)):
+            if move == "reduction" and (done := _finite_order_exit(st, g, rnd, pot, trace)):
                 return done
             rho = spectral_radius(M)
             trace.append(_round_line(rnd, g.num_edges, rho, pot, f"{move}({sorted(cls)})"))
@@ -767,18 +766,16 @@ def find_train_track(phi: Automorphism, max_iters: int = 10**4) -> Certificate:
             # least 3 times; one of those crossings is interior, so a legal
             # turn sits at each end of e.
             trace.append(_round_line(rnd, g.num_edges, lam, pot, "train_track"))
-            cert_map = st.to_graph_map(g, Metric(dict(zip(M.edge_ids, ell))))
             return TrainTrackCertificate(
-                graph_map=cert_map,
+                graph_map=st.to_graph_map(g, Metric(dict(zip(M.edge_ids, ell)))),
                 structure=s,
                 lam=lam,
-                metric=cert_map.domain.metric,
                 trace=tuple(trace),
             )
         # Brent's cycle test: one saved key, re-saved as the fold rounds double.
         key = st.key()
         if key == saved:
-            if done := _finite_order_exit(st, g, phi, rnd, pot, trace):
+            if done := _finite_order_exit(st, g, rnd, pot, trace):
                 return done
             trace.append(_round_line(rnd, g.num_edges, lam, pot, f"repeat({saved_rnd})"))
             return NonTerminationCertificate(
@@ -789,5 +786,5 @@ def find_train_track(phi: Automorphism, max_iters: int = 10**4) -> Certificate:
         t = _descend_to_one_step(deriv, *bad)
         trace.append(_round_line(rnd, g.num_edges, lam, pot, f"fold({t[0]},{t[1]})"))
         fold(st, t)
-    return (_finite_order_exit(st, st.graph(), phi, max_iters, "-", trace)
+    return (_finite_order_exit(st, st.graph(), max_iters, "-", trace)
             or NonTerminationCertificate(reason="iteration cap reached", trace=tuple(trace)))

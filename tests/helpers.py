@@ -244,14 +244,11 @@ def state_of(m: GraphMap) -> train_track_algo._MapState:
     st = train_track_algo._MapState(twist)
     g = m.domain.graph
     st.endpoints = {e: g.endpoints(e) for e in g.edge_ids}
-    st.vertices = set(g.vertices)
     st.images = {e: m.edge_image[e].edges for e in g.edge_ids}
     st.vertex_image = dict(m.vertex_image)
     st.dom_marking = [p.edges for p in m.domain.marking]
     st.inv = m.domain.inverse_marking()
     st.basepoint = m.domain.basepoint
-    st.next_vertex = max(st.vertices) + 1
-    st.next_edge = max(st.endpoints) + 1
     return st
 
 

@@ -194,12 +194,12 @@ def _scaling_law_holds(cert: TrainTrackCertificate) -> None:
     ]
     assert len(set(tuple(p.edges) for p in legal[:3])) == 3
     for alpha in legal[:3]:
-        base_len = loop_len(cert.metric, alpha)
+        base_len = loop_len(m.domain.metric, alpha)
         path = alpha
         for k in range(1, 6):
             path = m.map_path(path)
             expected = cert.lam**k * base_len
-            assert abs(loop_len(cert.metric, path) - expected) <= 1e-6 * expected
+            assert abs(loop_len(m.domain.metric, path) - expected) <= 1e-6 * expected
 
 
 def test_criterion_8_legal_loops_scale_by_lambda_powers():

@@ -64,7 +64,7 @@ def describe(cert) -> dict:
     out = {"status": cert.status, "trace": list(cert.trace)}
     if hasattr(cert, "lam"):
         out["lam"] = repr(cert.lam)
-        out["metric"] = repr(cert.metric)
+        out["metric"] = repr(cert.graph_map.domain.metric)
         out["gates"] = repr(cert.structure)
     if hasattr(cert, "subset"):
         out["subset"] = sorted(cert.subset)

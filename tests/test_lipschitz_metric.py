@@ -947,7 +947,7 @@ class TestClassify:
         assert isinstance(result, Hyperbolic)
         assert result.simplex.lower >= result.lam * (1 - 1e-9)
         assert result.simplex.lam == pytest.approx(result.lam, rel=1e-9)
-        metric = result.certificate.metric
+        metric = result.certificate.graph_map.domain.metric
         assert min(metric.length(e) for e in metric.edge_ids) > 1e-6
 
     def test_floor_does_not_decide_the_verdict(self, monkeypatch):
@@ -995,7 +995,8 @@ class TestClassify:
         result = classify(phi)
         assert isinstance(result, Hyperbolic)
         cert = result.certificate
-        assert min(cert.metric.length(e) for e in cert.metric.edge_ids) < 1e-9
+        metric = cert.graph_map.domain.metric
+        assert min(metric.length(e) for e in metric.edge_ids) < 1e-9
         lo, hi = result.bracket
         assert 1 < lo <= cert.lam <= hi
         assert is_legal(result.loop, cert.structure)
